@@ -11,14 +11,14 @@ divisions that fail loudly, never series inversions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import List, Optional, Tuple
+from functools import cached_property, lru_cache
+from math import comb
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .chambers import OutOfRange, fm_index_range, moduli_dim
 from .exactpoly import (
     LaurentPoly,
     NotDivisible,
-    TruncatedBiSeries,
     geom_kernel,
     lp_div_exact,
     one_plus_xt_power,
@@ -241,19 +241,58 @@ class BettiReport:
     terminal: LaurentPoly
     blowup_check: Optional[bool]
 
+    @cached_property
+    def telescoped_at_one(self) -> Dict[int, int]:
+        """Minus the sum of the flip differences at t = 1 from j up to the
+        top, for every j from the report's lowest chamber: one suffix sum."""
+        total, sums = 0, {}
+        for j in range(-self.d - 1, min(ch.i for ch in self.chambers) - 1, -1):
+            total -= _flip_difference_at_one(j, self.d, self.g)
+            sums[j] = total
+        return sums
+
+    def failures(self) -> Iterator[str]:
+        """One line per failed invariant, naming it and its indices."""
+        for ch in self.chambers:
+            for name, holds in CHAMBER_INVARIANTS:
+                if not holds(self, ch):
+                    yield f"{name} fails at (i={ch.i}, d={self.d}, g={self.g})"
+        for name, holds in REPORT_INVARIANTS:
+            if not holds(self):
+                yield f"{name} fails at (d={self.d}, g={self.g})"
+
     @property
     def ok(self) -> bool:
-        dim2 = 2 * self.moduli_dim
-        for ch in self.chambers:
-            if not (ch.agree and ch.palindromic and ch.nonneg):
-                return False
-            if ch.degree != dim2 or ch.constant_term != 1:
-                return False
-        if self.u2d.agree is False:
-            return False
-        if self.blowup_check is False:
-            return False
-        return True
+        return next(self.failures(), None) is None
+
+
+def _flip_difference_at_one(j: int, d: int, g: int) -> int:
+    """The flip difference above chamber j at t = 1, in closed form:
+    rank W+ - rank W- (the limit of the t-power quotient) times 2^(2g) times
+    the total Betti number of Sym^n of the curve, n = -d - j - 1, which is
+    the x^n coefficient of (1+x)^(2g) / (1-x)^2."""
+    n = -d - j - 1
+    sym_at_one = sum(comb(2 * g, k) * (n - k + 1) for k in range(min(n, 2 * g) + 1))
+    rank_plus, rank_minus = -d - j - 1, d + g + 2 * j + 1
+    return (rank_plus - rank_minus) * 4 ** g * sym_at_one
+
+
+#: Named invariants of a Betti report.  A chamber invariant is a predicate on
+#: (report, chamber) and fails at (i, d, g); a report invariant is a predicate
+#: on the report and fails at (d, g).  Both read only the report's fields, so
+#: a report read back from JSON is checked the same way.
+CHAMBER_INVARIANTS = (
+    ("two routes agree", lambda r, ch: ch.agree),
+    ("degree = 2 dim", lambda r, ch: ch.degree == 2 * r.moduli_dim),
+    ("palindromic", lambda r, ch: ch.palindromic),
+    ("nonnegative", lambda r, ch: ch.nonneg),
+    ("constant term 1", lambda r, ch: ch.constant_term == 1),
+    ("t=1 telescoping", lambda r, ch: ch.p_recursive(1) == r.telescoped_at_one[ch.i]),
+)
+REPORT_INVARIANTS = (
+    ("bundle route", lambda r: r.u2d.agree is not False),
+    ("terminal blow-up identity", lambda r: r.blowup_check is not False),
+)
 
 
 def build_betti_report(d: int, g: int, only_chamber: Optional[int] = None) -> BettiReport:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 
 class InvalidInput(ValueError):
@@ -186,3 +186,32 @@ def flip_locus(i: int, d: int, g: int) -> FlipLocusData:
         codim_minus=total - dim_minus,
         codim_plus=total - dim_plus,
     )
+
+
+#: Named invariants of the flip at the wall above chamber i, as predicates
+#: on (flip locus, d, g).  The last flip, i = -d - 2, is the terminal one.
+FLIP_INVARIANTS = (
+    ("flip rank sum", lambda fl, d, g: fl.rank_minus + fl.rank_plus == g + fl.i),
+    ("interior codimension >= 2", lambda fl, d, g: fl.i == -d - 2 or min(fl.codim_minus, fl.codim_plus) >= 2),
+    ("terminal codimension", lambda fl, d, g: fl.i != -d - 2 or fl.codim_minus == 1),
+    ("terminal dimension", lambda fl, d, g: fl.i != -d - 2 or fl.dim_p_minus == -d + 2 * g - 3),
+)
+
+
+def _wall_endpoints_hold(cd: ChamberData) -> bool:
+    """No walls for d in {-1, -2}; otherwise the first wall is 1 or 2 by the
+    parity of d and the last is -d - 2."""
+    if cd.d >= -2:
+        return not cd.walls
+    return bool(cd.walls) and cd.walls[0] == (1 if cd.d % 2 else 2) and cd.walls[-1] == -cd.d - 2
+
+
+def structure_failures(d: int, g: int) -> List[str]:
+    """One line per failed wall or flip-locus invariant at (d, g), naming the
+    invariant and its indices; empty when the structure is consistent."""
+    cd = build_chambers(d, g)
+    failures = [] if _wall_endpoints_hold(cd) else [f"wall endpoints fail at (d={d}, g={g}): {cd.walls}"]
+    for i in range(cd.index_lo, cd.index_hi):
+        fl = flip_locus(i, d, g)
+        failures += [f"{name} fails at (i={i}, d={d}, g={g})" for name, holds in FLIP_INVARIANTS if not holds(fl, d, g)]
+    return failures

@@ -11,10 +11,8 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -23,6 +21,8 @@ from . import betti, chambers, stability
 from .chambers import InvalidInput, OutOfRange
 
 FORMATS = ("text", "json", "csv", "latex")
+#: Failure lines verify-all prints before it only counts the rest.
+MAX_PRINTED_FAILURES = 50
 
 
 @dataclass
@@ -69,23 +69,18 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
     p_st.add_argument("--model", dest="model_path", required=True, help="path to a model JSON file")
     _add_format_flags(p_st)
 
-    p_va = sub.add_parser("verify-all", help="run the full consistency grid and property suite")
-    p_va.add_argument("--grid", nargs=2, type=int, default=(5, -15), metavar=("G_MAX", "D_MIN"))
-    p_va.add_argument("--seed", type=int, default=0)
-    p_va.add_argument("--models", type=int, default=10000, help="randomized models in the suite")
-
-    ns = parser.parse_args(argv)
-    return RunConfig(
-        command=ns.command,
-        d=getattr(ns, "d", None),
-        g=getattr(ns, "g", None),
-        format=getattr(ns, "format", "text"),
-        chamber=getattr(ns, "chamber", None),
-        model_path=getattr(ns, "model_path", None),
-        seed=getattr(ns, "seed", 0),
-        grid=tuple(getattr(ns, "grid", (5, -15))),
-        models=getattr(ns, "models", 10000),
+    # omitted verify-all flags take their RunConfig defaults
+    p_va = sub.add_parser(
+        "verify-all", help="run the full consistency grid and property suite", argument_default=argparse.SUPPRESS
     )
+    p_va.add_argument("--grid", nargs=2, type=int, metavar=("G_MAX", "D_MIN"))
+    p_va.add_argument("--seed", type=int)
+    p_va.add_argument("--models", type=int, help="randomized models in the suite")
+
+    ns = vars(parser.parse_args(argv))
+    if "grid" in ns:
+        ns["grid"] = tuple(ns["grid"])
+    return RunConfig(**ns)
 
 
 def _frac(x: Fraction) -> str:
@@ -384,84 +379,22 @@ def _emit_stability(obj: dict, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("FLIPCHAIN_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _verify_cell(args: Tuple[int, int]) -> List[str]:
-    g, d = args
-    failures: List[str] = []
+def _verify_cell(g: int, d: int) -> List[str]:
     try:
         report = betti.build_betti_report(d, g)
-    except Exception as exc:  # any computation error is a failure for this cell
+    except (betti.NotDivisible, betti.NegativeExponentSurvived) as exc:
         return [f"betti report failed at (d={d}, g={g}): {exc}"]
-    dim2 = 2 * report.moduli_dim
-    for ch in report.chambers:
-        if not ch.agree:
-            failures.append(f"two-route mismatch at (i={ch.i}, d={d}, g={g})")
-        if ch.degree != dim2:
-            failures.append(f"degree {ch.degree} != {dim2} at (i={ch.i}, d={d}, g={g})")
-        if not ch.palindromic:
-            failures.append(f"not palindromic at (i={ch.i}, d={d}, g={g})")
-        if not ch.nonneg:
-            failures.append(f"negative Betti number at (i={ch.i}, d={d}, g={g})")
-        if ch.constant_term != 1:
-            failures.append(f"constant term {ch.constant_term} != 1 at (i={ch.i}, d={d}, g={g})")
-        # specialization at t = 1 must match the signed telescoping sum
-        lo, hi = betti.fm_index_range(d)
-        tele = -sum(betti.flip_difference(j, d, g)(1) for j in range(ch.i, hi + 1))
-        if ch.p_recursive(1) != tele:
-            failures.append(f"t=1 telescoping mismatch at (i={ch.i}, d={d}, g={g})")
-    if report.u2d.agree is False:
-        failures.append(f"bundle-route mismatch for the odd moduli at (d={d}, g={g})")
-    if report.mcon != report.u2d.closed * betti.LaurentPoly({0: 1, 2: 1}):
-        failures.append(f"constrained-moduli fiber identity fails at g={g}")
-    if report.blowup_check is False:
-        failures.append(f"terminal blow-up identity fails at (d={d}, g={g})")
-
-    cd = chambers.build_chambers(d, g)
-    if cd.walls:
-        if cd.walls[-1] != -d - 2:
-            failures.append(f"last wall {cd.walls[-1]} != {-d - 2} at (d={d}, g={g})")
-        expected_first = 1 if d % 2 else 2
-        if cd.walls[0] != expected_first:
-            failures.append(f"first wall {cd.walls[0]} != {expected_first} at (d={d}, g={g})")
-    for i in range(cd.index_lo, cd.index_hi):
-        fl = chambers.flip_locus(i, d, g)
-        if fl.rank_minus + fl.rank_plus != g + i:
-            failures.append(f"rank sum {fl.rank_minus + fl.rank_plus} != g+i at (i={i}, d={d}, g={g})")
-        if i < -d - 2 and (fl.codim_minus < 2 or fl.codim_plus < 2):
-            failures.append(f"interior flip codimension below 2 at (i={i}, d={d}, g={g})")
-        if i == -d - 2 and fl.codim_minus != 1:
-            failures.append(f"terminal flip codim- {fl.codim_minus} != 1 at (d={d}, g={g})")
-        if i == -d - 2 and fl.dim_p_minus != -d + 2 * g - 3:
-            failures.append(f"terminal dim PW- {fl.dim_p_minus} != {-d + 2 * g - 3} at (d={d}, g={g})")
-    return failures
+    return list(report.failures()) + chambers.structure_failures(d, g)
 
 
 def run_verify_all(g_max: int, d_min: int, seed: int, n_models: int, out) -> int:
     t0 = time.monotonic()
     cells = [(g, d) for g in range(2, g_max + 1) for d in range(d_min, 0)]
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_cell = list(pool.map(_verify_cell, cells))
-    else:
-        per_cell = [_verify_cell(c) for c in cells]
-    failures = [f for cell in per_cell for f in cell]
+    failures = [f for g, d in cells for f in _verify_cell(g, d)]
     print(f"grid: {len(cells)} cells checked, {len(failures)} failures", file=out)
 
     for d in range(-20, 0):
-        cd = chambers.build_chambers(d, 2)
-        if d <= -3:
-            if not cd.walls or cd.walls[-1] != -d - 2 or cd.walls[0] != (1 if d % 2 else 2):
-                failures.append(f"wall endpoints wrong at d={d}")
-        elif cd.walls:
-            failures.append(f"unexpected walls at d={d}")
+        failures.extend(chambers.structure_failures(d, 2))
     print("wall endpoints: d in [-20, -1] checked", file=out)
 
     suite = stability.run_stability_suite(seed=seed, n_models=n_models)
@@ -472,12 +405,13 @@ def run_verify_all(g_max: int, d_min: int, seed: int, n_models: int, out) -> int
     )
     failures.extend(suite.failures)
 
-    for line in failures[:50]:
+    for line in failures[:MAX_PRINTED_FAILURES]:
         print(f"FAIL {line}", file=out)
-    status = 1 if failures else 0
+    if len(failures) > MAX_PRINTED_FAILURES:
+        print(f"... and {len(failures) - MAX_PRINTED_FAILURES} more failures", file=out)
     print(f"verify-all: {'FAIL' if failures else 'OK'}", file=out)
     print(f"elapsed: {time.monotonic() - t0:.1f}s", file=sys.stderr)
-    return status
+    return 1 if failures else 0
 
 
 # ---------------------------------------------------------------------------

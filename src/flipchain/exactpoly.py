@@ -14,10 +14,6 @@ from fractions import Fraction
 from math import comb
 from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple, Union
 
-#: Exact rational numbers: always reduced, denominator positive, exact order.
-Rational = Fraction
-
-
 class NotDivisible(ArithmeticError):
     """No exact quotient exists; a formula was transcribed wrongly."""
 
@@ -184,7 +180,7 @@ class LaurentPoly:
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
-            raise ValueError("negative powers are not defined; use div_exact")
+            raise ValueError("negative powers are not defined; use lp_div_exact")
         result = LaurentPoly.one()
         base = self
         while n:
@@ -193,10 +189,6 @@ class LaurentPoly:
             base = base * base
             n >>= 1
         return result
-
-    def div_exact(self, den: "LaurentPoly") -> "LaurentPoly":
-        """Exact quotient q with q * den == self; NotDivisible otherwise."""
-        return lp_div_exact(self, den)
 
     # -- formatting and serialization ---------------------------------------
 
@@ -230,18 +222,6 @@ class LaurentPoly:
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "LaurentPoly":
         return cls((int(e), int(c)) for e, c in obj["terms"])
-
-
-def lp_add(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    return a + b
-
-
-def lp_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    return a * b
-
-
-def lp_pow(a: LaurentPoly, n: int) -> LaurentPoly:
-    return a ** n
 
 
 def lp_div_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
@@ -417,8 +397,3 @@ def one_plus_xt_power(m: int, order: int) -> TruncatedBiSeries:
         raise ValueError("exponent must be nonnegative")
     coeffs = [LaurentPoly.monomial(n, comb(m, n)) for n in range(min(m, order) + 1)]
     return TruncatedBiSeries(coeffs, order)
-
-
-def coeff_x(series: TruncatedBiSeries, n: int) -> LaurentPoly:
-    """Exact coefficient of x^n; OrderExceeded if n is past the truncation."""
-    return series.coeff_x(n)

@@ -16,13 +16,14 @@ Conventions baked into every check (curve with a degree-1 polarization):
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .chambers import build_chambers
+from .chambers import InvalidInput, build_chambers
 
 
 class AmbiguousModel(ValueError):
@@ -60,7 +61,6 @@ class FramedType:
     rank: int
     degree: int
     framing_nonzero: bool
-    epsilon_nonzero: bool = False
     delta_iso: bool = False
 
     def __post_init__(self):
@@ -328,7 +328,6 @@ def _quotient_model(m: FramedModel, step: SubobjectData) -> FramedModel:
         rank=t.rank - step.rank,
         degree=t.degree - step.degree,
         framing_nonzero=q_framing,
-        epsilon_nonzero=t.epsilon_nonzero,
         delta_iso=t.delta_iso,
     )
     return FramedModel(ctx=m.ctx, typ=q_typ, subs=tuple(q_subs))
@@ -614,7 +613,6 @@ def model_to_json_obj(m: FramedModel) -> dict:
             "rank": m.typ.rank,
             "degree": m.typ.degree,
             "framing_nonzero": m.typ.framing_nonzero,
-            "epsilon_nonzero": m.typ.epsilon_nonzero,
             "delta_iso": m.typ.delta_iso,
         },
         "subs": [
@@ -634,33 +632,64 @@ def model_to_json_obj(m: FramedModel) -> dict:
     return obj
 
 
-def model_from_json_obj(obj: dict) -> FramedModel:
-    typ = obj["type"]
-    split = None
-    if obj.get("split") is not None:
-        split = SplitDescriptor(kmax_id=obj["split"]["kmax_id"], other_id=obj["split"]["other_id"])
-    return FramedModel(
-        ctx=CurveContext(genus=int(obj["genus"]), frame_degree=int(obj.get("frame_degree", 0))),
-        typ=FramedType(
-            rank=int(typ["rank"]),
-            degree=int(typ["degree"]),
-            framing_nonzero=bool(typ["framing_nonzero"]),
-            epsilon_nonzero=bool(typ.get("epsilon_nonzero", False)),
-            delta_iso=bool(typ.get("delta_iso", False)),
-        ),
-        subs=tuple(
-            SubobjectData(
-                id=str(s["id"]),
-                rank=int(s["rank"]),
-                degree=int(s["degree"]),
-                fr=bool(s["fr"]),
-                phi_invariant=bool(s.get("phi_invariant", True)),
-                parents=frozenset(str(p) for p in s.get("parents", ())),
-            )
-            for s in obj["subs"]
-        ),
-        split=split,
-    )
+_REQUIRED = object()
+_KIND_NAMES = {int: "an integer", bool: "true or false", str: "a string", list: "a list", dict: "an object"}
+
+
+def _checked(value, kind: type, path: str):
+    """The value when it is of the JSON kind (a bool is not an integer);
+    InvalidInput naming the field path otherwise."""
+    if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
+        return value
+    raise InvalidInput(f"{path or 'model'}: expected {_KIND_NAMES[kind]}, got {json.dumps(value)[:60]}")
+
+
+def _fields(obj, path: str, spec: dict, retired: Iterable[str] = ()) -> dict:
+    """The checked fields of one JSON object.  spec maps each key to (kind,
+    default); the default _REQUIRED makes the key required, and a None
+    default lets it be null.  Keys outside spec and retired are rejected;
+    retired keys are ignored."""
+    _checked(obj, dict, path)
+    at = f"{path}." if path else ""
+    unknown = sorted(obj.keys() - spec.keys() - set(retired))
+    if unknown:
+        raise InvalidInput(f"{at}{unknown[0]}: unknown field")
+    fields = {}
+    for key, (kind, default) in spec.items():
+        if key not in obj or (obj[key] is None and default is None):
+            if default is _REQUIRED:
+                raise InvalidInput(f"{at}{key}: missing")
+            fields[key] = default
+        else:
+            fields[key] = _checked(obj[key], kind, at + key)
+    return fields
+
+
+#: Each JSON object's fields: key -> (kind, default); see _fields.
+_MODEL_FIELDS = {"genus": (int, _REQUIRED), "frame_degree": (int, 0), "type": (dict, _REQUIRED),
+                 "subs": (list, _REQUIRED), "split": (dict, None)}
+_TYPE_FIELDS = {"rank": (int, _REQUIRED), "degree": (int, _REQUIRED), "framing_nonzero": (bool, _REQUIRED),
+                "delta_iso": (bool, False)}
+_SUB_FIELDS = {"id": (str, _REQUIRED), "rank": (int, _REQUIRED), "degree": (int, _REQUIRED), "fr": (bool, _REQUIRED),
+               "phi_invariant": (bool, True), "parents": (list, ())}
+_SPLIT_FIELDS = {"kmax_id": (str, _REQUIRED), "other_id": (str, _REQUIRED)}
+
+
+def model_from_json_obj(obj) -> FramedModel:
+    """Strict reader of the wire format: integers that are not bools, real
+    bools, string ids, a list of string parents and no unknown fields, with
+    InvalidInput naming the field path otherwise.  The retired
+    type.epsilon_nonzero is accepted and ignored."""
+    top = _fields(obj, "", _MODEL_FIELDS)
+    typ = _fields(top["type"], "type", _TYPE_FIELDS, retired=("epsilon_nonzero",))
+    subs = []
+    for k, raw in enumerate(top["subs"]):
+        sub = _fields(raw, f"subs[{k}]", _SUB_FIELDS)
+        for n, parent in enumerate(sub["parents"]):
+            _checked(parent, str, f"subs[{k}].parents[{n}]")
+        subs.append(SubobjectData(**sub))
+    split = None if top["split"] is None else SplitDescriptor(**_fields(top["split"], "split", _SPLIT_FIELDS))
+    return FramedModel(CurveContext(top["genus"], top["frame_degree"]), FramedType(**typ), tuple(subs), split)
 
 
 # ---------------------------------------------------------------------------
@@ -715,13 +744,8 @@ def random_rank2_model(
             idx = next(i for i, s in enumerate(subs) if s.id == child.id)
             subs[idx] = replace(child, parents=child.parents | {parent.id})
 
-    typ = FramedType(
-        rank=2,
-        degree=d,
-        framing_nonzero=True,
-        epsilon_nonzero=rng.random() < 0.5,
-        delta_iso=rng.random() < 0.7,
-    )
+    rng.random()  # the draw of a retired flag, kept so seeded streams stay the same
+    typ = FramedType(rank=2, degree=d, framing_nonzero=True, delta_iso=rng.random() < 0.7)
     return FramedModel(ctx=CurveContext(g), typ=typ, subs=tuple(subs), split=split)
 
 

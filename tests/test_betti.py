@@ -2,10 +2,13 @@
 telescoping vs closed-form extraction, bundle moduli and blow-up identity."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from flipchain.betti import (
+    CHAMBER_INVARIANTS,
+    REPORT_INVARIANTS,
     NegativeExponentSurvived,
     PreconditionFailed,
     blowup_consistency,
@@ -201,3 +204,52 @@ def test_report_single_chamber_and_no_blowup():
     assert len(report.chambers) == 1
     assert report.blowup_check is None
     assert report.u2d.via_bundle is None
+
+
+# -- the report invariant table ----------------------------------------------------
+
+
+def _doctor_chamber(changes):
+    """Doctor chamber i = 3 of a report."""
+
+    def doctor(report):
+        chs = tuple(replace(ch, **changes(ch)) if ch.i == 3 else ch for ch in report.chambers)
+        return replace(report, chambers=chs)
+
+    return doctor
+
+
+#: One doctoring of the (d=-5, g=2) report per invariant, and the indices
+#: its failure line names.
+REPORT_DOCTORS = {
+    "two routes agree": (_doctor_chamber(lambda ch: {"agree": False}), "i=3, d=-5, g=2"),
+    "degree = 2 dim": (_doctor_chamber(lambda ch: {"degree": 13}), "i=3, d=-5, g=2"),
+    "palindromic": (_doctor_chamber(lambda ch: {"palindromic": False}), "i=3, d=-5, g=2"),
+    "nonnegative": (_doctor_chamber(lambda ch: {"nonneg": False}), "i=3, d=-5, g=2"),
+    "constant term 1": (_doctor_chamber(lambda ch: {"constant_term": 2}), "i=3, d=-5, g=2"),
+    "t=1 telescoping": (_doctor_chamber(lambda ch: {"p_recursive": ch.p_recursive + 1}), "i=3, d=-5, g=2"),
+    "bundle route": (lambda r: replace(r, u2d=replace(r.u2d, agree=False)), "d=-5, g=2"),
+    "terminal blow-up identity": (lambda r: replace(r, blowup_check=False), "d=-5, g=2"),
+}
+
+
+def test_every_report_invariant_is_doctored():
+    names = [name for name, _ in CHAMBER_INVARIANTS + REPORT_INVARIANTS]
+    assert names == list(REPORT_DOCTORS)
+
+
+@pytest.mark.parametrize("name", REPORT_DOCTORS)
+def test_doctored_report_names_its_invariant(name):
+    doctor, indices = REPORT_DOCTORS[name]
+    report = build_betti_report(-5, 2)
+    assert report.ok and list(report.failures()) == []
+    doctored = doctor(report)
+    assert not doctored.ok
+    assert list(doctored.failures()) == [f"{name} fails at ({indices})"]
+
+
+def test_telescoping_at_one_on_single_chamber_reports():
+    for d, g in ((-5, 2), (-9, 3), (-12, 4)):
+        lo, hi = fm_index_range(d)
+        for i in range(lo, hi + 1):
+            assert build_betti_report(d, g, only_chamber=i).ok

@@ -1,9 +1,11 @@
 """Wall lists, chamber location and flip-locus numerics."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from flipchain import chambers
 from flipchain.chambers import (
     InvalidInput,
     OutOfRange,
@@ -145,3 +147,41 @@ def test_rank_sum_and_codim_sweep():
                 else:
                     assert fl.codim_minus == 1
                     assert fl.dim_p_minus == -d + 2 * g - 3
+
+
+# -- the structure invariant table ------------------------------------------------
+
+
+def test_structure_holds_on_a_grid():
+    for g in (2, 3, 4):
+        for d in range(-20, 0):
+            assert chambers.structure_failures(d, g) == []
+
+
+#: One doctoring of the flip locus at (i, d=-6, g=2) per flip invariant; i = 4
+#: is the terminal flip and i = 3 an interior one.
+FLIP_DOCTORS = {
+    "flip rank sum": (3, lambda fl: replace(fl, rank_plus=fl.rank_plus + 1)),
+    "interior codimension >= 2": (3, lambda fl: replace(fl, codim_plus=1)),
+    "terminal codimension": (4, lambda fl: replace(fl, codim_minus=2)),
+    "terminal dimension": (4, lambda fl: replace(fl, dim_p_minus=fl.dim_p_minus + 1)),
+}
+
+
+def test_every_flip_invariant_is_doctored():
+    assert [name for name, _ in chambers.FLIP_INVARIANTS] == list(FLIP_DOCTORS)
+
+
+@pytest.mark.parametrize("name", FLIP_DOCTORS)
+def test_doctored_flip_locus_names_its_invariant(monkeypatch, name):
+    i, doctor = FLIP_DOCTORS[name]
+    real = chambers.flip_locus
+    monkeypatch.setattr(chambers, "flip_locus", lambda j, d, g: doctor(real(j, d, g)) if j == i else real(j, d, g))
+    assert chambers.structure_failures(-6, 2) == [f"{name} fails at (i={i}, d=-6, g=2)"]
+
+
+@pytest.mark.parametrize("d, walls", [(-6, (4,)), (-5, (2, 3)), (-2, (1,))])
+def test_doctored_walls_fail_the_endpoints(monkeypatch, d, walls):
+    real = chambers.build_chambers
+    monkeypatch.setattr(chambers, "build_chambers", lambda d, g: replace(real(d, g), walls=walls))
+    assert chambers.structure_failures(d, 2) == [f"wall endpoints fail at (d={d}, g=2): {walls}"]

@@ -2,10 +2,13 @@
 
 import io
 import json
+import os
+import re
 
 import pytest
 
 from flipchain import betti, chambers
+from flipchain.exactpoly import NotDivisible
 from flipchain.cli import (
     RunConfig,
     chambers_obj_to_data,
@@ -13,7 +16,7 @@ from flipchain.cli import (
     parse_args,
     run,
 )
-from flipchain.stability import model_to_json_obj, random_rank2_model
+from flipchain.stability import model_from_json_obj, model_to_json_obj, random_rank2_model
 import random
 
 
@@ -120,3 +123,118 @@ def test_verify_all_small_and_deterministic():
 
 def test_main_returns_status():
     assert main(["chambers", "--d", "-3", "--g", "2"]) == 0
+
+
+# -- strict model-file reader ----------------------------------------------------
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+
+
+def base_model() -> dict:
+    return {
+        "genus": 2,
+        "frame_degree": 0,
+        "type": {"rank": 2, "degree": -5, "framing_nonzero": True, "delta_iso": True},
+        "subs": [{"id": "L", "rank": 1, "degree": -3, "fr": False, "phi_invariant": True, "parents": []}],
+    }
+
+
+def check_model_file(tmp_path, obj):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(obj))
+    return capture(["stability-check", "--model", str(path)])
+
+
+_DROP = object()
+
+
+def _doctor(path, value=_DROP):
+    """A doctoring of base_model() that sets the field at path, a tuple of
+    keys, to value, or drops it when no value is given."""
+
+    def doctor(obj):
+        target = obj
+        for key in path[:-1]:
+            target = target[key]
+        if value is _DROP:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+        return obj
+
+    return doctor
+
+
+@pytest.mark.parametrize(
+    "doctor, field",
+    [
+        (_doctor(("type", "degree"), -5.9), "type.degree"),  # an integer must not be a float
+        (_doctor(("subs", 0, "rank"), True), "subs[0].rank"),  # ... nor a bool
+        (_doctor(("genus",), "2"), "genus"),  # ... nor a string
+        (_doctor(("subs", 0, "fr"), "false"), "subs[0].fr"),  # a flag must be a real bool
+        (_doctor(("type", "framing_nonzero"), 1), "type.framing_nonzero"),
+        (_doctor(("subs", 0, "id"), 3), "subs[0].id"),  # ids are strings
+        (_doctor(("subs", 0, "parents"), "AB"), "subs[0].parents"),  # parents are a list ...
+        (_doctor(("subs", 0, "parents"), [1]), "subs[0].parents[0]"),  # ... of strings
+        (lambda obj: [obj], "model"),  # the top level is an object
+        (_doctor(("colour",), "red"), "colour"),  # unknown keys are rejected at the top ...
+        (_doctor(("subs", 0, "weight"), 1), "subs[0].weight"),  # ... and inside
+        (_doctor(("subs", 0, "fr")), "subs[0].fr"),  # required keys must be present
+        (_doctor(("subs",), {}), "subs"),
+    ],
+)
+def test_model_reader_rejects_with_the_field_path(tmp_path, doctor, field):
+    status, text = check_model_file(tmp_path, doctor(base_model()))
+    assert status == 2
+    assert text.startswith(f"error: invalid input: {field}: ")
+
+
+def test_model_reader_ignores_the_retired_epsilon_flag(tmp_path):
+    obj = base_model()
+    obj["type"]["epsilon_nonzero"] = True
+    assert model_from_json_obj(obj) == model_from_json_obj(base_model())
+    assert check_model_file(tmp_path, obj)[0] == 0
+
+
+def test_model_reader_accepts_the_readme_example(tmp_path):
+    with open(README, encoding="utf-8") as fh:
+        example = re.search(r"```json\n(.*?)```", fh.read(), re.S).group(1)
+    status, text = check_model_file(tmp_path, json.loads(example))
+    assert status == 0, text
+
+
+# -- verify-all ---------------------------------------------------------------------
+
+
+def test_verify_all_golden_output():
+    status, text = capture(["verify-all", "--grid", "3", "-6", "--seed", "7", "--models", "200"])
+    assert status == 0
+    assert text == (
+        "grid: 12 cells checked, 0 failures\n"
+        "wall endpoints: d in [-20, -1] checked\n"
+        "stability suite: 600 models, 12092 checks, 135 ambiguous ties skipped, 0 failures\n"
+        "verify-all: OK\n"
+    )
+
+
+def _raising(exc):
+    def build_betti_report(d, g, only_chamber=None):
+        raise exc
+
+    return build_betti_report
+
+
+def test_verify_all_lets_internal_errors_propagate(monkeypatch):
+    monkeypatch.setattr(betti, "build_betti_report", _raising(TypeError("internal bug")))
+    with pytest.raises(TypeError, match="internal bug"):
+        capture(["verify-all", "--grid", "2", "-1", "--models", "0"])
+
+
+def test_verify_all_counts_the_failures_it_does_not_print(monkeypatch):
+    monkeypatch.setattr(betti, "build_betti_report", _raising(NotDivisible("doctored")))
+    status, text = capture(["verify-all", "--grid", "5", "-15", "--models", "0"])
+    lines = text.splitlines()
+    assert status == 1
+    assert lines[0] == "grid: 60 cells checked, 60 failures"
+    assert sum(line.startswith("FAIL ") for line in lines) == 50
+    assert lines[-2:] == ["... and 10 more failures", "verify-all: FAIL"]

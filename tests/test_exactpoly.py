@@ -11,7 +11,6 @@ from flipchain.exactpoly import (
     NotDivisible,
     OrderExceeded,
     TruncatedBiSeries,
-    coeff_x,
     geom_kernel,
     lp_div_exact,
     one_plus_xt_power,
@@ -126,13 +125,13 @@ def test_kernels_invert_their_denominators():
 
 def test_coeff_x_binomial():
     s = TruncatedBiSeries([ONE, T], 2)
-    assert coeff_x(s * s, 1) == poly({1: 2})
+    assert (s * s).coeff_x(1) == poly({1: 2})
 
 
 def test_coeff_x_double_geometric():
     # 1/((1-x)(1-x t^2)) convolves two geometric series
     s = geom_kernel("one_minus_x_tk", 2, k=0) * geom_kernel("one_minus_x_tk", 2, k=2)
-    assert coeff_x(s, 2) == poly({0: 1, 2: 1, 4: 1})
+    assert s.coeff_x(2) == poly({0: 1, 2: 1, 4: 1})
 
 
 def test_constant_term_of_kernel_products():
@@ -141,7 +140,7 @@ def test_constant_term_of_kernel_products():
         * geom_kernel("one_minus_x_tk", 4, k=2)
         * geom_kernel("one_minus_x_tk", 4, k=4)
     )
-    assert coeff_x(s, 0) == ONE
+    assert s.coeff_x(0) == ONE
 
 
 def test_order_exceeded():
