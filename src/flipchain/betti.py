@@ -2,20 +2,22 @@
 
 Every quantity is computed by at least two independent routes and compared
 exactly.  The per-chamber polynomial comes once from a telescoping sum of
-flip differences and once from a closed-form coefficient extraction out of
-a truncated bivariate series; the flip differences themselves are checked
-against a direct projective-bundle computation.  All divisions are exact
-divisions that fail loudly, never series inversions.
+flip differences and once from a closed-form coefficient extraction that
+sums shifted coefficients of the symmetric-product recurrence; the flip
+differences themselves are checked against a direct projective-bundle
+computation.  All divisions are exact divisions that fail loudly, never
+series inversions.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .chambers import OutOfRange, fm_index_range, moduli_dim
+from .chambers import _REQUIRED, InvalidInput, OutOfRange, _checked, _fields, fm_index_range, moduli_dim
 from .exactpoly import (
     LaurentPoly,
     NotDivisible,
@@ -36,6 +38,7 @@ class PreconditionFailed(ValueError):
 
 _T = LaurentPoly.monomial
 _ONE_MINUS_T2 = LaurentPoly({0: 1, 2: -1})
+_ONE_PLUS_T2 = LaurentPoly({0: 1, 2: 1})
 
 
 def _one_plus_t_pow(n: int) -> LaurentPoly:
@@ -58,11 +61,7 @@ def sym_product_poincare(n: int, g: int) -> LaurentPoly:
     """
     if n < 0 or g < 0:
         raise ValueError("need n >= 0 and g >= 0")
-    series = (
-        one_plus_xt_power(2 * g, n)
-        * geom_kernel("one_minus_x_tk", n, k=0)
-        * geom_kernel("one_minus_x_tk", n, k=2)
-    )
+    series = one_plus_xt_power(2 * g, n) * geom_kernel(n, k=0) * geom_kernel(n, k=2)
     return series.coeff_x(n)
 
 
@@ -120,27 +119,38 @@ def fm_poincare_recursive(i: int, d: int, g: int) -> LaurentPoly:
 
 
 @lru_cache(maxsize=None)
+def _macdonald_coeff(k: int, g: int) -> LaurentPoly:
+    """x^k coefficient f_k of (1+xt)^(2g) / ((1-x)(1-x t^2)), Macdonald's
+    series for the symmetric products of the curve, from the recurrence its
+    denominator 1 - (1+t^2)x + t^2 x^2 gives:
+    f_k = C(2g, k) t^k + (1+t^2) f_(k-1) - t^2 f_(k-2), and f_k = 0 for k < 0.
+    Call it with k rising, so that f_(k-1) and f_(k-2) are already cached."""
+    if k < 0:
+        return LaurentPoly.zero()
+    return _T(k, comb(2 * g, k)) + _ONE_PLUS_T2 * _macdonald_coeff(k - 1, g) - _T(2) * _macdonald_coeff(k - 2, g)
+
+
+@lru_cache(maxsize=None)
 def fm_poincare_closed(i: int, d: int, g: int) -> LaurentPoly:
     """Chamber polynomial by closed-form coefficient extraction.
 
-    -(1+t)^(2g)/(1-t^2) times the x^(-d-i-1) coefficient of
-    (t^(2d+2g+4i+2)/(1-x t^4) - t^(-2d-2i)/(t^2-x)) (1+xt)^(2g) / ((1-x)(1-x t^2)),
-    with the series truncated exactly at the extraction order.
+    -(1+t)^(2g)/(1-t^2) times the x^n coefficient, n = -d-i-1, of
+    (t^(2d+2g+4i+2)/(1-x t^4) - t^(-2d-2i)/(t^2-x)) (1+xt)^(2g) / ((1-x)(1-x t^2)).
+    Both kernels are geometric series of monomials, so that coefficient is
+    the sum over m of (t^(2d+2g+4i+2+4m) - t^(-2d-2i-2-2m)) f_(n-m).
     """
     lo, hi = fm_index_range(d)
     if not (lo <= i <= hi):
         raise OutOfRange(f"chamber index {i} outside [{lo}, {hi}] for d={d}")
     n = -d - i - 1
-    kernel_a = geom_kernel("one_minus_x_tk", n, k=4) * _T(2 * d + 2 * g + 4 * i + 2)
-    kernel_b = geom_kernel("t2_minus_x", n) * _T(-2 * d - 2 * i)
-    series = (
-        (kernel_a - kernel_b)
-        * one_plus_xt_power(2 * g, n)
-        * geom_kernel("one_minus_x_tk", n, k=0)
-        * geom_kernel("one_minus_x_tk", n, k=2)
-    )
-    coeff = series.coeff_x(n)
-    result = lp_div_exact(-(_one_plus_t_pow(2 * g)) * coeff, _ONE_MINUS_T2)
+    f = [_macdonald_coeff(k, g) for k in range(n + 1)]  # bottom-up, so no deep recursion
+    acc: Dict[int, int] = {}
+    for m in range(n + 1):
+        up, down = 2 * d + 2 * g + 4 * i + 2 + 4 * m, -2 * d - 2 * i - 2 - 2 * m
+        for e, c in f[n - m].items():
+            acc[e + up] = acc.get(e + up, 0) + c
+            acc[e + down] = acc.get(e + down, 0) - c
+    result = lp_div_exact(-(_one_plus_t_pow(2 * g)) * LaurentPoly(acc), _ONE_MINUS_T2)
     if not result.is_polynomial():
         raise NegativeExponentSurvived(f"closed route at i={i}, d={d}, g={g}: {result}")
     return result
@@ -296,6 +306,7 @@ REPORT_INVARIANTS = (
 
 
 def build_betti_report(d: int, g: int, only_chamber: Optional[int] = None) -> BettiReport:
+    dim = moduli_dim(d, g)  # rejects (d, g) before either route runs
     lo, hi = fm_index_range(d)
     indices = range(lo, hi + 1) if only_chamber is None else [only_chamber]
     chambers: List[ChamberBetti] = []
@@ -322,7 +333,7 @@ def build_betti_report(d: int, g: int, only_chamber: Optional[int] = None) -> Be
     return BettiReport(
         d=d,
         g=g,
-        moduli_dim=moduli_dim(d, g),
+        moduli_dim=dim,
         chambers=tuple(chambers),
         u2d=U2dReport(closed=u2d_poincare(g), via_bundle=via, agree=agree),
         mcon=mcon_poincare(g),
@@ -360,34 +371,37 @@ def report_to_json_obj(r: BettiReport) -> dict:
     }
 
 
-def report_from_json_obj(obj: dict) -> BettiReport:
-    return BettiReport(
-        d=int(obj["d"]),
-        g=int(obj["g"]),
-        moduli_dim=int(obj["moduli_dim"]),
-        chambers=tuple(
-            ChamberBetti(
-                i=int(ch["i"]),
-                p_recursive=LaurentPoly.from_json_obj(ch["p_recursive"]),
-                p_closed=LaurentPoly.from_json_obj(ch["p_closed"]),
-                agree=bool(ch["agree"]),
-                degree=int(ch["degree"]),
-                palindromic=bool(ch["palindromic"]),
-                nonneg=bool(ch["nonneg"]),
-                constant_term=int(ch["constant_term"]),
-            )
-            for ch in obj["chambers"]
-        ),
-        u2d=U2dReport(
-            closed=LaurentPoly.from_json_obj(obj["u2d"]["closed"]),
-            via_bundle=(
-                None
-                if obj["u2d"]["via_bundle"] is None
-                else LaurentPoly.from_json_obj(obj["u2d"]["via_bundle"])
-            ),
-            agree=obj["u2d"]["agree"],
-        ),
-        mcon=LaurentPoly.from_json_obj(obj["mcon"]),
-        terminal=LaurentPoly.from_json_obj(obj["terminal"]),
-        blowup_check=obj["blowup_check"],
-    )
+def _poly(value, path: str) -> LaurentPoly:
+    """A Laurent polynomial in the written form {"terms": [[exponent,
+    "coefficient"], ...]}: integer exponents and decimal-string coefficients."""
+    terms = _fields(value, path, {"terms": (list, _REQUIRED)})["terms"]
+    for k, term in enumerate(terms):
+        at = f"{path}.terms[{k}]"
+        if not (isinstance(term, list) and len(term) == 2):
+            raise InvalidInput(f'{at}: expected [exponent, "coefficient"], got {term!r}')
+        _checked(term[0], int, f"{at}[0]")
+        if not (isinstance(term[1], str) and re.fullmatch("-?[0-9]+", term[1])):
+            raise InvalidInput(f"{at}[1]: expected a decimal string, got {term[1]!r}")
+    return LaurentPoly.from_json_obj(value)
+
+
+#: Each JSON object's fields: key -> (kind, default); see chambers._fields.
+_REPORT_FIELDS = {"d": (int, _REQUIRED), "g": (int, _REQUIRED), "moduli_dim": (int, _REQUIRED),
+                  "chambers": (list, _REQUIRED), "u2d": (dict, _REQUIRED), "mcon": (_poly, _REQUIRED),
+                  "terminal": (_poly, _REQUIRED), "blowup_check": (bool, None)}
+_CHAMBER_FIELDS = {"i": (int, _REQUIRED), "p_recursive": (_poly, _REQUIRED), "p_closed": (_poly, _REQUIRED),
+                   "agree": (bool, _REQUIRED), "degree": (int, _REQUIRED), "palindromic": (bool, _REQUIRED),
+                   "nonneg": (bool, _REQUIRED), "constant_term": (int, _REQUIRED)}
+_U2D_FIELDS = {"closed": (_poly, _REQUIRED), "via_bundle": (_poly, None), "agree": (bool, None)}
+
+
+def report_from_json_obj(obj) -> BettiReport:
+    """Strict reader of report_to_json_obj's output: integers that are not
+    bools, real bools, null only where the writer emits it and polynomial
+    terms of [int, "decimal string"], with InvalidInput naming the field
+    path (e.g. chambers[0].agree) otherwise."""
+    _checked(obj, dict, "report")
+    top = _fields(obj, "", _REPORT_FIELDS)
+    chambers = tuple(ChamberBetti(**_fields(ch, f"chambers[{k}]", _CHAMBER_FIELDS)) for k, ch in enumerate(top["chambers"]))
+    u2d = U2dReport(**_fields(top["u2d"], "u2d", _U2D_FIELDS))
+    return BettiReport(**{**top, "chambers": chambers, "u2d": u2d})

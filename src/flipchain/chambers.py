@@ -10,13 +10,51 @@ Pic^(i+1) x Sym^(-d-i-1) of the curve.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 
 class InvalidInput(ValueError):
-    """Parameters outside the rank-2, negative-degree regime."""
+    """Parameters outside the rank-2, negative-degree regime, or a JSON
+    document that does not have the written form."""
+
+
+_REQUIRED = object()
+_KIND_NAMES = {int: "an integer", bool: "true or false", str: "a string", list: "a list", dict: "an object"}
+
+
+def _checked(value, kind, path: str):
+    """The value when it is of the JSON kind (a bool is not an integer), or
+    what the reader kind(value, path) makes of it; InvalidInput naming the
+    field path otherwise."""
+    if not isinstance(kind, type):
+        return kind(value, path)
+    if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
+        return value
+    raise InvalidInput(f"{path or 'model'}: expected {_KIND_NAMES[kind]}, got {json.dumps(value)[:60]}")
+
+
+def _fields(obj, path: str, spec: dict, retired: Iterable[str] = ()) -> dict:
+    """The checked fields of one JSON object.  spec maps each key to (kind,
+    default); the default _REQUIRED makes the key required, and a None
+    default lets it be null.  Keys outside spec and retired are rejected;
+    retired keys are ignored."""
+    _checked(obj, dict, path)
+    at = f"{path}." if path else ""
+    unknown = sorted(obj.keys() - spec.keys() - set(retired))
+    if unknown:
+        raise InvalidInput(f"{at}{unknown[0]}: unknown field")
+    fields = {}
+    for key, (kind, default) in spec.items():
+        if key not in obj or (obj[key] is None and default is None):
+            if default is _REQUIRED:
+                raise InvalidInput(f"{at}{key}: missing")
+            fields[key] = default
+        else:
+            fields[key] = _checked(obj[key], kind, at + key)
+    return fields
 
 
 class OutOfRange(ValueError):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import betti, chambers, stability
-from .chambers import InvalidInput, OutOfRange
+from .chambers import _REQUIRED, InvalidInput, OutOfRange, _checked, _fields
 
 FORMATS = ("text", "json", "csv", "latex")
 #: Failure lines verify-all prints before it only counts the rest.
@@ -127,26 +127,35 @@ def _chambers_obj(cd: chambers.ChamberData) -> dict:
     }
 
 
-def chambers_obj_to_data(obj: dict) -> chambers.ChamberData:
-    """Parse an emitted chambers JSON report back into its typed form."""
-    chs = tuple(
-        chambers.Chamber(
-            index=int(c["index"]),
-            fm_index=int(c["fm_index"]),
-            lower=Fraction(c["lower"]),
-            upper=Fraction(c["upper"]),
-            closed_upper=bool(c["closed_upper"]),
-            representative=Fraction(c["representative"]),
-        )
-        for c in obj["chambers"]
-    )
+def _fraction(value, path: str) -> Fraction:
+    """An exact rational written as a string, as _frac writes it."""
+    text = _checked(value, str, path)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidInput(f'{path}: expected a rational such as "5/2", got {text!r}') from None
+
+
+#: Each JSON object's fields: key -> (kind, default); see chambers._fields.
+_CHAMBERS_FIELDS = {"d": (int, _REQUIRED), "g": (int, _REQUIRED), "moduli_dim": (int, _REQUIRED),
+                    "walls": (list, _REQUIRED), "chambers": (list, _REQUIRED), "flip_loci": (list, _REQUIRED)}
+_CHAMBER_FIELDS = {"index": (int, _REQUIRED), "fm_index": (int, _REQUIRED), "lower": (_fraction, _REQUIRED),
+                   "upper": (_fraction, _REQUIRED), "closed_upper": (bool, _REQUIRED),
+                   "representative": (_fraction, _REQUIRED)}
+
+
+def chambers_obj_to_data(obj) -> chambers.ChamberData:
+    """Strict reader of an emitted chambers JSON report: integers that are
+    not bools, real bools and bounds as strings that Fraction parses, with
+    InvalidInput naming the field path (e.g. chambers[0].lower) otherwise."""
+    _checked(obj, dict, "chambers report")
+    top = _fields(obj, "", _CHAMBERS_FIELDS)
+    walls = tuple(_checked(w, int, f"walls[{k}]") for k, w in enumerate(top["walls"]))
+    chs = tuple(chambers.Chamber(**_fields(c, f"chambers[{k}]", _CHAMBER_FIELDS)) for k, c in enumerate(top["chambers"]))
+    if not chs:
+        raise InvalidInput("chambers: expected at least one chamber")
     return chambers.ChamberData(
-        d=int(obj["d"]),
-        g=int(obj["g"]),
-        walls=tuple(int(w) for w in obj["walls"]),
-        chambers=chs,
-        index_lo=chs[0].fm_index,
-        index_hi=chs[-1].fm_index,
+        d=top["d"], g=top["g"], walls=walls, chambers=chs, index_lo=chs[0].fm_index, index_hi=chs[-1].fm_index
     )
 
 
@@ -445,7 +454,7 @@ def run(config: RunConfig, out=None) -> int:
     except (InvalidInput, OutOfRange, betti.PreconditionFailed) as exc:
         print(f"error: invalid input: {exc}", file=out)
         return 2
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=out)
         return 2
     except (betti.NegativeExponentSurvived, betti.NotDivisible) as exc:

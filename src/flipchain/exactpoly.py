@@ -227,43 +227,32 @@ class LaurentPoly:
 def lp_div_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     """Exact division in the Laurent polynomial ring over the integers.
 
-    Both arguments are shifted so the divisor has valuation 0, then ordinary
-    long division over the rationals runs from the top degree down.  Any
-    nonzero remainder or non-integer quotient coefficient raises
+    Integer long division from the top degree down: each quotient
+    coefficient is a divmod by the divisor's leading coefficient.  A nonzero
+    remainder there, or anything left below the divisor's degree, raises
     NotDivisible.
     """
     if den.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if num.is_zero():
         return LaurentPoly.zero()
-    shift = num.valuation() - den.valuation()
-    # Work with plain dicts of Fractions keyed by nonnegative exponents.
     nv, dv = num.valuation(), den.valuation()
-    rem: Dict[int, Fraction] = {e - nv: Fraction(c) for e, c in num.items()}
-    dpoly: Dict[int, int] = {e - dv: c for e, c in den.items()}
-    ddeg = max(dpoly)
-    dlead = dpoly[ddeg]
-    q: Dict[int, Fraction] = {}
-    while rem:
-        rdeg = max(rem)
-        if rdeg < ddeg:
+    ddeg = den.degree() - dv
+    dlead = den.coeff(den.degree())
+    lower = [(e - dv, c) for e, c in den.items() if e - dv != ddeg]
+    rem: Dict[int, int] = {e - nv: c for e, c in num.items()}
+    q: Dict[int, int] = {}
+    for k in range(max(rem) - ddeg, -1, -1):
+        c, r = divmod(rem.pop(k + ddeg, 0), dlead)
+        if r:
             raise NotDivisible(f"({num}) is not divisible by ({den})")
-        c = rem[rdeg] / dlead
-        k = rdeg - ddeg
-        q[k] = c
-        for e, dc in dpoly.items():
-            e2 = e + k
-            s = rem.get(e2, Fraction(0)) - c * dc
-            if s:
-                rem[e2] = s
-            elif e2 in rem:
-                del rem[e2]
-    terms = {}
-    for e, c in q.items():
-        if c.denominator != 1:
-            raise NotDivisible(f"({num}) / ({den}) has non-integer coefficients")
-        terms[e + shift] = c.numerator
-    return LaurentPoly(terms)
+        if c:
+            q[k + nv - dv] = c
+            for e, dc in lower:
+                rem[e + k] = rem.get(e + k, 0) - c * dc
+    if any(rem.values()):
+        raise NotDivisible(f"({num}) is not divisible by ({den})")
+    return LaurentPoly(q)
 
 
 class TruncatedBiSeries:
@@ -292,12 +281,6 @@ class TruncatedBiSeries:
     def order(self) -> int:
         return self._order
 
-    @classmethod
-    def constant(cls, value: LaurentPoly | int, order: int) -> "TruncatedBiSeries":
-        if isinstance(value, int):
-            value = LaurentPoly({0: value})
-        return cls([value], order)
-
     def coeff_x(self, n: int) -> LaurentPoly:
         if n < 0:
             raise ValueError("coefficient index must be nonnegative")
@@ -313,35 +296,7 @@ class TruncatedBiSeries:
     def __hash__(self) -> int:
         return hash((self._order, self._coeffs))
 
-    def _coerce(self, other) -> "TruncatedBiSeries | None":
-        if isinstance(other, TruncatedBiSeries):
-            if other._order != self._order:
-                raise ValueError("truncation orders differ")
-            return other
-        if isinstance(other, (int, LaurentPoly)):
-            return TruncatedBiSeries.constant(other, self._order)
-        return None
-
-    def __add__(self, other) -> "TruncatedBiSeries":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return TruncatedBiSeries([a + b for a, b in zip(self._coeffs, o._coeffs)], self._order)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "TruncatedBiSeries":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return TruncatedBiSeries([a - b for a, b in zip(self._coeffs, o._coeffs)], self._order)
-
-    def __neg__(self) -> "TruncatedBiSeries":
-        return TruncatedBiSeries([-a for a in self._coeffs], self._order)
-
     def __mul__(self, other) -> "TruncatedBiSeries":
-        if isinstance(other, (int, LaurentPoly)):
-            return TruncatedBiSeries([a * other for a in self._coeffs], self._order)
         if not isinstance(other, TruncatedBiSeries):
             return NotImplemented
         if other._order != self._order:
@@ -373,22 +328,11 @@ class TruncatedBiSeries:
         return f"TruncatedBiSeries(order={self._order}, [{inner}])"
 
 
-def geom_kernel(kind: str, order: int, k: int = 0) -> TruncatedBiSeries:
-    """Expansion of a geometric kernel as a series in x.
-
-    kind "one_minus_x_tk": 1/(1 - x*t^k) = sum_n x^n t^(k*n).
-    kind "t2_minus_x":     1/(t^2 - x)   = sum_n x^n t^(-2n-2),
-    the geometric series in x/t^2, so coefficients carry negative t powers.
-    """
+def geom_kernel(order: int, k: int = 0) -> TruncatedBiSeries:
+    """1/(1 - x*t^k) = sum_n x^n t^(k*n), truncated at order."""
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
-    if kind == "one_minus_x_tk":
-        coeffs = [LaurentPoly.monomial(k * n) for n in range(order + 1)]
-    elif kind == "t2_minus_x":
-        coeffs = [LaurentPoly.monomial(-2 * n - 2) for n in range(order + 1)]
-    else:
-        raise ValueError(f"unknown kernel kind {kind!r}")
-    return TruncatedBiSeries(coeffs, order)
+    return TruncatedBiSeries([LaurentPoly.monomial(k * n) for n in range(order + 1)], order)
 
 
 def one_plus_xt_power(m: int, order: int) -> TruncatedBiSeries:

@@ -16,14 +16,13 @@ Conventions baked into every check (curve with a degree-1 polarization):
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .chambers import InvalidInput, build_chambers
+from .chambers import _REQUIRED, InvalidInput, _checked, _fields, build_chambers
 
 
 class AmbiguousModel(ValueError):
@@ -51,7 +50,7 @@ class CurveContext:
 
     def __post_init__(self):
         if self.genus < 2:
-            raise ValueError(f"genus must be at least 2, got {self.genus}")
+            raise InvalidInput(f"genus must be at least 2, got {self.genus}")
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,7 @@ class FramedType:
 
     def __post_init__(self):
         if self.rank < 1:
-            raise ValueError(f"rank must be positive, got {self.rank}")
+            raise InvalidInput(f"rank must be positive, got {self.rank}")
 
 
 @dataclass(frozen=True)
@@ -112,22 +111,22 @@ class FramedModel:
         by_id: Dict[str, SubobjectData] = {}
         for s in self.subs:
             if s.id in by_id:
-                raise ValueError(f"duplicate subobject id {s.id!r}")
+                raise InvalidInput(f"duplicate subobject id {s.id!r}")
             if not (0 < s.rank < self.typ.rank):
-                raise ValueError(f"subobject {s.id!r} rank {s.rank} not strictly between 0 and {self.typ.rank}")
+                raise InvalidInput(f"subobject {s.id!r} rank {s.rank} not strictly between 0 and {self.typ.rank}")
             if s.fr and not self.typ.framing_nonzero:
-                raise ValueError(f"subobject {s.id!r} has fr=True but the ambient framing is zero")
+                raise InvalidInput(f"subobject {s.id!r} has fr=True but the ambient framing is zero")
             by_id[s.id] = s
         for s in self.subs:
             for p in s.parents:
                 if p not in by_id:
-                    raise ValueError(f"subobject {s.id!r} names unknown parent {p!r}")
+                    raise InvalidInput(f"subobject {s.id!r} names unknown parent {p!r}")
                 if p == s.id:
-                    raise ValueError(f"subobject {s.id!r} contains itself")
+                    raise InvalidInput(f"subobject {s.id!r} contains itself")
                 if s.rank > by_id[p].rank:
-                    raise ValueError(f"containment {s.id!r} < {p!r} inconsistent with ranks")
+                    raise InvalidInput(f"containment {s.id!r} < {p!r} inconsistent with ranks")
                 if s.fr and not by_id[p].fr:
-                    raise ValueError(
+                    raise InvalidInput(
                         f"subobject {s.id!r} has fr=True inside {p!r} with fr=False; "
                         "kernel membership is monotone under containment"
                     )
@@ -135,18 +134,18 @@ class FramedModel:
         anc = self._ancestor_map(by_id)
         for sid, ups in anc.items():
             if sid in ups:
-                raise ValueError(f"containment cycle through {sid!r}")
+                raise InvalidInput(f"containment cycle through {sid!r}")
         if self.split is not None:
             k = by_id.get(self.split.kmax_id)
             o = by_id.get(self.split.other_id)
             if k is None or o is None:
-                raise ValueError("split descriptor names unknown subobjects")
+                raise InvalidInput("split descriptor names unknown subobjects")
             if k.fr:
-                raise ValueError("split kernel summand must have fr=False")
+                raise InvalidInput("split kernel summand must have fr=False")
             if o.fr != self.typ.framing_nonzero:
-                raise ValueError("split complement must carry the full framing flag")
+                raise InvalidInput("split complement must carry the full framing flag")
             if k.rank + o.rank != self.typ.rank or k.degree + o.degree != self.typ.degree:
-                raise ValueError("split summands must add up to the ambient type")
+                raise InvalidInput("split summands must add up to the ambient type")
 
     @staticmethod
     def _ancestor_map(by_id: Dict[str, SubobjectData]) -> Dict[str, FrozenSet[str]]:
@@ -214,8 +213,9 @@ def reduced_framed_slope(
     On a curve the rank-normalized Hilbert polynomials all share the
     m-coefficient 1, so this constant term carries the whole comparison.
     """
-    delta = 1 if (fr and framing_ambient_nonzero) else 0
-    return (Fraction(degree) - delta * Fraction(sigma)) / rank
+    if fr and framing_ambient_nonzero:
+        return Fraction(degree - Fraction(sigma), rank)
+    return Fraction(degree, rank)
 
 
 def _require_positive(sigma: Fraction) -> Fraction:
@@ -632,39 +632,6 @@ def model_to_json_obj(m: FramedModel) -> dict:
     return obj
 
 
-_REQUIRED = object()
-_KIND_NAMES = {int: "an integer", bool: "true or false", str: "a string", list: "a list", dict: "an object"}
-
-
-def _checked(value, kind: type, path: str):
-    """The value when it is of the JSON kind (a bool is not an integer);
-    InvalidInput naming the field path otherwise."""
-    if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
-        return value
-    raise InvalidInput(f"{path or 'model'}: expected {_KIND_NAMES[kind]}, got {json.dumps(value)[:60]}")
-
-
-def _fields(obj, path: str, spec: dict, retired: Iterable[str] = ()) -> dict:
-    """The checked fields of one JSON object.  spec maps each key to (kind,
-    default); the default _REQUIRED makes the key required, and a None
-    default lets it be null.  Keys outside spec and retired are rejected;
-    retired keys are ignored."""
-    _checked(obj, dict, path)
-    at = f"{path}." if path else ""
-    unknown = sorted(obj.keys() - spec.keys() - set(retired))
-    if unknown:
-        raise InvalidInput(f"{at}{unknown[0]}: unknown field")
-    fields = {}
-    for key, (kind, default) in spec.items():
-        if key not in obj or (obj[key] is None and default is None):
-            if default is _REQUIRED:
-                raise InvalidInput(f"{at}{key}: missing")
-            fields[key] = default
-        else:
-            fields[key] = _checked(obj[key], kind, at + key)
-    return fields
-
-
 #: Each JSON object's fields: key -> (kind, default); see _fields.
 _MODEL_FIELDS = {"genus": (int, _REQUIRED), "frame_degree": (int, 0), "type": (dict, _REQUIRED),
                  "subs": (list, _REQUIRED), "split": (dict, None)}
@@ -789,7 +756,7 @@ def random_chain_model(
     typ = FramedType(rank=r, degree=d, framing_nonzero=True)
     try:
         return FramedModel(ctx=CurveContext(g), typ=typ, subs=tuple(subs))
-    except ValueError:
+    except InvalidInput:
         # rare degenerate draw (kernel flag above a framed chain member); retry
         return random_chain_model(rng, d_min, d_max, g_min, g_max)
 

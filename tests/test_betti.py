@@ -3,11 +3,13 @@ telescoping vs closed-form extraction, bundle moduli and blow-up identity."""
 
 import json
 from dataclasses import replace
+from math import comb
 
 import pytest
 
 from flipchain.betti import (
     CHAMBER_INVARIANTS,
+    _macdonald_coeff,
     REPORT_INVARIANTS,
     NegativeExponentSurvived,
     PreconditionFailed,
@@ -26,7 +28,7 @@ from flipchain.betti import (
     u2d_from_bundle,
     u2d_poincare,
 )
-from flipchain.chambers import OutOfRange, fm_index_range
+from flipchain.chambers import InvalidInput, OutOfRange, fm_index_range, moduli_dim
 from flipchain.exactpoly import LaurentPoly, lp_div_exact
 
 ONE_PLUS_T = LaurentPoly({0: 1, 1: 1})
@@ -110,6 +112,33 @@ def test_two_routes_agree_spot_grid():
             lo, hi = fm_index_range(d)
             for i in range(lo, hi + 1):
                 assert fm_poincare_recursive(i, d, g) == fm_poincare_closed(i, d, g)
+
+
+def test_two_routes_agree_at_large_degree():
+    for g in range(2, 6):
+        for d in (-40, -41):
+            lo, hi = fm_index_range(d)
+            for i in range(lo, hi + 1):
+                assert fm_poincare_recursive(i, d, g) == fm_poincare_closed(i, d, g), (i, d, g)
+
+
+def test_macdonald_recurrence_matches_the_explicit_sum():
+    # f_k = sum_j C(2g, j) t^j (1 + t^2 + ... + t^(2(k-j))), Macdonald 1962
+    for g in range(7):
+        for k in range(16):
+            explicit = sum(
+                (LaurentPoly.monomial(j, comb(2 * g, j)) * proj_space_poincare(k - j) for j in range(min(k, 2 * g) + 1)),
+                LaurentPoly.zero(),
+            )
+            assert _macdonald_coeff(k, g) == explicit == sym_product_poincare(k, g), (k, g)
+
+
+def test_closed_route_at_a_very_large_degree_needs_no_deep_recursion():
+    fm_poincare_closed.cache_clear()
+    _macdonald_coeff.cache_clear()
+    p = fm_poincare_closed(1100, -2200, 2)
+    assert p.degree() == 2 * moduli_dim(-2200, 2)
+    assert p.coeff(0) == 1
 
 
 def test_chamber_index_out_of_range():

@@ -7,7 +7,8 @@ import re
 
 import pytest
 
-from flipchain import betti, chambers
+from flipchain import betti, chambers, stability
+from flipchain.chambers import InvalidInput
 from flipchain.exactpoly import NotDivisible
 from flipchain.cli import (
     RunConfig,
@@ -84,6 +85,13 @@ def test_betti_single_chamber_flag():
     assert [c["i"] for c in obj["chambers"]] == [3]
 
 
+@pytest.mark.parametrize("argv", [["betti", "--d", "-5", "--g", "0"], ["betti", "--d", "-5", "--g", "-1"]])
+def test_betti_rejects_a_small_genus_as_invalid_input(argv):
+    status, text = capture(argv)
+    assert status == 2
+    assert text.startswith("error: invalid input: genus must be at least 2")
+
+
 def test_stability_check_file(tmp_path):
     rng = random.Random(21)
     m = random_rank2_model(rng)
@@ -106,6 +114,9 @@ def test_stability_check_missing_file():
 def test_stability_check_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
+    status, _ = capture(["stability-check", "--model", str(path)])
+    assert status == 2
+    path.write_bytes(b"\xff\xfe")  # not UTF-8
     status, _ = capture(["stability-check", "--model", str(path)])
     assert status == 2
 
@@ -189,6 +200,23 @@ def test_model_reader_rejects_with_the_field_path(tmp_path, doctor, field):
     assert text.startswith(f"error: invalid input: {field}: ")
 
 
+def test_model_with_a_duplicate_id_is_invalid_input(tmp_path):
+    obj = base_model()
+    obj["subs"].append(dict(obj["subs"][0]))
+    status, text = check_model_file(tmp_path, obj)
+    assert status == 2
+    assert text.startswith("error: invalid input: duplicate subobject id 'L'")
+
+
+def test_stability_check_lets_internal_errors_propagate(tmp_path, monkeypatch):
+    def hn_filtration(m, sigma):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(stability, "hn_filtration", hn_filtration)
+    with pytest.raises(ValueError, match="internal bug"):
+        check_model_file(tmp_path, base_model())
+
+
 def test_model_reader_ignores_the_retired_epsilon_flag(tmp_path):
     obj = base_model()
     obj["type"]["epsilon_nonzero"] = True
@@ -201,6 +229,54 @@ def test_model_reader_accepts_the_readme_example(tmp_path):
         example = re.search(r"```json\n(.*?)```", fh.read(), re.S).group(1)
     status, text = check_model_file(tmp_path, json.loads(example))
     assert status == 0, text
+
+
+# -- strict report readers ---------------------------------------------------------
+
+
+def betti_report_obj() -> dict:
+    return json.loads(capture(["betti", "--d", "-5", "--g", "2", "--json"])[1])
+
+
+def chambers_report_obj() -> dict:
+    return json.loads(capture(["chambers", "--d", "-6", "--g", "3", "--json"])[1])
+
+
+@pytest.mark.parametrize(
+    "read, emitted, doctor, field",
+    [
+        # integers are not floats, bools or strings
+        (betti.report_from_json_obj, betti_report_obj, _doctor(("chambers", 0, "degree"), 13.7), "chambers[0].degree"),
+        (betti.report_from_json_obj, betti_report_obj, _doctor(("d",), True), "d"),
+        (chambers_obj_to_data, chambers_report_obj, _doctor(("walls", 0), "1"), "walls[0]"),
+        # flags are real bools
+        (betti.report_from_json_obj, betti_report_obj, _doctor(("chambers", 0, "agree"), "false"), "chambers[0].agree"),
+        (chambers_obj_to_data, chambers_report_obj, _doctor(("chambers", 0, "closed_upper"), 0), "chambers[0].closed_upper"),
+        # null only where the writer emits it
+        (betti.report_from_json_obj, betti_report_obj, _doctor(("chambers", 0, "nonneg"), None), "chambers[0].nonneg"),
+        # terms are [int, "decimal string"]
+        (betti.report_from_json_obj, betti_report_obj, _doctor(("mcon", "terms", 0, 1), 1), "mcon.terms[0][1]"),
+        (betti.report_from_json_obj, betti_report_obj, _doctor(("mcon", "terms", 0, 0), "0"), "mcon.terms[0][0]"),
+        (betti.report_from_json_obj, betti_report_obj, _doctor(("terminal", "terms", 0), [0]), "terminal.terms[0]"),
+        # bounds are strings that Fraction parses
+        (chambers_obj_to_data, chambers_report_obj, _doctor(("chambers", 0, "lower"), 0.5), "chambers[0].lower"),
+        (chambers_obj_to_data, chambers_report_obj, _doctor(("chambers", 0, "upper"), "1/x"), "chambers[0].upper"),
+        # unknown and missing fields
+        (betti.report_from_json_obj, betti_report_obj, _doctor(("u2d", "colour"), "red"), "u2d.colour"),
+        (chambers_obj_to_data, chambers_report_obj, _doctor(("chambers", 0, "index")), "chambers[0].index"),
+        (chambers_obj_to_data, chambers_report_obj, _doctor(("chambers",), []), "chambers"),
+    ],
+)
+def test_report_readers_reject_with_the_field_path(read, emitted, doctor, field):
+    with pytest.raises(InvalidInput, match=f"^{re.escape(field)}: "):
+        read(doctor(emitted()))
+
+
+def test_report_reader_accepts_null_where_the_writer_emits_it():
+    report = betti.build_betti_report(-1, 2, only_chamber=0)
+    obj = json.loads(json.dumps(betti.report_to_json_obj(report)))
+    assert obj["blowup_check"] is None and obj["u2d"]["via_bundle"] is None and obj["u2d"]["agree"] is None
+    assert betti.report_from_json_obj(obj) == report
 
 
 # -- verify-all ---------------------------------------------------------------------
