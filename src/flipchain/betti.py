@@ -382,7 +382,7 @@ def _poly(value, path: str) -> LaurentPoly:
         _checked(term[0], int, f"{at}[0]")
         if not (isinstance(term[1], str) and re.fullmatch("-?[0-9]+", term[1])):
             raise InvalidInput(f"{at}[1]: expected a decimal string, got {term[1]!r}")
-    return LaurentPoly.from_json_obj(value)
+    return LaurentPoly((e, int(c)) for e, c in terms)
 
 
 #: Each JSON object's fields: key -> (kind, default); see chambers._fields.

@@ -147,16 +147,22 @@ _CHAMBER_FIELDS = {"index": (int, _REQUIRED), "fm_index": (int, _REQUIRED), "low
 def chambers_obj_to_data(obj) -> chambers.ChamberData:
     """Strict reader of an emitted chambers JSON report: integers that are
     not bools, real bools and bounds as strings that Fraction parses, with
-    InvalidInput naming the field path (e.g. chambers[0].lower) otherwise."""
+    InvalidInput naming the field path (e.g. chambers[0].lower) otherwise.
+    Every top-level field must then be exactly what build_chambers(d, g)
+    emits; the first that is not is named."""
     _checked(obj, dict, "chambers report")
     top = _fields(obj, "", _CHAMBERS_FIELDS)
-    walls = tuple(_checked(w, int, f"walls[{k}]") for k, w in enumerate(top["walls"]))
-    chs = tuple(chambers.Chamber(**_fields(c, f"chambers[{k}]", _CHAMBER_FIELDS)) for k, c in enumerate(top["chambers"]))
-    if not chs:
-        raise InvalidInput("chambers: expected at least one chamber")
-    return chambers.ChamberData(
-        d=top["d"], g=top["g"], walls=walls, chambers=chs, index_lo=chs[0].fm_index, index_hi=chs[-1].fm_index
-    )
+    for k, w in enumerate(top["walls"]):
+        _checked(w, int, f"walls[{k}]")
+    for k, c in enumerate(top["chambers"]):
+        _fields(c, f"chambers[{k}]", _CHAMBER_FIELDS)
+    d, g = top["d"], top["g"]
+    cd = chambers.build_chambers(d, g)
+    for key, want in _chambers_obj(cd).items():
+        want, got = json.dumps(want, sort_keys=True), json.dumps(obj[key], sort_keys=True)
+        if got != want:
+            raise InvalidInput(f"{key}: expected {want[:60]} for d={d}, g={g}, got {got[:60]}")
+    return cd
 
 
 def _emit_chambers(cd: chambers.ChamberData, fmt: str) -> str:

@@ -219,10 +219,6 @@ class LaurentPoly:
         """
         return {"terms": [[e, str(c)] for e, c in self.sorted_items()]}
 
-    @classmethod
-    def from_json_obj(cls, obj: Mapping) -> "LaurentPoly":
-        return cls((int(e), int(c)) for e, c in obj["terms"])
-
 
 def lp_div_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     """Exact division in the Laurent polynomial ring over the integers.

@@ -16,10 +16,10 @@ Conventions baked into every check (curve with a degree-1 polarization):
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .chambers import _REQUIRED, InvalidInput, _checked, _fields, build_chambers
@@ -135,6 +135,10 @@ class FramedModel:
         for sid, ups in anc.items():
             if sid in ups:
                 raise InvalidInput(f"containment cycle through {sid!r}")
+        # ancestors: the transitive closure of the containment order (strict containers)
+        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "ancestors", anc)
+        object.__setattr__(self, "_rank_lcm", math.lcm(self.typ.rank, *(s.rank for s in self.subs)))
         if self.split is not None:
             k = by_id.get(self.split.kmax_id)
             o = by_id.get(self.split.other_id)
@@ -165,15 +169,6 @@ class FramedModel:
 
         return {sid: visit(sid, ()) for sid in by_id}
 
-    @cached_property
-    def _by_id(self) -> Dict[str, SubobjectData]:
-        return {s.id: s for s in self.subs}
-
-    @cached_property
-    def ancestors(self) -> Dict[str, FrozenSet[str]]:
-        """Transitive closure of the containment order (strict containers)."""
-        return self._ancestor_map(self._by_id)
-
     def sub(self, sid: str) -> SubobjectData:
         return self._by_id[sid]
 
@@ -191,9 +186,7 @@ class HNFiltration:
     graded: Tuple[Tuple[int, int, bool], ...]
 
     def graded_slopes(self, sigma: Fraction) -> Tuple[Fraction, ...]:
-        return tuple(
-            (Fraction(deg) - (sigma if fr else 0)) / rank for rank, deg, fr in self.graded
-        )
+        return tuple(reduced_framed_slope(rank, deg, fr, sigma, True) for rank, deg, fr in self.graded)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +205,8 @@ def reduced_framed_slope(
 
     On a curve the rank-normalized Hilbert polynomials all share the
     m-coefficient 1, so this constant term carries the whole comparison.
+    The verdicts are decided by _slopes in integers; this is the exact
+    reference the suite checks them against.
     """
     if fr and framing_ambient_nonzero:
         return Fraction(degree - Fraction(sigma), rank)
@@ -225,22 +220,26 @@ def _require_positive(sigma: Fraction) -> Fraction:
     return sigma
 
 
-def _sub_slope(sub: SubobjectData, sigma: Fraction, ambient_nonzero: bool) -> Fraction:
-    return reduced_framed_slope(sub.rank, sub.degree, sub.fr, sigma, ambient_nonzero)
+def _slopes(m: FramedModel, sigma: Fraction, charge_all: bool = False) -> Tuple[int, List[int]]:
+    """The ambient framed slope and each subobject's (in m.subs order), times
+    q*n for sigma = p/q in lowest terms and n the lcm of the model's ranks:
+    integers in the same order as the slopes.
 
-
-def _ambient_slope(m: FramedModel, sigma: Fraction) -> Fraction:
+    delta is 1 for framed objects under a nonzero ambient framing, or for
+    every object when charge_all is set (the oriented inequality).
+    """
+    p, q, n = sigma.numerator, sigma.denominator, m._rank_lcm
     t = m.typ
-    return reduced_framed_slope(t.rank, t.degree, t.framing_nonzero, sigma, t.framing_nonzero)
+    nz = t.framing_nonzero
+    amb = (t.degree * q - (p if nz or charge_all else 0)) * (n // t.rank)
+    return amb, [(s.degree * q - (p if charge_all or (s.fr and nz) else 0)) * (n // s.rank) for s in m.subs]
 
 
-def _fm_ok(m: FramedModel, sigma: Fraction, strict: bool, phi_only: bool) -> bool:
-    amb = _ambient_slope(m, sigma)
-    nz = m.typ.framing_nonzero
-    for s in m.subs:
+def _fm_ok(m: FramedModel, sigma: Fraction, strict: bool, phi_only: bool, charge_all: bool = False) -> bool:
+    amb, slopes = _slopes(m, sigma, charge_all)
+    for s, sl in zip(m.subs, slopes):
         if phi_only and not s.phi_invariant:
             continue
-        sl = _sub_slope(s, sigma, nz)
         if sl > amb or (strict and sl == amb):
             return False
     return True
@@ -273,12 +272,11 @@ def _max_destabilizer(m: FramedModel, sigma: Fraction) -> Optional[SubobjectData
     """Tie order: slope, then rank, then containment; no positivity check."""
     if not m.subs:
         return None
-    nz = m.typ.framing_nonzero
-    slopes = {s.id: _sub_slope(s, sigma, nz) for s in m.subs}
-    top = max(slopes.values())
-    if top < _ambient_slope(m, sigma):
+    amb, slopes = _slopes(m, sigma)
+    top = max(slopes)
+    if top < amb:
         return None
-    cands = [s for s in m.subs if slopes[s.id] == top]
+    cands = [s for s, sl in zip(m.subs, slopes) if sl == top]
     max_rank = max(s.rank for s in cands)
     cands = [s for s in cands if s.rank == max_rank]
     if len(cands) == 1:
@@ -390,9 +388,10 @@ def _kmax(m: FramedModel, use_phi: bool) -> Optional[SubobjectData]:
     elig = [s for s in m.subs if not s.fr and (s.phi_invariant or not use_phi)]
     if not elig:
         return None
-    best = max(elig, key=lambda s: (Fraction(s.degree, s.rank), s.rank))
-    top = (Fraction(best.degree, best.rank), best.rank)
-    tied = [s for s in elig if (Fraction(s.degree, s.rank), s.rank) == top]
+    n = m._rank_lcm
+    keys = [(s.degree * (n // s.rank), s.rank) for s in elig]
+    top = max(keys)
+    tied = [s for s, key in zip(elig, keys) if key == top]
     for c in tied:
         if all(o.id == c.id or m.contains(c.id, o.id) for o in tied):
             return c
@@ -410,18 +409,12 @@ def sigma_max(m: FramedModel, use_phi: bool = False) -> Optional[Fraction]:
     k = _kmax(m, use_phi)
     if k is None:
         return None
-    return Fraction(m.typ.degree) - Fraction(m.typ.rank, k.rank) * k.degree
+    return Fraction(m.typ.degree * k.rank - m.typ.rank * k.degree, k.rank)
 
 
 # ---------------------------------------------------------------------------
 # oriented objects: stability at the canonical parameter
 # ---------------------------------------------------------------------------
-
-
-def _charged_slope(rank: int, degree: int, s: Fraction) -> Fraction:
-    # Both sides of the oriented inequality subtract s/rank regardless of
-    # framing flags.
-    return (Fraction(degree) - s) / rank
 
 
 def _oriented_split_holds(m: FramedModel, s: Fraction) -> bool:
@@ -431,7 +424,7 @@ def _oriented_split_holds(m: FramedModel, s: Fraction) -> bool:
         return False
     k = m.sub(m.split.kmax_id)
     o = m.sub(m.split.other_id)
-    return Fraction(k.degree, k.rank) == Fraction(o.degree - s, o.rank)
+    return k.degree * o.rank * s.denominator == (o.degree * s.denominator - s.numerator) * k.rank
 
 
 def oriented_split_case(m: FramedModel, pair: bool = False) -> bool:
@@ -456,20 +449,10 @@ def _oriented_ok(m: FramedModel, pair: bool, strict: bool) -> bool:
             return False
     elif s < 0:
         return False
-    amb = _charged_slope(m.typ.rank, m.typ.degree, s)
-    pointwise = True
-    for sub in m.subs:
-        if pair and not sub.phi_invariant:
-            continue
-        sl = _charged_slope(sub.rank, sub.degree, s)
-        if sl > amb or (strict and sl == amb):
-            pointwise = False
-            break
-    if pointwise:
+    # both sides of the oriented inequality subtract s/rank whatever the framing flags
+    if _fm_ok(m, s, strict, phi_only=pair, charge_all=True):
         return True
-    if strict and m.split is not None:
-        return _oriented_split_holds(m, s)
-    return False
+    return strict and m.split is not None and _oriented_split_holds(m, s)
 
 
 def is_oriented_semistable(m: FramedModel, pair: bool = False) -> bool:
@@ -496,15 +479,9 @@ def is_oriented_stable(m: FramedModel, pair: bool = False) -> bool:
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    sigma: Fraction
-    fm_semistable: bool
-    pair_semistable: bool
-    fm_stable: bool
-    pair_stable: bool
-    oriented_module_semistable: bool
-    oriented_pair_semistable: bool
-    oriented_module_stable: bool
-    oriented_pair_stable: bool
+    """Each verdict pair that disagrees, with a witnessing subobject id for
+    the plain (non-oriented) verdicts where one exists."""
+
     mismatches: Tuple[Tuple[str, Optional[str]], ...] = ()
 
     @property
@@ -544,48 +521,19 @@ def verify_rank2_equivalences(m: FramedModel, sigma: Fraction) -> EquivalenceRep
                 f"subobject {w!r} breaks constraint closure at the canonical parameter {s_star}"
             )
 
-    fm_ss = is_fm_semistable(m, sigma)
-    pair_ss = is_pair_semistable(m, sigma)
-    fm_st = is_fm_stable(m, sigma)
-    pair_st = is_pair_stable(m, sigma)
-    om_ss = is_oriented_semistable(m, pair=False)
-    op_ss = is_oriented_semistable(m, pair=True)
-    om_st = is_oriented_stable(m, pair=False)
-    op_st = is_oriented_stable(m, pair=True)
-
     mismatches: List[Tuple[str, Optional[str]]] = []
-    nz = m.typ.framing_nonzero
-    if fm_ss != pair_ss:
-        amb = _ambient_slope(m, sigma)
-        witness = next(
-            (s.id for s in m.subs if not s.phi_invariant and _sub_slope(s, sigma, nz) > amb),
-            None,
-        )
+    amb, slopes = _slopes(m, sigma)
+    if is_fm_semistable(m, sigma) != is_pair_semistable(m, sigma):
+        witness = next((s.id for s, sl in zip(m.subs, slopes) if not s.phi_invariant and sl > amb), None)
         mismatches.append(("semistable", witness))
-    if fm_st != pair_st:
-        amb = _ambient_slope(m, sigma)
-        witness = next(
-            (s.id for s in m.subs if not s.phi_invariant and _sub_slope(s, sigma, nz) >= amb),
-            None,
-        )
+    if is_fm_stable(m, sigma) != is_pair_stable(m, sigma):
+        witness = next((s.id for s, sl in zip(m.subs, slopes) if not s.phi_invariant and sl >= amb), None)
         mismatches.append(("stable", witness))
-    if om_ss != op_ss:
+    if is_oriented_semistable(m, pair=False) != is_oriented_semistable(m, pair=True):
         mismatches.append(("oriented_semistable", None))
-    if om_st != op_st:
+    if is_oriented_stable(m, pair=False) != is_oriented_stable(m, pair=True):
         mismatches.append(("oriented_stable", None))
-
-    return EquivalenceReport(
-        sigma=sigma,
-        fm_semistable=fm_ss,
-        pair_semistable=pair_ss,
-        fm_stable=fm_st,
-        pair_stable=pair_st,
-        oriented_module_semistable=om_ss,
-        oriented_pair_semistable=op_ss,
-        oriented_module_stable=om_st,
-        oriented_pair_stable=op_st,
-        mismatches=tuple(mismatches),
-    )
+    return EquivalenceReport(mismatches=tuple(mismatches))
 
 
 def rank2_threshold_holds(sub: SubobjectData, typ: FramedType, sigma: Fraction, strict: bool = False) -> bool:
@@ -754,11 +702,7 @@ def random_chain_model(
         deg = rng.randint(d if not fr else d - 4, 2)
         subs.append(SubobjectData("X", rng.randint(1, r - 1), deg, fr=fr, phi_invariant=rng.random() < 0.5))
     typ = FramedType(rank=r, degree=d, framing_nonzero=True)
-    try:
-        return FramedModel(ctx=CurveContext(g), typ=typ, subs=tuple(subs))
-    except InvalidInput:
-        # rare degenerate draw (kernel flag above a framed chain member); retry
-        return random_chain_model(rng, d_min, d_max, g_min, g_max)
+    return FramedModel(ctx=CurveContext(g), typ=typ, subs=tuple(subs))
 
 
 def close_constraints(m: FramedModel, sigmas: Iterable[Fraction]) -> FramedModel:
@@ -819,18 +763,16 @@ def _suite_rank2(res: SuiteResult, m: FramedModel, sigmas: Sequence[Fraction], t
         )
 
     for sigma in sigmas:
-        amb = _ambient_slope(m, sigma)
-        for s in m.subs:
-            holds = _sub_slope(s, sigma, nz) <= amb
+        amb, slopes = _slopes(m, sigma)
+        for s, sl in zip(m.subs, slopes):
             _suite_check(
                 res,
-                holds == rank2_threshold_holds(s, m.typ, sigma),
+                (sl <= amb) == rank2_threshold_holds(s, m.typ, sigma),
                 f"{tag}: threshold formula mismatch for {s.id} at sigma={sigma}",
             )
-            holds_strict = _sub_slope(s, sigma, nz) < amb
             _suite_check(
                 res,
-                holds_strict == rank2_threshold_holds(s, m.typ, sigma, strict=True),
+                (sl < amb) == rank2_threshold_holds(s, m.typ, sigma, strict=True),
                 f"{tag}: strict threshold formula mismatch for {s.id} at sigma={sigma}",
             )
 
@@ -873,10 +815,11 @@ def _suite_rank2(res: SuiteResult, m: FramedModel, sigmas: Sequence[Fraction], t
             res.ambiguous_skips += 1
             md = None
         if md is not None:
-            top = _sub_slope(md, sigma, nz)
+            # checked on the Fraction oracle, independent of _slopes
+            top = reduced_framed_slope(md.rank, md.degree, md.fr, sigma, nz)
             _suite_check(
                 res,
-                all(_sub_slope(s, sigma, nz) <= top for s in m.subs),
+                all(reduced_framed_slope(s.rank, s.degree, s.fr, sigma, nz) <= top for s in m.subs),
                 f"{tag}: maximal destabilizer not maximal at sigma={sigma}",
             )
 

@@ -228,6 +228,16 @@ def test_report_ok_and_round_trip():
     assert round_tripped == report
 
 
+def test_report_reader_reads_polynomial_terms():
+    obj = report_to_json_obj(build_betti_report(-5, 2))
+    obj["mcon"] = {"terms": [[-2, "3"], [0, "-7"], [5, "12345678901234567890"]]}
+    report = report_from_json_obj(json.loads(json.dumps(obj)))
+    assert report.mcon == LaurentPoly({-2: 3, 0: -7, 5: 12345678901234567890})
+    obj["mcon"] = {"terms": [[1.5, 2], [True, " 3"]]}
+    with pytest.raises(InvalidInput, match=r"^mcon\.terms\[0\]\[0\]: "):
+        report_from_json_obj(obj)
+
+
 def test_report_single_chamber_and_no_blowup():
     report = build_betti_report(-1, 2, only_chamber=0)
     assert len(report.chambers) == 1

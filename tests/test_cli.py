@@ -265,6 +265,10 @@ def chambers_report_obj() -> dict:
         (betti.report_from_json_obj, betti_report_obj, _doctor(("u2d", "colour"), "red"), "u2d.colour"),
         (chambers_obj_to_data, chambers_report_obj, _doctor(("chambers", 0, "index")), "chambers[0].index"),
         (chambers_obj_to_data, chambers_report_obj, _doctor(("chambers",), []), "chambers"),
+        # every top-level field is what build_chambers(d, g) emits
+        (chambers_obj_to_data, chambers_report_obj, _doctor(("d",), -9), "moduli_dim"),
+        (chambers_obj_to_data, chambers_report_obj, _doctor(("walls",), [1, 3]), "walls"),
+        (chambers_obj_to_data, chambers_report_obj, _doctor(("flip_loci", 0, "rank_minus"), 5), "flip_loci"),
     ],
 )
 def test_report_readers_reject_with_the_field_path(read, emitted, doctor, field):

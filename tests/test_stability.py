@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from flipchain.chambers import InvalidInput
 from flipchain.stability import (
     AmbiguousModel,
     AxiomViolated,
@@ -28,6 +29,7 @@ from flipchain.stability import (
     model_from_json_obj,
     model_to_json_obj,
     oriented_split_case,
+    random_chain_model,
     random_rank2_model,
     rank2_threshold_holds,
     reduced_framed_slope,
@@ -334,6 +336,95 @@ def test_threshold_formulas():
                 assert strict == rank2_threshold_holds(so, m.typ, s, strict=True)
 
 
+# -- integer verdicts against the Fraction oracle ------------------------------------
+
+
+def random_lattice_model(rng):
+    """A rank 2..4 model with up to five subobjects, a zero framing one time
+    in five, a nonzero frame degree most of the time and, in rank 2, an
+    occasional split; None when the draw breaks a validation rule."""
+    r, d, nz = rng.randint(2, 4), rng.randint(-12, 3), rng.random() < 0.8
+    subs = [
+        sub(f"S{k}", rng.randint(1, r - 1), rng.randint(d - 6, 3), fr=nz and rng.random() < 0.5, phi=rng.random() < 0.6)
+        for k in range(rng.randint(0, 5))
+    ]
+    if len(subs) >= 2 and rng.random() < 0.4:
+        a, b = rng.sample(range(len(subs)), 2)
+        subs[a] = sub(subs[a].id, subs[a].rank, subs[a].degree, subs[a].fr, subs[a].phi_invariant, {subs[b].id})
+    split = None
+    if r == 2 and nz and rng.random() < 0.3:
+        kd = rng.randint(d - 3, 3)
+        subs += [sub("K", 1, kd, fr=False), sub("C", 1, d - kd, fr=True)]
+        split = SplitDescriptor("K", "C")
+    ctx = CurveContext(rng.randint(2, 3), rng.randint(-3, 3))
+    try:
+        return FramedModel(ctx, FramedType(r, d, nz, delta_iso=rng.random() < 0.6), tuple(subs), split)
+    except InvalidInput:
+        return None
+
+
+def oracle_verdict(m, sigma, strict, pair, charged=False):
+    """Every (phi-invariant, for pairs) subobject's slope at most the
+    ambient's (below it, when strict); charged subtracts sigma everywhere."""
+    nz = charged or m.typ.framing_nonzero
+    amb = reduced_framed_slope(m.typ.rank, m.typ.degree, True, sigma, nz)
+    slopes = [reduced_framed_slope(s.rank, s.degree, charged or s.fr, sigma, nz) for s in m.subs if s.phi_invariant or not pair]
+    return all(sl < amb if strict else sl <= amb for sl in slopes)
+
+
+def oracle_destabilizer(m, sigma):
+    nz = m.typ.framing_nonzero
+    slope = {s.id: reduced_framed_slope(s.rank, s.degree, s.fr, sigma, nz) for s in m.subs}
+    if not m.subs or max(slope.values()) < reduced_framed_slope(m.typ.rank, m.typ.degree, True, sigma, nz):
+        return None
+    top = max((slope[s.id], s.rank) for s in m.subs)
+    cands = [s for s in m.subs if (slope[s.id], s.rank) == top]
+    winners = [c for c in cands if all(o is c or c.id in m.ancestors[o.id] for o in cands)]
+    return winners[0].id if winners else "ambiguous"
+
+
+def oracle_oriented(m, pair, strict):
+    kernel = [s for s in m.subs if not s.fr and (s.phi_invariant or not pair)]
+    if not kernel:
+        return True
+    if not m.typ.delta_iso:
+        return False
+    mu = max(reduced_framed_slope(s.rank, s.degree, False, F(1), False) for s in kernel)
+    s_star = m.typ.degree - m.typ.rank * mu
+    if s_star < 0 or (strict and s_star == 0):
+        return False
+    if oracle_verdict(m, s_star, strict, pair, charged=True):
+        return True
+    if not (strict and m.split is not None):
+        return False
+    k, o = m.sub(m.split.kmax_id), m.sub(m.split.other_id)
+    return reduced_framed_slope(k.rank, k.degree, False, s_star, True) == reduced_framed_slope(o.rank, o.degree, True, s_star, True)
+
+
+def test_integer_verdicts_match_the_fraction_oracle():
+    rng = random.Random(2024)
+    models = [m for m in (random_lattice_model(rng) for _ in range(400)) if m is not None][:300]
+    assert len(models) == 300
+    assert any(not m.typ.framing_nonzero for m in models) and any(m.ctx.frame_degree for m in models)
+    assert {m.typ.rank for m in models} == {2, 3, 4} and any(m.split for m in models)
+    for m in models:
+        for pair in (False, True):
+            assert is_oriented_semistable(m, pair) == oracle_oriented(m, pair, strict=False)
+            assert is_oriented_stable(m, pair) == oracle_oriented(m, pair, strict=True)
+        for sigma in (F(1, 3), F(1, 2), F(1), F(5, 2), F(13, 2), F(1000, 3)):
+            assert is_fm_semistable(m, sigma) == oracle_verdict(m, sigma, strict=False, pair=False)
+            assert is_fm_stable(m, sigma) == oracle_verdict(m, sigma, strict=True, pair=False)
+            assert is_pair_semistable(m, sigma) == oracle_verdict(m, sigma, strict=False, pair=True)
+            assert is_pair_stable(m, sigma) == oracle_verdict(m, sigma, strict=True, pair=True)
+            want = oracle_destabilizer(m, sigma)
+            if want == "ambiguous":
+                with pytest.raises(AmbiguousModel):
+                    max_destabilizer(m, sigma)
+            else:
+                got = max_destabilizer(m, sigma)
+                assert (got and got.id) == want
+
+
 # -- model validation and serialization ------------------------------------------------
 
 
@@ -360,6 +451,11 @@ def test_validation_rejects_bad_models():
             [sub("K", 1, -3, fr=False), sub("C", 1, -1, fr=True)],
             split=SplitDescriptor("K", "C"),
         )
+
+
+def test_chain_model_draw_with_genus_below_two_is_rejected():
+    with pytest.raises(InvalidInput):
+        random_chain_model(random.Random(0), g_min=1, g_max=1)
 
 
 def test_model_json_round_trip():
