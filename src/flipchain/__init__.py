@@ -3,6 +3,7 @@ polynomials for the chain of rank-2 framed moduli flips."""
 
 from .exactpoly import (
     LaurentPoly,
+    ConsistencyFailure,
     NotDivisible,
     OrderExceeded,
     TruncatedBiSeries,
@@ -16,7 +17,6 @@ from .chambers import (
     ChamberLocation,
     FlipLocusData,
     InvalidInput,
-    OutOfRange,
     build_chambers,
     chamber_of,
     eta,
@@ -32,7 +32,6 @@ from .stability import (
     FramedModel,
     FramedType,
     HNFiltration,
-    MissingSplitData,
     SplitDescriptor,
     SubobjectData,
     final_chamber_stable,
@@ -53,8 +52,6 @@ from .stability import (
 )
 from .betti import (
     BettiReport,
-    NegativeExponentSurvived,
-    PreconditionFailed,
     blowup_consistency,
     build_betti_report,
     flip_difference,

@@ -17,24 +17,16 @@ from functools import cached_property, lru_cache
 from math import comb
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .chambers import _REQUIRED, InvalidInput, OutOfRange, _checked, _fields, fm_index_range, moduli_dim
+from .chambers import _REQUIRED, InvalidInput, _checked, _fields, fm_index_range, moduli_dim
+from .chambers import _chamber_index_range, _require_genus
 from .exactpoly import (
+    ConsistencyFailure,
     LaurentPoly,
     NotDivisible,
     geom_kernel,
     lp_div_exact,
     one_plus_xt_power,
 )
-
-
-class NegativeExponentSurvived(ArithmeticError):
-    """A final Betti polynomial kept a negative exponent; the chamber index
-    translation went wrong somewhere."""
-
-
-class PreconditionFailed(ValueError):
-    """A route was requested outside its range of validity."""
-
 
 _T = LaurentPoly.monomial
 _ONE_MINUS_T2 = LaurentPoly({0: 1, 2: -1})
@@ -48,7 +40,7 @@ def _one_plus_t_pow(n: int) -> LaurentPoly:
 def proj_space_poincare(n: int) -> LaurentPoly:
     """1 + t^2 + ... + t^(2n) for projective n-space; zero for n = -1."""
     if n < -1:
-        raise ValueError(f"projective dimension must be at least -1, got {n}")
+        raise InvalidInput(f"n: projective dimension must be at least -1, got {n}")
     return LaurentPoly({2 * k: 1 for k in range(n + 1)})
 
 
@@ -59,8 +51,8 @@ def sym_product_poincare(n: int, g: int) -> LaurentPoly:
     Extracted as the x^n coefficient of (1+xt)^(2g) / ((1-x)(1-x t^2)),
     with the series truncated exactly at order n.
     """
-    if n < 0 or g < 0:
-        raise ValueError("need n >= 0 and g >= 0")
+    if min(n, g) < 0:
+        raise InvalidInput(f"{'n' if n < 0 else 'g'}: must be nonnegative, got n={n}, g={g}")
     series = one_plus_xt_power(2 * g, n) * geom_kernel(n, k=0) * geom_kernel(n, k=2)
     return series.coeff_x(n)
 
@@ -74,9 +66,7 @@ def flip_difference(j: int, d: int, g: int) -> LaurentPoly:
     difference of the Poincare polynomials of the two projectivized flip
     loci over Pic x Sym.  A mismatch raises NotDivisible.
     """
-    lo, hi = fm_index_range(d)
-    if not (lo <= j <= hi):
-        raise OutOfRange(f"flip index {j} outside [{lo}, {hi}] for d={d}")
+    _chamber_index_range(j, d, "j")
     sym = sym_product_poincare(-d - j - 1, g)
     even_factor = _one_plus_t_pow(2 * g) * sym
     num = _T(2 * d + 2 * g + 4 * j + 2) - _T(-2 * d - 2 * j - 2)
@@ -96,8 +86,7 @@ def flip_difference(j: int, d: int, g: int) -> LaurentPoly:
 def terminal_poincare(d: int, g: int) -> LaurentPoly:
     """Last chamber: a projective bundle of fiber dimension -d + g - 2 over
     the g-dimensional torus, so (1+t)^(2g) (1 - t^(-2d+2g-2)) / (1 - t^2)."""
-    if d >= 0 or g < 2:
-        raise PreconditionFailed(f"need d < 0 and g >= 2, got d={d}, g={g}")
+    moduli_dim(d, g)  # rejects (d, g)
     num = LaurentPoly({0: 1}) - _T(-2 * d + 2 * g - 2)
     return _one_plus_t_pow(2 * g) * lp_div_exact(num, _ONE_MINUS_T2)
 
@@ -106,15 +95,13 @@ def terminal_poincare(d: int, g: int) -> LaurentPoly:
 def fm_poincare_recursive(i: int, d: int, g: int) -> LaurentPoly:
     """Chamber polynomial as the signed telescoping sum of flip differences;
     the top term reproduces the terminal chamber with its sign."""
-    lo, hi = fm_index_range(d)
-    if not (lo <= i <= hi):
-        raise OutOfRange(f"chamber index {i} outside [{lo}, {hi}] for d={d}")
+    _, hi = _chamber_index_range(i, d)
     total = LaurentPoly.zero()
     for j in range(i, hi + 1):
         total = total + flip_difference(j, d, g)
     result = -total
     if not result.is_polynomial():
-        raise NegativeExponentSurvived(f"recursive route at i={i}, d={d}, g={g}: {result}")
+        raise ConsistencyFailure(f"negative exponent in the recursive route at (i={i}, d={d}, g={g}): {result}")
     return result
 
 
@@ -139,9 +126,7 @@ def fm_poincare_closed(i: int, d: int, g: int) -> LaurentPoly:
     Both kernels are geometric series of monomials, so that coefficient is
     the sum over m of (t^(2d+2g+4i+2+4m) - t^(-2d-2i-2-2m)) f_(n-m).
     """
-    lo, hi = fm_index_range(d)
-    if not (lo <= i <= hi):
-        raise OutOfRange(f"chamber index {i} outside [{lo}, {hi}] for d={d}")
+    _chamber_index_range(i, d)
     n = -d - i - 1
     f = [_macdonald_coeff(k, g) for k in range(n + 1)]  # bottom-up, so no deep recursion
     acc: Dict[int, int] = {}
@@ -152,7 +137,7 @@ def fm_poincare_closed(i: int, d: int, g: int) -> LaurentPoly:
             acc[e + down] = acc.get(e + down, 0) - c
     result = lp_div_exact(-(_one_plus_t_pow(2 * g)) * LaurentPoly(acc), _ONE_MINUS_T2)
     if not result.is_polynomial():
-        raise NegativeExponentSurvived(f"closed route at i={i}, d={d}, g={g}: {result}")
+        raise ConsistencyFailure(f"negative exponent in the closed route at (i={i}, d={d}, g={g}): {result}")
     return result
 
 
@@ -160,8 +145,7 @@ def fm_poincare_closed(i: int, d: int, g: int) -> LaurentPoly:
 def u2d_poincare(g: int) -> LaurentPoly:
     """Poincare polynomial of the rank-2 odd-degree bundle moduli space:
     (1+t)^(2g) ((1+t^3)^(2g) - t^(2g) (1+t)^(2g)) / ((1-t^2)(1-t^4))."""
-    if g < 2:
-        raise PreconditionFailed(f"need g >= 2, got g={g}")
+    _require_genus(g)
     num = _one_plus_t_pow(2 * g) * (
         LaurentPoly({0: 1, 3: 1}) ** (2 * g) - _T(2 * g) * _one_plus_t_pow(2 * g)
     )
@@ -173,11 +157,9 @@ def u2d_from_bundle(g: int, d: int) -> LaurentPoly:
     """Second route to the bundle moduli space, for odd d with -d > 4g - 4:
     the lowest chamber fibers over it in projective spaces of dimension
     -d - 2g + 1, so divide out that projective-space factor exactly."""
-    if d >= 0 or d % 2 == 0:
-        raise PreconditionFailed(f"need odd negative d, got {d}")
-    if -d <= 4 * g - 4:
-        raise PreconditionFailed(f"need -d > 4g - 4, got d={d}, g={g}")
     lo, _ = fm_index_range(d)
+    if d % 2 == 0 or -d <= 4 * g - 4:
+        raise InvalidInput(f"d: the bundle route needs odd d with -d > 4g - 4, got d={d}, g={g}")
     fm = fm_poincare_closed(lo, d, g)
     fiber_exp = 2 * (-d - 2 * g + 2)
     return lp_div_exact(fm * _ONE_MINUS_T2, LaurentPoly({0: 1, fiber_exp: -1}))
@@ -188,8 +170,7 @@ def mcon_poincare(g: int) -> LaurentPoly:
     """(1+t)^(2g) ((1+t^3)^(2g) - t^(2g)(1+t)^(2g)) / (1-t^2)^2, and it must
     factor as the bundle moduli polynomial times 1 + t^2, the shadow of a
     line of endomorphism directions over each stable point."""
-    if g < 2:
-        raise PreconditionFailed(f"need g >= 2, got g={g}")
+    _require_genus(g)
     num = _one_plus_t_pow(2 * g) * (
         LaurentPoly({0: 1, 3: 1}) ** (2 * g) - _T(2 * g) * _one_plus_t_pow(2 * g)
     )
@@ -205,7 +186,7 @@ def blowup_delta(d: int, g: int) -> LaurentPoly:
     prediction: terminal + (Pic x curve) * (proj space of the codimension
     minus one, less a point).  Zero when the identity holds."""
     if d > -3:
-        raise PreconditionFailed(f"the terminal flip needs d <= -3, got {d}")
+        raise InvalidInput(f"d: the terminal flip needs d <= -3, got {d}")
     c = -d + g - 3
     center = _one_plus_t_pow(2 * g) * LaurentPoly({0: 1, 1: 2 * g, 2: 1})
     predicted = terminal_poincare(d, g) + center * (proj_space_poincare(c - 1) - LaurentPoly.one())
@@ -306,11 +287,13 @@ REPORT_INVARIANTS = (
 
 
 def build_betti_report(d: int, g: int, only_chamber: Optional[int] = None) -> BettiReport:
-    dim = moduli_dim(d, g)  # rejects (d, g) before either route runs
+    dim = moduli_dim(d, g)  # rejects (d, g) and the chamber before either route runs
     lo, hi = fm_index_range(d)
-    indices = range(lo, hi + 1) if only_chamber is None else [only_chamber]
+    if only_chamber is not None:
+        _chamber_index_range(only_chamber, d, "chamber")
+        lo = hi = only_chamber
     chambers: List[ChamberBetti] = []
-    for i in indices:
+    for i in range(lo, hi + 1):
         p_rec = fm_poincare_recursive(i, d, g)
         p_clo = fm_poincare_closed(i, d, g)
         chambers.append(

@@ -18,7 +18,8 @@ from typing import Iterable, List, Optional, Tuple
 
 class InvalidInput(ValueError):
     """Parameters outside the rank-2, negative-degree regime, or a JSON
-    document that does not have the written form."""
+    document that does not have the written form.  The message starts with
+    the field path (d, g, sigma, subs[0].rank, ...); the CLI exits 2 on it."""
 
 
 _REQUIRED = object()
@@ -57,32 +58,51 @@ def _fields(obj, path: str, spec: dict, retired: Iterable[str] = ()) -> dict:
     return fields
 
 
-class OutOfRange(ValueError):
-    """A chamber or flip index outside the valid window."""
-
-
 def eta(i: int, d: int) -> int:
     """Destabilizing parameter max{0, 2i + d}."""
     return max(0, 2 * i + d)
 
 
-def fm_index_range(d: int) -> Tuple[int, int]:
-    """Inclusive window [lo, hi] of chamber indices for degree d < 0.
+def fm_index_range(d: int, path: str = "d") -> Tuple[int, int]:
+    """Inclusive window [lo, hi] of chamber indices for degree d < 0, the
+    one home of that rule; InvalidInput naming path otherwise.
 
     lo = floor(-d/2 - 1) + 1 and hi = -d - 1; chamber i corresponds to
     sigma in (eta_i, eta_(i+1)).
     """
     if d >= 0:
-        raise InvalidInput(f"degree must be negative, got {d}")
+        raise InvalidInput(f"{path}: degree must be negative, got {d}")
     return (-d) // 2, -d - 1
+
+
+def _require_genus(g: int, path: str = "g") -> None:
+    """The one home of the rule genus >= 2; InvalidInput naming path otherwise."""
+    if g < 2:
+        raise InvalidInput(f"{path}: genus must be at least 2, got {g}")
+
+
+def _chamber_index_range(i: int, d: int, path: str = "i") -> Tuple[int, int]:
+    """fm_index_range(d) when it holds the index i; InvalidInput naming path otherwise."""
+    lo, hi = fm_index_range(d)
+    if not lo <= i <= hi:
+        raise InvalidInput(f"{path}: index {i} outside [{lo}, {hi}] for d={d}")
+    return lo, hi
+
+
+def _require_sigma(sigma):
+    """sigma itself when it is a positive int (not a bool) or Fraction;
+    InvalidInput naming sigma otherwise.  Nothing is converted."""
+    if type(sigma) is not Fraction and type(sigma) is not int:
+        raise InvalidInput(f"sigma: expected an int or a Fraction, got {sigma!r}")
+    if sigma <= 0:
+        raise InvalidInput(f"sigma: must be positive, got {sigma}")
+    return sigma
 
 
 def moduli_dim(d: int, g: int) -> int:
     """Dimension -d + 2g - 2 of each chamber's moduli space."""
-    if d >= 0:
-        raise InvalidInput(f"degree must be negative, got {d}")
-    if g < 2:
-        raise InvalidInput(f"genus must be at least 2, got {g}")
+    fm_index_range(d)
+    _require_genus(g)
     return -d + 2 * g - 2
 
 
@@ -159,11 +179,8 @@ def build_chambers(d: int, g: int) -> ChamberData:
     {-1, -2}.  Each chamber's representative is its midpoint, taken as an
     exact rational.
     """
-    if d >= 0:
-        raise InvalidInput(f"degree must be negative, got {d}")
-    if g < 2:
-        raise InvalidInput(f"genus must be at least 2, got {g}")
     lo, hi = fm_index_range(d)
+    _require_genus(g)
     walls = tuple(eta(i, d) for i in range(lo + 1, hi + 1))
     bounds = [Fraction(0)] + [Fraction(w) for w in walls] + [Fraction(-d)]
     chambers = []
@@ -184,10 +201,7 @@ def build_chambers(d: int, g: int) -> ChamberData:
 
 def chamber_of(sigma: Fraction, cd: ChamberData) -> ChamberLocation:
     """Locate a positive sigma; Empty when sigma exceeds -d."""
-    sigma = Fraction(sigma)
-    if sigma <= 0:
-        raise InvalidInput(f"sigma must be positive, got {sigma}")
-    if sigma > -cd.d:
+    if _require_sigma(sigma) > -cd.d:
         return ChamberLocation.empty()
     for j, w in enumerate(cd.walls, start=1):
         if sigma == w:
@@ -204,17 +218,15 @@ def flip_locus(i: int, d: int, g: int) -> FlipLocusData:
     rank W- = d + g + 2i + 1 and rank W+ = -d - i - 1; both loci are
     projective bundles over a base of dimension g + (-d - i - 1).
     """
-    if g < 2:
-        raise OutOfRange(f"genus must be at least 2, got {g}")
+    total = moduli_dim(d, g)
     lo, hi = fm_index_range(d)
-    if not (lo <= i <= hi - 1):
-        raise OutOfRange(f"flip index {i} outside [{lo}, {hi - 1}] for d={d}")
+    if not lo <= i < hi:  # the last chamber has no wall above it
+        raise InvalidInput(f"i: flip index {i} outside [{lo}, {hi - 1}] for d={d}")
     rank_minus = d + g + 2 * i + 1
     rank_plus = -d - i - 1
     base_dim = g + (-d - i - 1)
     dim_minus = base_dim + rank_minus - 1
     dim_plus = base_dim + rank_plus - 1
-    total = moduli_dim(d, g)
     return FlipLocusData(
         i=i,
         rank_minus=rank_minus,

@@ -18,7 +18,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import betti, chambers, stability
-from .chambers import _REQUIRED, InvalidInput, OutOfRange, _checked, _fields
+from .chambers import _REQUIRED, InvalidInput, _checked, _fields, _require_genus
+from .exactpoly import ConsistencyFailure
 
 FORMATS = ("text", "json", "csv", "latex")
 #: Failure lines verify-all prints before it only counts the rest.
@@ -397,12 +398,16 @@ def _emit_stability(obj: dict, fmt: str) -> str:
 def _verify_cell(g: int, d: int) -> List[str]:
     try:
         report = betti.build_betti_report(d, g)
-    except (betti.NotDivisible, betti.NegativeExponentSurvived) as exc:
+    except ConsistencyFailure as exc:
         return [f"betti report failed at (d={d}, g={g}): {exc}"]
     return list(report.failures()) + chambers.structure_failures(d, g)
 
 
 def run_verify_all(g_max: int, d_min: int, seed: int, n_models: int, out) -> int:
+    _require_genus(g_max, "grid")  # a grid that checks no cell is bad input
+    chambers.fm_index_range(d_min, "grid")
+    if n_models < 0:
+        raise InvalidInput(f"models: must be nonnegative, got {n_models}")
     t0 = time.monotonic()
     cells = [(g, d) for g in range(2, g_max + 1) for d in range(d_min, 0)]
     failures = [f for g, d in cells for f in _verify_cell(g, d)]
@@ -448,22 +453,20 @@ def run(config: RunConfig, out=None) -> int:
         if config.command == "stability-check":
             with open(config.model_path, "r", encoding="utf-8") as fh:
                 model = stability.model_from_json_obj(json.load(fh))
-            if model.typ.degree >= 0:
-                print("error: model degree must be negative for chamber scans", file=out)
-                return 2
+            chambers.fm_index_range(model.typ.degree, "type.degree")  # chamber scans need d < 0
             print(_emit_stability(_stability_obj(model), config.format), file=out)
             return 0
         if config.command == "verify-all":
             g_max, d_min = config.grid
             return run_verify_all(g_max, d_min, config.seed, config.models, out)
         raise AssertionError(f"unknown command {config.command}")
-    except (InvalidInput, OutOfRange, betti.PreconditionFailed) as exc:
+    except InvalidInput as exc:
         print(f"error: invalid input: {exc}", file=out)
         return 2
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=out)
         return 2
-    except (betti.NegativeExponentSurvived, betti.NotDivisible) as exc:
+    except ConsistencyFailure as exc:
         print(f"error: consistency failure: {exc}", file=out)
         return 1
 

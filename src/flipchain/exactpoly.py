@@ -14,7 +14,13 @@ from fractions import Fraction
 from math import comb
 from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple, Union
 
-class NotDivisible(ArithmeticError):
+
+class ConsistencyFailure(ArithmeticError):
+    """An internal invariant failed on valid input; the message names the
+    invariant and its indices.  The CLI exits 1 on it."""
+
+
+class NotDivisible(ConsistencyFailure):
     """No exact quotient exists; a formula was transcribed wrongly."""
 
 
@@ -43,9 +49,10 @@ class LaurentPoly:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: Dict[int, int] = {}
         for e, c in items:
+            if type(e) is not int or type(c) is not int:
+                raise TypeError(f"exponents and coefficients must be integers, got {e!r}: {c!r}")
             if c:
-                e = int(e)
-                s = acc.get(e, 0) + int(c)
+                s = acc.get(e, 0) + c
                 if s:
                     acc[e] = s
                 elif e in acc:

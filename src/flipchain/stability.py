@@ -22,10 +22,11 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .chambers import _REQUIRED, InvalidInput, _checked, _fields, build_chambers
+from .chambers import _REQUIRED, InvalidInput, _checked, _fields, _require_genus, _require_sigma, build_chambers
+from .exactpoly import ConsistencyFailure
 
 
-class AmbiguousModel(ValueError):
+class AmbiguousModel(ConsistencyFailure):
     """Two incomparable subobjects tie at maximal slope and maximal rank.
 
     A lattice coming from an actual sheaf cannot do this; the maximal
@@ -33,12 +34,8 @@ class AmbiguousModel(ValueError):
     """
 
 
-class AxiomViolated(ValueError):
+class AxiomViolated(ConsistencyFailure):
     """The constraint-closure precondition fails on this model."""
-
-
-class MissingSplitData(ValueError):
-    """Split-case evaluation was requested but the model carries no split."""
 
 
 @dataclass(frozen=True)
@@ -49,8 +46,7 @@ class CurveContext:
     frame_degree: int = 0
 
     def __post_init__(self):
-        if self.genus < 2:
-            raise InvalidInput(f"genus must be at least 2, got {self.genus}")
+        _require_genus(self.genus, "genus")
 
 
 @dataclass(frozen=True)
@@ -64,7 +60,7 @@ class FramedType:
 
     def __post_init__(self):
         if self.rank < 1:
-            raise InvalidInput(f"rank must be positive, got {self.rank}")
+            raise InvalidInput(f"type.rank: rank must be positive, got {self.rank}")
 
 
 @dataclass(frozen=True)
@@ -109,47 +105,41 @@ class FramedModel:
     def __post_init__(self):
         object.__setattr__(self, "subs", tuple(self.subs))
         by_id: Dict[str, SubobjectData] = {}
-        for s in self.subs:
+        for k, s in enumerate(self.subs):
             if s.id in by_id:
-                raise InvalidInput(f"duplicate subobject id {s.id!r}")
+                raise InvalidInput(f"subs[{k}].id: duplicate subobject id {s.id!r}")
             if not (0 < s.rank < self.typ.rank):
-                raise InvalidInput(f"subobject {s.id!r} rank {s.rank} not strictly between 0 and {self.typ.rank}")
+                raise InvalidInput(f"subs[{k}].rank: rank {s.rank} not strictly between 0 and {self.typ.rank}")
             if s.fr and not self.typ.framing_nonzero:
-                raise InvalidInput(f"subobject {s.id!r} has fr=True but the ambient framing is zero")
+                raise InvalidInput(f"subs[{k}].fr: fr=True but the ambient framing is zero")
             by_id[s.id] = s
-        for s in self.subs:
+        for k, s in enumerate(self.subs):
             for p in s.parents:
                 if p not in by_id:
-                    raise InvalidInput(f"subobject {s.id!r} names unknown parent {p!r}")
+                    raise InvalidInput(f"subs[{k}].parents: unknown parent {p!r}")
                 if p == s.id:
-                    raise InvalidInput(f"subobject {s.id!r} contains itself")
+                    raise InvalidInput(f"subs[{k}].parents: subobject {s.id!r} contains itself")
                 if s.rank > by_id[p].rank:
-                    raise InvalidInput(f"containment {s.id!r} < {p!r} inconsistent with ranks")
+                    raise InvalidInput(f"subs[{k}].parents: containment {s.id!r} < {p!r} inconsistent with ranks")
                 if s.fr and not by_id[p].fr:
-                    raise InvalidInput(
-                        f"subobject {s.id!r} has fr=True inside {p!r} with fr=False; "
-                        "kernel membership is monotone under containment"
-                    )
-        # reject containment cycles
-        anc = self._ancestor_map(by_id)
-        for sid, ups in anc.items():
-            if sid in ups:
-                raise InvalidInput(f"containment cycle through {sid!r}")
+                    raise InvalidInput(f"subs[{k}].fr: fr=True inside {p!r} with fr=False; "
+                                       "kernel membership is monotone under containment")
         # ancestors: the transitive closure of the containment order (strict containers)
+        anc = self._ancestor_map(by_id)
+        for k, s in enumerate(self.subs):
+            if s.id in anc[s.id]:
+                raise InvalidInput(f"subs[{k}].parents: containment cycle through {s.id!r}")
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "ancestors", anc)
         object.__setattr__(self, "_rank_lcm", math.lcm(self.typ.rank, *(s.rank for s in self.subs)))
         if self.split is not None:
-            k = by_id.get(self.split.kmax_id)
-            o = by_id.get(self.split.other_id)
-            if k is None or o is None:
-                raise InvalidInput("split descriptor names unknown subobjects")
-            if k.fr:
-                raise InvalidInput("split kernel summand must have fr=False")
-            if o.fr != self.typ.framing_nonzero:
-                raise InvalidInput("split complement must carry the full framing flag")
+            k, o = by_id.get(self.split.kmax_id), by_id.get(self.split.other_id)
+            if k is None or k.fr:
+                raise InvalidInput(f"split.kmax_id: {self.split.kmax_id!r} is not a subobject with fr=False")
+            if o is None or o.fr != self.typ.framing_nonzero:
+                raise InvalidInput(f"split.other_id: {self.split.other_id!r} is not a subobject carrying the framing")
             if k.rank + o.rank != self.typ.rank or k.degree + o.degree != self.typ.degree:
-                raise InvalidInput("split summands must add up to the ambient type")
+                raise InvalidInput("split: summands must add up to the ambient type")
 
     @staticmethod
     def _ancestor_map(by_id: Dict[str, SubobjectData]) -> Dict[str, FrozenSet[str]]:
@@ -209,15 +199,8 @@ def reduced_framed_slope(
     reference the suite checks them against.
     """
     if fr and framing_ambient_nonzero:
-        return Fraction(degree - Fraction(sigma), rank)
+        return Fraction(degree - sigma, rank)
     return Fraction(degree, rank)
-
-
-def _require_positive(sigma: Fraction) -> Fraction:
-    sigma = Fraction(sigma)
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    return sigma
 
 
 def _slopes(m: FramedModel, sigma: Fraction, charge_all: bool = False) -> Tuple[int, List[int]]:
@@ -247,20 +230,20 @@ def _fm_ok(m: FramedModel, sigma: Fraction, strict: bool, phi_only: bool, charge
 
 def is_fm_semistable(m: FramedModel, sigma: Fraction) -> bool:
     """Every subobject's framed slope is at most the ambient framed slope."""
-    return _fm_ok(m, _require_positive(sigma), strict=False, phi_only=False)
+    return _fm_ok(m, _require_sigma(sigma), strict=False, phi_only=False)
 
 
 def is_fm_stable(m: FramedModel, sigma: Fraction) -> bool:
-    return _fm_ok(m, _require_positive(sigma), strict=True, phi_only=False)
+    return _fm_ok(m, _require_sigma(sigma), strict=True, phi_only=False)
 
 
 def is_pair_semistable(m: FramedModel, sigma: Fraction) -> bool:
     """Same inequality quantified only over phi-invariant subobjects."""
-    return _fm_ok(m, _require_positive(sigma), strict=False, phi_only=True)
+    return _fm_ok(m, _require_sigma(sigma), strict=False, phi_only=True)
 
 
 def is_pair_stable(m: FramedModel, sigma: Fraction) -> bool:
-    return _fm_ok(m, _require_positive(sigma), strict=True, phi_only=True)
+    return _fm_ok(m, _require_sigma(sigma), strict=True, phi_only=True)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +281,7 @@ def max_destabilizer(m: FramedModel, sigma: Fraction) -> Optional[SubobjectData]
     it is the maximal destabilizing subobject of a strictly semistable
     model.  Ties between incomparable subobjects raise AmbiguousModel.
     """
-    return _max_destabilizer(m, _require_positive(sigma))
+    return _max_destabilizer(m, _require_sigma(sigma))
 
 
 def _quotient_model(m: FramedModel, step: SubobjectData) -> FramedModel:
@@ -338,7 +321,7 @@ def hn_filtration(m: FramedModel, sigma: Fraction) -> HNFiltration:
     piece is the ambient object; otherwise the first step is the maximal
     destabilizer and the construction recurses on the quotient model.
     """
-    sigma = _require_positive(sigma)
+    sigma = _require_sigma(sigma)
     steps: List[str] = []
     graded: List[Tuple[int, int, bool]] = []
     current = m
@@ -366,7 +349,7 @@ def sigma_upper_bound(m: FramedModel) -> Optional[Fraction]:
     The kernel is modelled by the fr = False subobject of maximal rank.
     """
     if not m.typ.framing_nonzero:
-        raise ValueError("the bound applies only to models with nonzero framing")
+        raise InvalidInput("type.framing_nonzero: the bound applies only to models with nonzero framing")
     kers = [s for s in m.subs if not s.fr]
     if not kers:
         return None
@@ -380,7 +363,7 @@ def final_chamber_stable(m: FramedModel) -> bool:
     """Stable for every sufficiently large sigma iff the framing is injective,
     i.e. no subobject sits inside its kernel."""
     if not m.typ.framing_nonzero:
-        raise ValueError("final-chamber stability applies only to nonzero framings")
+        raise InvalidInput("type.framing_nonzero: final-chamber stability applies only to nonzero framings")
     return all(s.fr for s in m.subs)
 
 
@@ -419,7 +402,7 @@ def sigma_max(m: FramedModel, use_phi: bool = False) -> Optional[Fraction]:
 
 def _oriented_split_holds(m: FramedModel, s: Fraction) -> bool:
     if m.split is None:
-        raise MissingSplitData("split-case evaluation needs a split descriptor on the model")
+        raise InvalidInput("split: split-case evaluation needs a split descriptor on the model")
     if not m.typ.framing_nonzero:
         return False
     k = m.sub(m.split.kmax_id)
@@ -429,7 +412,7 @@ def _oriented_split_holds(m: FramedModel, s: Fraction) -> bool:
 
 def oriented_split_case(m: FramedModel, pair: bool = False) -> bool:
     """Split alternative of oriented stability, checked through the declared
-    direct-sum descriptor; MissingSplitData when the model has none."""
+    direct-sum descriptor; InvalidInput when the model has none."""
     s = sigma_max(m, use_phi=pair)
     if s is None:
         return False
@@ -508,8 +491,8 @@ def verify_rank2_equivalences(m: FramedModel, sigma: Fraction) -> EquivalenceRep
     AxiomViolated reports the witnessing subobject when the closure fails.
     """
     if m.typ.rank != 2:
-        raise ValueError("equivalence verification is specific to rank 2")
-    sigma = _require_positive(sigma)
+        raise InvalidInput(f"type.rank: equivalence verification is specific to rank 2, got {m.typ.rank}")
+    sigma = _require_sigma(sigma)
     w = _closure_witness(m, sigma)
     if w is not None:
         raise AxiomViolated(f"subobject {w!r} breaks constraint closure at sigma={sigma}")
@@ -540,7 +523,7 @@ def rank2_threshold_holds(sub: SubobjectData, typ: FramedType, sigma: Fraction, 
     """Closed-form half-line on which a rank-2 subobject satisfies its
     inequality: sigma >= 2 deg F - d when fr, sigma <= d - 2 deg F when not."""
     d = typ.degree
-    s = Fraction(sigma)
+    s = _require_sigma(sigma)
     if sub.fr and typ.framing_nonzero:
         bound = 2 * sub.degree - d
         return s > bound if strict else s >= bound
@@ -612,21 +595,15 @@ def model_from_json_obj(obj) -> FramedModel:
 # ---------------------------------------------------------------------------
 
 
-def random_rank2_model(
-    rng: random.Random,
-    d_min: int = -9,
-    d_max: int = -1,
-    g_min: int = 2,
-    g_max: int = 3,
-) -> FramedModel:
+def random_rank2_model(rng: random.Random) -> FramedModel:
     """Random rank-2 model over a trivial-degree framing target.
 
     Kernel subobjects get degrees at least d (the image of the framing has
     nonpositive degree), degrees are distinct within each framing class,
     and occasional containments and split descriptors are thrown in.
     """
-    d = rng.randint(d_min, d_max)
-    g = rng.randint(g_min, g_max)
+    d = rng.randint(-9, -1)
+    g = rng.randint(2, 3)
     subs: List[SubobjectData] = []
     used = {True: set(), False: set()}
     split = None
@@ -664,18 +641,12 @@ def random_rank2_model(
     return FramedModel(ctx=CurveContext(g), typ=typ, subs=tuple(subs), split=split)
 
 
-def random_chain_model(
-    rng: random.Random,
-    d_min: int = -12,
-    d_max: int = -1,
-    g_min: int = 2,
-    g_max: int = 3,
-) -> FramedModel:
+def random_chain_model(rng: random.Random) -> FramedModel:
     """Random rank-3 or rank-4 model holding a containment chain, for
     exercising multi-step filtrations."""
     r = rng.choice([3, 4])
-    d = rng.randint(d_min, d_max)
-    g = rng.randint(g_min, g_max)
+    d = rng.randint(-12, -1)
+    g = rng.randint(2, 3)
     length = rng.randint(1, r - 1)
     ranks = sorted(rng.sample(range(1, r), length))
     cut = rng.randint(0, length)  # chain members below the cut sit in the kernel
@@ -710,7 +681,7 @@ def close_constraints(m: FramedModel, sigmas: Iterable[Fraction]) -> FramedModel
     and every maximal destabilizer at the given parameters (plus the
     canonical parameter) as phi-invariant."""
     need = {s.id for s in m.subs if not s.fr}
-    targets = [Fraction(s) for s in sigmas]
+    targets = [_require_sigma(s) for s in sigmas]
     s_star = sigma_max(m, use_phi=False)
     if s_star is not None and s_star >= 0:
         targets.append(s_star)
@@ -838,13 +809,9 @@ def _suite_rank2(res: SuiteResult, m: FramedModel, sigmas: Sequence[Fraction], t
         )
 
 
-def run_stability_suite(
-    seed: int,
-    n_models: int = 10000,
-    d_min: int = -9,
-    chain_models: int = 400,
-) -> SuiteResult:
-    """Seeded randomized property run over rank-2 and chain models.
+def run_stability_suite(seed: int, n_models: int = 10000) -> SuiteResult:
+    """Seeded randomized property run over n_models rank-2 models and 400
+    chain models.
 
     Covers filtration monotonicity, destabilizer maximality and tie
     containment, the kernel-degree bound, final-chamber stability, the
@@ -855,13 +822,13 @@ def run_stability_suite(
     res = SuiteResult()
 
     for n in range(n_models):
-        m = random_rank2_model(rng, d_min=d_min)
+        m = random_rank2_model(rng)
         cd = build_chambers(m.typ.degree, m.ctx.genus)
         sigmas = [Fraction(w) for w in cd.walls] + list(cd.representatives)
         _suite_rank2(res, m, sigmas, tag=f"rank2[{n}] d={m.typ.degree} g={m.ctx.genus}")
         res.models += 1
 
-    for n in range(chain_models):
+    for n in range(400):
         m = random_chain_model(rng)
         sigmas = [Fraction(1, 2), Fraction(1), Fraction(3), Fraction(-m.typ.degree) + 2]
         for sigma in sigmas:

@@ -11,8 +11,6 @@ from flipchain.betti import (
     CHAMBER_INVARIANTS,
     _macdonald_coeff,
     REPORT_INVARIANTS,
-    NegativeExponentSurvived,
-    PreconditionFailed,
     blowup_consistency,
     blowup_delta,
     build_betti_report,
@@ -28,7 +26,7 @@ from flipchain.betti import (
     u2d_from_bundle,
     u2d_poincare,
 )
-from flipchain.chambers import InvalidInput, OutOfRange, fm_index_range, moduli_dim
+from flipchain.chambers import InvalidInput, fm_index_range, moduli_dim
 from flipchain.exactpoly import LaurentPoly, lp_div_exact
 
 ONE_PLUS_T = LaurentPoly({0: 1, 1: 1})
@@ -73,7 +71,7 @@ def test_flip_difference_vanishes_when_ranks_match():
 
 
 def test_flip_difference_range():
-    with pytest.raises(OutOfRange):
+    with pytest.raises(InvalidInput, match="^j: "):
         flip_difference(1, -5, 2)
 
 
@@ -142,9 +140,9 @@ def test_closed_route_at_a_very_large_degree_needs_no_deep_recursion():
 
 
 def test_chamber_index_out_of_range():
-    with pytest.raises(OutOfRange):
+    with pytest.raises(InvalidInput, match="^i: "):
         fm_poincare_closed(1, -5, 2)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(InvalidInput, match="^i: "):
         fm_poincare_recursive(5, -5, 2)
 
 
@@ -188,9 +186,9 @@ def test_u2d_fiber_factor():
 
 
 def test_u2d_from_bundle_preconditions():
-    with pytest.raises(PreconditionFailed):
+    with pytest.raises(InvalidInput, match="^d: "):
         u2d_from_bundle(2, -4)  # even degree
-    with pytest.raises(PreconditionFailed):
+    with pytest.raises(InvalidInput, match="^d: "):
         u2d_from_bundle(3, -7)  # -d too small
 
 
@@ -211,7 +209,7 @@ def test_blowup_consistency_examples():
 
 
 def test_blowup_requires_terminal_flip():
-    with pytest.raises(PreconditionFailed):
+    with pytest.raises(InvalidInput, match="^d: "):
         blowup_consistency(-2, 2)
 
 

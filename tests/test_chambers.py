@@ -8,7 +8,6 @@ import pytest
 from flipchain import chambers
 from flipchain.chambers import (
     InvalidInput,
-    OutOfRange,
     build_chambers,
     chamber_of,
     eta,
@@ -49,9 +48,9 @@ def test_build_chambers_no_walls():
 
 
 def test_build_chambers_rejects_bad_input():
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match="^d: "):
         build_chambers(0, 2)
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match="^g: "):
         build_chambers(-5, 1)
 
 
@@ -72,7 +71,7 @@ def test_chamber_of():
     assert chamber_of(Fraction(6), cd).kind == "empty"
     assert chamber_of(Fraction(5), cd).index == 2  # right endpoint is included
     assert chamber_of(Fraction(7, 2), cd).index == 2
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match="^sigma: "):
         chamber_of(Fraction(0), cd)
 
 
@@ -95,9 +94,9 @@ def test_flip_locus_examples():
 
 
 def test_flip_locus_range():
-    with pytest.raises(OutOfRange):
+    with pytest.raises(InvalidInput, match="^i: "):
         flip_locus(4, -5, 2)  # the last chamber has no flip above it
-    with pytest.raises(OutOfRange):
+    with pytest.raises(InvalidInput, match="^i: "):
         flip_locus(1, -5, 2)
 
 

@@ -1,15 +1,21 @@
 """CLI surface: formats, exit codes, JSON round trips and determinism."""
 
+import importlib
+import inspect
 import io
 import json
 import os
+import pkgutil
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import flipchain
 from flipchain import betti, chambers, stability
 from flipchain.chambers import InvalidInput
-from flipchain.exactpoly import NotDivisible
+from flipchain.exactpoly import ConsistencyFailure, NotDivisible
 from flipchain.cli import (
     RunConfig,
     chambers_obj_to_data,
@@ -85,11 +91,17 @@ def test_betti_single_chamber_flag():
     assert [c["i"] for c in obj["chambers"]] == [3]
 
 
+def test_betti_chamber_outside_the_window_is_invalid_input():
+    status, text = capture(["betti", "--d", "-5", "--g", "2", "--chamber", "9"])
+    assert status == 2
+    assert text.startswith("error: invalid input: chamber: ")
+
+
 @pytest.mark.parametrize("argv", [["betti", "--d", "-5", "--g", "0"], ["betti", "--d", "-5", "--g", "-1"]])
 def test_betti_rejects_a_small_genus_as_invalid_input(argv):
     status, text = capture(argv)
     assert status == 2
-    assert text.startswith("error: invalid input: genus must be at least 2")
+    assert text.startswith("error: invalid input: g: genus must be at least 2")
 
 
 def test_stability_check_file(tmp_path):
@@ -159,6 +171,18 @@ def check_model_file(tmp_path, obj):
 _DROP = object()
 
 
+def _with_split(kmax_id, other_id):
+    """A doctoring of base_model() that adds a framed subobject C of degree
+    -1 and a split into kmax_id and other_id."""
+
+    def doctor(obj):
+        obj["subs"].append({"id": "C", "rank": 1, "degree": -1, "fr": True})
+        obj["split"] = {"kmax_id": kmax_id, "other_id": other_id}
+        return obj
+
+    return doctor
+
+
 def _doctor(path, value=_DROP):
     """A doctoring of base_model() that sets the field at path, a tuple of
     keys, to value, or drops it when no value is given."""
@@ -192,6 +216,12 @@ def _doctor(path, value=_DROP):
         (_doctor(("subs", 0, "weight"), 1), "subs[0].weight"),  # ... and inside
         (_doctor(("subs", 0, "fr")), "subs[0].fr"),  # required keys must be present
         (_doctor(("subs",), {}), "subs"),
+        # the domain rules name their field too
+        (_doctor(("subs", 0, "rank"), 2), "subs[0].rank"),  # rank not proper
+        (_doctor(("subs", 0, "parents"), ["M"]), "subs[0].parents"),  # unknown parent
+        (_doctor(("type", "degree"), 0), "type.degree"),  # chamber scans need d < 0
+        (_doctor(("genus",), 1), "genus"),
+        (_with_split("L", "C"), "split"),  # the summands do not add up to the type
     ],
 )
 def test_model_reader_rejects_with_the_field_path(tmp_path, doctor, field):
@@ -205,7 +235,7 @@ def test_model_with_a_duplicate_id_is_invalid_input(tmp_path):
     obj["subs"].append(dict(obj["subs"][0]))
     status, text = check_model_file(tmp_path, obj)
     assert status == 2
-    assert text.startswith("error: invalid input: duplicate subobject id 'L'")
+    assert text.startswith("error: invalid input: subs[1].id: duplicate subobject id 'L'")
 
 
 def test_stability_check_lets_internal_errors_propagate(tmp_path, monkeypatch):
@@ -269,6 +299,9 @@ def chambers_report_obj() -> dict:
         (chambers_obj_to_data, chambers_report_obj, _doctor(("d",), -9), "moduli_dim"),
         (chambers_obj_to_data, chambers_report_obj, _doctor(("walls",), [1, 3]), "walls"),
         (chambers_obj_to_data, chambers_report_obj, _doctor(("flip_loci", 0, "rank_minus"), 5), "flip_loci"),
+        # ... and (d, g) in the domain
+        (chambers_obj_to_data, chambers_report_obj, _doctor(("d",), 5), "d"),
+        (chambers_obj_to_data, chambers_report_obj, _doctor(("g",), 1), "g"),
     ],
 )
 def test_report_readers_reject_with_the_field_path(read, emitted, doctor, field):
@@ -318,3 +351,94 @@ def test_verify_all_counts_the_failures_it_does_not_print(monkeypatch):
     assert lines[0] == "grid: 60 cells checked, 60 failures"
     assert sum(line.startswith("FAIL ") for line in lines) == 50
     assert lines[-2:] == ["... and 10 more failures", "verify-all: FAIL"]
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [(["--grid", "1", "-5"], "grid"), (["--grid", "5", "3"], "grid"), (["--models", "-7"], "models")],
+)
+def test_verify_all_rejects_flags_that_check_nothing(flags, field):
+    status, text = capture(["verify-all"] + flags)
+    assert status == 2
+    assert text.startswith(f"error: invalid input: {field}: ")
+
+
+# -- the exit-code contract -----------------------------------------------------------
+
+#: An exit-2 line: the field path, then the reason.
+INVALID_LINE = re.compile(r"^error: invalid input: [a-z_]+(\[\d+\])?(\.[a-z_]+(\[\d+\])?)*: ")
+
+
+def test_every_exception_class_is_invalid_input_or_a_consistency_failure():
+    found = {}
+    for info in pkgutil.iter_modules(flipchain.__path__):
+        module = importlib.import_module(f"flipchain.{info.name}")
+        for name, obj in vars(module).items():
+            if inspect.isclass(obj) and issubclass(obj, BaseException) and obj.__module__ == module.__name__:
+                found[name] = obj
+    outside = {name for name, cls in found.items() if not issubclass(cls, (InvalidInput, ConsistencyFailure))}
+    assert outside == {"OrderExceeded"}  # the one internal error: a series read past its order
+
+
+_WRONG = st.sampled_from(["2", 1.5, None, True, [], {}])
+
+
+@st.composite
+def model_objs(draw):
+    """Model JSON with ranks 1-4, degrees -9..4, up to four subobjects,
+    random flags, parents and split, and now and then a value of the wrong
+    type or a repeated id."""
+
+    def value(strategy):
+        return draw(_WRONG) if draw(st.integers(0, 29)) == 13 else draw(strategy)
+
+    typ = {
+        "rank": value(st.sampled_from([2, 3, 4, 1])),
+        "degree": value(st.integers(-9, 4)),
+        "framing_nonzero": value(st.booleans()),
+        "delta_iso": value(st.booleans()),
+    }
+    proper = max(typ["rank"], 2) - 1 if type(typ["rank"]) is int else 1  # the top proper rank, mostly drawn below
+    ids = [f"S{k}" for k in range(draw(st.integers(0, 4)))]
+    names = st.sampled_from(ids + ["Z"])
+    subs = [
+        {
+            "id": value(names if draw(st.integers(0, 19)) == 7 else st.just(sid)),
+            "rank": value(st.integers(1, proper) if draw(st.integers(0, 9)) != 3 else st.integers(proper + 1, 4)),
+            "degree": value(st.integers(-9, 4)),
+            "fr": value(st.booleans()),
+            "phi_invariant": value(st.booleans()),
+            "parents": value(st.just([]) | st.lists(names, max_size=2)),
+        }
+        for sid in ids
+    ]
+    obj = {"genus": value(st.sampled_from([2, 3, 2, 3, 1])), "frame_degree": value(st.integers(-2, 2)),
+           "type": typ, "subs": subs}
+    if draw(st.booleans()):
+        obj["split"] = value(st.fixed_dictionaries({"kmax_id": names, "other_id": names}))
+    return obj
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(obj=model_objs())
+def test_model_files_exit_0_or_2_naming_the_field(tmp_path_factory, obj):
+    status, text = check_model_file(tmp_path_factory.getbasetemp(), obj)
+    assert status in (0, 2), text
+    if status == 2:
+        assert INVALID_LINE.match(text), text
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(command=st.sampled_from(["chambers", "betti"]), d=st.integers(-12, 3), g=st.integers(-1, 5),
+       chamber=st.none() | st.integers(-2, 14))
+def test_arguments_exit_0_or_2_naming_the_field(command, d, g, chamber):
+    argv = [command, "--d", str(d), "--g", str(g)]
+    if command == "betti" and chamber is not None:
+        argv += ["--chamber", str(chamber)]
+    status, text = capture(argv)
+    bad = "d" if d >= 0 else "g" if g < 2 else None
+    if bad is None and "--chamber" in argv and not (-d) // 2 <= chamber <= -d - 1:
+        bad = "chamber"
+    assert status == (2 if bad else 0), text
+    if bad:
+        assert text.startswith(f"error: invalid input: {bad}: ") and INVALID_LINE.match(text)

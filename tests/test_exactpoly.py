@@ -1,5 +1,7 @@
 """Ring arithmetic, exact division, kernels and coefficient extraction."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,6 +45,12 @@ def test_zero_normalization_and_predicates():
     assert poly({-1: 2}).is_polynomial() is False
     assert poly({0: 1, 5: 3}).is_polynomial() is True
     assert LaurentPoly.zero().is_polynomial() is True
+
+
+def test_non_integer_terms_are_rejected_not_truncated():
+    for terms in ({0.5: 1.9, 2: 3.7}, {2: 3.7}, {0: "1"}, {1: 0.0}, {True: 1}, {0: Fraction(2)}):
+        with pytest.raises(TypeError, match="must be integers"):
+            LaurentPoly(terms)
 
 
 def test_degree_valuation_palindromic():

@@ -6,14 +6,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from flipchain.chambers import InvalidInput
+from flipchain.chambers import InvalidInput, build_chambers, chamber_of
 from flipchain.stability import (
     AmbiguousModel,
     AxiomViolated,
     CurveContext,
     FramedModel,
     FramedType,
-    MissingSplitData,
     SplitDescriptor,
     SubobjectData,
     close_constraints,
@@ -29,7 +28,6 @@ from flipchain.stability import (
     model_from_json_obj,
     model_to_json_obj,
     oriented_split_case,
-    random_chain_model,
     random_rank2_model,
     rank2_threshold_holds,
     reduced_framed_slope,
@@ -78,8 +76,23 @@ def test_empty_model_is_stable_everywhere():
 
 def test_sigma_must_be_positive():
     m = rank2(-5, [])
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput, match="^sigma: "):
         is_fm_semistable(m, F(0))
+
+
+def test_sigma_is_an_int_or_a_fraction_and_is_never_converted():
+    m = rank2(-5, [sub("L", 1, -3, fr=False)])  # a wall at sigma = 1
+    assert is_fm_semistable(m, 1) and is_fm_semistable(m, F(1))
+    for bad in (1.0000000000000002, 1.0, "1", True, None):
+        for check in (
+            lambda s: is_fm_semistable(m, s),
+            lambda s: hn_filtration(m, s),
+            lambda s: close_constraints(m, [s]),
+            lambda s: rank2_threshold_holds(m.subs[0], m.typ, s),
+            lambda s: chamber_of(s, build_chambers(-5, 2)),
+        ):
+            with pytest.raises(InvalidInput, match="^sigma: expected an int or a Fraction"):
+                check(bad)
 
 
 def test_pair_quantifier_restriction():
@@ -271,7 +284,7 @@ def test_oriented_equality_needs_split():
     assert is_oriented_semistable(plain) and not is_oriented_stable(plain)
     split = rank2(-5, [k, c], delta_iso=True, split=SplitDescriptor("K", "C"))
     assert is_oriented_stable(split)
-    with pytest.raises(MissingSplitData):
+    with pytest.raises(InvalidInput, match="^split: "):
         oriented_split_case(plain)
     assert oriented_split_case(split)
 
@@ -429,33 +442,28 @@ def test_integer_verdicts_match_the_fraction_oracle():
 
 
 def test_validation_rejects_bad_models():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput, match=r"^subs\[1\]\.id: "):
         rank2(-5, [sub("a", 1, 0, fr=True), sub("a", 1, 1, fr=True)])  # duplicate id
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput, match=r"^subs\[0\]\.rank: "):
         rank2(-5, [sub("a", 2, 0, fr=True)])  # rank not proper
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput, match=r"^subs\[0\]\.fr: "):
         rank2(-5, [sub("a", 1, 0, fr=True)], framing=False)  # fr without framing
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput, match=r"^subs\[0\]\.parents: "):
         rank2(-5, [sub("a", 1, 0, fr=True, parents={"missing"})])
-    with pytest.raises(ValueError):  # fr=True inside a kernel subobject
+    with pytest.raises(InvalidInput, match=r"^subs\[0\]\.fr: "):  # fr=True inside a kernel subobject
         FramedModel(
             CTX,
             FramedType(3, -6, True),
             (sub("in", 1, -3, fr=True, parents={"out"}), sub("out", 2, -4, fr=False)),
         )
-    with pytest.raises(ValueError):  # containment cycle
+    with pytest.raises(InvalidInput, match=r"^subs\[0\]\.parents: "):  # containment cycle
         rank2(-5, [sub("a", 1, 0, fr=True, parents={"b"}), sub("b", 1, 0, fr=True, parents={"a"})])
-    with pytest.raises(ValueError):  # split summands must add up
+    with pytest.raises(InvalidInput, match="^split: "):  # split summands must add up
         rank2(
             -5,
             [sub("K", 1, -3, fr=False), sub("C", 1, -1, fr=True)],
             split=SplitDescriptor("K", "C"),
         )
-
-
-def test_chain_model_draw_with_genus_below_two_is_rejected():
-    with pytest.raises(InvalidInput):
-        random_chain_model(random.Random(0), g_min=1, g_max=1)
 
 
 def test_model_json_round_trip():
@@ -472,7 +480,7 @@ def test_model_json_round_trip():
 
 
 def test_suite_small_run_clean():
-    res = run_stability_suite(seed=123, n_models=300, chain_models=50)
+    res = run_stability_suite(seed=123, n_models=300)
     assert res.ok, res.failures[:5]
     assert res.models >= 350
     assert res.checks > 5000
