@@ -5,11 +5,8 @@ from .exactpoly import (
     LaurentPoly,
     ConsistencyFailure,
     NotDivisible,
-    OrderExceeded,
     TruncatedBiSeries,
-    geom_kernel,
     lp_div_exact,
-    one_plus_xt_power,
 )
 from .chambers import (
     Chamber,

@@ -19,14 +19,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from .chambers import _REQUIRED, InvalidInput, _checked, _fields, fm_index_range, moduli_dim
 from .chambers import _chamber_index_range, _require_genus
-from .exactpoly import (
-    ConsistencyFailure,
-    LaurentPoly,
-    NotDivisible,
-    geom_kernel,
-    lp_div_exact,
-    one_plus_xt_power,
-)
+from .exactpoly import ConsistencyFailure, LaurentPoly, NotDivisible, lp_div_exact
 
 _T = LaurentPoly.monomial
 _ONE_MINUS_T2 = LaurentPoly({0: 1, 2: -1})
@@ -46,40 +39,43 @@ def proj_space_poincare(n: int) -> LaurentPoly:
 
 @lru_cache(maxsize=None)
 def sym_product_poincare(n: int, g: int) -> LaurentPoly:
-    """Poincare polynomial of the n-th symmetric product of a genus-g curve.
-
-    Extracted as the x^n coefficient of (1+xt)^(2g) / ((1-x)(1-x t^2)),
-    with the series truncated exactly at order n.
-    """
+    """Poincare polynomial of the n-th symmetric product of a genus-g curve,
+    by Macdonald's explicit sum over k <= min(n, 2g) of C(2g, k) t^k times
+    the Poincare polynomial of projective (n - k)-space (Macdonald,
+    "Symmetric products of an algebraic curve", Topology 1, 1962)."""
     if min(n, g) < 0:
         raise InvalidInput(f"{'n' if n < 0 else 'g'}: must be nonnegative, got n={n}, g={g}")
-    series = one_plus_xt_power(2 * g, n) * geom_kernel(n, k=0) * geom_kernel(n, k=2)
-    return series.coeff_x(n)
+    terms = (_T(k, comb(2 * g, k)) * proj_space_poincare(n - k) for k in range(min(n, 2 * g) + 1))
+    return sum(terms, LaurentPoly.zero())
 
 
 @lru_cache(maxsize=None)
 def flip_difference(j: int, d: int, g: int) -> LaurentPoly:
     """Betti change across the wall above chamber j, by two routes.
 
-    Formula route: (t^(2d+2g+4j+2) - t^(-2d-2j-2)) / (1-t^2) times
-    (1+t)^(2g) times the symmetric-product polynomial.  Bundle route:
-    difference of the Poincare polynomials of the two projectivized flip
-    loci over Pic x Sym.  A mismatch raises NotDivisible.
+    Both routes are a fiber factor times the shared factor (1+t)^(2g) times
+    the symmetric-product polynomial.  Formula route's fiber factor:
+    (t^(2d+2g+4j+2) - t^(-2d-2j-2)) / (1-t^2).  Bundle route's: difference
+    of the Poincare polynomials of the projective fibers of the two flip
+    loci over Pic x Sym.  The fiber factors are compared before the shared
+    factor is multiplied in, once: Z[t, 1/t] has no zero divisors and the
+    shared factor is nonzero, so the products agree exactly when the fiber
+    factors do.  A mismatch raises NotDivisible.
     """
+    _require_genus(g)
     _chamber_index_range(j, d, "j")
-    sym = sym_product_poincare(-d - j - 1, g)
-    even_factor = _one_plus_t_pow(2 * g) * sym
-    num = _T(2 * d + 2 * g + 4 * j + 2) - _T(-2 * d - 2 * j - 2)
-    formula = lp_div_exact(num, _ONE_MINUS_T2) * even_factor
     rank_plus = -d - j - 1
     rank_minus = d + g + 2 * j + 1
-    bundle = (proj_space_poincare(rank_plus - 1) - proj_space_poincare(rank_minus - 1)) * even_factor
+    even_factor = _one_plus_t_pow(2 * g) * sym_product_poincare(rank_plus, g)
+    num = _T(2 * d + 2 * g + 4 * j + 2) - _T(-2 * d - 2 * j - 2)
+    formula = lp_div_exact(num, _ONE_MINUS_T2)
+    bundle = proj_space_poincare(rank_plus - 1) - proj_space_poincare(rank_minus - 1)
     if formula != bundle:
         raise NotDivisible(
             f"flip difference routes disagree at j={j}, d={d}, g={g}: "
-            f"formula={formula}, bundle={bundle}"
+            f"formula={formula * even_factor}, bundle={bundle * even_factor}"
         )
-    return formula
+    return formula * even_factor
 
 
 @lru_cache(maxsize=None)
@@ -93,13 +89,16 @@ def terminal_poincare(d: int, g: int) -> LaurentPoly:
 
 @lru_cache(maxsize=None)
 def fm_poincare_recursive(i: int, d: int, g: int) -> LaurentPoly:
-    """Chamber polynomial as the signed telescoping sum of flip differences;
-    the top term reproduces the terminal chamber with its sign."""
+    """Chamber polynomial as the signed telescoping sum of flip differences,
+    the chamber above minus the flip difference at i; the top term
+    reproduces the terminal chamber with its sign.  The chambers above i are
+    filled from the top down first, so no call recurses more than one level."""
+    _require_genus(g)
     _, hi = _chamber_index_range(i, d)
-    total = LaurentPoly.zero()
-    for j in range(i, hi + 1):
-        total = total + flip_difference(j, d, g)
-    result = -total
+    for k in range(hi, i, -1):
+        fm_poincare_recursive(k, d, g)
+    above = fm_poincare_recursive(i + 1, d, g) if i < hi else LaurentPoly.zero()
+    result = above - flip_difference(i, d, g)
     if not result.is_polynomial():
         raise ConsistencyFailure(f"negative exponent in the recursive route at (i={i}, d={d}, g={g}): {result}")
     return result
@@ -126,6 +125,7 @@ def fm_poincare_closed(i: int, d: int, g: int) -> LaurentPoly:
     Both kernels are geometric series of monomials, so that coefficient is
     the sum over m of (t^(2d+2g+4i+2+4m) - t^(-2d-2i-2-2m)) f_(n-m).
     """
+    _require_genus(g)
     _chamber_index_range(i, d)
     n = -d - i - 1
     f = [_macdonald_coeff(k, g) for k in range(n + 1)]  # bottom-up, so no deep recursion

@@ -4,14 +4,15 @@ A Laurent polynomial in t is stored sparsely as a map from integer
 exponents (negative allowed) to nonzero arbitrary-precision integer
 coefficients.  A truncated bivariate series is a power series in a second
 variable x, cut off inclusively at a fixed order, whose coefficients are
-Laurent polynomials in t.  Values are immutable, operations are pure, and
-nothing here ever touches floating point.
+Laurent polynomials in t; neither Betti route uses it, and it stays as the
+tests' reference for Macdonald's generating function.  Values are
+immutable, operations are pure, and nothing here ever touches floating
+point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple, Union
 
 
@@ -22,10 +23,6 @@ class ConsistencyFailure(ArithmeticError):
 
 class NotDivisible(ConsistencyFailure):
     """No exact quotient exists; a formula was transcribed wrongly."""
-
-
-class OrderExceeded(ValueError):
-    """A series coefficient beyond the truncation order was requested."""
 
 
 TermsLike = Union[Mapping[int, int], Iterable[Tuple[int, int]]]
@@ -288,7 +285,7 @@ class TruncatedBiSeries:
         if n < 0:
             raise ValueError("coefficient index must be nonnegative")
         if n > self._order:
-            raise OrderExceeded(f"coefficient of x^{n} beyond truncation order {self._order}")
+            raise ValueError(f"coefficient of x^{n} beyond truncation order {self._order}")
         return self._coeffs[n]
 
     def __eq__(self, other) -> bool:
@@ -329,18 +326,3 @@ class TruncatedBiSeries:
     def __repr__(self) -> str:
         inner = ", ".join(str(c) for c in self._coeffs)
         return f"TruncatedBiSeries(order={self._order}, [{inner}])"
-
-
-def geom_kernel(order: int, k: int = 0) -> TruncatedBiSeries:
-    """1/(1 - x*t^k) = sum_n x^n t^(k*n), truncated at order."""
-    if order < 0:
-        raise ValueError("truncation order must be nonnegative")
-    return TruncatedBiSeries([LaurentPoly.monomial(k * n) for n in range(order + 1)], order)
-
-
-def one_plus_xt_power(m: int, order: int) -> TruncatedBiSeries:
-    """(1 + x*t)^m truncated in x; the x^n coefficient is binom(m, n) t^n."""
-    if m < 0:
-        raise ValueError("exponent must be nonnegative")
-    coeffs = [LaurentPoly.monomial(n, comb(m, n)) for n in range(min(m, order) + 1)]
-    return TruncatedBiSeries(coeffs, order)

@@ -133,6 +133,8 @@ class FramedModel:
         object.__setattr__(self, "ancestors", anc)
         object.__setattr__(self, "_rank_lcm", math.lcm(self.typ.rank, *(s.rank for s in self.subs)))
         if self.split is not None:
+            if self.split.kmax_id == self.split.other_id:
+                raise InvalidInput(f"split: kmax_id and other_id both name {self.split.kmax_id!r}; the summands must differ")
             k, o = by_id.get(self.split.kmax_id), by_id.get(self.split.other_id)
             if k is None or k.fr:
                 raise InvalidInput(f"split.kmax_id: {self.split.kmax_id!r} is not a subobject with fr=False")
@@ -334,7 +336,12 @@ def hn_filtration(m: FramedModel, sigma: Fraction) -> HNFiltration:
         assert step is not None  # unstable models always expose one
         steps.append(step.id)
         graded.append((step.rank, step.degree, step.fr))
-        current = _quotient_model(current, step)
+        try:
+            current = _quotient_model(current, step)
+        except InvalidInput as exc:  # the quotient of a valid model is valid, so this is an internal bug
+            raise ConsistencyFailure(
+                f"HN quotient model is invalid at step {len(steps) - 1} (id {step.id!r}, sigma={sigma}): {exc}"
+            ) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Poincare polynomial routes: symmetric products, flip differences,
 telescoping vs closed-form extraction, bundle moduli and blow-up identity."""
 
+import inspect
 import json
+import sys
 from dataclasses import replace
 from math import comb
 
@@ -27,7 +29,7 @@ from flipchain.betti import (
     u2d_poincare,
 )
 from flipchain.chambers import InvalidInput, fm_index_range, moduli_dim
-from flipchain.exactpoly import LaurentPoly, lp_div_exact
+from flipchain.exactpoly import LaurentPoly, TruncatedBiSeries, lp_div_exact
 
 ONE_PLUS_T = LaurentPoly({0: 1, 1: 1})
 
@@ -120,15 +122,22 @@ def test_two_routes_agree_at_large_degree():
                 assert fm_poincare_recursive(i, d, g) == fm_poincare_closed(i, d, g), (i, d, g)
 
 
-def test_macdonald_recurrence_matches_the_explicit_sum():
-    # f_k = sum_j C(2g, j) t^j (1 + t^2 + ... + t^(2(k-j))), Macdonald 1962
+def macdonald_series(g, order):
+    """(1+xt)^(2g) * 1/(1-x) * 1/(1-x t^2) truncated at order: Macdonald's
+    generating function for the symmetric products, the definition both
+    routes' formulas come from."""
+    binomial = TruncatedBiSeries([LaurentPoly.monomial(k, comb(2 * g, k)) for k in range(order + 1)], order)
+    product = binomial
+    for step in (0, 2):
+        product = product * TruncatedBiSeries([LaurentPoly.monomial(step * n) for n in range(order + 1)], order)
+    return product
+
+
+def test_explicit_sum_and_recurrence_match_the_generating_function():
     for g in range(7):
+        series = macdonald_series(g, 15)
         for k in range(16):
-            explicit = sum(
-                (LaurentPoly.monomial(j, comb(2 * g, j)) * proj_space_poincare(k - j) for j in range(min(k, 2 * g) + 1)),
-                LaurentPoly.zero(),
-            )
-            assert _macdonald_coeff(k, g) == explicit == sym_product_poincare(k, g), (k, g)
+            assert _macdonald_coeff(k, g) == sym_product_poincare(k, g) == series.coeff_x(k), (k, g)
 
 
 def test_closed_route_at_a_very_large_degree_needs_no_deep_recursion():
@@ -137,6 +146,25 @@ def test_closed_route_at_a_very_large_degree_needs_no_deep_recursion():
     p = fm_poincare_closed(1100, -2200, 2)
     assert p.degree() == 2 * moduli_dim(-2200, 2)
     assert p.coeff(0) == 1
+
+
+def test_recursive_route_at_a_large_degree_needs_no_deep_recursion():
+    for cached in (fm_poincare_recursive, flip_difference, sym_product_poincare):
+        cached.cache_clear()
+    lo, _ = fm_index_range(-300)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        p = fm_poincare_recursive(lo, -300, 2)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert p == fm_poincare_closed(lo, -300, 2)
+
+
+@pytest.mark.parametrize("route", [fm_poincare_closed, fm_poincare_recursive, flip_difference])
+def test_routes_reject_a_genus_below_two(route):
+    with pytest.raises(InvalidInput, match="^g: genus must be at least 2, got 1$"):
+        route(3, -5, 1)
 
 
 def test_chamber_index_out_of_range():

@@ -7,6 +7,7 @@ import json
 import os
 import pkgutil
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -183,6 +184,16 @@ def _with_split(kmax_id, other_id):
     return doctor
 
 
+def _self_split(obj):
+    """A rank-4 model with zero framing whose one subobject S, of half the
+    rank and half the degree, passes every summand rule on its own, split
+    into S and S."""
+    obj["type"].update(rank=4, degree=-6, framing_nonzero=False)
+    obj["subs"] = [{"id": "S", "rank": 2, "degree": -3, "fr": False}]
+    obj["split"] = {"kmax_id": "S", "other_id": "S"}
+    return obj
+
+
 def _doctor(path, value=_DROP):
     """A doctoring of base_model() that sets the field at path, a tuple of
     keys, to value, or drops it when no value is given."""
@@ -222,6 +233,7 @@ def _doctor(path, value=_DROP):
         (_doctor(("type", "degree"), 0), "type.degree"),  # chamber scans need d < 0
         (_doctor(("genus",), 1), "genus"),
         (_with_split("L", "C"), "split"),  # the summands do not add up to the type
+        (_self_split, "split"),  # one subobject cannot be both summands
     ],
 )
 def test_model_reader_rejects_with_the_field_path(tmp_path, doctor, field):
@@ -245,6 +257,25 @@ def test_stability_check_lets_internal_errors_propagate(tmp_path, monkeypatch):
     monkeypatch.setattr(stability, "hn_filtration", hn_filtration)
     with pytest.raises(ValueError, match="internal bug"):
         check_model_file(tmp_path, base_model())
+
+
+def test_an_invalid_hn_quotient_is_a_consistency_failure(tmp_path, monkeypatch):
+    # A destabilizes at every sigma, and the quotient by it keeps the framed B
+    real = stability._quotient_model
+
+    def wrong_framing_flag(m, step):
+        q = real(m, step)
+        typ = replace(q.typ, framing_nonzero=m.typ.framing_nonzero and step.fr)
+        return stability.FramedModel(q.ctx, typ, q.subs)
+
+    monkeypatch.setattr(stability, "_quotient_model", wrong_framing_flag)
+    obj = base_model()
+    obj["type"].update(rank=3, degree=-5)
+    obj["subs"] = [{"id": "A", "rank": 1, "degree": -1, "fr": False, "parents": ["B"]},
+                   {"id": "B", "rank": 2, "degree": -3, "fr": True}]
+    status, text = check_model_file(tmp_path, obj)
+    assert status == 1
+    assert text.startswith("error: consistency failure: HN quotient model is invalid at step 0 (id 'A', sigma=")
 
 
 def test_model_reader_ignores_the_retired_epsilon_flag(tmp_path):
@@ -377,7 +408,7 @@ def test_every_exception_class_is_invalid_input_or_a_consistency_failure():
             if inspect.isclass(obj) and issubclass(obj, BaseException) and obj.__module__ == module.__name__:
                 found[name] = obj
     outside = {name for name, cls in found.items() if not issubclass(cls, (InvalidInput, ConsistencyFailure))}
-    assert outside == {"OrderExceeded"}  # the one internal error: a series read past its order
+    assert outside == set()
 
 
 _WRONG = st.sampled_from(["2", 1.5, None, True, [], {}])

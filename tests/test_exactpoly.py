@@ -6,15 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flipchain.exactpoly import (
-    LaurentPoly,
-    NotDivisible,
-    OrderExceeded,
-    TruncatedBiSeries,
-    geom_kernel,
-    lp_div_exact,
-    one_plus_xt_power,
-)
+from flipchain.exactpoly import LaurentPoly, NotDivisible, TruncatedBiSeries, lp_div_exact
 
 ONE = LaurentPoly.one()
 T = LaurentPoly.monomial(1)
@@ -114,15 +106,14 @@ def test_laurent_division_with_shifts():
 # -- geometric kernels and series --------------------------------------------
 
 
-def test_geom_kernel_xt4():
-    k = geom_kernel(3, k=4)
-    assert k.coeff_x(2) == LaurentPoly.monomial(8)
-    assert k.coeff_x(0) == ONE
+def kernel(order, k=0):
+    """1/(1 - x t^k) = sum_n x^n t^(k n), truncated at order."""
+    return TruncatedBiSeries([LaurentPoly.monomial(k * n) for n in range(order + 1)], order)
 
 
 def test_kernels_invert_their_denominators():
     n = 6
-    k4 = geom_kernel(n, k=4)
+    k4 = kernel(n, k=4)
     den4 = TruncatedBiSeries([ONE, -LaurentPoly.monomial(4)], n)
     assert k4 * den4 == TruncatedBiSeries([ONE], n)
 
@@ -134,34 +125,24 @@ def test_coeff_x_binomial():
 
 def test_coeff_x_double_geometric():
     # 1/((1-x)(1-x t^2)) convolves two geometric series
-    s = geom_kernel(2, k=0) * geom_kernel(2, k=2)
+    s = kernel(2, k=0) * kernel(2, k=2)
     assert s.coeff_x(2) == poly({0: 1, 2: 1, 4: 1})
 
 
 def test_constant_term_of_kernel_products():
-    s = (
-        geom_kernel(4, k=0)
-        * geom_kernel(4, k=2)
-        * geom_kernel(4, k=4)
-    )
+    s = kernel(4, k=0) * kernel(4, k=2) * kernel(4, k=4)
     assert s.coeff_x(0) == ONE
 
 
 def test_order_exceeded():
-    s = geom_kernel(3, k=2)
-    with pytest.raises(OrderExceeded):
+    s = kernel(3, k=2)
+    with pytest.raises(ValueError, match="beyond truncation order"):
         s.coeff_x(4)
 
 
 def test_order_mismatch_rejected():
     with pytest.raises(ValueError):
-        geom_kernel(3) * geom_kernel(4)
-
-
-def test_one_plus_xt_power():
-    s = one_plus_xt_power(4, 6)
-    assert s.coeff_x(2) == poly({2: 6})
-    assert s.coeff_x(5) == LaurentPoly.zero()
+        kernel(3) * kernel(4)
 
 
 # -- serialization -----------------------------------------------------------
@@ -217,6 +198,6 @@ def test_series_product_is_coefficient_convolution(f, g):
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(st.integers(0, 6), st.integers(0, 8))
 def test_geometric_kernel_identity(k, n):
-    kern = geom_kernel(n, k=k)
+    kern = kernel(n, k=k)
     den = TruncatedBiSeries([ONE, -LaurentPoly.monomial(k)], n)
     assert kern * den == TruncatedBiSeries([ONE], n)
