@@ -11,11 +11,12 @@ series inversions.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from .chambers import _REQUIRED, InvalidInput, _checked, _fields, fm_index_range, moduli_dim
 from .chambers import _chamber_index_range, _require_genus
@@ -27,7 +28,7 @@ _ONE_PLUS_T2 = LaurentPoly({0: 1, 2: 1})
 
 
 def _one_plus_t_pow(n: int) -> LaurentPoly:
-    return LaurentPoly({0: 1, 1: 1}) ** n
+    return LaurentPoly({k: comb(n, k) for k in range(n + 1)})
 
 
 def proj_space_poincare(n: int) -> LaurentPoly:
@@ -49,7 +50,6 @@ def sym_product_poincare(n: int, g: int) -> LaurentPoly:
     return sum(terms, LaurentPoly.zero())
 
 
-@lru_cache(maxsize=None)
 def flip_difference(j: int, d: int, g: int) -> LaurentPoly:
     """Betti change across the wall above chamber j, by two routes.
 
@@ -78,7 +78,6 @@ def flip_difference(j: int, d: int, g: int) -> LaurentPoly:
     return formula * even_factor
 
 
-@lru_cache(maxsize=None)
 def terminal_poincare(d: int, g: int) -> LaurentPoly:
     """Last chamber: a projective bundle of fiber dimension -d + g - 2 over
     the g-dimensional torus, so (1+t)^(2g) (1 - t^(-2d+2g-2)) / (1 - t^2)."""
@@ -87,21 +86,24 @@ def terminal_poincare(d: int, g: int) -> LaurentPoly:
     return _one_plus_t_pow(2 * g) * lp_div_exact(num, _ONE_MINUS_T2)
 
 
-@lru_cache(maxsize=None)
-def fm_poincare_recursive(i: int, d: int, g: int) -> LaurentPoly:
-    """Chamber polynomial as the signed telescoping sum of flip differences,
-    the chamber above minus the flip difference at i; the top term
-    reproduces the terminal chamber with its sign.  The chambers above i are
-    filled from the top down first, so no call recurses more than one level."""
+def _recursive_chain(i: int, d: int, g: int) -> Dict[int, LaurentPoly]:
+    """Chamber polynomials for k from the top chamber hi = -d-1 down to i,
+    each the chamber above minus the flip difference at k: one top-down pass
+    of the telescoping sum, whose top term reproduces the terminal chamber
+    with its sign."""
     _require_genus(g)
     _, hi = _chamber_index_range(i, d)
-    for k in range(hi, i, -1):
-        fm_poincare_recursive(k, d, g)
-    above = fm_poincare_recursive(i + 1, d, g) if i < hi else LaurentPoly.zero()
-    result = above - flip_difference(i, d, g)
-    if not result.is_polynomial():
-        raise ConsistencyFailure(f"negative exponent in the recursive route at (i={i}, d={d}, g={g}): {result}")
-    return result
+    chain, above = {}, LaurentPoly.zero()
+    for k in range(hi, i - 1, -1):
+        above = chain[k] = above - flip_difference(k, d, g)
+        if not above.is_polynomial():
+            raise ConsistencyFailure(f"negative exponent in the recursive route at (i={k}, d={d}, g={g}): {above}")
+    return chain
+
+
+def fm_poincare_recursive(i: int, d: int, g: int) -> LaurentPoly:
+    """Chamber polynomial as the signed telescoping sum of flip differences."""
+    return _recursive_chain(i, d, g)[i]
 
 
 @lru_cache(maxsize=None)
@@ -116,7 +118,6 @@ def _macdonald_coeff(k: int, g: int) -> LaurentPoly:
     return _T(k, comb(2 * g, k)) + _ONE_PLUS_T2 * _macdonald_coeff(k - 1, g) - _T(2) * _macdonald_coeff(k - 2, g)
 
 
-@lru_cache(maxsize=None)
 def fm_poincare_closed(i: int, d: int, g: int) -> LaurentPoly:
     """Chamber polynomial by closed-form coefficient extraction.
 
@@ -181,16 +182,20 @@ def mcon_poincare(g: int) -> LaurentPoly:
     return result
 
 
-def blowup_delta(d: int, g: int) -> LaurentPoly:
+def _blowup_delta(next_to_last: LaurentPoly, terminal: LaurentPoly, d: int, g: int) -> LaurentPoly:
     """Difference between the next-to-last chamber polynomial and the blow-up
     prediction: terminal + (Pic x curve) * (proj space of the codimension
     minus one, less a point).  Zero when the identity holds."""
-    if d > -3:
-        raise InvalidInput(f"d: the terminal flip needs d <= -3, got {d}")
     c = -d + g - 3
     center = _one_plus_t_pow(2 * g) * LaurentPoly({0: 1, 1: 2 * g, 2: 1})
-    predicted = terminal_poincare(d, g) + center * (proj_space_poincare(c - 1) - LaurentPoly.one())
-    return fm_poincare_recursive(-d - 2, d, g) - predicted
+    return next_to_last - terminal - center * (proj_space_poincare(c - 1) - LaurentPoly.one())
+
+
+def blowup_delta(d: int, g: int) -> LaurentPoly:
+    """The blow-up identity's difference at (d, g), zero when it holds; d <= -3."""
+    if d > -3:
+        raise InvalidInput(f"d: the terminal flip needs d <= -3, got {d}")
+    return _blowup_delta(fm_poincare_recursive(-d - 2, d, g), terminal_poincare(d, g), d, g)
 
 
 def blowup_consistency(d: int, g: int) -> bool:
@@ -283,7 +288,15 @@ CHAMBER_INVARIANTS = (
 REPORT_INVARIANTS = (
     ("bundle route", lambda r: r.u2d.agree is not False),
     ("terminal blow-up identity", lambda r: r.blowup_check is not False),
+    ("terminal chamber", lambda r: all(ch.p_recursive == r.terminal for ch in r.chambers if ch.i == -r.d - 1)),
 )
+
+
+def _chamber_betti(i: int, p_rec: LaurentPoly, p_clo: LaurentPoly) -> ChamberBetti:
+    """A chamber's record, every flag read off its two polynomials."""
+    return ChamberBetti(i=i, p_recursive=p_rec, p_closed=p_clo, agree=p_rec == p_clo, degree=p_rec.degree(),
+                        palindromic=p_rec.is_palindromic(), nonneg=p_rec.has_nonneg_coeffs(),
+                        constant_term=p_rec.coeff(0))
 
 
 def build_betti_report(d: int, g: int, only_chamber: Optional[int] = None) -> BettiReport:
@@ -292,22 +305,9 @@ def build_betti_report(d: int, g: int, only_chamber: Optional[int] = None) -> Be
     if only_chamber is not None:
         _chamber_index_range(only_chamber, d, "chamber")
         lo = hi = only_chamber
-    chambers: List[ChamberBetti] = []
-    for i in range(lo, hi + 1):
-        p_rec = fm_poincare_recursive(i, d, g)
-        p_clo = fm_poincare_closed(i, d, g)
-        chambers.append(
-            ChamberBetti(
-                i=i,
-                p_recursive=p_rec,
-                p_closed=p_clo,
-                agree=p_rec == p_clo,
-                degree=p_rec.degree(),
-                palindromic=p_rec.is_palindromic(),
-                nonneg=p_rec.has_nonneg_coeffs(),
-                constant_term=p_rec.coeff(0),
-            )
-        )
+    terminal = terminal_poincare(d, g)
+    chain = _recursive_chain(min(lo, -d - 2) if d <= -3 else lo, d, g)  # the blow-up check reads -d-2
+    chambers = tuple(_chamber_betti(i, chain[i], fm_poincare_closed(i, d, g)) for i in range(lo, hi + 1))
     via = None
     agree = None
     if d % 2 != 0 and -d > 4 * g - 4:
@@ -317,11 +317,11 @@ def build_betti_report(d: int, g: int, only_chamber: Optional[int] = None) -> Be
         d=d,
         g=g,
         moduli_dim=dim,
-        chambers=tuple(chambers),
+        chambers=chambers,
         u2d=U2dReport(closed=u2d_poincare(g), via_bundle=via, agree=agree),
         mcon=mcon_poincare(g),
-        terminal=terminal_poincare(d, g),
-        blowup_check=blowup_consistency(d, g) if d <= -3 else None,
+        terminal=terminal,
+        blowup_check=_blowup_delta(chain[-d - 2], terminal, d, g).is_zero() if d <= -3 else None,
     )
 
 
@@ -378,13 +378,27 @@ _CHAMBER_FIELDS = {"i": (int, _REQUIRED), "p_recursive": (_poly, _REQUIRED), "p_
 _U2D_FIELDS = {"closed": (_poly, _REQUIRED), "via_bundle": (_poly, None), "agree": (bool, None)}
 
 
+def _read_chamber(obj, path: str) -> ChamberBetti:
+    """A chamber whose stored flags are the ones its own polynomials give."""
+    fields = _fields(obj, path, _CHAMBER_FIELDS)
+    if fields["p_recursive"].is_zero():
+        raise InvalidInput(f"{path}.p_recursive: the zero polynomial has no degree")
+    ch = _chamber_betti(fields["i"], fields["p_recursive"], fields["p_closed"])
+    for key in ("agree", "degree", "palindromic", "nonneg", "constant_term"):
+        if fields[key] != getattr(ch, key):
+            raise InvalidInput(f"{path}.{key}: the chamber's polynomials give {json.dumps(getattr(ch, key))}, "
+                               f"got {json.dumps(fields[key])}")
+    return ch
+
+
 def report_from_json_obj(obj) -> BettiReport:
     """Strict reader of report_to_json_obj's output: integers that are not
     bools, real bools, null only where the writer emits it and polynomial
-    terms of [int, "decimal string"], with InvalidInput naming the field
-    path (e.g. chambers[0].agree) otherwise."""
+    terms of [int, "decimal string"] and chamber flags that match the
+    chamber's polynomials, with InvalidInput naming the field path (e.g.
+    chambers[0].agree) otherwise."""
     _checked(obj, dict, "report")
     top = _fields(obj, "", _REPORT_FIELDS)
-    chambers = tuple(ChamberBetti(**_fields(ch, f"chambers[{k}]", _CHAMBER_FIELDS)) for k, ch in enumerate(top["chambers"]))
+    chambers = tuple(_read_chamber(ch, f"chambers[{k}]") for k, ch in enumerate(top["chambers"]))
     u2d = U2dReport(**_fields(top["u2d"], "u2d", _U2D_FIELDS))
     return BettiReport(**{**top, "chambers": chambers, "u2d": u2d})

@@ -63,6 +63,14 @@ def eta(i: int, d: int) -> int:
     return max(0, 2 * i + d)
 
 
+def _require_int(value, path: str) -> int:
+    """value itself when its type is int (not a bool or a float);
+    InvalidInput naming path otherwise."""
+    if type(value) is not int:
+        raise InvalidInput(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
 def fm_index_range(d: int, path: str = "d") -> Tuple[int, int]:
     """Inclusive window [lo, hi] of chamber indices for degree d < 0, the
     one home of that rule; InvalidInput naming path otherwise.
@@ -70,21 +78,21 @@ def fm_index_range(d: int, path: str = "d") -> Tuple[int, int]:
     lo = floor(-d/2 - 1) + 1 and hi = -d - 1; chamber i corresponds to
     sigma in (eta_i, eta_(i+1)).
     """
-    if d >= 0:
+    if _require_int(d, path) >= 0:
         raise InvalidInput(f"{path}: degree must be negative, got {d}")
     return (-d) // 2, -d - 1
 
 
 def _require_genus(g: int, path: str = "g") -> None:
     """The one home of the rule genus >= 2; InvalidInput naming path otherwise."""
-    if g < 2:
+    if _require_int(g, path) < 2:
         raise InvalidInput(f"{path}: genus must be at least 2, got {g}")
 
 
 def _chamber_index_range(i: int, d: int, path: str = "i") -> Tuple[int, int]:
     """fm_index_range(d) when it holds the index i; InvalidInput naming path otherwise."""
     lo, hi = fm_index_range(d)
-    if not lo <= i <= hi:
+    if not lo <= _require_int(i, path) <= hi:
         raise InvalidInput(f"{path}: index {i} outside [{lo}, {hi}] for d={d}")
     return lo, hi
 
@@ -220,7 +228,7 @@ def flip_locus(i: int, d: int, g: int) -> FlipLocusData:
     """
     total = moduli_dim(d, g)
     lo, hi = fm_index_range(d)
-    if not lo <= i < hi:  # the last chamber has no wall above it
+    if not lo <= _require_int(i, "i") < hi:  # the last chamber has no wall above it
         raise InvalidInput(f"i: flip index {i} outside [{lo}, {hi - 1}] for d={d}")
     rank_minus = d + g + 2 * i + 1
     rank_plus = -d - i - 1

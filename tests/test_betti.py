@@ -9,6 +9,7 @@ from math import comb
 
 import pytest
 
+from flipchain import betti
 from flipchain.betti import (
     CHAMBER_INVARIANTS,
     _macdonald_coeff,
@@ -140,25 +141,53 @@ def test_explicit_sum_and_recurrence_match_the_generating_function():
             assert _macdonald_coeff(k, g) == sym_product_poincare(k, g) == series.coeff_x(k), (k, g)
 
 
+def _betti_caches():
+    return [f for f in vars(betti).values() if callable(getattr(f, "cache_clear", None))]
+
+
+def _with_shallow_stack(route, *args):
+    """route(*args) cold and with at most 60 frames of stack to spare."""
+    for cache in _betti_caches():
+        cache.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        return route(*args)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_closed_route_at_a_very_large_degree_needs_no_deep_recursion():
-    fm_poincare_closed.cache_clear()
-    _macdonald_coeff.cache_clear()
-    p = fm_poincare_closed(1100, -2200, 2)
+    p = _with_shallow_stack(fm_poincare_closed, 1100, -2200, 2)
     assert p.degree() == 2 * moduli_dim(-2200, 2)
     assert p.coeff(0) == 1
 
 
 def test_recursive_route_at_a_large_degree_needs_no_deep_recursion():
-    for cached in (fm_poincare_recursive, flip_difference, sym_product_poincare):
-        cached.cache_clear()
     lo, _ = fm_index_range(-300)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
-    try:
-        p = fm_poincare_recursive(lo, -300, 2)
-    finally:
-        sys.setrecursionlimit(limit)
-    assert p == fm_poincare_closed(lo, -300, 2)
+    assert _with_shallow_stack(fm_poincare_recursive, lo, -300, 2) == fm_poincare_closed(lo, -300, 2)
+
+
+def test_only_the_caches_keyed_by_genus_remain_and_stay_small():
+    assert sorted(f.__name__ for f in _betti_caches()) == [
+        "_macdonald_coeff", "mcon_poincare", "sym_product_poincare", "u2d_poincare"]
+    for cache in _betti_caches():
+        cache.cache_clear()
+    for d in range(-1, -41, -1):
+        build_betti_report(d, 2)
+    assert sum(cache.cache_info().currsize for cache in _betti_caches()) <= 80
+
+
+def test_a_report_takes_each_flip_difference_once(monkeypatch):
+    calls = []
+
+    def counted(j, d, g):
+        calls.append(j)
+        return flip_difference(j, d, g)
+
+    monkeypatch.setattr(betti, "flip_difference", counted)
+    report = build_betti_report(-9, 3)
+    assert sorted(calls) == [ch.i for ch in report.chambers]
 
 
 @pytest.mark.parametrize("route", [fm_poincare_closed, fm_poincare_recursive, flip_difference])
@@ -264,6 +293,13 @@ def test_report_reader_reads_polynomial_terms():
         report_from_json_obj(obj)
 
 
+@pytest.mark.parametrize("d, g", [(-3, 2), (-5, 2), (-9, 3), (-12, 4)])
+def test_single_chamber_reports_match_the_full_report(d, g):
+    full = build_betti_report(d, g)
+    for ch in full.chambers:
+        assert build_betti_report(d, g, only_chamber=ch.i) == replace(full, chambers=(ch,))
+
+
 def test_report_single_chamber_and_no_blowup():
     report = build_betti_report(-1, 2, only_chamber=0)
     assert len(report.chambers) == 1
@@ -295,6 +331,7 @@ REPORT_DOCTORS = {
     "t=1 telescoping": (_doctor_chamber(lambda ch: {"p_recursive": ch.p_recursive + 1}), "i=3, d=-5, g=2"),
     "bundle route": (lambda r: replace(r, u2d=replace(r.u2d, agree=False)), "d=-5, g=2"),
     "terminal blow-up identity": (lambda r: replace(r, blowup_check=False), "d=-5, g=2"),
+    "terminal chamber": (lambda r: replace(r, terminal=r.terminal + 1), "d=-5, g=2"),
 }
 
 

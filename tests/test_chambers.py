@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from flipchain import chambers
+from flipchain import betti, chambers, cli
 from flipchain.chambers import (
     InvalidInput,
     build_chambers,
@@ -15,6 +15,7 @@ from flipchain.chambers import (
     fm_index_range,
     moduli_dim,
 )
+from flipchain.stability import CurveContext
 
 
 def test_eta():
@@ -98,6 +99,28 @@ def test_flip_locus_range():
         flip_locus(4, -5, 2)  # the last chamber has no flip above it
     with pytest.raises(InvalidInput, match="^i: "):
         flip_locus(1, -5, 2)
+
+
+@pytest.mark.parametrize(
+    "call, field",
+    [
+        (lambda: moduli_dim(-5, 2.5), "g"),
+        (lambda: moduli_dim(-5.0, 2), "d"),
+        (lambda: build_chambers(-5, 2.5), "g"),
+        (lambda: fm_index_range(-5.0), "d"),
+        (lambda: flip_locus(2.5, -5, 2), "i"),
+        (lambda: flip_locus(True, -2, 2), "i"),
+        (lambda: betti.fm_poincare_closed(True, -2, 2), "i"),
+        (lambda: betti.fm_poincare_recursive(Fraction(2), -5, 2), "i"),
+        (lambda: betti.flip_difference(3, -5, 2.0), "g"),
+        (lambda: betti.build_betti_report(-5, 2, only_chamber=3.0), "chamber"),
+        (lambda: cli.run_verify_all(2.0, -1, 0, 0, None), "grid"),
+        (lambda: CurveContext(False), "genus"),
+    ],
+)
+def test_index_rules_take_only_ints(call, field):
+    with pytest.raises(InvalidInput, match=f"^{field}: expected an integer, got "):
+        call()
 
 
 def test_moduli_dim():

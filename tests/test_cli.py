@@ -295,6 +295,21 @@ def test_model_reader_accepts_the_readme_example(tmp_path):
 # -- strict report readers ---------------------------------------------------------
 
 
+def _doctors(*doctors):
+    """The doctorings applied one after the other."""
+
+    def doctor(obj):
+        for each in doctors:
+            obj = each(obj)
+        return obj
+
+    return doctor
+
+
+FIVE = {"terms": [[0, "5"]]}
+ONE_MINUS_7T3 = {"terms": [[0, "1"], [3, "-7"]]}
+
+
 def betti_report_obj() -> dict:
     return json.loads(capture(["betti", "--d", "-5", "--g", "2", "--json"])[1])
 
@@ -310,6 +325,18 @@ def chambers_report_obj() -> dict:
         (betti.report_from_json_obj, betti_report_obj, _doctor(("chambers", 0, "degree"), 13.7), "chambers[0].degree"),
         (betti.report_from_json_obj, betti_report_obj, _doctor(("d",), True), "d"),
         (chambers_obj_to_data, chambers_report_obj, _doctor(("walls", 0), "1"), "walls[0]"),
+        # each chamber's flags are the ones its polynomials give
+        (betti.report_from_json_obj, betti_report_obj, _doctor(("chambers", 0, "p_closed"), FIVE), "chambers[0].agree"),
+        (betti.report_from_json_obj, betti_report_obj, _doctors(_doctor(("chambers", 0, "p_closed"), FIVE),
+         _doctor(("chambers", 1, "p_recursive"), ONE_MINUS_7T3), _doctor(("chambers", 1, "p_closed"), ONE_MINUS_7T3)),
+         "chambers[0].agree"),
+        (betti.report_from_json_obj, betti_report_obj, _doctors(_doctor(("chambers", 1, "p_recursive"), ONE_MINUS_7T3),
+         _doctor(("chambers", 1, "p_closed"), ONE_MINUS_7T3)), "chambers[1].degree"),
+        (betti.report_from_json_obj, betti_report_obj, _doctor(("chambers", 0, "palindromic"), False), "chambers[0].palindromic"),
+        (betti.report_from_json_obj, betti_report_obj, _doctor(("chambers", 0, "nonneg"), False), "chambers[0].nonneg"),
+        (betti.report_from_json_obj, betti_report_obj, _doctor(("chambers", 0, "constant_term"), 2), "chambers[0].constant_term"),
+        (betti.report_from_json_obj, betti_report_obj, _doctors(_doctor(("chambers", 0, "p_recursive"), {"terms": []}),
+         _doctor(("chambers", 0, "p_closed"), {"terms": []})), "chambers[0].p_recursive"),
         # flags are real bools
         (betti.report_from_json_obj, betti_report_obj, _doctor(("chambers", 0, "agree"), "false"), "chambers[0].agree"),
         (chambers_obj_to_data, chambers_report_obj, _doctor(("chambers", 0, "closed_upper"), 0), "chambers[0].closed_upper"),
