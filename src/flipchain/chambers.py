@@ -102,7 +102,7 @@ def _require_sigma(sigma):
     InvalidInput naming sigma otherwise.  Nothing is converted."""
     if type(sigma) is not Fraction and type(sigma) is not int:
         raise InvalidInput(f"sigma: expected an int or a Fraction, got {sigma!r}")
-    if sigma <= 0:
+    if sigma.numerator <= 0:  # the denominator of a Fraction is positive
         raise InvalidInput(f"sigma: must be positive, got {sigma}")
     return sigma
 

@@ -406,8 +406,7 @@ def _verify_cell(g: int, d: int) -> List[str]:
 def run_verify_all(g_max: int, d_min: int, seed: int, n_models: int, out) -> int:
     _require_genus(g_max, "grid")  # a grid that checks no cell is bad input
     chambers.fm_index_range(d_min, "grid")
-    if n_models < 0:
-        raise InvalidInput(f"models: must be nonnegative, got {n_models}")
+    stability._require_suite_args(seed, n_models)
     t0 = time.monotonic()
     cells = [(g, d) for g in range(2, g_max + 1) for d in range(d_min, 0)]
     failures = [f for g, d in cells for f in _verify_cell(g, d)]

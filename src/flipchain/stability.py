@@ -20,9 +20,11 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .chambers import _REQUIRED, InvalidInput, _checked, _fields, _require_genus, _require_sigma, build_chambers
+from .chambers import (_REQUIRED, InvalidInput, _checked, _fields, _require_genus, _require_int, _require_sigma,
+                       build_chambers)
 from .exactpoly import ConsistencyFailure
 
 
@@ -168,6 +170,12 @@ class FramedModel:
         """True when the subobject outer strictly contains inner."""
         return outer_id in self.ancestors[inner_id]
 
+    @cached_property
+    def _oriented(self) -> Tuple[Tuple[bool, bool], Tuple[bool, bool]]:
+        """(oriented semistable, oriented stable) for modules, then for pairs.
+        They are taken at sigma_max, so each model computes them once."""
+        return _oriented_verdicts(self, False), _oriented_verdicts(self, True)
+
 
 @dataclass(frozen=True)
 class HNFiltration:
@@ -178,6 +186,7 @@ class HNFiltration:
     graded: Tuple[Tuple[int, int, bool], ...]
 
     def graded_slopes(self, sigma: Fraction) -> Tuple[Fraction, ...]:
+        sigma = _require_sigma(sigma)
         return tuple(reduced_framed_slope(rank, deg, fr, sigma, True) for rank, deg, fr in self.graded)
 
 
@@ -220,32 +229,35 @@ def _slopes(m: FramedModel, sigma: Fraction, charge_all: bool = False) -> Tuple[
     return amb, [(s.degree * q - (p if charge_all or (s.fr and nz) else 0)) * (n // s.rank) for s in m.subs]
 
 
-def _fm_ok(m: FramedModel, sigma: Fraction, strict: bool, phi_only: bool, charge_all: bool = False) -> bool:
+def _verdicts(m: FramedModel, sigma: Fraction, charge_all: bool = False) -> Tuple[bool, bool, bool, bool]:
+    """(fm semistable, fm stable, pair semistable, pair stable) at sigma, from
+    one _slopes pass; the pair verdicts quantify over phi-invariant subobjects."""
     amb, slopes = _slopes(m, sigma, charge_all)
+    top = top_phi = amb - 1  # the maxima over no subobjects break no inequality
     for s, sl in zip(m.subs, slopes):
-        if phi_only and not s.phi_invariant:
-            continue
-        if sl > amb or (strict and sl == amb):
-            return False
-    return True
+        if sl > top:
+            top = sl
+        if sl > top_phi and s.phi_invariant:
+            top_phi = sl
+    return top <= amb, top < amb, top_phi <= amb, top_phi < amb
 
 
 def is_fm_semistable(m: FramedModel, sigma: Fraction) -> bool:
     """Every subobject's framed slope is at most the ambient framed slope."""
-    return _fm_ok(m, _require_sigma(sigma), strict=False, phi_only=False)
+    return _verdicts(m, _require_sigma(sigma))[0]
 
 
 def is_fm_stable(m: FramedModel, sigma: Fraction) -> bool:
-    return _fm_ok(m, _require_sigma(sigma), strict=True, phi_only=False)
+    return _verdicts(m, _require_sigma(sigma))[1]
 
 
 def is_pair_semistable(m: FramedModel, sigma: Fraction) -> bool:
     """Same inequality quantified only over phi-invariant subobjects."""
-    return _fm_ok(m, _require_sigma(sigma), strict=False, phi_only=True)
+    return _verdicts(m, _require_sigma(sigma))[2]
 
 
 def is_pair_stable(m: FramedModel, sigma: Fraction) -> bool:
-    return _fm_ok(m, _require_sigma(sigma), strict=True, phi_only=True)
+    return _verdicts(m, _require_sigma(sigma))[3]
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +340,7 @@ def hn_filtration(m: FramedModel, sigma: Fraction) -> HNFiltration:
     graded: List[Tuple[int, int, bool]] = []
     current = m
     while True:
-        if _fm_ok(current, sigma, strict=False, phi_only=False):
+        if _verdicts(current, sigma)[0]:
             t = current.typ
             graded.append((t.rank, t.degree, t.framing_nonzero))
             return HNFiltration(steps=tuple(steps), graded=tuple(graded))
@@ -426,23 +438,18 @@ def oriented_split_case(m: FramedModel, pair: bool = False) -> bool:
     return _oriented_split_holds(m, s)
 
 
-def _oriented_ok(m: FramedModel, pair: bool, strict: bool) -> bool:
-    kernel_subs = [s for s in m.subs if not s.fr and (s.phi_invariant or not pair)]
-    if not kernel_subs:
-        return True  # injective framing (no phi-invariant kernel subobject, for pairs)
-    if not m.typ.delta_iso:
-        return False
+def _oriented_verdicts(m: FramedModel, pair: bool) -> Tuple[bool, bool]:
+    """(oriented semistable, oriented stable) at the canonical parameter; read
+    through FramedModel._oriented, which stores them per model."""
     s = sigma_max(m, use_phi=pair)
-    assert s is not None
-    if strict:
-        if s <= 0:
-            return False
-    elif s < 0:
-        return False
+    if s is None:
+        return True, True  # injective framing (no phi-invariant kernel subobject, for pairs)
+    if not m.typ.delta_iso or s < 0:
+        return False, False
     # both sides of the oriented inequality subtract s/rank whatever the framing flags
-    if _fm_ok(m, s, strict, phi_only=pair, charge_all=True):
-        return True
-    return strict and m.split is not None and _oriented_split_holds(m, s)
+    verdicts = _verdicts(m, s, charge_all=True)
+    ss, stable = verdicts[2:] if pair else verdicts[:2]
+    return ss, s > 0 and (stable or m.split is not None and _oriented_split_holds(m, s))
 
 
 def is_oriented_semistable(m: FramedModel, pair: bool = False) -> bool:
@@ -453,13 +460,13 @@ def is_oriented_semistable(m: FramedModel, pair: bool = False) -> bool:
     parameter is nonnegative and the shifted slope inequality holds for all
     (phi-invariant, for pairs) subobjects.
     """
-    return _oriented_ok(m, pair, strict=False)
+    return m._oriented[bool(pair)][0]
 
 
 def is_oriented_stable(m: FramedModel, pair: bool = False) -> bool:
     """Strict variant; a declared direct-sum splitting can rescue stability
     when some subobject sits exactly on the shifted slope equality."""
-    return _oriented_ok(m, pair, strict=True)
+    return m._oriented[bool(pair)][1]
 
 
 # ---------------------------------------------------------------------------
@@ -512,30 +519,35 @@ def verify_rank2_equivalences(m: FramedModel, sigma: Fraction) -> EquivalenceRep
             )
 
     mismatches: List[Tuple[str, Optional[str]]] = []
-    amb, slopes = _slopes(m, sigma)
-    if is_fm_semistable(m, sigma) != is_pair_semistable(m, sigma):
-        witness = next((s.id for s, sl in zip(m.subs, slopes) if not s.phi_invariant and sl > amb), None)
-        mismatches.append(("semistable", witness))
-    if is_fm_stable(m, sigma) != is_pair_stable(m, sigma):
-        witness = next((s.id for s, sl in zip(m.subs, slopes) if not s.phi_invariant and sl >= amb), None)
-        mismatches.append(("stable", witness))
-    if is_oriented_semistable(m, pair=False) != is_oriented_semistable(m, pair=True):
+    fm_ss, fm_stable, pair_ss, pair_stable = _verdicts(m, sigma)
+    for kind, agree, strict in (("semistable", fm_ss == pair_ss, False), ("stable", fm_stable == pair_stable, True)):
+        if not agree:  # a non-invariant subobject at or above the ambient slope witnesses it
+            amb, slopes = _slopes(m, sigma)
+            witness = next((s.id for s, sl in zip(m.subs, slopes)
+                            if not s.phi_invariant and (sl >= amb if strict else sl > amb)), None)
+            mismatches.append((kind, witness))
+    (fm_oss, fm_ostable), (pair_oss, pair_ostable) = m._oriented
+    if fm_oss != pair_oss:
         mismatches.append(("oriented_semistable", None))
-    if is_oriented_stable(m, pair=False) != is_oriented_stable(m, pair=True):
+    if fm_ostable != pair_ostable:
         mismatches.append(("oriented_stable", None))
     return EquivalenceReport(mismatches=tuple(mismatches))
 
 
 def rank2_threshold_holds(sub: SubobjectData, typ: FramedType, sigma: Fraction, strict: bool = False) -> bool:
     """Closed-form half-line on which a rank-2 subobject satisfies its
-    inequality: sigma >= 2 deg F - d when fr, sigma <= d - 2 deg F when not."""
+    inequality: sigma >= 2 deg F - d when fr, sigma <= d - 2 deg F when not.
+    Compared in integers: p against bound * q for sigma = p/q."""
+    if typ.rank != 2:
+        raise InvalidInput(f"type.rank: the threshold formulas are specific to rank 2, got {typ.rank}")
     d = typ.degree
     s = _require_sigma(sigma)
+    p, q = s.numerator, s.denominator
     if sub.fr and typ.framing_nonzero:
-        bound = 2 * sub.degree - d
-        return s > bound if strict else s >= bound
-    bound = d - 2 * sub.degree
-    return s < bound if strict else s <= bound
+        bound = (2 * sub.degree - d) * q
+        return p > bound if strict else p >= bound
+    bound = (d - 2 * sub.degree) * q
+    return p < bound if strict else p <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -715,10 +727,11 @@ class SuiteResult:
         return not self.failures
 
 
-def _suite_check(res: SuiteResult, cond: bool, message: str) -> None:
+def _suite_check(res: SuiteResult, cond: bool, message: Callable[[], str]) -> None:
+    """Count one check; message() builds the failure text only when cond fails."""
     res.checks += 1
     if not cond:
-        res.failures.append(message)
+        res.failures.append(message())
 
 
 def _suite_rank2(res: SuiteResult, m: FramedModel, sigmas: Sequence[Fraction], tag: str) -> None:
@@ -737,7 +750,7 @@ def _suite_rank2(res: SuiteResult, m: FramedModel, sigmas: Sequence[Fraction], t
         _suite_check(
             res,
             final_chamber_stable(m) == is_fm_stable(m, far),
-            f"{tag}: final-chamber verdict disagrees with stability at sigma={far}",
+            lambda: f"{tag}: final-chamber verdict disagrees with stability at sigma={far}",
         )
 
     for sigma in sigmas:
@@ -746,27 +759,32 @@ def _suite_rank2(res: SuiteResult, m: FramedModel, sigmas: Sequence[Fraction], t
             _suite_check(
                 res,
                 (sl <= amb) == rank2_threshold_holds(s, m.typ, sigma),
-                f"{tag}: threshold formula mismatch for {s.id} at sigma={sigma}",
+                lambda: f"{tag}: threshold formula mismatch for {s.id} at sigma={sigma}",
             )
             _suite_check(
                 res,
                 (sl < amb) == rank2_threshold_holds(s, m.typ, sigma, strict=True),
-                f"{tag}: strict threshold formula mismatch for {s.id} at sigma={sigma}",
+                lambda: f"{tag}: strict threshold formula mismatch for {s.id} at sigma={sigma}",
             )
 
-        ss = is_fm_semistable(m, sigma)
+        ss, stable = _verdicts(m, sigma)[:2]
         _suite_check(
             res,
-            not is_fm_stable(m, sigma) or ss,
-            f"{tag}: stable without semistable at sigma={sigma}",
+            not stable or ss,
+            lambda: f"{tag}: stable without semistable at sigma={sigma}",
         )
         if ss and nz and has_kernel:
             _suite_check(
                 res,
                 sigma <= bound,
-                f"{tag}: semistable at sigma={sigma} above the kernel bound {bound}",
+                lambda: f"{tag}: semistable at sigma={sigma} above the kernel bound {bound}",
             )
 
+        try:
+            md = _max_destabilizer(m, sigma)
+        except AmbiguousModel:
+            res.ambiguous_skips += 1
+            md = None
         try:
             hn = hn_filtration(m, sigma)
         except AmbiguousModel:
@@ -777,28 +795,22 @@ def _suite_rank2(res: SuiteResult, m: FramedModel, sigmas: Sequence[Fraction], t
             _suite_check(
                 res,
                 all(a > b for a, b in zip(slopes, slopes[1:])),
-                f"{tag}: graded slopes not strictly decreasing at sigma={sigma}",
+                lambda: f"{tag}: graded slopes not strictly decreasing at sigma={sigma}",
             )
             if not ss:
-                md = _max_destabilizer(m, sigma)
                 _suite_check(
                     res,
                     md is not None and hn.steps and hn.steps[0] == md.id,
-                    f"{tag}: first filtration step differs from the maximal destabilizer at sigma={sigma}",
+                    lambda: f"{tag}: first filtration step differs from the maximal destabilizer at sigma={sigma}",
                 )
 
-        try:
-            md = _max_destabilizer(m, sigma)
-        except AmbiguousModel:
-            res.ambiguous_skips += 1
-            md = None
         if md is not None:
             # checked on the Fraction oracle, independent of _slopes
             top = reduced_framed_slope(md.rank, md.degree, md.fr, sigma, nz)
             _suite_check(
                 res,
                 all(reduced_framed_slope(s.rank, s.degree, s.fr, sigma, nz) <= top for s in m.subs),
-                f"{tag}: maximal destabilizer not maximal at sigma={sigma}",
+                lambda: f"{tag}: maximal destabilizer not maximal at sigma={sigma}",
             )
 
         try:
@@ -812,8 +824,15 @@ def _suite_rank2(res: SuiteResult, m: FramedModel, sigmas: Sequence[Fraction], t
         _suite_check(
             res,
             report.ok,
-            f"{tag}: equivalences failed at sigma={sigma}: {report.mismatches}",
+            lambda: f"{tag}: equivalences failed at sigma={sigma}: {report.mismatches}",
         )
+
+
+def _require_suite_args(seed: int, n_models: int) -> None:
+    """InvalidInput naming seed or models unless both are ints and n_models >= 0."""
+    _require_int(seed, "seed")
+    if _require_int(n_models, "models") < 0:
+        raise InvalidInput(f"models: must be nonnegative, got {n_models}")
 
 
 def run_stability_suite(seed: int, n_models: int = 10000) -> SuiteResult:
@@ -825,14 +844,18 @@ def run_stability_suite(seed: int, n_models: int = 10000) -> SuiteResult:
     per-subobject rank-2 thresholds, strictly-semistable walls, and the
     pair/module equivalences on constraint-closed models.
     """
+    _require_suite_args(seed, n_models)
     rng = random.Random(seed)
     res = SuiteResult()
 
+    sigma_lists: Dict[Tuple[int, int], List[Fraction]] = {}  # walls, then chamber representatives, per (d, g)
     for n in range(n_models):
         m = random_rank2_model(rng)
-        cd = build_chambers(m.typ.degree, m.ctx.genus)
-        sigmas = [Fraction(w) for w in cd.walls] + list(cd.representatives)
-        _suite_rank2(res, m, sigmas, tag=f"rank2[{n}] d={m.typ.degree} g={m.ctx.genus}")
+        key = (m.typ.degree, m.ctx.genus)
+        if key not in sigma_lists:
+            cd = build_chambers(*key)
+            sigma_lists[key] = [Fraction(w) for w in cd.walls] + list(cd.representatives)
+        _suite_rank2(res, m, sigma_lists[key], tag=f"rank2[{n}] d={m.typ.degree} g={m.ctx.genus}")
         res.models += 1
 
     for n in range(400):
@@ -848,14 +871,14 @@ def run_stability_suite(seed: int, n_models: int = 10000) -> SuiteResult:
             _suite_check(
                 res,
                 all(a > b for a, b in zip(slopes, slopes[1:])),
-                f"chain[{n}]: graded slopes not strictly decreasing at sigma={sigma}",
+                lambda: f"chain[{n}]: graded slopes not strictly decreasing at sigma={sigma}",
             )
             if not is_fm_semistable(m, sigma):
                 md = _max_destabilizer(m, sigma)
                 _suite_check(
                     res,
                     md is not None and hn.steps[0] == md.id,
-                    f"chain[{n}]: first step is not the maximal destabilizer at sigma={sigma}",
+                    lambda: f"chain[{n}]: first step is not the maximal destabilizer at sigma={sigma}",
                 )
         res.models += 1
 
@@ -874,13 +897,13 @@ def run_stability_suite(seed: int, n_models: int = 10000) -> SuiteResult:
                 _suite_check(
                     res,
                     is_fm_semistable(m, Fraction(w)) and not is_fm_stable(m, Fraction(w)),
-                    f"wall model d={d} fr={fr}: not strictly semistable at wall {w}",
+                    lambda: f"wall model d={d} fr={fr}: not strictly semistable at wall {w}",
                 )
                 for rep in cd.representatives:
                     _suite_check(
                         res,
                         is_fm_semistable(m, rep) == is_fm_stable(m, rep),
-                        f"wall model d={d} fr={fr}: strictly semistable off the wall at {rep}",
+                        lambda: f"wall model d={d} fr={fr}: strictly semistable off the wall at {rep}",
                     )
 
     # tie containment: a contained subobject loses to its container
@@ -890,7 +913,7 @@ def run_stability_suite(seed: int, n_models: int = 10000) -> SuiteResult:
     _suite_check(
         res,
         max_destabilizer(m, Fraction(1)).id == "outer",
-        "tie containment: container not preferred",
+        lambda: "tie containment: container not preferred",
     )
     loose = FramedModel(
         CurveContext(2),

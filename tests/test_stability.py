@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from flipchain import stability
 from flipchain.chambers import InvalidInput, build_chambers, chamber_of
 from flipchain.stability import (
     AmbiguousModel,
@@ -83,16 +84,19 @@ def test_sigma_must_be_positive():
 def test_sigma_is_an_int_or_a_fraction_and_is_never_converted():
     m = rank2(-5, [sub("L", 1, -3, fr=False)])  # a wall at sigma = 1
     assert is_fm_semistable(m, 1) and is_fm_semistable(m, F(1))
-    for bad in (1.0000000000000002, 1.0, "1", True, None):
+    for bad in (1.0000000000000002, 1.0, 0.5, "1", True, None):
         for check in (
             lambda s: is_fm_semistable(m, s),
             lambda s: hn_filtration(m, s),
+            lambda s: hn_filtration(m, F(1)).graded_slopes(s),
             lambda s: close_constraints(m, [s]),
             lambda s: rank2_threshold_holds(m.subs[0], m.typ, s),
             lambda s: chamber_of(s, build_chambers(-5, 2)),
         ):
             with pytest.raises(InvalidInput, match="^sigma: expected an int or a Fraction"):
                 check(bad)
+    with pytest.raises(InvalidInput, match="^sigma: must be positive, got -1$"):
+        hn_filtration(m, F(1)).graded_slopes(F(-1))
 
 
 def test_pair_quantifier_restriction():
@@ -318,6 +322,18 @@ def test_equivalences_hold_with_irrelevant_noninvariant_sub():
     assert rep.ok
 
 
+def test_equivalence_mismatch_names_a_non_invariant_witness(monkeypatch):
+    m = rank2(-5, [sub("G", 1, 0, fr=True), sub("F", 1, -2, fr=True, phi=False), sub("K", 1, -3, fr=False)])
+    real = stability._verdicts
+
+    def pair_verdicts_flipped(m, sigma, charge_all=False):
+        fm_ss, fm_stable, _, _ = real(m, sigma, charge_all)
+        return fm_ss, fm_stable, not fm_ss, not fm_stable
+
+    monkeypatch.setattr(stability, "_verdicts", pair_verdicts_flipped)
+    assert verify_rank2_equivalences(m, F(1, 2)).mismatches == (("semistable", "F"), ("stable", "F"))
+
+
 def test_axiom_violated_and_why_it_matters():
     m = rank2(-5, [sub("B", 1, -1, fr=True, phi=False)], delta_iso=True)
     with pytest.raises(AxiomViolated):
@@ -333,6 +349,15 @@ def test_axiom_checked_at_canonical_parameter():
     m = rank2(-5, [k, f], delta_iso=True)
     with pytest.raises(AxiomViolated):
         verify_rank2_equivalences(m, F(4))
+
+
+def test_threshold_formulas_are_rank_2_only():
+    f = sub("F", 1, -1, fr=True)
+    typ = FramedType(3, -5, True)
+    with pytest.raises(InvalidInput, match="^type.rank: .*rank 2, got 3$"):
+        rank2_threshold_holds(f, typ, F(1))
+    # direct evaluation: (-1 - 1)/1 <= (-5 - 1)/3 holds, which the rank-2 formula would deny
+    assert is_fm_semistable(FramedModel(CTX, typ, (f,)), F(1))
 
 
 def test_threshold_formulas():
@@ -477,6 +502,78 @@ def test_model_json_round_trip():
 
 
 # -- the seeded property suite ----------------------------------------------------------
+
+
+def test_oriented_verdicts_are_computed_once_per_model(monkeypatch):
+    m = rank2(-5, [sub("K", 1, -4, fr=False), sub("C", 1, 0, fr=True)], delta_iso=True)
+    calls = []
+    real = stability.sigma_max
+    monkeypatch.setattr(stability, "sigma_max", lambda m, use_phi=False: calls.append(use_phi) or real(m, use_phi))
+    verdicts = [f(m, pair) for f in (is_oriented_semistable, is_oriented_stable) for pair in (False, True)]
+    for sigma in (F(1, 2), F(1), F(3)):
+        verify_rank2_equivalences(m, sigma)
+    assert verdicts == [f(m, pair) for f in (is_oriented_semistable, is_oriented_stable) for pair in (False, True)]
+    assert calls.count(True) == 1  # the pair verdicts' sigma_max, taken once
+
+
+def _low_invariant_slopes(real):
+    def doctored(m, sigma, charge_all=False):
+        amb, slopes = real(m, sigma, charge_all)
+        return amb, [sl - 1 if s.phi_invariant else sl for s, sl in zip(m.subs, slopes)]
+    return doctored
+
+
+#: (stability name, doctor of the real function, failure kinds, failure count at seed 0 with 300 models)
+SUITE_DOCTORS = [
+    pytest.param(
+        "rank2_threshold_holds",
+        lambda real: lambda f, typ, sigma, strict=False: real(f, typ, sigma + 1 if f.fr else sigma, strict),
+        ("threshold formula mismatch",), 191, id="threshold-shifted-for-fr",
+    ),
+    pytest.param(
+        "final_chamber_stable", lambda real: lambda m: not real(m),
+        ("final-chamber verdict disagrees",), 300, id="final-chamber-negated",
+    ),
+    pytest.param(
+        "sigma_upper_bound", lambda real: lambda m: None if real(m) is None else real(m) - 1,
+        ("above the kernel bound",), 3, id="kernel-bound-lowered",
+    ),
+    pytest.param(
+        "reduced_framed_slope", lambda real: lambda rank, deg, fr, sigma, amb: real(rank, deg, fr, sigma, not amb),
+        ("graded slopes not strictly decreasing", "maximal destabilizer not maximal"), 377, id="oracle-flag-flipped",
+    ),
+    pytest.param(
+        "sigma_max",
+        lambda real: lambda m, use_phi=False: (lambda s: s + 1 if use_phi and s is not None else s)(real(m, use_phi)),
+        ("equivalences failed",), 19, id="pair-canonical-parameter-raised",
+    ),
+    pytest.param(
+        "_slopes", _low_invariant_slopes,
+        ("threshold formula mismatch", "closure still violated", "graded slopes not strictly decreasing",
+         "strictly semistable"), 392, id="invariant-slopes-lowered",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, doctor, kinds, count", SUITE_DOCTORS)
+def test_the_suite_catches_a_doctored_engine(monkeypatch, name, doctor, kinds, count):
+    monkeypatch.setattr(stability, name, doctor(getattr(stability, name)))
+    res = run_stability_suite(seed=0, n_models=300)
+    assert len(res.failures) == count
+    assert all(any(kind in f for kind in kinds) for f in res.failures), res.failures[:3]
+    assert all(any(kind in f for f in res.failures) for kind in kinds)
+
+
+@pytest.mark.parametrize(
+    "seed, n_models, message",
+    [(0, -5, "models: must be nonnegative, got -5"), (0, 2.5, "models: expected an integer, got 2.5"),
+     (0, True, "models: expected an integer, got True"), (1.5, 10, "seed: expected an integer, got 1.5"),
+     ("0", 10, "seed: expected an integer, got '0'")],
+)
+def test_suite_rejects_arguments_that_check_nothing(seed, n_models, message):
+    with pytest.raises(InvalidInput) as exc:
+        run_stability_suite(seed, n_models)
+    assert str(exc.value) == message
 
 
 def test_suite_small_run_clean():
