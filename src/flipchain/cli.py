@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import betti, chambers, stability
-from .chambers import _REQUIRED, InvalidInput, _checked, _fields, _require_genus
+from .chambers import InvalidInput, _checked, _require_genus
 from .exactpoly import ConsistencyFailure
 
 FORMATS = ("text", "json", "csv", "latex")
@@ -88,26 +88,31 @@ def _frac(x: Fraction) -> str:
     return str(Fraction(x))
 
 
+def _csv(header: Sequence[str], rows) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue().rstrip("\n")
+
+
+def _tabular(spec: str, header: Sequence[str], rows) -> str:
+    lines = [rf"\begin{{tabular}}{{{spec}}}", " & ".join(header) + r" \\ \hline"]
+    lines += [" & ".join(map(str, row)) + r" \\" for row in rows]
+    lines.append(r"\end{tabular}")
+    return "\n".join(lines)
+
+
 # ---------------------------------------------------------------------------
 # chambers reports
 # ---------------------------------------------------------------------------
 
+_CHAMBER_COLUMNS = ("index", "fm_index", "lower", "upper", "closed_upper", "representative")
+_FLIP_COLUMNS = ("i", "rank_minus", "rank_plus", "dim_p_minus", "dim_p_plus", "codim_minus", "codim_plus")
+
 
 def _chambers_obj(cd: chambers.ChamberData) -> dict:
-    flips = []
-    for i in range(cd.index_lo, cd.index_hi):
-        fl = chambers.flip_locus(i, cd.d, cd.g)
-        flips.append(
-            {
-                "i": fl.i,
-                "rank_minus": fl.rank_minus,
-                "rank_plus": fl.rank_plus,
-                "dim_p_minus": fl.dim_p_minus,
-                "dim_p_plus": fl.dim_p_plus,
-                "codim_minus": fl.codim_minus,
-                "codim_plus": fl.codim_plus,
-            }
-        )
+    flips = (chambers.flip_locus(i, cd.d, cd.g) for i in range(cd.index_lo, cd.index_hi))
     return {
         "d": cd.d,
         "g": cd.g,
@@ -124,46 +129,45 @@ def _chambers_obj(cd: chambers.ChamberData) -> dict:
             }
             for c in cd.chambers
         ],
-        "flip_loci": flips,
+        "flip_loci": [{key: getattr(fl, key) for key in _FLIP_COLUMNS} for fl in flips],
     }
 
 
-def _fraction(value, path: str) -> Fraction:
-    """An exact rational written as a string, as _frac writes it."""
-    text = _checked(value, str, path)
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise InvalidInput(f'{path}: expected a rational such as "5/2", got {text!r}') from None
-
-
-#: Each JSON object's fields: key -> (kind, default); see chambers._fields.
-_CHAMBERS_FIELDS = {"d": (int, _REQUIRED), "g": (int, _REQUIRED), "moduli_dim": (int, _REQUIRED),
-                    "walls": (list, _REQUIRED), "chambers": (list, _REQUIRED), "flip_loci": (list, _REQUIRED)}
-_CHAMBER_FIELDS = {"index": (int, _REQUIRED), "fm_index": (int, _REQUIRED), "lower": (_fraction, _REQUIRED),
-                   "upper": (_fraction, _REQUIRED), "closed_upper": (bool, _REQUIRED),
-                   "representative": (_fraction, _REQUIRED)}
+def _require_equal(got, want, path: str, where: str) -> None:
+    """Nothing when the JSON value got is want; InvalidInput naming the
+    deepest path that differs otherwise.  Types compare exactly (a bool is
+    not an integer, 1.0 is not 1), objects key by key in any order, lists
+    item by item."""
+    if type(got) is dict and type(want) is dict:
+        at = f"{path}." if path else ""
+        unknown = sorted(got.keys() - want.keys())
+        if unknown:
+            raise InvalidInput(f"{at}{unknown[0]}: unknown field")
+        for key, value in want.items():
+            if key not in got:
+                raise InvalidInput(f"{at}{key}: missing")
+            _require_equal(got[key], value, at + key, where)
+    elif type(got) is list and type(want) is list and len(got) == len(want):
+        for k, (item, value) in enumerate(zip(got, want)):
+            _require_equal(item, value, f"{path}[{k}]", where)
+    elif type(got) is not type(want) or got != want:
+        raise InvalidInput(f"{path}: expected {json.dumps(want)[:60]} {where}, got {json.dumps(got)[:60]}")
 
 
 def chambers_obj_to_data(obj) -> chambers.ChamberData:
-    """Strict reader of an emitted chambers JSON report: integers that are
-    not bools, real bools and bounds as strings that Fraction parses, with
-    InvalidInput naming the field path (e.g. chambers[0].lower) otherwise.
-    Every top-level field must then be exactly what build_chambers(d, g)
-    emits; the first that is not is named."""
+    """Strict reader of an emitted chambers JSON report: the report must be
+    exactly what chambers --json writes for its own integer d and g, with
+    InvalidInput naming the deepest field path that differs (e.g.
+    chambers[0].lower) otherwise."""
     _checked(obj, dict, "chambers report")
-    top = _fields(obj, "", _CHAMBERS_FIELDS)
-    for k, w in enumerate(top["walls"]):
-        _checked(w, int, f"walls[{k}]")
-    for k, c in enumerate(top["chambers"]):
-        _fields(c, f"chambers[{k}]", _CHAMBER_FIELDS)
-    d, g = top["d"], top["g"]
+    d, g = (_checked(obj.get(key), int, key) for key in ("d", "g"))
     cd = chambers.build_chambers(d, g)
-    for key, want in _chambers_obj(cd).items():
-        want, got = json.dumps(want, sort_keys=True), json.dumps(obj[key], sort_keys=True)
-        if got != want:
-            raise InvalidInput(f"{key}: expected {want[:60]} for d={d}, g={g}, got {got[:60]}")
+    _require_equal(obj, _chambers_obj(cd), "", f"for d={d}, g={g}")
     return cd
+
+
+def _interval(c: dict) -> str:
+    return f"({c['lower']}, {c['upper']}{']' if c['closed_upper'] else ')'}"
 
 
 def _emit_chambers(cd: chambers.ChamberData, fmt: str) -> str:
@@ -171,52 +175,27 @@ def _emit_chambers(cd: chambers.ChamberData, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(obj, indent=2)
     if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(
-            [
-                "index", "fm_index", "lower", "upper", "closed_upper", "representative",
-                "rank_minus", "rank_plus", "dim_p_minus", "dim_p_plus", "codim_minus", "codim_plus",
-            ]
-        )
         flips = {f["i"]: f for f in obj["flip_loci"]}
+        no_flip = dict.fromkeys(_FLIP_COLUMNS, "")  # no wall above the last chamber
+        rows = []
         for c in obj["chambers"]:
-            f = flips.get(c["fm_index"], {})
-            w.writerow(
-                [
-                    c["index"], c["fm_index"], c["lower"], c["upper"],
-                    c["closed_upper"], c["representative"],
-                    f.get("rank_minus", ""), f.get("rank_plus", ""),
-                    f.get("dim_p_minus", ""), f.get("dim_p_plus", ""),
-                    f.get("codim_minus", ""), f.get("codim_plus", ""),
-                ]
-            )
-        return buf.getvalue().rstrip("\n")
+            f = flips.get(c["fm_index"], no_flip)
+            rows.append([c[key] for key in _CHAMBER_COLUMNS] + [f[key] for key in _FLIP_COLUMNS[1:]])
+        return _csv(_CHAMBER_COLUMNS + _FLIP_COLUMNS[1:], rows)
     if fmt == "latex":
-        lines = [r"\begin{tabular}{rrllr}"]
-        lines.append(r"$j$ & $i$ & interval & rep. \\ \hline")
-        for c in obj["chambers"]:
-            right = "]" if c["closed_upper"] else ")"
-            lines.append(
-                f"{c['index']} & {c['fm_index']} & $({c['lower']}, {c['upper']}{right}$ & ${c['representative']}$ \\\\"
-            )
-        lines.append(r"\end{tabular}")
-        lines.append(r"\begin{tabular}{rrrrrrr}")
-        lines.append(r"$i$ & rk$W^-$ & rk$W^+$ & $\dim\mathbb{P}W^-$ & $\dim\mathbb{P}W^+$ & codim$^-$ & codim$^+$ \\ \hline")
-        for f in obj["flip_loci"]:
-            lines.append(
-                f"{f['i']} & {f['rank_minus']} & {f['rank_plus']} & {f['dim_p_minus']} & "
-                f"{f['dim_p_plus']} & {f['codim_minus']} & {f['codim_plus']} \\\\"
-            )
-        lines.append(r"\end{tabular}")
-        return "\n".join(lines)
+        chamber_rows = [
+            (c["index"], c["fm_index"], f"${_interval(c)}$", f"${c['representative']}$") for c in obj["chambers"]
+        ]
+        flip_header = ("$i$", "rk$W^-$", "rk$W^+$", r"$\dim\mathbb{P}W^-$", r"$\dim\mathbb{P}W^+$",
+                       "codim$^-$", "codim$^+$")
+        flip_rows = [[f[key] for key in _FLIP_COLUMNS] for f in obj["flip_loci"]]
+        return "\n".join([_tabular("rrllr", ("$j$", "$i$", "interval", "rep."), chamber_rows),
+                          _tabular("rrrrrrr", flip_header, flip_rows)])
     lines = [f"d = {obj['d']}, g = {obj['g']}, moduli dimension = {obj['moduli_dim']}"]
     lines.append("walls: " + (", ".join(str(w) for w in obj["walls"]) or "(none)"))
     for c in obj["chambers"]:
-        right = "]" if c["closed_upper"] else ")"
         lines.append(
-            f"chamber {c['index']} (i = {c['fm_index']}): ({c['lower']}, {c['upper']}{right}"
-            f"  representative {c['representative']}"
+            f"chamber {c['index']} (i = {c['fm_index']}): {_interval(c)}  representative {c['representative']}"
         )
     for f in obj["flip_loci"]:
         lines.append(
@@ -235,30 +214,22 @@ def _emit_chambers(cd: chambers.ChamberData, fmt: str) -> str:
 def _emit_betti(report: betti.BettiReport, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(betti.report_to_json_obj(report), indent=2)
-    dim2 = 2 * report.moduli_dim
+    degrees = range(2 * report.moduli_dim + 1)
     if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(
-            ["d", "g", "i", "degree", "agree", "palindromic", "nonneg"]
-            + [f"b{k}" for k in range(dim2 + 1)]
-        )
-        for ch in report.chambers:
-            w.writerow(
+        return _csv(
+            ["d", "g", "i", "degree", "agree", "palindromic", "nonneg"] + [f"b{k}" for k in degrees],
+            (
                 [report.d, report.g, ch.i, ch.degree, ch.agree, ch.palindromic, ch.nonneg]
-                + [ch.p_recursive.coeff(k) for k in range(dim2 + 1)]
-            )
-        return buf.getvalue().rstrip("\n")
+                + [ch.p_recursive.coeff(k) for k in degrees]
+                for ch in report.chambers
+            ),
+        )
     if fmt == "latex":
-        cols = "rr" + "r" * (dim2 + 1)
-        lines = [rf"\begin{{tabular}}{{{cols}}}"]
-        header = ["$i$", "deg"] + [f"$b_{{{k}}}$" for k in range(dim2 + 1)]
-        lines.append(" & ".join(header) + r" \\ \hline")
-        for ch in report.chambers:
-            row = [str(ch.i), str(ch.degree)] + [str(ch.p_recursive.coeff(k)) for k in range(dim2 + 1)]
-            lines.append(" & ".join(row) + r" \\")
-        lines.append(r"\end{tabular}")
-        return "\n".join(lines)
+        return _tabular(
+            "rr" + "r" * len(degrees),
+            ["$i$", "deg"] + [f"$b_{{{k}}}$" for k in degrees],
+            ([ch.i, ch.degree] + [ch.p_recursive.coeff(k) for k in degrees] for ch in report.chambers),
+        )
     lines = [f"d = {report.d}, g = {report.g}, moduli dimension = {report.moduli_dim}"]
     for ch in report.chambers:
         lines.append(
@@ -345,28 +316,20 @@ def _stability_obj(m: stability.FramedModel) -> dict:
     return obj
 
 
+_VERDICT_COLUMNS = ("sigma", "kind", "fm_semistable", "fm_stable", "pair_semistable", "pair_stable")
+
+
 def _emit_stability(obj: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(obj, indent=2)
     if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["sigma", "kind", "fm_semistable", "fm_stable", "pair_semistable", "pair_stable"])
-        for e in obj["verdicts"]:
-            w.writerow(
-                [e["sigma"], e["kind"], e["fm_semistable"], e["fm_stable"], e["pair_semistable"], e["pair_stable"]]
-            )
-        return buf.getvalue().rstrip("\n")
+        return _csv(_VERDICT_COLUMNS, ([e[key] for key in _VERDICT_COLUMNS] for e in obj["verdicts"]))
     if fmt == "latex":
-        lines = [r"\begin{tabular}{llcccc}"]
-        lines.append(r"$\sigma$ & kind & fm-ss & fm-s & pair-ss & pair-s \\ \hline")
-        for e in obj["verdicts"]:
-            lines.append(
-                f"${e['sigma']}$ & {e['kind']} & {e['fm_semistable']} & {e['fm_stable']} & "
-                f"{e['pair_semistable']} & {e['pair_stable']} \\\\"
-            )
-        lines.append(r"\end{tabular}")
-        return "\n".join(lines)
+        return _tabular(
+            "llcccc",
+            (r"$\sigma$", "kind", "fm-ss", "fm-s", "pair-ss", "pair-s"),
+            ([f"${e['sigma']}$"] + [e[key] for key in _VERDICT_COLUMNS[1:]] for e in obj["verdicts"]),
+        )
     lines = [f"model: rank {obj['rank']}, d = {obj['d']}, g = {obj['g']}"]
     lines.append(f"sigma upper bound: {obj['sigma_upper_bound']}")
     lines.append(f"final chamber stable: {obj['final_chamber_stable']}")
@@ -412,7 +375,7 @@ def run_verify_all(g_max: int, d_min: int, seed: int, n_models: int, out) -> int
     failures = [f for g, d in cells for f in _verify_cell(g, d)]
     print(f"grid: {len(cells)} cells checked, {len(failures)} failures", file=out)
 
-    for d in range(-20, 0):
+    for d in range(-20, d_min):  # the grid checked g = 2 for d >= d_min
         failures.extend(chambers.structure_failures(d, 2))
     print("wall endpoints: d in [-20, -1] checked", file=out)
 

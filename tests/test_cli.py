@@ -1,5 +1,6 @@
 """CLI surface: formats, exit codes, JSON round trips and determinism."""
 
+import hashlib
 import importlib
 import inspect
 import io
@@ -24,7 +25,7 @@ from flipchain.cli import (
     parse_args,
     run,
 )
-from flipchain.stability import model_from_json_obj, model_to_json_obj, random_rank2_model
+from flipchain.stability import model_from_json_obj, model_to_json_obj, random_chain_model, random_rank2_model
 import random
 
 
@@ -33,6 +34,15 @@ def capture(argv):
     out = io.StringIO()
     status = run(cfg, out=out)
     return status, out.getvalue()
+
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+
+
+def readme_model() -> dict:
+    """The model file shown in the README."""
+    with open(README, encoding="utf-8") as fh:
+        return json.loads(re.search(r"```json\n(.*?)```", fh.read(), re.S).group(1))
 
 
 def test_parse_defaults():
@@ -149,10 +159,89 @@ def test_main_returns_status():
     assert main(["chambers", "--d", "-3", "--g", "2"]) == 0
 
 
+# -- golden renderings ----------------------------------------------------------------
+
+CHAMBERS_GOLDEN = {
+    "text": (
+        "d = -5, g = 2, moduli dimension = 7\n"
+        "walls: 1, 3\n"
+        "chamber 0 (i = 2): (0, 1)  representative 1/2\n"
+        "chamber 1 (i = 3): (1, 3)  representative 2\n"
+        "chamber 2 (i = 4): (3, 5]  representative 4\n"
+        "flip at i = 2: rank W- = 2, rank W+ = 2, dim PW- = 5, dim PW+ = 5, codim- = 2, codim+ = 2\n"
+        "flip at i = 3: rank W- = 4, rank W+ = 1, dim PW- = 6, dim PW+ = 3, codim- = 1, codim+ = 4\n"
+    ),
+    "csv": (
+        "index,fm_index,lower,upper,closed_upper,representative,"
+        "rank_minus,rank_plus,dim_p_minus,dim_p_plus,codim_minus,codim_plus\n"
+        "0,2,0,1,False,1/2,2,2,5,5,2,2\n"
+        "1,3,1,3,False,2,4,1,6,3,1,4\n"
+        "2,4,3,5,True,4,,,,,,\n"
+    ),
+    "latex": (
+        "\\begin{tabular}{rrllr}\n"
+        "$j$ & $i$ & interval & rep. \\\\ \\hline\n"
+        "0 & 2 & $(0, 1)$ & $1/2$ \\\\\n"
+        "1 & 3 & $(1, 3)$ & $2$ \\\\\n"
+        "2 & 4 & $(3, 5]$ & $4$ \\\\\n"
+        "\\end{tabular}\n"
+        "\\begin{tabular}{rrrrrrr}\n"
+        "$i$ & rk$W^-$ & rk$W^+$ & $\\dim\\mathbb{P}W^-$ & $\\dim\\mathbb{P}W^+$ & codim$^-$ & codim$^+$ \\\\ \\hline\n"
+        "2 & 2 & 2 & 5 & 5 & 2 & 2 \\\\\n"
+        "3 & 4 & 1 & 6 & 3 & 1 & 4 \\\\\n"
+        "\\end{tabular}\n"
+    ),
+}
+
+FORMAT_FLAGS = {"text": [], "csv": ["--csv"], "latex": ["--latex"]}
+
+
+@pytest.mark.parametrize("fmt", sorted(CHAMBERS_GOLDEN))
+def test_chambers_golden_rendering(fmt):
+    assert capture(["chambers", "--d", "-5", "--g", "2"] + FORMAT_FLAGS[fmt]) == (0, CHAMBERS_GOLDEN[fmt])
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("text", "f214f6c749e7cdda2d1edd89f9b0b705a578b7e65fb7eec430e62379c56ba1b1"),
+        ("csv", "c81c12bf032c998d81ab8214bb93d6d6291135e4855d8819fb018f1881c51cec"),
+        ("latex", "6be241dd1ed30210d30cbc1b4b5304809c4d02b9ad99c30ab6f9ded6b21b1b13"),
+    ],
+)
+def test_betti_golden_rendering(fmt, digest):
+    status, text = capture(["betti", "--d", "-5", "--g", "2"] + FORMAT_FLAGS[fmt])
+    assert status == 0 and _sha256(text) == digest
+
+
+def chain_model() -> dict:
+    """A seeded rank-4 chain model with d = -6."""
+    return model_to_json_obj(random_chain_model(random.Random(0)))
+
+
+@pytest.mark.parametrize(
+    "model, fmt, digest",
+    [
+        (readme_model, "text", "00abfa7253a1ed1052847051c9ca0cd2b956db43deedb0d4984c46165fba32e9"),
+        (readme_model, "csv", "e44efdf52a9298d8ca5ee6e42504f286ce8263e9404e27f84ebe455f554a1813"),
+        (readme_model, "latex", "58bbaa140fe8901f48280f9bdd0b04a3dda5d5f300002ac38a48827638a015e0"),
+        (chain_model, "text", "8f2f27af9a5c886ad16e7517b6629edd321cb95febffe6b5b758eb00c409bcb3"),
+        (chain_model, "csv", "6a6fa0a4c523d0ee877eb7f9d383197c848fd2046e990e9698829b8407914f7c"),
+        (chain_model, "latex", "c105d683c2a0594ff8af12dd41ab9bb5d1c1085669604c3ea4f0754140b6aa57"),
+    ],
+)
+def test_stability_check_golden_rendering(tmp_path, model, fmt, digest):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model()))
+    status, text = capture(["stability-check", "--model", str(path)] + FORMAT_FLAGS[fmt])
+    assert status == 0 and _sha256(text) == digest
+
+
 # -- strict model-file reader ----------------------------------------------------
-
-README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
-
 
 def base_model() -> dict:
     return {
@@ -286,9 +375,7 @@ def test_model_reader_ignores_the_retired_epsilon_flag(tmp_path):
 
 
 def test_model_reader_accepts_the_readme_example(tmp_path):
-    with open(README, encoding="utf-8") as fh:
-        example = re.search(r"```json\n(.*?)```", fh.read(), re.S).group(1)
-    status, text = check_model_file(tmp_path, json.loads(example))
+    status, text = check_model_file(tmp_path, readme_model())
     assert status == 0, text
 
 
@@ -353,10 +440,19 @@ def chambers_report_obj() -> dict:
         (betti.report_from_json_obj, betti_report_obj, _doctor(("u2d", "colour"), "red"), "u2d.colour"),
         (chambers_obj_to_data, chambers_report_obj, _doctor(("chambers", 0, "index")), "chambers[0].index"),
         (chambers_obj_to_data, chambers_report_obj, _doctor(("chambers",), []), "chambers"),
+        (chambers_obj_to_data, chambers_report_obj, _doctor(("colour",), "red"), "colour"),
+        (chambers_obj_to_data, chambers_report_obj, _doctor(("d",)), "d"),
+        # integers are not 1.0 or true
+        (chambers_obj_to_data, chambers_report_obj, _doctor(("g",), 3.0), "g"),
+        (chambers_obj_to_data, chambers_report_obj, _doctor(("chambers", 0, "index"), 0.0), "chambers[0].index"),
+        (chambers_obj_to_data, chambers_report_obj, _doctor(("moduli_dim",), 10.0), "moduli_dim"),
+        (chambers_obj_to_data, chambers_report_obj, _doctor(("flip_loci", 0, "rank_plus"), True), "flip_loci[0].rank_plus"),
+        (chambers_obj_to_data, chambers_report_obj, _doctor(("walls", 0), True), "walls[0]"),
+        (chambers_obj_to_data, chambers_report_obj, _doctor(("d",), True), "d"),
         # every top-level field is what build_chambers(d, g) emits
         (chambers_obj_to_data, chambers_report_obj, _doctor(("d",), -9), "moduli_dim"),
-        (chambers_obj_to_data, chambers_report_obj, _doctor(("walls",), [1, 3]), "walls"),
-        (chambers_obj_to_data, chambers_report_obj, _doctor(("flip_loci", 0, "rank_minus"), 5), "flip_loci"),
+        (chambers_obj_to_data, chambers_report_obj, _doctor(("walls",), [1, 3]), "walls[0]"),
+        (chambers_obj_to_data, chambers_report_obj, _doctor(("flip_loci", 0, "rank_minus"), 5), "flip_loci[0].rank_minus"),
         # ... and (d, g) in the domain
         (chambers_obj_to_data, chambers_report_obj, _doctor(("d",), 5), "d"),
         (chambers_obj_to_data, chambers_report_obj, _doctor(("g",), 1), "g"),
@@ -365,6 +461,41 @@ def chambers_report_obj() -> dict:
 def test_report_readers_reject_with_the_field_path(read, emitted, doctor, field):
     with pytest.raises(InvalidInput, match=f"^{re.escape(field)}: "):
         read(doctor(emitted()))
+
+
+#: JSON values a leaf of a chambers report is replaced with.
+_JSON_VALUES = st.sampled_from([0, 1, -1, -3, 2, True, False, 1.0, 0.5, "1", "1/2", None, [], {}])
+
+
+def _leaves(value, path=""):
+    """(path, value) for each scalar or empty container of a JSON value,
+    with paths written as the readers name them."""
+    if isinstance(value, dict) and value:
+        return [leaf for key, v in value.items() for leaf in _leaves(v, f"{path}.{key}" if path else key)]
+    if isinstance(value, list) and value:
+        return [leaf for k, v in enumerate(value) for leaf in _leaves(v, f"{path}[{k}]")]
+    return [(path, value)]
+
+
+def _set_leaf(obj, path, value):
+    keys = [int(k) if k.isdigit() else k for k in re.findall(r"[^.\[\]]+", path)]
+    target = obj
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(dg=st.sampled_from([(-6, 3), (-5, 2), (-1, 2), (-9, 4), (-2, 3)]), data=st.data())
+def test_chambers_reader_names_the_one_leaf_that_differs(dg, data):
+    obj = json.loads(capture(["chambers", "--d", str(dg[0]), "--g", str(dg[1]), "--json"])[1])
+    path, old = data.draw(st.sampled_from(_leaves(obj)))
+    new = data.draw(_JSON_VALUES.filter(lambda v: (type(v), v) != (type(old), old)))
+    _set_leaf(obj, path, new)
+    with pytest.raises(InvalidInput) as exc:
+        chambers_obj_to_data(obj)
+    named = str(exc.value).split(": ")[0]
+    assert named in ("d", "g", "moduli_dim") if path in ("d", "g") else named == path, str(exc.value)
 
 
 def test_report_reader_accepts_null_where_the_writer_emits_it():
@@ -409,6 +540,27 @@ def test_verify_all_counts_the_failures_it_does_not_print(monkeypatch):
     assert lines[0] == "grid: 60 cells checked, 60 failures"
     assert sum(line.startswith("FAIL ") for line in lines) == 50
     assert lines[-2:] == ["... and 10 more failures", "verify-all: FAIL"]
+
+
+def test_verify_all_reports_each_structure_failure_once(monkeypatch):
+    doctored = ("doctored", lambda fl, d, g: (fl.i, d, g) != (3, -5, 2))
+    monkeypatch.setattr(chambers, "FLIP_INVARIANTS", chambers.FLIP_INVARIANTS + (doctored,))
+    status, text = capture(["verify-all", "--grid", "2", "-6", "--models", "0"])
+    assert status == 1
+    assert [line for line in text.splitlines() if line.startswith("FAIL ")] == [
+        "FAIL doctored fails at (i=3, d=-5, g=2)"
+    ]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(g_max=st.integers(-3, 4), d_min=st.integers(-6, 2), seed=st.integers(-2, 3), models=st.integers(-3, 5))
+def test_verify_all_flags_exit_0_or_2_naming_the_flag(g_max, d_min, seed, models):
+    flags = ["--grid", str(g_max), str(d_min), "--seed", str(seed), "--models", str(models)]
+    status, text = capture(["verify-all"] + flags)
+    bad = "grid" if g_max < 2 or d_min >= 0 else "models" if models < 0 else None
+    assert status == (2 if bad else 0), text
+    if bad:
+        assert text.startswith(f"error: invalid input: {bad}: ") and INVALID_LINE.match(text), text
 
 
 @pytest.mark.parametrize(
