@@ -11,7 +11,6 @@ series inversions.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -19,7 +18,7 @@ from math import comb
 from typing import Dict, Iterator, Optional, Tuple
 
 from .chambers import _REQUIRED, InvalidInput, _checked, _fields, fm_index_range, moduli_dim
-from .chambers import _chamber_index_range, _require_genus
+from .chambers import _chamber_index_range, _require_equal, _require_genus, _to_json
 from .exactpoly import ConsistencyFailure, LaurentPoly, NotDivisible, lp_div_exact
 
 _T = LaurentPoly.monomial
@@ -326,32 +325,7 @@ def build_betti_report(d: int, g: int, only_chamber: Optional[int] = None) -> Be
 
 
 def report_to_json_obj(r: BettiReport) -> dict:
-    return {
-        "d": r.d,
-        "g": r.g,
-        "moduli_dim": r.moduli_dim,
-        "chambers": [
-            {
-                "i": ch.i,
-                "p_recursive": ch.p_recursive.to_json_obj(),
-                "p_closed": ch.p_closed.to_json_obj(),
-                "agree": ch.agree,
-                "degree": ch.degree,
-                "palindromic": ch.palindromic,
-                "nonneg": ch.nonneg,
-                "constant_term": ch.constant_term,
-            }
-            for ch in r.chambers
-        ],
-        "u2d": {
-            "closed": r.u2d.closed.to_json_obj(),
-            "via_bundle": None if r.u2d.via_bundle is None else r.u2d.via_bundle.to_json_obj(),
-            "agree": r.u2d.agree,
-        },
-        "mcon": r.mcon.to_json_obj(),
-        "terminal": r.terminal.to_json_obj(),
-        "blowup_check": r.blowup_check,
-    }
+    return _to_json(r)
 
 
 def _poly(value, path: str) -> LaurentPoly:
@@ -378,27 +352,27 @@ _CHAMBER_FIELDS = {"i": (int, _REQUIRED), "p_recursive": (_poly, _REQUIRED), "p_
 _U2D_FIELDS = {"closed": (_poly, _REQUIRED), "via_bundle": (_poly, None), "agree": (bool, None)}
 
 
-def _read_chamber(obj, path: str) -> ChamberBetti:
-    """A chamber whose stored flags are the ones its own polynomials give."""
-    fields = _fields(obj, path, _CHAMBER_FIELDS)
-    if fields["p_recursive"].is_zero():
-        raise InvalidInput(f"{path}.p_recursive: the zero polynomial has no degree")
-    ch = _chamber_betti(fields["i"], fields["p_recursive"], fields["p_closed"])
-    for key in ("agree", "degree", "palindromic", "nonneg", "constant_term"):
-        if fields[key] != getattr(ch, key):
-            raise InvalidInput(f"{path}.{key}: the chamber's polynomials give {json.dumps(getattr(ch, key))}, "
-                               f"got {json.dumps(fields[key])}")
-    return ch
-
-
 def report_from_json_obj(obj) -> BettiReport:
-    """Strict reader of report_to_json_obj's output: integers that are not
-    bools, real bools, null only where the writer emits it and polynomial
-    terms of [int, "decimal string"] and chamber flags that match the
-    chamber's polynomials, with InvalidInput naming the field path (e.g.
-    chambers[0].agree) otherwise."""
+    """Strict reader of report_to_json_obj's output.  After a typed pass
+    (integers that are not bools, real bools, terms of [int, "decimal
+    string"], chamber indices in the window of d), the report is built from
+    the polynomials, each chamber's flags, moduli_dim and u2d.agree derived
+    from them, and obj must be exactly what report_to_json_obj writes for
+    it; InvalidInput names the deepest field path that differs (e.g.
+    chambers[0].agree or mcon.terms[0][1]) otherwise."""
     _checked(obj, dict, "report")
     top = _fields(obj, "", _REPORT_FIELDS)
-    chambers = tuple(_read_chamber(ch, f"chambers[{k}]") for k, ch in enumerate(top["chambers"]))
-    u2d = U2dReport(**_fields(top["u2d"], "u2d", _U2D_FIELDS))
-    return BettiReport(**{**top, "chambers": chambers, "u2d": u2d})
+    dim = moduli_dim(top["d"], top["g"])
+    chambers = []
+    for k, raw in enumerate(top["chambers"]):
+        ch = _fields(raw, f"chambers[{k}]", _CHAMBER_FIELDS)
+        _chamber_index_range(ch["i"], top["d"], f"chambers[{k}].i")
+        if ch["p_recursive"].is_zero():
+            raise InvalidInput(f"chambers[{k}].p_recursive: the zero polynomial has no degree")
+        chambers.append(_chamber_betti(ch["i"], ch["p_recursive"], ch["p_closed"]))
+    u2d = _fields(top["u2d"], "u2d", _U2D_FIELDS)
+    closed, via = u2d["closed"], u2d["via_bundle"]
+    report = BettiReport(**{**top, "moduli_dim": dim, "chambers": tuple(chambers),
+                            "u2d": U2dReport(closed, via, None if via is None else via == closed)})
+    _require_equal(obj, report_to_json_obj(report), "", "as the report's polynomials give it")
+    return report

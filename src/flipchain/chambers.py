@@ -11,9 +11,11 @@ Pic^(i+1) x Sym^(-d-i-1) of the curve.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Tuple
+
+from .exactpoly import LaurentPoly
 
 
 class InvalidInput(ValueError):
@@ -26,6 +28,15 @@ _REQUIRED = object()
 _KIND_NAMES = {int: "an integer", bool: "true or false", str: "a string", list: "a list", dict: "an object"}
 
 
+def _shown(value) -> str:
+    """At most 60 characters of value as JSON, or of its repr when JSON
+    cannot hold it (a Fraction from a Python caller, say)."""
+    try:
+        return json.dumps(value)[:60]
+    except (TypeError, ValueError):
+        return repr(value)[:60]
+
+
 def _checked(value, kind, path: str):
     """The value when it is of the JSON kind (a bool is not an integer), or
     what the reader kind(value, path) makes of it; InvalidInput naming the
@@ -34,7 +45,7 @@ def _checked(value, kind, path: str):
         return kind(value, path)
     if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
         return value
-    raise InvalidInput(f"{path or 'model'}: expected {_KIND_NAMES[kind]}, got {json.dumps(value)[:60]}")
+    raise InvalidInput(f"{path or 'model'}: expected {_KIND_NAMES[kind]}, got {_shown(value)}")
 
 
 def _fields(obj, path: str, spec: dict, retired: Iterable[str] = ()) -> dict:
@@ -44,7 +55,7 @@ def _fields(obj, path: str, spec: dict, retired: Iterable[str] = ()) -> dict:
     retired keys are ignored."""
     _checked(obj, dict, path)
     at = f"{path}." if path else ""
-    unknown = sorted(obj.keys() - spec.keys() - set(retired))
+    unknown = sorted(obj.keys() - spec.keys() - set(retired), key=str)
     if unknown:
         raise InvalidInput(f"{at}{unknown[0]}: unknown field")
     fields = {}
@@ -56,6 +67,43 @@ def _fields(obj, path: str, spec: dict, retired: Iterable[str] = ()) -> dict:
         else:
             fields[key] = _checked(obj[key], kind, at + key)
     return fields
+
+
+def _to_json(value):
+    """The written JSON form of a report or model value: a dataclass as an
+    object of its fields in declaration order, a tuple as a list, a
+    frozenset as a sorted list, a Fraction as its string and a LaurentPoly
+    through to_json_obj()."""
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_to_json(item) for item in value]
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, Fraction):
+        return str(value)
+    return value.to_json_obj() if isinstance(value, LaurentPoly) else value
+
+
+def _require_equal(got, want, path: str, where: str) -> None:
+    """Nothing when the JSON value got is want; InvalidInput naming the
+    deepest path that differs otherwise.  Types compare exactly (a bool is
+    not an integer, 1.0 is not 1), objects key by key in any order, lists
+    item by item."""
+    if type(got) is dict and type(want) is dict:
+        at = f"{path}." if path else ""
+        unknown = sorted(got.keys() - want.keys(), key=str)
+        if unknown:
+            raise InvalidInput(f"{at}{unknown[0]}: unknown field")
+        for key, value in want.items():
+            if key not in got:
+                raise InvalidInput(f"{at}{key}: missing")
+            _require_equal(got[key], value, at + key, where)
+    elif type(got) is list and type(want) is list and len(got) == len(want):
+        for k, (item, value) in enumerate(zip(got, want)):
+            _require_equal(item, value, f"{path}[{k}]", where)
+    elif type(got) is not type(want) or got != want:
+        raise InvalidInput(f"{path}: expected {_shown(want)} {where}, got {_shown(got)}")
 
 
 def eta(i: int, d: int) -> int:
@@ -167,18 +215,6 @@ class ChamberLocation:
     index: Optional[int] = None
     wall: Optional[int] = None
 
-    @classmethod
-    def chamber(cls, index: int) -> "ChamberLocation":
-        return cls("chamber", index=index)
-
-    @classmethod
-    def at_wall(cls, value: int, index: int) -> "ChamberLocation":
-        return cls("wall", index=index, wall=value)
-
-    @classmethod
-    def empty(cls) -> "ChamberLocation":
-        return cls("empty")
-
 
 def build_chambers(d: int, g: int) -> ChamberData:
     """Walls and chambers covering (0, -d] for degree d < 0.
@@ -210,13 +246,13 @@ def build_chambers(d: int, g: int) -> ChamberData:
 def chamber_of(sigma: Fraction, cd: ChamberData) -> ChamberLocation:
     """Locate a positive sigma; Empty when sigma exceeds -d."""
     if _require_sigma(sigma) > -cd.d:
-        return ChamberLocation.empty()
+        return ChamberLocation("empty")
     for j, w in enumerate(cd.walls, start=1):
         if sigma == w:
-            return ChamberLocation.at_wall(w, j)
+            return ChamberLocation("wall", index=j, wall=w)
     for ch in cd.chambers:
         if ch.lower < sigma < ch.upper or (ch.closed_upper and sigma == ch.upper):
-            return ChamberLocation.chamber(ch.index)
+            return ChamberLocation("chamber", index=ch.index)
     raise AssertionError("unreachable: chambers cover (0, -d] minus walls")
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import betti, chambers, stability
-from .chambers import InvalidInput, _checked, _require_genus
+from .chambers import InvalidInput, _checked, _require_equal, _require_genus
 from .exactpoly import ConsistencyFailure
 
 FORMATS = ("text", "json", "csv", "latex")
@@ -84,10 +84,6 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
     return RunConfig(**ns)
 
 
-def _frac(x: Fraction) -> str:
-    return str(Fraction(x))
-
-
 def _csv(header: Sequence[str], rows) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
@@ -122,36 +118,15 @@ def _chambers_obj(cd: chambers.ChamberData) -> dict:
             {
                 "index": c.index,
                 "fm_index": c.fm_index,
-                "lower": _frac(c.lower),
-                "upper": _frac(c.upper),
+                "lower": str(c.lower),
+                "upper": str(c.upper),
                 "closed_upper": c.closed_upper,
-                "representative": _frac(c.representative),
+                "representative": str(c.representative),
             }
             for c in cd.chambers
         ],
         "flip_loci": [{key: getattr(fl, key) for key in _FLIP_COLUMNS} for fl in flips],
     }
-
-
-def _require_equal(got, want, path: str, where: str) -> None:
-    """Nothing when the JSON value got is want; InvalidInput naming the
-    deepest path that differs otherwise.  Types compare exactly (a bool is
-    not an integer, 1.0 is not 1), objects key by key in any order, lists
-    item by item."""
-    if type(got) is dict and type(want) is dict:
-        at = f"{path}." if path else ""
-        unknown = sorted(got.keys() - want.keys())
-        if unknown:
-            raise InvalidInput(f"{at}{unknown[0]}: unknown field")
-        for key, value in want.items():
-            if key not in got:
-                raise InvalidInput(f"{at}{key}: missing")
-            _require_equal(got[key], value, at + key, where)
-    elif type(got) is list and type(want) is list and len(got) == len(want):
-        for k, (item, value) in enumerate(zip(got, want)):
-            _require_equal(item, value, f"{path}[{k}]", where)
-    elif type(got) is not type(want) or got != want:
-        raise InvalidInput(f"{path}: expected {json.dumps(want)[:60]} {where}, got {json.dumps(got)[:60]}")
 
 
 def chambers_obj_to_data(obj) -> chambers.ChamberData:
@@ -265,7 +240,7 @@ def _stability_obj(m: stability.FramedModel) -> dict:
     entries = []
     for kind, sigma in sigma_points:
         entry: dict = {
-            "sigma": _frac(sigma),
+            "sigma": str(sigma),
             "kind": kind,
             "fm_semistable": stability.is_fm_semistable(m, sigma),
             "fm_stable": stability.is_fm_stable(m, sigma),
@@ -277,7 +252,7 @@ def _stability_obj(m: stability.FramedModel) -> dict:
             entry["hn"] = {
                 "steps": list(hn.steps),
                 "graded": [list(p) for p in hn.graded],
-                "slopes": [_frac(s) for s in hn.graded_slopes(sigma)],
+                "slopes": [str(s) for s in hn.graded_slopes(sigma)],
             }
         except stability.AmbiguousModel as exc:
             entry["hn"] = {"error": str(exc)}
@@ -300,7 +275,7 @@ def _stability_obj(m: stability.FramedModel) -> dict:
         "rank": m.typ.rank,
         "sigma_upper_bound": None,
         "final_chamber_stable": None,
-        "sigma_max": None if (s := stability.sigma_max(m)) is None else _frac(s),
+        "sigma_max": None if (s := stability.sigma_max(m)) is None else str(s),
         "oriented": {
             "module_semistable": stability.is_oriented_semistable(m, pair=False),
             "module_stable": stability.is_oriented_stable(m, pair=False),
@@ -311,7 +286,7 @@ def _stability_obj(m: stability.FramedModel) -> dict:
     }
     if m.typ.framing_nonzero:
         bound = stability.sigma_upper_bound(m)
-        obj["sigma_upper_bound"] = None if bound is None else _frac(bound)
+        obj["sigma_upper_bound"] = None if bound is None else str(bound)
         obj["final_chamber_stable"] = stability.final_chamber_stable(m)
     return obj
 

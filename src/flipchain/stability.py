@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .chambers import (_REQUIRED, InvalidInput, _checked, _fields, _require_genus, _require_int, _require_sigma,
-                       build_chambers)
+                       _to_json, build_chambers)
 from .exactpoly import ConsistencyFailure
 
 
@@ -556,29 +556,9 @@ def rank2_threshold_holds(sub: SubobjectData, typ: FramedType, sigma: Fraction, 
 
 
 def model_to_json_obj(m: FramedModel) -> dict:
-    obj = {
-        "genus": m.ctx.genus,
-        "frame_degree": m.ctx.frame_degree,
-        "type": {
-            "rank": m.typ.rank,
-            "degree": m.typ.degree,
-            "framing_nonzero": m.typ.framing_nonzero,
-            "delta_iso": m.typ.delta_iso,
-        },
-        "subs": [
-            {
-                "id": s.id,
-                "rank": s.rank,
-                "degree": s.degree,
-                "fr": s.fr,
-                "phi_invariant": s.phi_invariant,
-                "parents": sorted(s.parents),
-            }
-            for s in m.subs
-        ],
-    }
+    obj = {**_to_json(m.ctx), "type": _to_json(m.typ), "subs": _to_json(m.subs)}
     if m.split is not None:
-        obj["split"] = {"kmax_id": m.split.kmax_id, "other_id": m.split.other_id}
+        obj["split"] = _to_json(m.split)
     return obj
 
 

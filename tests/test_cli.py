@@ -8,7 +8,8 @@ import json
 import os
 import pkgutil
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -193,12 +194,15 @@ CHAMBERS_GOLDEN = {
     ),
 }
 
-FORMAT_FLAGS = {"text": [], "csv": ["--csv"], "latex": ["--latex"]}
+CHAMBERS_JSON_DIGEST = "b5ee93fccd51937135a32bf77009bc01b189e752de0dd70178f25d44cf1ffe84"
+FORMAT_FLAGS = {"text": [], "csv": ["--csv"], "latex": ["--latex"], "json": ["--json"]}
 
 
-@pytest.mark.parametrize("fmt", sorted(CHAMBERS_GOLDEN))
+@pytest.mark.parametrize("fmt", sorted(CHAMBERS_GOLDEN) + ["json"])
 def test_chambers_golden_rendering(fmt):
-    assert capture(["chambers", "--d", "-5", "--g", "2"] + FORMAT_FLAGS[fmt]) == (0, CHAMBERS_GOLDEN[fmt])
+    status, text = capture(["chambers", "--d", "-5", "--g", "2"] + FORMAT_FLAGS[fmt])
+    assert status == 0
+    assert _sha256(text) == CHAMBERS_JSON_DIGEST if fmt == "json" else text == CHAMBERS_GOLDEN[fmt]
 
 
 def _sha256(text: str) -> str:
@@ -211,6 +215,7 @@ def _sha256(text: str) -> str:
         ("text", "f214f6c749e7cdda2d1edd89f9b0b705a578b7e65fb7eec430e62379c56ba1b1"),
         ("csv", "c81c12bf032c998d81ab8214bb93d6d6291135e4855d8819fb018f1881c51cec"),
         ("latex", "6be241dd1ed30210d30cbc1b4b5304809c4d02b9ad99c30ab6f9ded6b21b1b13"),
+        ("json", "e03b7c3ef346445d29f79641a7865db2c79ae64a0b97cc9f0550d2dba57f0a80"),
     ],
 )
 def test_betti_golden_rendering(fmt, digest):
@@ -229,9 +234,11 @@ def chain_model() -> dict:
         (readme_model, "text", "00abfa7253a1ed1052847051c9ca0cd2b956db43deedb0d4984c46165fba32e9"),
         (readme_model, "csv", "e44efdf52a9298d8ca5ee6e42504f286ce8263e9404e27f84ebe455f554a1813"),
         (readme_model, "latex", "58bbaa140fe8901f48280f9bdd0b04a3dda5d5f300002ac38a48827638a015e0"),
+        (readme_model, "json", "29ae24e0e82dda35b332f79e1feb05945b491ca501f6253465269258810d088d"),
         (chain_model, "text", "8f2f27af9a5c886ad16e7517b6629edd321cb95febffe6b5b758eb00c409bcb3"),
         (chain_model, "csv", "6a6fa0a4c523d0ee877eb7f9d383197c848fd2046e990e9698829b8407914f7c"),
         (chain_model, "latex", "c105d683c2a0594ff8af12dd41ab9bb5d1c1085669604c3ea4f0754140b6aa57"),
+        (chain_model, "json", "23a81554ca312e097f5613a6fb79e3e239a03f9cc8b2592d8b04e2bd901ebbd0"),
     ],
 )
 def test_stability_check_golden_rendering(tmp_path, model, fmt, digest):
@@ -379,6 +386,17 @@ def test_model_reader_accepts_the_readme_example(tmp_path):
     assert status == 0, text
 
 
+def test_model_writer_writes_the_readme_example_back():
+    """Every field in declaration order, parents sorted, split only when set."""
+    obj = readme_model()
+    obj["subs"].append({"id": "L", "rank": 1, "degree": -4, "fr": False, "phi_invariant": False, "parents": ["K", "C"]})
+    written = model_to_json_obj(model_from_json_obj(obj))
+    obj["subs"][-1]["parents"] = ["C", "K"]
+    assert json.dumps(written) == json.dumps(obj)
+    del obj["split"]
+    assert json.dumps(model_to_json_obj(model_from_json_obj(obj))) == json.dumps(obj)
+
+
 # -- strict report readers ---------------------------------------------------------
 
 
@@ -433,6 +451,14 @@ def chambers_report_obj() -> dict:
         (betti.report_from_json_obj, betti_report_obj, _doctor(("mcon", "terms", 0, 1), 1), "mcon.terms[0][1]"),
         (betti.report_from_json_obj, betti_report_obj, _doctor(("mcon", "terms", 0, 0), "0"), "mcon.terms[0][0]"),
         (betti.report_from_json_obj, betti_report_obj, _doctor(("terminal", "terms", 0), [0]), "terminal.terms[0]"),
+        # ... written as the writer writes them: sorted, without leading zeros
+        (betti.report_from_json_obj, betti_report_obj, _doctor(("mcon", "terms", 0, 1), "01"), "mcon.terms[0][1]"),
+        (betti.report_from_json_obj, betti_report_obj, _doctor(("mcon", "terms"), [[2, "1"], [0, "1"]]), "mcon.terms[0][0]"),
+        # chamber indices in the window, and the fields the polynomials give
+        (betti.report_from_json_obj, betti_report_obj, _doctor(("chambers", 0, "i"), 99), "chambers[0].i"),
+        (betti.report_from_json_obj, betti_report_obj, _doctor(("chambers", 0, "i"), 0), "chambers[0].i"),
+        (betti.report_from_json_obj, betti_report_obj, _doctor(("moduli_dim",), 99), "moduli_dim"),
+        (betti.report_from_json_obj, betti_report_obj, _doctor(("u2d", "agree"), False), "u2d.agree"),
         # bounds are strings that Fraction parses
         (chambers_obj_to_data, chambers_report_obj, _doctor(("chambers", 0, "lower"), 0.5), "chambers[0].lower"),
         (chambers_obj_to_data, chambers_report_obj, _doctor(("chambers", 0, "upper"), "1/x"), "chambers[0].upper"),
@@ -456,6 +482,14 @@ def chambers_report_obj() -> dict:
         # ... and (d, g) in the domain
         (chambers_obj_to_data, chambers_report_obj, _doctor(("d",), 5), "d"),
         (chambers_obj_to_data, chambers_report_obj, _doctor(("g",), 1), "g"),
+        # a value JSON cannot hold, from a Python caller
+        (chambers_obj_to_data, chambers_report_obj, _doctor(("d",), Fraction(-6)), "d"),
+        (chambers_obj_to_data, chambers_report_obj, _doctor(("walls", 0), Fraction(2)), "walls[0]"),
+        (betti.report_from_json_obj, betti_report_obj, _doctor(("d",), Fraction(-5)), "d"),
+        (model_from_json_obj, base_model, _doctor(("genus",), Fraction(2)), "genus"),
+        # unknown keys of mixed types: the first by its string is named
+        (chambers_obj_to_data, chambers_report_obj, _doctors(_doctor((1,), 0), _doctor(("colour",), "red")), "1"),
+        (betti.report_from_json_obj, betti_report_obj, _doctors(_doctor((1,), 0), _doctor(("colour",), "red")), "1"),
     ],
 )
 def test_report_readers_reject_with_the_field_path(read, emitted, doctor, field):
@@ -463,8 +497,8 @@ def test_report_readers_reject_with_the_field_path(read, emitted, doctor, field)
         read(doctor(emitted()))
 
 
-#: JSON values a leaf of a chambers report is replaced with.
-_JSON_VALUES = st.sampled_from([0, 1, -1, -3, 2, True, False, 1.0, 0.5, "1", "1/2", None, [], {}])
+#: JSON values a leaf of a report is replaced with.
+_JSON_VALUES = [0, 1, -1, -3, 2, True, False, 1.0, 0.5, "1", "1/2", None, [], {}]
 
 
 def _leaves(value, path=""):
@@ -490,12 +524,47 @@ def _set_leaf(obj, path, value):
 def test_chambers_reader_names_the_one_leaf_that_differs(dg, data):
     obj = json.loads(capture(["chambers", "--d", str(dg[0]), "--g", str(dg[1]), "--json"])[1])
     path, old = data.draw(st.sampled_from(_leaves(obj)))
-    new = data.draw(_JSON_VALUES.filter(lambda v: (type(v), v) != (type(old), old)))
+    new = data.draw(st.sampled_from(_JSON_VALUES).filter(lambda v: (type(v), v) != (type(old), old)))
     _set_leaf(obj, path, new)
     with pytest.raises(InvalidInput) as exc:
         chambers_obj_to_data(obj)
     named = str(exc.value).split(": ")[0]
     assert named in ("d", "g", "moduli_dim") if path in ("d", "g") else named == path, str(exc.value)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(argv=st.sampled_from([["--d", "-5", "--g", "2"], ["--d", "-6", "--g", "3"], ["--d", "-1", "--g", "2"],
+                             ["--d", "-5", "--g", "2", "--chamber", "3"]]), data=st.data())
+def test_betti_reader_names_a_path_inside_the_leaf_that_differs(argv, data):
+    obj = json.loads(capture(["betti", *argv, "--json"])[1])
+    path, old = data.draw(st.sampled_from(_leaves(obj)))
+    new = data.draw(st.sampled_from(_JSON_VALUES + ["01", "0", "-0"]).filter(lambda v: (type(v), v) != (type(old), old)))
+    _set_leaf(obj, path, new)
+    try:
+        report = betti.report_from_json_obj(obj)
+    except InvalidInput as exc:
+        named = str(exc).split(": ")[0]
+        top = re.match(r"chambers\[\d+\]|\w+", path).group()
+        inside = named == top or named.startswith((f"{top}.", f"{top}["))
+        assert inside or (path in ("d", "g") and re.fullmatch(r"d|g|moduli_dim|chambers\[\d+\]\.i", named)), str(exc)
+    else:  # a change the reader accepts is one the writer writes back
+        assert json.dumps(betti.report_to_json_obj(report)) == json.dumps(obj)
+        assert report.ok in (True, False)
+
+
+@pytest.mark.parametrize(
+    "table, cls",
+    [
+        (stability._TYPE_FIELDS, stability.FramedType),
+        (stability._SUB_FIELDS, stability.SubobjectData),
+        (stability._SPLIT_FIELDS, stability.SplitDescriptor),
+        (betti._CHAMBER_FIELDS, betti.ChamberBetti),
+        (betti._U2D_FIELDS, betti.U2dReport),
+        (betti._REPORT_FIELDS, betti.BettiReport),
+    ],
+)
+def test_reader_tables_name_the_written_fields_in_order(table, cls):
+    assert list(table) == [f.name for f in fields(cls)]
 
 
 def test_report_reader_accepts_null_where_the_writer_emits_it():
