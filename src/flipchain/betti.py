@@ -11,13 +11,12 @@ series inversions.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
 from typing import Dict, Iterator, Optional, Tuple
 
-from .chambers import _REQUIRED, InvalidInput, _checked, _fields, fm_index_range, moduli_dim
+from .chambers import InvalidInput, _checked, fm_index_range, moduli_dim
 from .chambers import _chamber_index_range, _require_equal, _require_genus, _to_json
 from .exactpoly import ConsistencyFailure, LaurentPoly, NotDivisible, lp_div_exact
 
@@ -328,51 +327,18 @@ def report_to_json_obj(r: BettiReport) -> dict:
     return _to_json(r)
 
 
-def _poly(value, path: str) -> LaurentPoly:
-    """A Laurent polynomial in the written form {"terms": [[exponent,
-    "coefficient"], ...]}: integer exponents and decimal-string coefficients."""
-    terms = _fields(value, path, {"terms": (list, _REQUIRED)})["terms"]
-    for k, term in enumerate(terms):
-        at = f"{path}.terms[{k}]"
-        if not (isinstance(term, list) and len(term) == 2):
-            raise InvalidInput(f'{at}: expected [exponent, "coefficient"], got {term!r}')
-        _checked(term[0], int, f"{at}[0]")
-        if not (isinstance(term[1], str) and re.fullmatch("-?[0-9]+", term[1])):
-            raise InvalidInput(f"{at}[1]: expected a decimal string, got {term[1]!r}")
-    return LaurentPoly((e, int(c)) for e, c in terms)
-
-
-#: Each JSON object's fields: key -> (kind, default); see chambers._fields.
-_REPORT_FIELDS = {"d": (int, _REQUIRED), "g": (int, _REQUIRED), "moduli_dim": (int, _REQUIRED),
-                  "chambers": (list, _REQUIRED), "u2d": (dict, _REQUIRED), "mcon": (_poly, _REQUIRED),
-                  "terminal": (_poly, _REQUIRED), "blowup_check": (bool, None)}
-_CHAMBER_FIELDS = {"i": (int, _REQUIRED), "p_recursive": (_poly, _REQUIRED), "p_closed": (_poly, _REQUIRED),
-                   "agree": (bool, _REQUIRED), "degree": (int, _REQUIRED), "palindromic": (bool, _REQUIRED),
-                   "nonneg": (bool, _REQUIRED), "constant_term": (int, _REQUIRED)}
-_U2D_FIELDS = {"closed": (_poly, _REQUIRED), "via_bundle": (_poly, None), "agree": (bool, None)}
-
-
 def report_from_json_obj(obj) -> BettiReport:
-    """Strict reader of report_to_json_obj's output.  After a typed pass
-    (integers that are not bools, real bools, terms of [int, "decimal
-    string"], chamber indices in the window of d), the report is built from
-    the polynomials, each chamber's flags, moduli_dim and u2d.agree derived
-    from them, and obj must be exactly what report_to_json_obj writes for
-    it; InvalidInput names the deepest field path that differs (e.g.
+    """Strict reader of report_to_json_obj's output: the report must be
+    exactly what betti --json writes for its own integer d and g and its
+    chamber set, every chamber or the one chamber --chamber asks for, with
+    InvalidInput naming the deepest field path that differs (e.g.
     chambers[0].agree or mcon.terms[0][1]) otherwise."""
     _checked(obj, dict, "report")
-    top = _fields(obj, "", _REPORT_FIELDS)
-    dim = moduli_dim(top["d"], top["g"])
-    chambers = []
-    for k, raw in enumerate(top["chambers"]):
-        ch = _fields(raw, f"chambers[{k}]", _CHAMBER_FIELDS)
-        _chamber_index_range(ch["i"], top["d"], f"chambers[{k}].i")
-        if ch["p_recursive"].is_zero():
-            raise InvalidInput(f"chambers[{k}].p_recursive: the zero polynomial has no degree")
-        chambers.append(_chamber_betti(ch["i"], ch["p_recursive"], ch["p_closed"]))
-    u2d = _fields(top["u2d"], "u2d", _U2D_FIELDS)
-    closed, via = u2d["closed"], u2d["via_bundle"]
-    report = BettiReport(**{**top, "moduli_dim": dim, "chambers": tuple(chambers),
-                            "u2d": U2dReport(closed, via, None if via is None else via == closed)})
-    _require_equal(obj, report_to_json_obj(report), "", "as the report's polynomials give it")
+    d, g = (_checked(obj.get(key), int, key) for key in ("d", "g"))
+    listed, only_chamber = obj.get("chambers"), None
+    if type(listed) is list and len(listed) == 1:  # as --chamber writes it
+        only_chamber = _checked(listed[0], dict, "chambers[0]").get("i")
+        _chamber_index_range(only_chamber, d, "chambers[0].i")
+    report = build_betti_report(d, g, only_chamber)
+    _require_equal(obj, report_to_json_obj(report), "", f"for d={d}, g={g}")
     return report

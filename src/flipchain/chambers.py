@@ -37,12 +37,9 @@ def _shown(value) -> str:
         return repr(value)[:60]
 
 
-def _checked(value, kind, path: str):
-    """The value when it is of the JSON kind (a bool is not an integer), or
-    what the reader kind(value, path) makes of it; InvalidInput naming the
-    field path otherwise."""
-    if not isinstance(kind, type):
-        return kind(value, path)
+def _checked(value, kind: type, path: str):
+    """The value when it is of the JSON kind int, bool, str, list or dict (a
+    bool is not an integer); InvalidInput naming the field path otherwise."""
     if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
         return value
     raise InvalidInput(f"{path or 'model'}: expected {_KIND_NAMES[kind]}, got {_shown(value)}")
@@ -50,9 +47,9 @@ def _checked(value, kind, path: str):
 
 def _fields(obj, path: str, spec: dict, retired: Iterable[str] = ()) -> dict:
     """The checked fields of one JSON object.  spec maps each key to (kind,
-    default); the default _REQUIRED makes the key required, and a None
-    default lets it be null.  Keys outside spec and retired are rejected;
-    retired keys are ignored."""
+    default), kind a JSON kind of _checked; the default _REQUIRED makes the
+    key required, and a None default lets it be null.  Keys outside spec
+    and retired are rejected; retired keys are ignored."""
     _checked(obj, dict, path)
     at = f"{path}." if path else ""
     unknown = sorted(obj.keys() - spec.keys() - set(retired), key=str)
@@ -89,7 +86,7 @@ def _require_equal(got, want, path: str, where: str) -> None:
     """Nothing when the JSON value got is want; InvalidInput naming the
     deepest path that differs otherwise.  Types compare exactly (a bool is
     not an integer, 1.0 is not 1), objects key by key in any order, lists
-    item by item."""
+    item by item over their common length and then by length."""
     if type(got) is dict and type(want) is dict:
         at = f"{path}." if path else ""
         unknown = sorted(got.keys() - want.keys(), key=str)
@@ -99,10 +96,11 @@ def _require_equal(got, want, path: str, where: str) -> None:
             if key not in got:
                 raise InvalidInput(f"{at}{key}: missing")
             _require_equal(got[key], value, at + key, where)
-    elif type(got) is list and type(want) is list and len(got) == len(want):
+        return
+    if type(got) is list and type(want) is list:
         for k, (item, value) in enumerate(zip(got, want)):
             _require_equal(item, value, f"{path}[{k}]", where)
-    elif type(got) is not type(want) or got != want:
+    if type(got) is not type(want) or got != want:
         raise InvalidInput(f"{path}: expected {_shown(want)} {where}, got {_shown(got)}")
 
 

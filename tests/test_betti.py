@@ -285,9 +285,6 @@ def test_report_ok_and_round_trip():
 
 def test_report_reader_reads_polynomial_terms():
     obj = report_to_json_obj(build_betti_report(-5, 2))
-    obj["mcon"] = {"terms": [[-2, "3"], [0, "-7"], [5, "12345678901234567890"]]}
-    report = report_from_json_obj(json.loads(json.dumps(obj)))
-    assert report.mcon == LaurentPoly({-2: 3, 0: -7, 5: 12345678901234567890})
     obj["mcon"] = {"terms": [[1.5, 2], [True, " 3"]]}
     with pytest.raises(InvalidInput, match=r"^mcon\.terms\[0\]\[0\]: "):
         report_from_json_obj(obj)

@@ -430,18 +430,19 @@ def chambers_report_obj() -> dict:
         (betti.report_from_json_obj, betti_report_obj, _doctor(("chambers", 0, "degree"), 13.7), "chambers[0].degree"),
         (betti.report_from_json_obj, betti_report_obj, _doctor(("d",), True), "d"),
         (chambers_obj_to_data, chambers_report_obj, _doctor(("walls", 0), "1"), "walls[0]"),
-        # each chamber's flags are the ones its polynomials give
-        (betti.report_from_json_obj, betti_report_obj, _doctor(("chambers", 0, "p_closed"), FIVE), "chambers[0].agree"),
+        # each chamber's polynomials are the ones build_betti_report(d, g) gives
+        (betti.report_from_json_obj, betti_report_obj, _doctor(("chambers", 0, "p_closed"), FIVE),
+         "chambers[0].p_closed.terms[0][1]"),
         (betti.report_from_json_obj, betti_report_obj, _doctors(_doctor(("chambers", 0, "p_closed"), FIVE),
          _doctor(("chambers", 1, "p_recursive"), ONE_MINUS_7T3), _doctor(("chambers", 1, "p_closed"), ONE_MINUS_7T3)),
-         "chambers[0].agree"),
+         "chambers[0].p_closed.terms[0][1]"),
         (betti.report_from_json_obj, betti_report_obj, _doctors(_doctor(("chambers", 1, "p_recursive"), ONE_MINUS_7T3),
-         _doctor(("chambers", 1, "p_closed"), ONE_MINUS_7T3)), "chambers[1].degree"),
+         _doctor(("chambers", 1, "p_closed"), ONE_MINUS_7T3)), "chambers[1].p_recursive.terms[1][0]"),
         (betti.report_from_json_obj, betti_report_obj, _doctor(("chambers", 0, "palindromic"), False), "chambers[0].palindromic"),
         (betti.report_from_json_obj, betti_report_obj, _doctor(("chambers", 0, "nonneg"), False), "chambers[0].nonneg"),
         (betti.report_from_json_obj, betti_report_obj, _doctor(("chambers", 0, "constant_term"), 2), "chambers[0].constant_term"),
         (betti.report_from_json_obj, betti_report_obj, _doctors(_doctor(("chambers", 0, "p_recursive"), {"terms": []}),
-         _doctor(("chambers", 0, "p_closed"), {"terms": []})), "chambers[0].p_recursive"),
+         _doctor(("chambers", 0, "p_closed"), {"terms": []})), "chambers[0].p_recursive.terms"),
         # flags are real bools
         (betti.report_from_json_obj, betti_report_obj, _doctor(("chambers", 0, "agree"), "false"), "chambers[0].agree"),
         (chambers_obj_to_data, chambers_report_obj, _doctor(("chambers", 0, "closed_upper"), 0), "chambers[0].closed_upper"),
@@ -490,6 +491,16 @@ def chambers_report_obj() -> dict:
         # unknown keys of mixed types: the first by its string is named
         (chambers_obj_to_data, chambers_report_obj, _doctors(_doctor((1,), 0), _doctor(("colour",), "red")), "1"),
         (betti.report_from_json_obj, betti_report_obj, _doctors(_doctor((1,), 0), _doctor(("colour",), "red")), "1"),
+        # every Betti field is the one build_betti_report(d, g) gives for the report's chamber set
+        (betti.report_from_json_obj, betti_report_obj, _doctor(("mcon",), {"terms": [[0, "7"]]}), "mcon.terms[0][1]"),
+        (betti.report_from_json_obj, betti_report_obj, _doctor(("blowup_check",), None), "blowup_check"),
+        (betti.report_from_json_obj, betti_report_obj, _doctor(("terminal",), {"terms": [[0, "1"]]}), "terminal.terms"),
+        (betti.report_from_json_obj, betti_report_obj, _doctor(("chambers", -1)), "chambers"),
+        (betti.report_from_json_obj, betti_report_obj, _doctor(("chambers",), []), "chambers"),
+        (betti.report_from_json_obj, betti_report_obj, _doctor(("chambers", 0)), "chambers[0].i"),
+        # lists of unequal length: the first differing item, else the list
+        (chambers_obj_to_data, chambers_report_obj, _doctor(("walls",), [3]), "walls[0]"),
+        (chambers_obj_to_data, chambers_report_obj, _doctor(("walls",), [2]), "walls"),
     ],
 )
 def test_report_readers_reject_with_the_field_path(read, emitted, doctor, field):
@@ -558,9 +569,6 @@ def test_betti_reader_names_a_path_inside_the_leaf_that_differs(argv, data):
         (stability._TYPE_FIELDS, stability.FramedType),
         (stability._SUB_FIELDS, stability.SubobjectData),
         (stability._SPLIT_FIELDS, stability.SplitDescriptor),
-        (betti._CHAMBER_FIELDS, betti.ChamberBetti),
-        (betti._U2D_FIELDS, betti.U2dReport),
-        (betti._REPORT_FIELDS, betti.BettiReport),
     ],
 )
 def test_reader_tables_name_the_written_fields_in_order(table, cls):
