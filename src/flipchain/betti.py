@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .chambers import InvalidInput, _checked, fm_index_range, moduli_dim
 from .chambers import _chamber_index_range, _require_equal, _require_genus, _to_json
@@ -22,7 +22,6 @@ from .exactpoly import ConsistencyFailure, LaurentPoly, NotDivisible, lp_div_exa
 
 _T = LaurentPoly.monomial
 _ONE_MINUS_T2 = LaurentPoly({0: 1, 2: -1})
-_ONE_PLUS_T2 = LaurentPoly({0: 1, 2: 1})
 
 
 def _one_plus_t_pow(n: int) -> LaurentPoly:
@@ -36,7 +35,6 @@ def proj_space_poincare(n: int) -> LaurentPoly:
     return LaurentPoly({2 * k: 1 for k in range(n + 1)})
 
 
-@lru_cache(maxsize=None)
 def sym_product_poincare(n: int, g: int) -> LaurentPoly:
     """Poincare polynomial of the n-th symmetric product of a genus-g curve,
     by Macdonald's explicit sum over k <= min(n, 2g) of C(2g, k) t^k times
@@ -48,24 +46,34 @@ def sym_product_poincare(n: int, g: int) -> LaurentPoly:
     return sum(terms, LaurentPoly.zero())
 
 
+@lru_cache(maxsize=None)
+def _shared_factor(n: int, g: int) -> LaurentPoly:
+    """E(n, g) = (1+t)^(2g) times the symmetric-product polynomial of
+    Sym^n; it does not depend on the degree d."""
+    return _one_plus_t_pow(2 * g) * sym_product_poincare(n, g)
+
+
 def flip_difference(j: int, d: int, g: int) -> LaurentPoly:
     """Betti change across the wall above chamber j, by two routes.
 
-    Both routes are a fiber factor times the shared factor (1+t)^(2g) times
-    the symmetric-product polynomial.  Formula route's fiber factor:
+    Both routes are a fiber factor times the shared factor E(n, g), n =
+    rank W+ = -d-j-1.  Formula route's fiber factor:
     (t^(2d+2g+4j+2) - t^(-2d-2j-2)) / (1-t^2).  Bundle route's: difference
     of the Poincare polynomials of the projective fibers of the two flip
     loci over Pic x Sym.  The fiber factors are compared before the shared
-    factor is multiplied in, once: Z[t, 1/t] has no zero divisors and the
-    shared factor is nonzero, so the products agree exactly when the fiber
-    factors do.  A mismatch raises NotDivisible.
+    factor is brought in: Z[t, 1/t] has no zero divisors and E(n, g) is
+    nonzero, so the products agree exactly when the fiber factors do.  A
+    mismatch raises NotDivisible.  The product itself is
+    (E t^(2d+2g+4j+2) - E t^(-2d-2j-2)) / (1-t^2): two shifted copies of
+    E's terms and one exact division.
     """
     _require_genus(g)
     _chamber_index_range(j, d, "j")
     rank_plus = -d - j - 1
     rank_minus = d + g + 2 * j + 1
-    even_factor = _one_plus_t_pow(2 * g) * sym_product_poincare(rank_plus, g)
-    num = _T(2 * d + 2 * g + 4 * j + 2) - _T(-2 * d - 2 * j - 2)
+    even_factor = _shared_factor(rank_plus, g)
+    up, down = 2 * d + 2 * g + 4 * j + 2, -2 * d - 2 * j - 2
+    num = _T(up) - _T(down)
     formula = lp_div_exact(num, _ONE_MINUS_T2)
     bundle = proj_space_poincare(rank_plus - 1) - proj_space_poincare(rank_minus - 1)
     if formula != bundle:
@@ -73,7 +81,8 @@ def flip_difference(j: int, d: int, g: int) -> LaurentPoly:
             f"flip difference routes disagree at j={j}, d={d}, g={g}: "
             f"formula={formula * even_factor}, bundle={bundle * even_factor}"
         )
-    return formula * even_factor
+    terms = [(e + up, c) for e, c in even_factor.items()] + [(e + down, -c) for e, c in even_factor.items()]
+    return lp_div_exact(LaurentPoly(terms), _ONE_MINUS_T2)
 
 
 def terminal_poincare(d: int, g: int) -> LaurentPoly:
@@ -104,16 +113,43 @@ def fm_poincare_recursive(i: int, d: int, g: int) -> LaurentPoly:
     return _recursive_chain(i, d, g)[i]
 
 
-@lru_cache(maxsize=None)
-def _macdonald_coeff(k: int, g: int) -> LaurentPoly:
-    """x^k coefficient f_k of (1+xt)^(2g) / ((1-x)(1-x t^2)), Macdonald's
-    series for the symmetric products of the curve, from the recurrence its
-    denominator 1 - (1+t^2)x + t^2 x^2 gives:
-    f_k = C(2g, k) t^k + (1+t^2) f_(k-1) - t^2 f_(k-2), and f_k = 0 for k < 0.
-    Call it with k rising, so that f_(k-1) and f_(k-2) are already cached."""
+def _e_times_f(k: int, g: int) -> List[int]:
+    """(1+t)^(2g) f_k as a coefficient list from t^0, read off the cached B
+    lists: t^(2k) times it is (1+t)^(2g) (B_k - B_(k-1))."""
     if k < 0:
-        return LaurentPoly.zero()
-    return _T(k, comb(2 * g, k)) + _ONE_PLUS_T2 * _macdonald_coeff(k - 1, g) - _T(2) * _macdonald_coeff(k - 2, g)
+        return []
+    b, below = _closed_lists(k, g)[1], _closed_lists(k - 1, g)[1] if k else []
+    return [c - below[e] if e < len(below) else c for e, c in enumerate(b[2 * k:], 2 * k)]
+
+
+@lru_cache(maxsize=None)
+def _closed_lists(n: int, g: int) -> Tuple[List[int], List[int]]:
+    """(1+t)^(2g) A_n and (1+t)^(2g) B_n as coefficient lists from t^0,
+    both of length 4n + 2g + 1, where
+    A_n = f_n + t^4 A_(n-1) and B_n = B_(n-1) + t^(2n) f_n
+    and f_k is the x^k coefficient of Macdonald's series
+    (1+xt)^(2g) / ((1-x)(1-x t^2)) for the symmetric products, from the
+    recurrence its denominator gives:
+    f_k = C(2g, k) t^k + (1+t^2) f_(k-1) - t^2 f_(k-2), and f_k = 0 for k < 0.
+    Nothing else is kept: f is read back off the B lists.  Call it with n
+    rising, so that the entries at n-1, n-2 and n-3 are already cached."""
+    top = 4 * n + 2 * g + 1
+    ef = [0] * (2 * n + 2 * g + 1)  # (1+t)^(2g) f_n
+    for e in range(2 * g + 1):
+        ef[n + e] = comb(2 * g, n) * comb(2 * g, e)
+    for e, x in enumerate(_e_times_f(n - 1, g)):
+        ef[e] += x
+        ef[e + 2] += x
+    for e, x in enumerate(_e_times_f(n - 2, g)):
+        ef[e + 2] -= x
+    a_below, b_below = _closed_lists(n - 1, g) if n else ([], [])
+    a = ef + [0] * (top - len(ef))
+    for e, x in enumerate(a_below):
+        a[e + 4] += x
+    b = b_below + [0] * (top - len(b_below))
+    for e, x in enumerate(ef, 2 * n):
+        b[e] += x
+    return a, b
 
 
 def fm_poincare_closed(i: int, d: int, g: int) -> LaurentPoly:
@@ -121,23 +157,32 @@ def fm_poincare_closed(i: int, d: int, g: int) -> LaurentPoly:
 
     -(1+t)^(2g)/(1-t^2) times the x^n coefficient, n = -d-i-1, of
     (t^(2d+2g+4i+2)/(1-x t^4) - t^(-2d-2i)/(t^2-x)) (1+xt)^(2g) / ((1-x)(1-x t^2)).
-    Both kernels are geometric series of monomials, so that coefficient is
-    the sum over m of (t^(2d+2g+4i+2+4m) - t^(-2d-2i-2-2m)) f_(n-m).
+    Both kernels are geometric series of monomials, so with f_k the x^k
+    coefficient of Macdonald's series that coefficient is t^s A_n - B_n,
+    s = 2d+2g+4i+2, for A_n = sum over m of t^(4m) f_(n-m) and
+    B_n = sum over k of t^(2k) f_k (see _closed_lists).  With
+    (1+t)^(2g) A_n and (1+t)^(2g) B_n cached as integer lists by (n, g), the
+    chamber is one shifted subtraction and one prefix-sum division by
+    1 - t^2, in plain integers: this route shares no polynomial arithmetic
+    with the recursive one.  A negative shift raises ConsistencyFailure and
+    a nonzero remainder NotDivisible, both naming (i, d, g).
     """
     _require_genus(g)
     _chamber_index_range(i, d)
-    n = -d - i - 1
-    f = [_macdonald_coeff(k, g) for k in range(n + 1)]  # bottom-up, so no deep recursion
-    acc: Dict[int, int] = {}
-    for m in range(n + 1):
-        up, down = 2 * d + 2 * g + 4 * i + 2 + 4 * m, -2 * d - 2 * i - 2 - 2 * m
-        for e, c in f[n - m].items():
-            acc[e + up] = acc.get(e + up, 0) + c
-            acc[e + down] = acc.get(e + down, 0) - c
-    result = lp_div_exact(-(_one_plus_t_pow(2 * g)) * LaurentPoly(acc), _ONE_MINUS_T2)
-    if not result.is_polynomial():
-        raise ConsistencyFailure(f"negative exponent in the closed route at (i={i}, d={d}, g={g}): {result}")
-    return result
+    n, shift = -d - i - 1, 2 * d + 2 * g + 4 * i + 2
+    if shift < 0:  # a negative list index would wrap around silently
+        raise ConsistencyFailure(f"negative shift t^{shift} in the closed route at (i={i}, d={d}, g={g})")
+    for k in range(n):  # bottom-up, so no deep recursion
+        _closed_lists(k, g)
+    a, b = _closed_lists(n, g)
+    q = b + [0] * shift  # (1+t)^(2g) (B_n - t^shift A_n), then divided by 1 - t^2
+    for e, x in enumerate(a, shift):
+        q[e] -= x
+    for e in range(2, len(q)):
+        q[e] += q[e - 2]
+    if q[-1] or q[-2]:
+        raise NotDivisible(f"nonzero remainder in the closed route at (i={i}, d={d}, g={g})")
+    return LaurentPoly(enumerate(q[:-2]))
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,6 @@ import pytest
 from flipchain import betti
 from flipchain.betti import (
     CHAMBER_INVARIANTS,
-    _macdonald_coeff,
     REPORT_INVARIANTS,
     blowup_consistency,
     blowup_delta,
@@ -30,7 +29,7 @@ from flipchain.betti import (
     u2d_poincare,
 )
 from flipchain.chambers import InvalidInput, fm_index_range, moduli_dim
-from flipchain.exactpoly import LaurentPoly, TruncatedBiSeries, lp_div_exact
+from flipchain.exactpoly import ConsistencyFailure, LaurentPoly, TruncatedBiSeries, lp_div_exact
 
 ONE_PLUS_T = LaurentPoly({0: 1, 1: 1})
 
@@ -135,10 +134,17 @@ def macdonald_series(g, order):
 
 
 def test_explicit_sum_and_recurrence_match_the_generating_function():
+    # the list recurrence keeps (1+t)^(2g) f_k, so all three are compared
+    # times (1+t)^(2g), which is nonzero: Z[t] has no zero divisors
     for g in range(7):
-        series = macdonald_series(g, 15)
+        series, shared = macdonald_series(g, 15), ONE_PLUS_T ** (2 * g)
+        a_below = LaurentPoly.zero()
         for k in range(16):
-            assert _macdonald_coeff(k, g) == sym_product_poincare(k, g) == series.coeff_x(k), (k, g)
+            listed = LaurentPoly(enumerate(betti._e_times_f(k, g)))
+            assert listed == shared * sym_product_poincare(k, g) == shared * series.coeff_x(k), (k, g)
+            a = LaurentPoly(enumerate(betti._closed_lists(k, g)[0]))
+            assert a - LaurentPoly.monomial(4) * a_below == listed, (k, g)  # A_k = f_k + t^4 A_(k-1)
+            a_below = a
 
 
 def _betti_caches():
@@ -170,12 +176,48 @@ def test_recursive_route_at_a_large_degree_needs_no_deep_recursion():
 
 def test_only_the_caches_keyed_by_genus_remain_and_stay_small():
     assert sorted(f.__name__ for f in _betti_caches()) == [
-        "_macdonald_coeff", "mcon_poincare", "sym_product_poincare", "u2d_poincare"]
+        "_closed_lists", "_shared_factor", "mcon_poincare", "u2d_poincare"]
     for cache in _betti_caches():
         cache.cache_clear()
     for d in range(-1, -41, -1):
         build_betti_report(d, 2)
     assert sum(cache.cache_info().currsize for cache in _betti_caches()) <= 80
+
+
+def _raises(*args, **kwargs):
+    raise AssertionError("the closed route used polynomial arithmetic")
+
+
+def test_closed_route_shares_no_arithmetic_with_the_recursive_route(monkeypatch):
+    # the lowest and the top chamber of each (d, g)
+    cells = [(i, d, g) for g, d in ((2, -5), (3, -17), (4, -28), (5, -40), (2, -40)) for i in fm_index_range(d)]
+    expected = [fm_poincare_closed(*cell) for cell in cells]
+    monkeypatch.setattr(LaurentPoly, "__mul__", _raises)
+    monkeypatch.setattr(LaurentPoly, "__pow__", _raises)
+    monkeypatch.setattr(betti, "lp_div_exact", _raises)
+    for cache in _betti_caches():
+        cache.cache_clear()
+    assert [fm_poincare_closed(*cell) for cell in cells] == expected
+
+
+def test_closed_route_rejects_a_negative_shift(monkeypatch):
+    # i = 0 is below the window [5, 9] of d = -10, where 2d+2g+4i+2 = -14
+    monkeypatch.setattr(betti, "_chamber_index_range", lambda i, d, path="i": (0, -d - 1))
+    with pytest.raises(ConsistencyFailure, match=r"^negative shift t\^-14 in the closed route at \(i=0, d=-10, g=2\)$"):
+        fm_poincare_closed(0, -10, 2)
+
+
+def test_closed_route_raises_on_a_nonzero_remainder():
+    for cache in _betti_caches():
+        cache.cache_clear()
+    try:
+        fm_poincare_closed(6, -12, 3)
+        betti._closed_lists(5, 3)[1][4] += 1  # corrupt (1+t)^(2g) B_5, which chamber 6 of d = -12 reads
+        with pytest.raises(ConsistencyFailure, match=r"^nonzero remainder in the closed route at \(i=6, d=-12, g=3\)$"):
+            fm_poincare_closed(6, -12, 3)
+    finally:
+        for cache in _betti_caches():
+            cache.cache_clear()
 
 
 def test_a_report_takes_each_flip_difference_once(monkeypatch):
