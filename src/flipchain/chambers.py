@@ -11,7 +11,7 @@ Pic^(i+1) x Sym^(-d-i-1) of the curve.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Tuple
 
@@ -66,20 +66,27 @@ def _fields(obj, path: str, spec: dict, retired: Iterable[str] = ()) -> dict:
     return fields
 
 
+_JSON_LEAVES = frozenset((int, bool, str, type(None)))
+
+
 def _to_json(value):
     """The written JSON form of a report or model value: a dataclass as an
     object of its fields in declaration order, a tuple as a list, a
     frozenset as a sorted list, a Fraction as its string and a LaurentPoly
-    through to_json_obj()."""
-    if is_dataclass(value):
-        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    through to_json_obj().  The common leaves are tested first; any other
+    value is its own form."""
+    if type(value) in _JSON_LEAVES:
+        return value
     if isinstance(value, tuple):
         return [_to_json(item) for item in value]
-    if isinstance(value, frozenset):
-        return sorted(value)
     if isinstance(value, Fraction):
         return str(value)
-    return value.to_json_obj() if isinstance(value, LaurentPoly) else value
+    if isinstance(value, LaurentPoly):
+        return value.to_json_obj()
+    if isinstance(value, frozenset):
+        return sorted(value)
+    names = getattr(type(value), "__dataclass_fields__", None)
+    return value if names is None else {name: _to_json(getattr(value, name)) for name in names}
 
 
 def _require_equal(got, want, path: str, where: str) -> None:
@@ -193,12 +200,15 @@ class FlipLocusData:
 
 @dataclass(frozen=True)
 class ChamberData:
+    """The chambers report: its fields, in order, are what chambers --json
+    writes.  flip_loci holds the flip at each wall, from the lowest."""
+
     d: int
     g: int
+    moduli_dim: int
     walls: Tuple[int, ...]
     chambers: Tuple[Chamber, ...]
-    index_lo: int
-    index_hi: int
+    flip_loci: Tuple[FlipLocusData, ...]
 
     @property
     def representatives(self) -> Tuple[Fraction, ...]:
@@ -215,11 +225,12 @@ class ChamberLocation:
 
 
 def build_chambers(d: int, g: int) -> ChamberData:
-    """Walls and chambers covering (0, -d] for degree d < 0.
+    """Walls, chambers covering (0, -d] and flip loci for degree d < 0.
 
     The wall set is {eta_i : lo+1 <= i <= hi}; it is empty for d in
     {-1, -2}.  Each chamber's representative is its midpoint, taken as an
-    exact rational.
+    exact rational, and each chamber i < hi has the flip locus of the wall
+    above it.
     """
     lo, hi = fm_index_range(d)
     _require_genus(g)
@@ -238,7 +249,8 @@ def build_chambers(d: int, g: int) -> ChamberData:
                 representative=(lo_b + hi_b) / 2,
             )
         )
-    return ChamberData(d=d, g=g, walls=walls, chambers=tuple(chambers), index_lo=lo, index_hi=hi)
+    flips = tuple(flip_locus(i, d, g) for i in range(lo, hi))
+    return ChamberData(d, g, moduli_dim(d, g), walls, tuple(chambers), flips)
 
 
 def chamber_of(sigma: Fraction, cd: ChamberData) -> ChamberLocation:
@@ -303,7 +315,6 @@ def structure_failures(d: int, g: int) -> List[str]:
     invariant and its indices; empty when the structure is consistent."""
     cd = build_chambers(d, g)
     failures = [] if _wall_endpoints_hold(cd) else [f"wall endpoints fail at (d={d}, g={g}): {cd.walls}"]
-    for i in range(cd.index_lo, cd.index_hi):
-        fl = flip_locus(i, d, g)
-        failures += [f"{name} fails at (i={i}, d={d}, g={g})" for name, holds in FLIP_INVARIANTS if not holds(fl, d, g)]
+    for fl in cd.flip_loci:
+        failures += [f"{name} fails at (i={fl.i}, d={d}, g={g})" for name, holds in FLIP_INVARIANTS if not holds(fl, d, g)]
     return failures

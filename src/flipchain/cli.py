@@ -13,12 +13,12 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import betti, chambers, stability
-from .chambers import InvalidInput, _checked, _require_equal, _require_genus
+from .chambers import InvalidInput, _checked, _require_equal, _require_genus, _to_json
 from .exactpoly import ConsistencyFailure
 
 FORMATS = ("text", "json", "csv", "latex")
@@ -103,31 +103,6 @@ def _tabular(spec: str, header: Sequence[str], rows) -> str:
 # chambers reports
 # ---------------------------------------------------------------------------
 
-_CHAMBER_COLUMNS = ("index", "fm_index", "lower", "upper", "closed_upper", "representative")
-_FLIP_COLUMNS = ("i", "rank_minus", "rank_plus", "dim_p_minus", "dim_p_plus", "codim_minus", "codim_plus")
-
-
-def _chambers_obj(cd: chambers.ChamberData) -> dict:
-    flips = (chambers.flip_locus(i, cd.d, cd.g) for i in range(cd.index_lo, cd.index_hi))
-    return {
-        "d": cd.d,
-        "g": cd.g,
-        "moduli_dim": chambers.moduli_dim(cd.d, cd.g),
-        "walls": list(cd.walls),
-        "chambers": [
-            {
-                "index": c.index,
-                "fm_index": c.fm_index,
-                "lower": str(c.lower),
-                "upper": str(c.upper),
-                "closed_upper": c.closed_upper,
-                "representative": str(c.representative),
-            }
-            for c in cd.chambers
-        ],
-        "flip_loci": [{key: getattr(fl, key) for key in _FLIP_COLUMNS} for fl in flips],
-    }
-
 
 def chambers_obj_to_data(obj) -> chambers.ChamberData:
     """Strict reader of an emitted chambers JSON report: the report must be
@@ -137,46 +112,39 @@ def chambers_obj_to_data(obj) -> chambers.ChamberData:
     _checked(obj, dict, "chambers report")
     d, g = (_checked(obj.get(key), int, key) for key in ("d", "g"))
     cd = chambers.build_chambers(d, g)
-    _require_equal(obj, _chambers_obj(cd), "", f"for d={d}, g={g}")
+    _require_equal(obj, _to_json(cd), "", f"for d={d}, g={g}")
     return cd
 
 
-def _interval(c: dict) -> str:
-    return f"({c['lower']}, {c['upper']}{']' if c['closed_upper'] else ')'}"
+def _interval(c: chambers.Chamber) -> str:
+    return f"({c.lower}, {c.upper}{']' if c.closed_upper else ')'}"
 
 
 def _emit_chambers(cd: chambers.ChamberData, fmt: str) -> str:
-    obj = _chambers_obj(cd)
     if fmt == "json":
-        return json.dumps(obj, indent=2)
-    if fmt == "csv":
-        flips = {f["i"]: f for f in obj["flip_loci"]}
-        no_flip = dict.fromkeys(_FLIP_COLUMNS, "")  # no wall above the last chamber
-        rows = []
-        for c in obj["chambers"]:
-            f = flips.get(c["fm_index"], no_flip)
-            rows.append([c[key] for key in _CHAMBER_COLUMNS] + [f[key] for key in _FLIP_COLUMNS[1:]])
-        return _csv(_CHAMBER_COLUMNS + _FLIP_COLUMNS[1:], rows)
+        return json.dumps(_to_json(cd), indent=2)
+    flip_keys = [k.name for k in fields(chambers.FlipLocusData)]
+    flip_rows = [[getattr(f, key) for key in flip_keys] for f in cd.flip_loci]
+    if fmt == "csv":  # a flip's i is its chamber's fm_index
+        chamber_keys = [k.name for k in fields(chambers.Chamber)]
+        no_flip = [""] * len(flip_keys)  # no wall above the last chamber
+        rows = [[getattr(c, key) for key in chamber_keys] + f[1:] for c, f in zip(cd.chambers, flip_rows + [no_flip])]
+        return _csv(chamber_keys + flip_keys[1:], rows)
     if fmt == "latex":
-        chamber_rows = [
-            (c["index"], c["fm_index"], f"${_interval(c)}$", f"${c['representative']}$") for c in obj["chambers"]
-        ]
+        chamber_rows = [(c.index, c.fm_index, f"${_interval(c)}$", f"${c.representative}$") for c in cd.chambers]
         flip_header = ("$i$", "rk$W^-$", "rk$W^+$", r"$\dim\mathbb{P}W^-$", r"$\dim\mathbb{P}W^+$",
                        "codim$^-$", "codim$^+$")
-        flip_rows = [[f[key] for key in _FLIP_COLUMNS] for f in obj["flip_loci"]]
         return "\n".join([_tabular("rrllr", ("$j$", "$i$", "interval", "rep."), chamber_rows),
                           _tabular("rrrrrrr", flip_header, flip_rows)])
-    lines = [f"d = {obj['d']}, g = {obj['g']}, moduli dimension = {obj['moduli_dim']}"]
-    lines.append("walls: " + (", ".join(str(w) for w in obj["walls"]) or "(none)"))
-    for c in obj["chambers"]:
+    lines = [f"d = {cd.d}, g = {cd.g}, moduli dimension = {cd.moduli_dim}"]
+    lines.append("walls: " + (", ".join(str(w) for w in cd.walls) or "(none)"))
+    for c in cd.chambers:
+        lines.append(f"chamber {c.index} (i = {c.fm_index}): {_interval(c)}  representative {c.representative}")
+    for f in cd.flip_loci:
         lines.append(
-            f"chamber {c['index']} (i = {c['fm_index']}): {_interval(c)}  representative {c['representative']}"
-        )
-    for f in obj["flip_loci"]:
-        lines.append(
-            f"flip at i = {f['i']}: rank W- = {f['rank_minus']}, rank W+ = {f['rank_plus']}, "
-            f"dim PW- = {f['dim_p_minus']}, dim PW+ = {f['dim_p_plus']}, "
-            f"codim- = {f['codim_minus']}, codim+ = {f['codim_plus']}"
+            f"flip at i = {f.i}: rank W- = {f.rank_minus}, rank W+ = {f.rank_plus}, "
+            f"dim PW- = {f.dim_p_minus}, dim PW+ = {f.dim_p_plus}, "
+            f"codim- = {f.codim_minus}, codim+ = {f.codim_plus}"
         )
     return "\n".join(lines)
 

@@ -12,8 +12,9 @@ point.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, Sequence, Tuple, Union
 
 
 class ConsistencyFailure(ArithmeticError):

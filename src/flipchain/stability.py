@@ -386,32 +386,21 @@ def final_chamber_stable(m: FramedModel) -> bool:
     return all(s.fr for s in m.subs)
 
 
-def _kmax(m: FramedModel, use_phi: bool) -> Optional[SubobjectData]:
-    elig = [s for s in m.subs if not s.fr and (s.phi_invariant or not use_phi)]
-    if not elig:
-        return None
-    n = m._rank_lcm
-    keys = [(s.degree * (n // s.rank), s.rank) for s in elig]
-    top = max(keys)
-    tied = [s for s, key in zip(elig, keys) if key == top]
-    for c in tied:
-        if all(o.id == c.id or m.contains(c.id, o.id) for o in tied):
-            return c
-    return min(tied, key=lambda s: s.id)  # same slope and rank, value unaffected
-
-
 def sigma_max(m: FramedModel, use_phi: bool = False) -> Optional[Fraction]:
     """Canonical parameter deg E - (rank E / rank K) deg K built from the
     maximal destabilizing kernel subobject K; None when no fr = False
     (and phi-invariant, when requested) subobject exists.
 
     The m-coefficients of the two Hilbert polynomials cancel on a curve,
-    so the parameter is a single exact rational.
+    so the parameter is a single exact rational.  Subobjects tied at the
+    maximal (scaled slope, rank) have the same degree, so any of them gives it.
     """
-    k = _kmax(m, use_phi)
-    if k is None:
+    elig = [s for s in m.subs if not s.fr and (s.phi_invariant or not use_phi)]
+    if not elig:
         return None
-    return Fraction(m.typ.degree * k.rank - m.typ.rank * k.degree, k.rank)
+    n = m._rank_lcm
+    _, rank, degree = max((s.degree * (n // s.rank), s.rank, s.degree) for s in elig)
+    return Fraction(m.typ.degree * rank - m.typ.rank * degree, rank)
 
 
 # ---------------------------------------------------------------------------

@@ -202,8 +202,23 @@ def test_doctored_flip_locus_names_its_invariant(monkeypatch, name):
     assert chambers.structure_failures(-6, 2) == [f"{name} fails at (i={i}, d=-6, g=2)"]
 
 
-@pytest.mark.parametrize("d, walls", [(-6, (4,)), (-5, (2, 3)), (-2, (1,))])
-def test_doctored_walls_fail_the_endpoints(monkeypatch, d, walls):
+def _doctor_stored_flip(name):
+    """A doctoring of the flip loci build_chambers stores, by FLIP_DOCTORS[name]."""
+    i, doctor = FLIP_DOCTORS[name]
+    return lambda cd: replace(cd, flip_loci=tuple(doctor(fl) if fl.i == i else fl for fl in cd.flip_loci))
+
+
+@pytest.mark.parametrize(
+    "d, doctor, failure",
+    [
+        (-6, lambda cd: replace(cd, walls=(4,)), "wall endpoints fail at (d=-6, g=2): (4,)"),
+        (-5, lambda cd: replace(cd, walls=(2, 3)), "wall endpoints fail at (d=-5, g=2): (2, 3)"),
+        (-2, lambda cd: replace(cd, walls=(1,)), "wall endpoints fail at (d=-2, g=2): (1,)"),
+        # structure_failures checks the flip loci the chamber data carries
+        (-6, _doctor_stored_flip("flip rank sum"), "flip rank sum fails at (i=3, d=-6, g=2)"),
+    ],
+)
+def test_doctored_chamber_data_names_its_invariant(monkeypatch, d, doctor, failure):
     real = chambers.build_chambers
-    monkeypatch.setattr(chambers, "build_chambers", lambda d, g: replace(real(d, g), walls=walls))
-    assert chambers.structure_failures(d, 2) == [f"wall endpoints fail at (d={d}, g=2): {walls}"]
+    monkeypatch.setattr(chambers, "build_chambers", lambda d, g: doctor(real(d, g)))
+    assert chambers.structure_failures(d, 2) == [failure]

@@ -162,47 +162,76 @@ def test_main_returns_status():
 
 # -- golden renderings ----------------------------------------------------------------
 
+#: Golden renderings of chambers --d D --g 2 by D: d = -5 has two walls, and
+#: d = -2 none, so its flip columns are blank and its flip table empty.
 CHAMBERS_GOLDEN = {
-    "text": (
-        "d = -5, g = 2, moduli dimension = 7\n"
-        "walls: 1, 3\n"
-        "chamber 0 (i = 2): (0, 1)  representative 1/2\n"
-        "chamber 1 (i = 3): (1, 3)  representative 2\n"
-        "chamber 2 (i = 4): (3, 5]  representative 4\n"
-        "flip at i = 2: rank W- = 2, rank W+ = 2, dim PW- = 5, dim PW+ = 5, codim- = 2, codim+ = 2\n"
-        "flip at i = 3: rank W- = 4, rank W+ = 1, dim PW- = 6, dim PW+ = 3, codim- = 1, codim+ = 4\n"
-    ),
-    "csv": (
-        "index,fm_index,lower,upper,closed_upper,representative,"
-        "rank_minus,rank_plus,dim_p_minus,dim_p_plus,codim_minus,codim_plus\n"
-        "0,2,0,1,False,1/2,2,2,5,5,2,2\n"
-        "1,3,1,3,False,2,4,1,6,3,1,4\n"
-        "2,4,3,5,True,4,,,,,,\n"
-    ),
-    "latex": (
-        "\\begin{tabular}{rrllr}\n"
-        "$j$ & $i$ & interval & rep. \\\\ \\hline\n"
-        "0 & 2 & $(0, 1)$ & $1/2$ \\\\\n"
-        "1 & 3 & $(1, 3)$ & $2$ \\\\\n"
-        "2 & 4 & $(3, 5]$ & $4$ \\\\\n"
-        "\\end{tabular}\n"
-        "\\begin{tabular}{rrrrrrr}\n"
-        "$i$ & rk$W^-$ & rk$W^+$ & $\\dim\\mathbb{P}W^-$ & $\\dim\\mathbb{P}W^+$ & codim$^-$ & codim$^+$ \\\\ \\hline\n"
-        "2 & 2 & 2 & 5 & 5 & 2 & 2 \\\\\n"
-        "3 & 4 & 1 & 6 & 3 & 1 & 4 \\\\\n"
-        "\\end{tabular}\n"
-    ),
+    -5: {
+        "text": (
+            "d = -5, g = 2, moduli dimension = 7\n"
+            "walls: 1, 3\n"
+            "chamber 0 (i = 2): (0, 1)  representative 1/2\n"
+            "chamber 1 (i = 3): (1, 3)  representative 2\n"
+            "chamber 2 (i = 4): (3, 5]  representative 4\n"
+            "flip at i = 2: rank W- = 2, rank W+ = 2, dim PW- = 5, dim PW+ = 5, codim- = 2, codim+ = 2\n"
+            "flip at i = 3: rank W- = 4, rank W+ = 1, dim PW- = 6, dim PW+ = 3, codim- = 1, codim+ = 4\n"
+        ),
+        "csv": (
+            "index,fm_index,lower,upper,closed_upper,representative,"
+            "rank_minus,rank_plus,dim_p_minus,dim_p_plus,codim_minus,codim_plus\n"
+            "0,2,0,1,False,1/2,2,2,5,5,2,2\n"
+            "1,3,1,3,False,2,4,1,6,3,1,4\n"
+            "2,4,3,5,True,4,,,,,,\n"
+        ),
+        "latex": (
+            "\\begin{tabular}{rrllr}\n"
+            "$j$ & $i$ & interval & rep. \\\\ \\hline\n"
+            "0 & 2 & $(0, 1)$ & $1/2$ \\\\\n"
+            "1 & 3 & $(1, 3)$ & $2$ \\\\\n"
+            "2 & 4 & $(3, 5]$ & $4$ \\\\\n"
+            "\\end{tabular}\n"
+            "\\begin{tabular}{rrrrrrr}\n"
+            "$i$ & rk$W^-$ & rk$W^+$ & $\\dim\\mathbb{P}W^-$ & $\\dim\\mathbb{P}W^+$ & codim$^-$ & codim$^+$ \\\\ \\hline\n"
+            "2 & 2 & 2 & 5 & 5 & 2 & 2 \\\\\n"
+            "3 & 4 & 1 & 6 & 3 & 1 & 4 \\\\\n"
+            "\\end{tabular}\n"
+        ),
+    },
+    -2: {
+        "text": (
+            "d = -2, g = 2, moduli dimension = 4\n"
+            "walls: (none)\n"
+            "chamber 0 (i = 1): (0, 2]  representative 1\n"
+        ),
+        "csv": (
+            "index,fm_index,lower,upper,closed_upper,representative,"
+            "rank_minus,rank_plus,dim_p_minus,dim_p_plus,codim_minus,codim_plus\n"
+            "0,1,0,2,True,1,,,,,,\n"
+        ),
+        "latex": (
+            "\\begin{tabular}{rrllr}\n"
+            "$j$ & $i$ & interval & rep. \\\\ \\hline\n"
+            "0 & 1 & $(0, 2]$ & $1$ \\\\\n"
+            "\\end{tabular}\n"
+            "\\begin{tabular}{rrrrrrr}\n"
+            "$i$ & rk$W^-$ & rk$W^+$ & $\\dim\\mathbb{P}W^-$ & $\\dim\\mathbb{P}W^+$ & codim$^-$ & codim$^+$ \\\\ \\hline\n"
+            "\\end{tabular}\n"
+        ),
+    },
 }
 
-CHAMBERS_JSON_DIGEST = "b5ee93fccd51937135a32bf77009bc01b189e752de0dd70178f25d44cf1ffe84"
+CHAMBERS_JSON_DIGEST = {
+    -5: "b5ee93fccd51937135a32bf77009bc01b189e752de0dd70178f25d44cf1ffe84",
+    -2: "c5e82165742ae68d1f68defa574e54e3457e8dc35a1f5b001e2619e56b4d38b3",
+}
 FORMAT_FLAGS = {"text": [], "csv": ["--csv"], "latex": ["--latex"], "json": ["--json"]}
 
 
-@pytest.mark.parametrize("fmt", sorted(CHAMBERS_GOLDEN) + ["json"])
-def test_chambers_golden_rendering(fmt):
-    status, text = capture(["chambers", "--d", "-5", "--g", "2"] + FORMAT_FLAGS[fmt])
+@pytest.mark.parametrize("d", sorted(CHAMBERS_GOLDEN))
+@pytest.mark.parametrize("fmt", sorted(FORMAT_FLAGS))
+def test_chambers_golden_rendering(fmt, d):
+    status, text = capture(["chambers", "--d", str(d), "--g", "2"] + FORMAT_FLAGS[fmt])
     assert status == 0
-    assert _sha256(text) == CHAMBERS_JSON_DIGEST if fmt == "json" else text == CHAMBERS_GOLDEN[fmt]
+    assert _sha256(text) == CHAMBERS_JSON_DIGEST[d] if fmt == "json" else text == CHAMBERS_GOLDEN[d][fmt]
 
 
 def _sha256(text: str) -> str:
