@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
+from operator import sub
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .chambers import InvalidInput, _checked, fm_index_range, moduli_dim
@@ -25,14 +26,14 @@ _ONE_MINUS_T2 = LaurentPoly({0: 1, 2: -1})
 
 
 def _one_plus_t_pow(n: int) -> LaurentPoly:
-    return LaurentPoly({k: comb(n, k) for k in range(n + 1)})
+    return LaurentPoly._from_coeffs(0, [comb(n, k) for k in range(n + 1)])
 
 
 def proj_space_poincare(n: int) -> LaurentPoly:
     """1 + t^2 + ... + t^(2n) for projective n-space; zero for n = -1."""
     if n < -1:
         raise InvalidInput(f"n: projective dimension must be at least -1, got {n}")
-    return LaurentPoly({2 * k: 1 for k in range(n + 1)})
+    return LaurentPoly._from_coeffs(0, ([1, 0] * (n + 1))[:-1])
 
 
 def sym_product_poincare(n: int, g: int) -> LaurentPoly:
@@ -65,7 +66,7 @@ def flip_difference(j: int, d: int, g: int) -> LaurentPoly:
     nonzero, so the products agree exactly when the fiber factors do.  A
     mismatch raises NotDivisible.  The product itself is
     (E t^(2d+2g+4j+2) - E t^(-2d-2j-2)) / (1-t^2): two shifted copies of
-    E's terms and one exact division.
+    E's coefficient list and one exact division.
     """
     _require_genus(g)
     _chamber_index_range(j, d, "j")
@@ -81,8 +82,12 @@ def flip_difference(j: int, d: int, g: int) -> LaurentPoly:
             f"flip difference routes disagree at j={j}, d={d}, g={g}: "
             f"formula={formula * even_factor}, bundle={bundle * even_factor}"
         )
-    terms = [(e + up, c) for e, c in even_factor.items()] + [(e + down, -c) for e, c in even_factor.items()]
-    return lp_div_exact(LaurentPoly(terms), _ONE_MINUS_T2)
+    ef, lo = even_factor._coeffs, min(up, down)  # t^up E - t^down E as one list
+    n = len(ef)
+    terms = [0] * (abs(up - down) + n)
+    terms[up - lo:up - lo + n] = ef
+    terms[down - lo:down - lo + n] = map(sub, terms[down - lo:down - lo + n], ef)
+    return lp_div_exact(LaurentPoly._from_coeffs(lo + even_factor._val, terms), _ONE_MINUS_T2)
 
 
 def terminal_poincare(d: int, g: int) -> LaurentPoly:
@@ -182,7 +187,7 @@ def fm_poincare_closed(i: int, d: int, g: int) -> LaurentPoly:
         q[e] += q[e - 2]
     if q[-1] or q[-2]:
         raise NotDivisible(f"nonzero remainder in the closed route at (i={i}, d={d}, g={g})")
-    return LaurentPoly(enumerate(q[:-2]))
+    return LaurentPoly._from_coeffs(0, q)  # its top two entries are the zeros just checked
 
 
 @lru_cache(maxsize=None)

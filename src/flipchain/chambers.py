@@ -232,8 +232,8 @@ def build_chambers(d: int, g: int) -> ChamberData:
     exact rational, and each chamber i < hi has the flip locus of the wall
     above it.
     """
+    dim = moduli_dim(d, g)  # rejects (d, g)
     lo, hi = fm_index_range(d)
-    _require_genus(g)
     walls = tuple(eta(i, d) for i in range(lo + 1, hi + 1))
     bounds = [Fraction(0)] + [Fraction(w) for w in walls] + [Fraction(-d)]
     chambers = []
@@ -249,8 +249,8 @@ def build_chambers(d: int, g: int) -> ChamberData:
                 representative=(lo_b + hi_b) / 2,
             )
         )
-    flips = tuple(flip_locus(i, d, g) for i in range(lo, hi))
-    return ChamberData(d, g, moduli_dim(d, g), walls, tuple(chambers), flips)
+    flips = tuple(_flip_row(i, d, g, dim) for i in range(lo, hi))
+    return ChamberData(d, g, dim, walls, tuple(chambers), flips)
 
 
 def chamber_of(sigma: Fraction, cd: ChamberData) -> ChamberLocation:
@@ -276,6 +276,12 @@ def flip_locus(i: int, d: int, g: int) -> FlipLocusData:
     lo, hi = fm_index_range(d)
     if not lo <= _require_int(i, "i") < hi:  # the last chamber has no wall above it
         raise InvalidInput(f"i: flip index {i} outside [{lo}, {hi - 1}] for d={d}")
+    return _flip_row(i, d, g, total)
+
+
+def _flip_row(i: int, d: int, g: int, total: int) -> FlipLocusData:
+    """flip_locus(i, d, g) for arguments already checked, with total =
+    moduli_dim(d, g)."""
     rank_minus = d + g + 2 * i + 1
     rank_plus = -d - i - 1
     base_dim = g + (-d - i - 1)

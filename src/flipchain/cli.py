@@ -47,37 +47,61 @@ def _add_format_flags(p: argparse.ArgumentParser) -> None:
     p.set_defaults(format="text")
 
 
+def _add_chambers(sub) -> None:
+    p = sub.add_parser("chambers", help="walls, chambers and flip loci")
+    p.add_argument("--d", type=int, required=True, help="degree (negative)")
+    p.add_argument("--g", type=int, required=True, help="genus (at least 2)")
+    _add_format_flags(p)
+
+
+def _add_betti(sub) -> None:
+    p = sub.add_parser("betti", help="per-chamber Poincare polynomials with dual routes")
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--g", type=int, required=True)
+    p.add_argument("--chamber", type=int, default=None, help="restrict to one chamber index")
+    _add_format_flags(p)
+
+
+def _add_stability_check(sub) -> None:
+    p = sub.add_parser("stability-check", help="verdicts for a model file at every chamber")
+    p.add_argument("--model", dest="model_path", required=True, help="path to a model JSON file")
+    _add_format_flags(p)
+
+
+def _add_verify_all(sub) -> None:
+    # omitted verify-all flags take their RunConfig defaults
+    p = sub.add_parser(
+        "verify-all", help="run the full consistency grid and property suite", argument_default=argparse.SUPPRESS
+    )
+    p.add_argument("--grid", nargs=2, type=int, metavar=("G_MAX", "D_MIN"))
+    p.add_argument("--seed", type=int)
+    p.add_argument("--models", type=int, help="randomized models in the suite")
+
+
+#: Each subcommand and the function that adds its parser, in help order.
+_SUBCOMMANDS = {
+    "chambers": _add_chambers,
+    "betti": _add_betti,
+    "stability-check": _add_stability_check,
+    "verify-all": _add_verify_all,
+}
+
+
 def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
+    """Parse a command line.  When argv[0] names a subcommand only its
+    parser is built, and the metavar keeps the top-level usage line listing
+    all four; otherwise (help, a missing or unknown command) all four are."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = argparse.ArgumentParser(
         prog="flipchain",
         description="Exact wall-and-chamber structure, stability verdicts and "
         "Poincare polynomials for the rank-2 flip chain.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_ch = sub.add_parser("chambers", help="walls, chambers and flip loci")
-    p_ch.add_argument("--d", type=int, required=True, help="degree (negative)")
-    p_ch.add_argument("--g", type=int, required=True, help="genus (at least 2)")
-    _add_format_flags(p_ch)
-
-    p_be = sub.add_parser("betti", help="per-chamber Poincare polynomials with dual routes")
-    p_be.add_argument("--d", type=int, required=True)
-    p_be.add_argument("--g", type=int, required=True)
-    p_be.add_argument("--chamber", type=int, default=None, help="restrict to one chamber index")
-    _add_format_flags(p_be)
-
-    p_st = sub.add_parser("stability-check", help="verdicts for a model file at every chamber")
-    p_st.add_argument("--model", dest="model_path", required=True, help="path to a model JSON file")
-    _add_format_flags(p_st)
-
-    # omitted verify-all flags take their RunConfig defaults
-    p_va = sub.add_parser(
-        "verify-all", help="run the full consistency grid and property suite", argument_default=argparse.SUPPRESS
-    )
-    p_va.add_argument("--grid", nargs=2, type=int, metavar=("G_MAX", "D_MIN"))
-    p_va.add_argument("--seed", type=int)
-    p_va.add_argument("--models", type=int, help="randomized models in the suite")
-
+    names = argv[:1] if argv[:1] and argv[0] in _SUBCOMMANDS else list(_SUBCOMMANDS)
+    metavar = None if len(names) > 1 else "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        _SUBCOMMANDS[name](sub)
     ns = vars(parser.parse_args(argv))
     if "grid" in ns:
         ns["grid"] = tuple(ns["grid"])

@@ -1,8 +1,9 @@
 """Exact arithmetic for integer Laurent polynomials and x-truncated series.
 
-A Laurent polynomial in t is stored sparsely as a map from integer
-exponents (negative allowed) to nonzero arbitrary-precision integer
-coefficients.  A truncated bivariate series is a power series in a second
+A Laurent polynomial in t is stored densely as its valuation (the
+smallest exponent, negative allowed) and the tuple of arbitrary-precision
+integer coefficients from there up, trimmed of zeros at both ends; zero is
+(0, ()).  A truncated bivariate series is a power series in a second
 variable x, cut off inclusively at a fixed order, whose coefficients are
 Laurent polynomials in t; neither Betti route uses it, and it stays as the
 tests' reference for Macdonald's generating function.  Values are
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from operator import add, sub
 from typing import Dict, Iterable, Iterator, Sequence, Tuple, Union
 
 
@@ -29,6 +31,18 @@ class NotDivisible(ConsistencyFailure):
 TermsLike = Union[Mapping[int, int], Iterable[Tuple[int, int]]]
 
 
+def _trimmed(valuation: int, coeffs: Sequence[int]) -> Tuple[int, Tuple[int, ...]]:
+    """(valuation, coefficients) with the zeros at both ends of coeffs cut
+    and the valuation moved past those at the low end; zero is (0, ())."""
+    hi = len(coeffs)
+    while hi and not coeffs[hi - 1]:
+        hi -= 1
+    lo = 0
+    while lo < hi and not coeffs[lo]:
+        lo += 1
+    return (valuation + lo if hi else 0), tuple(coeffs[lo:hi])
+
+
 class LaurentPoly:
     """Immutable integer Laurent polynomial in one variable t.
 
@@ -41,7 +55,7 @@ class LaurentPoly:
     6
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_val", "_coeffs")
 
     def __init__(self, terms: TermsLike = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -50,14 +64,22 @@ class LaurentPoly:
             if type(e) is not int or type(c) is not int:
                 raise TypeError(f"exponents and coefficients must be integers, got {e!r}: {c!r}")
             if c:
-                s = acc.get(e, 0) + c
-                if s:
-                    acc[e] = s
-                elif e in acc:
-                    del acc[e]
-        object.__setattr__(self, "_terms", acc)
+                acc[e] = acc.get(e, 0) + c
+        lo = min(acc, default=0)
+        coeffs = [0] * (max(acc) - lo + 1) if acc else []
+        for e, c in acc.items():
+            coeffs[e - lo] = c
+        self._val, self._coeffs = _trimmed(lo, coeffs)
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _from_coeffs(cls, valuation: int, coeffs: Sequence[int]) -> "LaurentPoly":
+        """Sum of coeffs[k] t^(valuation + k) over k, with no type checks:
+        the coefficients must be ints.  Zeros at either end are trimmed."""
+        out = object.__new__(cls)
+        out._val, out._coeffs = _trimmed(valuation, coeffs)
+        return out
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -75,111 +97,113 @@ class LaurentPoly:
     # -- inspection --------------------------------------------------------
 
     def items(self) -> Iterator[Tuple[int, int]]:
-        return iter(self._terms.items())
+        """The nonzero terms (exponent, coefficient), exponents rising."""
+        return ((e, c) for e, c in enumerate(self._coeffs, self._val) if c)
 
     def sorted_items(self) -> list[Tuple[int, int]]:
-        return sorted(self._terms.items())
+        return list(self.items())
 
     def coeff(self, exponent: int) -> int:
-        return self._terms.get(exponent, 0)
+        k = exponent - self._val
+        return self._coeffs[k] if 0 <= k < len(self._coeffs) else 0
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._coeffs
 
     def is_polynomial(self) -> bool:
-        """True iff every stored exponent is nonnegative."""
-        return all(e >= 0 for e in self._terms)
+        """True iff every exponent with a nonzero coefficient is nonnegative."""
+        return self._val >= 0
 
     def degree(self) -> int:
         """Largest exponent; undefined for the zero polynomial."""
-        if not self._terms:
+        if not self._coeffs:
             raise ValueError("zero polynomial has no degree")
-        return max(self._terms)
+        return self._val + len(self._coeffs) - 1
 
     def valuation(self) -> int:
         """Smallest exponent; undefined for the zero polynomial."""
-        if not self._terms:
+        if not self._coeffs:
             raise ValueError("zero polynomial has no valuation")
-        return min(self._terms)
+        return self._val
 
     def is_palindromic(self) -> bool:
         """Coefficient list reads the same from both ends."""
-        if not self._terms:
-            return True
-        lo, hi = self.valuation(), self.degree()
-        return all(c == self._terms.get(lo + hi - e, 0) for e, c in self._terms.items())
+        return self._coeffs == self._coeffs[::-1]
 
     def has_nonneg_coeffs(self) -> bool:
-        return all(c >= 0 for c in self._terms.values())
+        return min(self._coeffs, default=0) >= 0
 
     def __call__(self, x):
-        """Evaluate at x (int or Fraction); x must be nonzero if any exponent is negative."""
+        """Evaluate at x (int or Fraction) by Horner's rule; x must be
+        nonzero if any exponent is negative, and the result is a Fraction
+        then even for an int x."""
         total = 0
-        for e, c in self._terms.items():
-            total += c * (x ** e if e >= 0 else Fraction(1, x ** (-e)) if isinstance(x, int) else x ** e)
+        for c in reversed(self._coeffs):
+            total = total * x + c
+        e = self._val
+        if e > 0:
+            total *= x ** e
+        elif e < 0:
+            total *= Fraction(1, x ** -e) if isinstance(x, int) else x ** e
         return total
 
     # -- ring structure ----------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if isinstance(other, LaurentPoly):
-            return self._terms == other._terms
+            return self._val == other._val and self._coeffs == other._coeffs
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._val, self._coeffs))
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._coeffs)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._terms.items()})
+        return LaurentPoly._from_coeffs(self._val, [-c for c in self._coeffs])
 
-    def __add__(self, other) -> "LaurentPoly":
+    def _combine(self, other, op) -> "LaurentPoly":
+        """self op other, op being operator.add or operator.sub."""
         if isinstance(other, int):
             other = LaurentPoly({0: other})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        acc = dict(self._terms)
-        for e, c in other._terms.items():
-            s = acc.get(e, 0) + c
-            if s:
-                acc[e] = s
-            elif e in acc:
-                del acc[e]
-        out = LaurentPoly()
-        object.__setattr__(out, "_terms", acc)
-        return out
+        a, b = self._coeffs, other._coeffs
+        va = self._val if a else other._val
+        vb = other._val if b else va
+        lo = min(va, vb)
+        out = [0] * (max(va + len(a), vb + len(b)) - lo)
+        out[va - lo:va - lo + len(a)] = a
+        j = vb - lo
+        out[j:j + len(b)] = map(op, out[j:j + len(b)], b)
+        return LaurentPoly._from_coeffs(lo, out)
+
+    def __add__(self, other) -> "LaurentPoly":
+        return self._combine(other, add)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "LaurentPoly":
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, sub)
 
     def __rsub__(self, other) -> "LaurentPoly":
         return (-self) + other
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, int):
-            return LaurentPoly({e: c * other for e, c in self._terms.items()})
+            return LaurentPoly._from_coeffs(self._val, [c * other for c in self._coeffs])
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        acc: Dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                s = acc.get(e, 0) + c1 * c2
-                if s:
-                    acc[e] = s
-                elif e in acc:
-                    del acc[e]
-        out = LaurentPoly()
-        object.__setattr__(out, "_terms", acc)
-        return out
+        a, b = self._coeffs, other._coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = [0] * (len(a) + len(b) - 1) if b else []
+        for i, c in enumerate(b):  # the shorter operand
+            if c:
+                for k, x in enumerate(a, i):
+                    out[k] += c * x
+        return LaurentPoly._from_coeffs(self._val + other._val, out)
 
     __rmul__ = __mul__
 
@@ -201,10 +225,10 @@ class LaurentPoly:
         return f"LaurentPoly({dict(self.sorted_items())!r})"
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._coeffs:
             return "0"
         parts = []
-        for e, c in self.sorted_items():
+        for e, c in self.items():
             if e == 0:
                 term = str(abs(c))
             else:
@@ -222,14 +246,16 @@ class LaurentPoly:
         Coefficients are decimal strings so arbitrary precision survives any
         JSON reader.
         """
-        return {"terms": [[e, str(c)] for e, c in self.sorted_items()]}
+        return {"terms": [[e, str(c)] for e, c in self.items()]}
 
 
 def lp_div_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     """Exact division in the Laurent polynomial ring over the integers.
 
     Integer long division from the top degree down: each quotient
-    coefficient is a divmod by the divisor's leading coefficient.  A nonzero
+    coefficient is a divmod by the divisor's leading coefficient, or a
+    product when that is +-1 as in every divisor the Betti routes use, and
+    only the divisor's nonzero lower terms are subtracted.  A nonzero
     remainder there, or anything left below the divisor's degree, raises
     NotDivisible.
     """
@@ -237,23 +263,26 @@ def lp_div_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         raise ZeroDivisionError("division by the zero polynomial")
     if num.is_zero():
         return LaurentPoly.zero()
-    nv, dv = num.valuation(), den.valuation()
-    ddeg = den.degree() - dv
-    dlead = den.coeff(den.degree())
-    lower = [(e - dv, c) for e, c in den.items() if e - dv != ddeg]
-    rem: Dict[int, int] = {e - nv: c for e, c in num.items()}
-    q: Dict[int, int] = {}
-    for k in range(max(rem) - ddeg, -1, -1):
-        c, r = divmod(rem.pop(k + ddeg, 0), dlead)
-        if r:
-            raise NotDivisible(f"({num}) is not divisible by ({den})")
+    m = len(den._coeffs) - 1
+    dlead = den._coeffs[m]
+    unit = dlead in (1, -1)
+    lower = [(e, c) for e, c in enumerate(den._coeffs[:m]) if c]
+    rem = list(num._coeffs)
+    q = [0] * max(len(rem) - m, 0)
+    for k in range(len(rem) - m - 1, -1, -1):
+        if unit:
+            c = rem[k + m] * dlead
+        else:
+            c, r = divmod(rem[k + m], dlead)
+            if r:
+                raise NotDivisible(f"({num}) is not divisible by ({den})")
         if c:
-            q[k + nv - dv] = c
+            q[k] = c
             for e, dc in lower:
-                rem[e + k] = rem.get(e + k, 0) - c * dc
-    if any(rem.values()):
+                rem[k + e] -= c * dc
+    if any(rem[:m]):
         raise NotDivisible(f"({num}) is not divisible by ({den})")
-    return LaurentPoly(q)
+    return LaurentPoly._from_coeffs(num._val - den._val, q)
 
 
 class TruncatedBiSeries:

@@ -192,8 +192,8 @@ def test_closed_route_shares_no_arithmetic_with_the_recursive_route(monkeypatch)
     # the lowest and the top chamber of each (d, g)
     cells = [(i, d, g) for g, d in ((2, -5), (3, -17), (4, -28), (5, -40), (2, -40)) for i in fm_index_range(d)]
     expected = [fm_poincare_closed(*cell) for cell in cells]
-    monkeypatch.setattr(LaurentPoly, "__mul__", _raises)
-    monkeypatch.setattr(LaurentPoly, "__pow__", _raises)
+    for name in ("__add__", "__sub__", "__neg__", "__mul__", "__pow__", "_combine"):
+        monkeypatch.setattr(LaurentPoly, name, _raises)
     monkeypatch.setattr(betti, "lp_div_exact", _raises)
     for cache in _betti_caches():
         cache.cache_clear()

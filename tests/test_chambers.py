@@ -101,6 +101,12 @@ def test_flip_locus_range():
         flip_locus(1, -5, 2)
 
 
+@pytest.mark.parametrize("d, g", [(-3, 2), (-5, 2), (-10, 3), (-17, 4), (-60, 3), (-61, 6)])
+def test_stored_flip_loci_are_the_public_flip_loci(d, g):
+    lo, hi = fm_index_range(d)
+    assert build_chambers(d, g).flip_loci == tuple(flip_locus(i, d, g) for i in range(lo, hi))
+
+
 @pytest.mark.parametrize(
     "call, field",
     [
@@ -197,8 +203,8 @@ def test_every_flip_invariant_is_doctored():
 @pytest.mark.parametrize("name", FLIP_DOCTORS)
 def test_doctored_flip_locus_names_its_invariant(monkeypatch, name):
     i, doctor = FLIP_DOCTORS[name]
-    real = chambers.flip_locus
-    monkeypatch.setattr(chambers, "flip_locus", lambda j, d, g: doctor(real(j, d, g)) if j == i else real(j, d, g))
+    real = chambers._flip_row  # what build_chambers fills its flip loci from
+    monkeypatch.setattr(chambers, "_flip_row", lambda j, *rest: doctor(real(j, *rest)) if j == i else real(j, *rest))
     assert chambers.structure_failures(-6, 2) == [f"{name} fails at (i={i}, d=-6, g=2)"]
 
 

@@ -758,3 +758,71 @@ def test_arguments_exit_0_or_2_naming_the_field(command, d, g, chamber):
     assert status == (2 if bad else 0), text
     if bad:
         assert text.startswith(f"error: invalid input: {bad}: ") and INVALID_LINE.match(text)
+
+
+_TOP_USAGE = "usage: flipchain [-h] {chambers,betti,stability-check,verify-all} ...\n"
+_CHAMBERS_USAGE = "usage: flipchain chambers [-h] --d D --g G [--json | --csv | --latex]\n"
+_BETTI_USAGE = ("usage: flipchain betti [-h] --d D --g G [--chamber CHAMBER]\n"
+                "                       [--json | --csv | --latex]\n")
+_VERIFY_USAGE = ("usage: flipchain verify-all [-h] [--grid G_MAX D_MIN] [--seed SEED]\n"
+                 "                            [--models MODELS]\n")
+_FORMAT_HELP = "  --json\n  --csv\n  --latex\n"
+
+#: (argv, exit code, stdout, stderr) of argparse's own output at 80 columns.
+PARSER_OUTPUTS = [
+    ([], 2, "", _TOP_USAGE + "flipchain: error: the following arguments are required: command\n"),
+    (["--help"], 0, _TOP_USAGE + "\n"
+     "Exact wall-and-chamber structure, stability verdicts and Poincare polynomials\n"
+     "for the rank-2 flip chain.\n"
+     "\n"
+     "positional arguments:\n"
+     "  {chambers,betti,stability-check,verify-all}\n"
+     "    chambers            walls, chambers and flip loci\n"
+     "    betti               per-chamber Poincare polynomials with dual routes\n"
+     "    stability-check     verdicts for a model file at every chamber\n"
+     "    verify-all          run the full consistency grid and property suite\n"
+     "\n"
+     "options:\n"
+     "  -h, --help            show this help message and exit\n", ""),
+    (["chambers", "--help"], 0, _CHAMBERS_USAGE + "\n"
+     "options:\n"
+     "  -h, --help  show this help message and exit\n"
+     "  --d D       degree (negative)\n"
+     "  --g G       genus (at least 2)\n" + _FORMAT_HELP, ""),
+    (["betti", "--help"], 0, _BETTI_USAGE + "\n"
+     "options:\n"
+     "  -h, --help         show this help message and exit\n"
+     "  --d D\n"
+     "  --g G\n"
+     "  --chamber CHAMBER  restrict to one chamber index\n" + _FORMAT_HELP, ""),
+    (["stability-check", "--help"], 0,
+     "usage: flipchain stability-check [-h] --model MODEL_PATH\n"
+     "                                 [--json | --csv | --latex]\n"
+     "\n"
+     "options:\n"
+     "  -h, --help          show this help message and exit\n"
+     "  --model MODEL_PATH  path to a model JSON file\n" + _FORMAT_HELP, ""),
+    (["verify-all", "--help"], 0, _VERIFY_USAGE + "\n"
+     "options:\n"
+     "  -h, --help          show this help message and exit\n"
+     "  --grid G_MAX D_MIN\n"
+     "  --seed SEED\n"
+     "  --models MODELS     randomized models in the suite\n", ""),
+    (["bogus"], 2, "", _TOP_USAGE + "flipchain: error: argument command: invalid choice: 'bogus' "
+     "(choose from 'chambers', 'betti', 'stability-check', 'verify-all')\n"),
+    (["chambers", "--d", "-5", "--g", "2", "--bogus"], 2, "", _TOP_USAGE + "flipchain: error: unrecognized arguments: --bogus\n"),
+    (["chambers", "--d", "x", "--g", "2"], 2, "",
+     _CHAMBERS_USAGE + "flipchain chambers: error: argument --d: invalid int value: 'x'\n"),
+    (["verify-all", "--grid", "3"], 2, "", _VERIFY_USAGE + "flipchain verify-all: error: argument --grid: expected 2 arguments\n"),
+    (["betti", "--d", "-5", "--g", "2", "--latex", "--json"], 2, "",
+     _BETTI_USAGE + "flipchain betti: error: argument --json: not allowed with argument --latex\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout, stderr", PARSER_OUTPUTS, ids=lambda v: " ".join(v) if type(v) is list else None)
+def test_parser_help_and_errors_are_pinned(monkeypatch, capsys, argv, code, stdout, stderr):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        parse_args(argv)
+    assert exit_info.value.code == code
+    assert capsys.readouterr() == (stdout, stderr)
