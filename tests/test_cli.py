@@ -819,7 +819,8 @@ PARSER_OUTPUTS = [
 ]
 
 
-@pytest.mark.parametrize("argv, code, stdout, stderr", PARSER_OUTPUTS, ids=lambda v: " ".join(v) if type(v) is list else None)
+@pytest.mark.parametrize("argv, code, stdout, stderr", PARSER_OUTPUTS,
+                         ids=[" ".join(argv) or "no arguments" for argv, *_ in PARSER_OUTPUTS])
 def test_parser_help_and_errors_are_pinned(monkeypatch, capsys, argv, code, stdout, stderr):
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exit_info:
