@@ -18,7 +18,7 @@ from operator import sub
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .chambers import InvalidInput, _checked, fm_index_range, moduli_dim
-from .chambers import _chamber_index_range, _require_equal, _require_genus, _to_json
+from .chambers import _chamber_index_range, _require_equal, _require_genus, _require_int, _to_json
 from .exactpoly import ConsistencyFailure, LaurentPoly, NotDivisible, lp_div_exact
 
 _T = LaurentPoly.monomial
@@ -31,7 +31,7 @@ def _one_plus_t_pow(n: int) -> LaurentPoly:
 
 def proj_space_poincare(n: int) -> LaurentPoly:
     """1 + t^2 + ... + t^(2n) for projective n-space; zero for n = -1."""
-    if n < -1:
+    if _require_int(n, "n") < -1:
         raise InvalidInput(f"n: projective dimension must be at least -1, got {n}")
     return LaurentPoly._from_coeffs(0, ([1, 0] * (n + 1))[:-1])
 
@@ -41,7 +41,7 @@ def sym_product_poincare(n: int, g: int) -> LaurentPoly:
     by Macdonald's explicit sum over k <= min(n, 2g) of C(2g, k) t^k times
     the Poincare polynomial of projective (n - k)-space (Macdonald,
     "Symmetric products of an algebraic curve", Topology 1, 1962)."""
-    if min(n, g) < 0:
+    if min(_require_int(n, "n"), _require_int(g, "g")) < 0:
         raise InvalidInput(f"{'n' if n < 0 else 'g'}: must be nonnegative, got n={n}, g={g}")
     terms = (_T(k, comb(2 * g, k)) * proj_space_poincare(n - k) for k in range(min(n, 2 * g) + 1))
     return sum(terms, LaurentPoly.zero())

@@ -235,7 +235,7 @@ def build_chambers(d: int, g: int) -> ChamberData:
     dim = moduli_dim(d, g)  # rejects (d, g)
     lo, hi = fm_index_range(d)
     walls = tuple(eta(i, d) for i in range(lo + 1, hi + 1))
-    bounds = [Fraction(0)] + [Fraction(w) for w in walls] + [Fraction(-d)]
+    bounds = (0, *walls, -d)  # ints, so each endpoint is one Fraction() and no Fraction arithmetic
     chambers = []
     for j in range(len(bounds) - 1):
         lo_b, hi_b = bounds[j], bounds[j + 1]
@@ -243,10 +243,10 @@ def build_chambers(d: int, g: int) -> ChamberData:
             Chamber(
                 index=j,
                 fm_index=lo + j,
-                lower=lo_b,
-                upper=hi_b,
+                lower=Fraction(lo_b),
+                upper=Fraction(hi_b),
                 closed_upper=(j == len(bounds) - 2),
-                representative=(lo_b + hi_b) / 2,
+                representative=Fraction(lo_b + hi_b, 2),
             )
         )
     flips = tuple(_flip_row(i, d, g, dim) for i in range(lo, hi))

@@ -14,14 +14,12 @@ import json
 import sys
 import time
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import betti, chambers, stability
 from .chambers import InvalidInput, _checked, _require_equal, _require_genus, _to_json
 from .exactpoly import ConsistencyFailure
 
-FORMATS = ("text", "json", "csv", "latex")
 #: Failure lines verify-all prints before it only counts the rest.
 MAX_PRINTED_FAILURES = 50
 
@@ -221,53 +219,41 @@ def _emit_betti(report: betti.BettiReport, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _stability_obj(m: stability.FramedModel) -> dict:
-    d = m.typ.degree
-    g = m.ctx.genus
-    cd = chambers.build_chambers(d, g)
-    sigma_points: List[Tuple[str, Fraction]] = [("wall", Fraction(w)) for w in cd.walls]
-    sigma_points += [("chamber", rep) for rep in cd.representatives]
-    sigma_points.sort(key=lambda kv: kv[1])
+_VERDICT_COLUMNS = ("sigma", "kind", "fm_semistable", "fm_stable", "pair_semistable", "pair_stable")
 
+
+def _stability_obj(m: stability.FramedModel) -> dict:
+    # sigma ascending: each chamber representative, after its lower end when that is a wall (not 0)
+    cd = chambers.build_chambers(m.typ.degree, m.ctx.genus)
+    points = [("chamber", cd.chambers[0].representative)]
+    for c in cd.chambers[1:]:
+        points += [("wall", c.lower), ("chamber", c.representative)]
     entries = []
-    for kind, sigma in sigma_points:
-        entry: dict = {
-            "sigma": str(sigma),
-            "kind": kind,
-            "fm_semistable": stability.is_fm_semistable(m, sigma),
-            "fm_stable": stability.is_fm_stable(m, sigma),
-            "pair_semistable": stability.is_pair_semistable(m, sigma),
-            "pair_stable": stability.is_pair_stable(m, sigma),
-        }
+    for kind, sigma in points:
+        entry = {"sigma": _to_json(sigma), "kind": kind,
+                 **dict(zip(_VERDICT_COLUMNS[2:], stability._verdicts(m, sigma)))}
         try:
             hn = stability.hn_filtration(m, sigma)
-            entry["hn"] = {
-                "steps": list(hn.steps),
-                "graded": [list(p) for p in hn.graded],
-                "slopes": [str(s) for s in hn.graded_slopes(sigma)],
-            }
+            entry["hn"] = {**_to_json(hn), "slopes": _to_json(hn.graded_slopes(sigma))}
         except stability.AmbiguousModel as exc:
             entry["hn"] = {"error": str(exc)}
         if m.typ.rank == 2:
             try:
                 rep = stability.verify_rank2_equivalences(m, sigma)
-                entry["equivalences"] = {
-                    "ok": rep.ok,
-                    "mismatches": [list(x) for x in rep.mismatches],
-                }
+                entry["equivalences"] = {"ok": rep.ok, **_to_json(rep)}
             except stability.AxiomViolated as exc:
                 entry["equivalences"] = {"axiom_violated": str(exc)}
             except stability.AmbiguousModel as exc:
                 entry["equivalences"] = {"ambiguous": str(exc)}
         entries.append(entry)
-
-    obj = {
-        "d": d,
-        "g": g,
+    nz = m.typ.framing_nonzero
+    return {
+        "d": m.typ.degree,
+        "g": m.ctx.genus,
         "rank": m.typ.rank,
-        "sigma_upper_bound": None,
-        "final_chamber_stable": None,
-        "sigma_max": None if (s := stability.sigma_max(m)) is None else str(s),
+        "sigma_upper_bound": _to_json(stability.sigma_upper_bound(m)) if nz else None,
+        "final_chamber_stable": stability.final_chamber_stable(m) if nz else None,
+        "sigma_max": _to_json(stability.sigma_max(m)),
         "oriented": {
             "module_semistable": stability.is_oriented_semistable(m, pair=False),
             "module_stable": stability.is_oriented_stable(m, pair=False),
@@ -276,14 +262,6 @@ def _stability_obj(m: stability.FramedModel) -> dict:
         },
         "verdicts": entries,
     }
-    if m.typ.framing_nonzero:
-        bound = stability.sigma_upper_bound(m)
-        obj["sigma_upper_bound"] = None if bound is None else str(bound)
-        obj["final_chamber_stable"] = stability.final_chamber_stable(m)
-    return obj
-
-
-_VERDICT_COLUMNS = ("sigma", "kind", "fm_semistable", "fm_stable", "pair_semistable", "pair_stable")
 
 
 def _emit_stability(obj: dict, fmt: str) -> str:

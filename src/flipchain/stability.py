@@ -49,6 +49,7 @@ class CurveContext:
 
     def __post_init__(self):
         _require_genus(self.genus, "genus")
+        _require_int(self.frame_degree, "frame_degree")
 
 
 @dataclass(frozen=True)
@@ -61,8 +62,9 @@ class FramedType:
     delta_iso: bool = False
 
     def __post_init__(self):
-        if self.rank < 1:
+        if _require_int(self.rank, "type.rank") < 1:
             raise InvalidInput(f"type.rank: rank must be positive, got {self.rank}")
+        _require_int(self.degree, "type.degree")
 
 
 @dataclass(frozen=True)
@@ -110,8 +112,12 @@ class FramedModel:
         for k, s in enumerate(self.subs):
             if s.id in by_id:
                 raise InvalidInput(f"subs[{k}].id: duplicate subobject id {s.id!r}")
-            if not (0 < s.rank < self.typ.rank):
+            # the paths are formatted only for a value that fails
+            if type(s.rank) is not int or not 0 < s.rank < self.typ.rank:
+                _require_int(s.rank, f"subs[{k}].rank")
                 raise InvalidInput(f"subs[{k}].rank: rank {s.rank} not strictly between 0 and {self.typ.rank}")
+            if type(s.degree) is not int:
+                _require_int(s.degree, f"subs[{k}].degree")
             if s.fr and not self.typ.framing_nonzero:
                 raise InvalidInput(f"subs[{k}].fr: fr=True but the ambient framing is zero")
             by_id[s.id] = s

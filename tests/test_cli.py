@@ -257,6 +257,31 @@ def chain_model() -> dict:
     return model_to_json_obj(random_chain_model(random.Random(0)))
 
 
+def _sub(sid, rank, degree, fr, phi=True):
+    return {"id": sid, "rank": rank, "degree": degree, "fr": fr, "phi_invariant": phi, "parents": []}
+
+
+def tie_model() -> dict:
+    """Two incomparable kernel subobjects tie above sigma = 1, so every
+    filtration is an hn.error; the non-invariant one breaks constraint
+    closure, so every equivalence entry is axiom_violated."""
+    return {"genus": 2, "type": {"rank": 2, "degree": -5, "framing_nonzero": True},
+            "subs": [_sub("A", 1, -2, False, phi=False), _sub("B", 1, -2, False)]}
+
+
+def zero_framing_model() -> dict:
+    """Zero framing: a null bound and final-chamber verdict; equivalences ok."""
+    return {"genus": 3, "type": {"rank": 2, "degree": -4, "framing_nonzero": False, "delta_iso": True},
+            "subs": [_sub("K", 1, -3, False)]}
+
+
+def no_kernel_model() -> dict:
+    """No kernel subobject: a null sigma_max and a null bound at a nonzero
+    framing; a two-step filtration below the first wall, then ok."""
+    return {"genus": 2, "frame_degree": -1, "type": {"rank": 2, "degree": -6, "framing_nonzero": True},
+            "subs": [_sub("C", 1, -2, True), _sub("D", 1, -4, True, phi=False)]}
+
+
 @pytest.mark.parametrize(
     "model, fmt, digest",
     [
@@ -268,6 +293,18 @@ def chain_model() -> dict:
         (chain_model, "csv", "6a6fa0a4c523d0ee877eb7f9d383197c848fd2046e990e9698829b8407914f7c"),
         (chain_model, "latex", "c105d683c2a0594ff8af12dd41ab9bb5d1c1085669604c3ea4f0754140b6aa57"),
         (chain_model, "json", "23a81554ca312e097f5613a6fb79e3e239a03f9cc8b2592d8b04e2bd901ebbd0"),
+        (tie_model, "text", "944ef006c78a5f49e9d42c7c6f34717fa556794c1a0cdb6000f234625a955109"),
+        (tie_model, "csv", "397f83e901d88b99dbabf7786d8611c0d36ed95f8f75260000180bddb0d1f1c3"),
+        (tie_model, "latex", "08719964097fca5e1138111025734f2d163bc5e4ee4d75df506c30c7061e90c2"),
+        (tie_model, "json", "f902fe232c1b92e12a91e737ab3936f12b0366d87359c88d258f345aa129a512"),
+        (zero_framing_model, "text", "e770507931e06b8f514eb1fe7de33dd5cf4cf179ce5f536eebc06decdc426aa7"),
+        (zero_framing_model, "csv", "dc84415fd1506418519dfdb83383a073034bd445bf2293b772492ca54304ad95"),
+        (zero_framing_model, "latex", "f7b19a9bf24b0dbf5e84e1361936e28d1608a2cfc9fcf6fe38014d3850df0455"),
+        (zero_framing_model, "json", "5b406363545fb6a5d46ea3e52adbe9bf4b7106de0e875b3c849a433a46d0022a"),
+        (no_kernel_model, "text", "f928c6f59a206747e6b9a6163b19a655a1076ddaf56e0f68fe06363ed94f1b52"),
+        (no_kernel_model, "csv", "b13280ef38131f1abff0d9b694f2df2f8c6a68b98fa38b29116beacae55b6fd6"),
+        (no_kernel_model, "latex", "76e5a9870dbd6405f98da6bb9466b3a50da3d1700a3e5a6cb227ed04d8673c6c"),
+        (no_kernel_model, "json", "b51f00b5699a4dfcd254715386f0f11eebb6cd10b202adeb272898ac67eb2e60"),
     ],
 )
 def test_stability_check_golden_rendering(tmp_path, model, fmt, digest):

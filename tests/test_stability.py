@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from flipchain import stability
+from flipchain import betti, stability
 from flipchain.chambers import InvalidInput, build_chambers, chamber_of
 from flipchain.stability import (
     AmbiguousModel,
@@ -489,6 +489,29 @@ def test_validation_rejects_bad_models():
             [sub("K", 1, -3, fr=False), sub("C", 1, -1, fr=True)],
             split=SplitDescriptor("K", "C"),
         )
+
+
+@pytest.mark.parametrize(
+    "path, build",
+    [
+        ("frame_degree", lambda: CurveContext(2, frame_degree=1.5)),
+        ("type.rank", lambda: FramedType(2.0, -5, True)),
+        ("type.rank", lambda: FramedType(True, -5, True)),
+        ("type.degree", lambda: FramedType(2, -5.0, True)),
+        (r"subs\[0\]\.rank", lambda: rank2(-5, [sub("K", True, -3, fr=False)])),
+        (r"subs\[1\]\.degree", lambda: rank2(-5, [sub("C", 1, -1, fr=True), sub("K", 1, -3.5, fr=False)])),
+        ("n", lambda: betti.sym_product_poincare(True, 2)),
+        ("n", lambda: betti.sym_product_poincare(1.0, 2)),
+        ("g", lambda: betti.sym_product_poincare(1, 2.0)),
+        ("n", lambda: betti.proj_space_poincare(2.0)),
+        ("n", lambda: betti.proj_space_poincare(False)),
+    ],
+)
+def test_non_integer_inputs_name_their_field(path, build):
+    """A float or a bool where an integer belongs is rejected up front, not
+    used as a number (a float bound) or left to fail later with TypeError."""
+    with pytest.raises(InvalidInput, match=f"^{path}: expected an integer, got "):
+        build()
 
 
 def test_model_json_round_trip():
