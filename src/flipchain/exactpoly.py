@@ -136,7 +136,10 @@ class LaurentPoly:
     def __call__(self, x):
         """Evaluate at x (int or Fraction) by Horner's rule; x must be
         nonzero if any exponent is negative, and the result is a Fraction
-        then even for an int x."""
+        then even for an int x.  At x = 1 it is the sum of the coefficients."""
+        if type(x) is int and x == 1:
+            total = sum(self._coeffs)
+            return Fraction(total) if self._val < 0 else total
         total = 0
         for c in reversed(self._coeffs):
             total = total * x + c

@@ -65,6 +65,10 @@ class FramedType:
         if _require_int(self.rank, "type.rank") < 1:
             raise InvalidInput(f"type.rank: rank must be positive, got {self.rank}")
         _require_int(self.degree, "type.degree")
+        if type(self.framing_nonzero) is not bool:
+            _checked(self.framing_nonzero, bool, "type.framing_nonzero")
+        if type(self.delta_iso) is not bool:
+            _checked(self.delta_iso, bool, "type.delta_iso")
 
 
 @dataclass(frozen=True)
@@ -73,7 +77,9 @@ class SubobjectData:
 
     fr is True when the restricted framing is nonzero; phi_invariant marks
     invariance under the endomorphism-valued field of the pair; parents
-    holds ids of subobjects strictly containing this one.
+    holds ids of subobjects strictly containing this one.  A field of the
+    wrong kind raises InvalidInput naming subs[*].<field>: a subobject
+    does not know its index.
     """
 
     id: str
@@ -84,7 +90,18 @@ class SubobjectData:
     parents: FrozenSet[str] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "parents", frozenset(self.parents))
+        # inline type tests: a verify-all pass builds tens of thousands of these
+        if type(self.id) is not str:
+            _checked(self.id, str, "subs[*].id")
+        if type(self.fr) is not bool:
+            _checked(self.fr, bool, "subs[*].fr")
+        if type(self.phi_invariant) is not bool:
+            _checked(self.phi_invariant, bool, "subs[*].phi_invariant")
+        parents = frozenset(self.parents)
+        for p in parents:
+            if type(p) is not str:
+                _checked(p, str, "subs[*].parents")
+        object.__setattr__(self, "parents", parents)
 
 
 @dataclass(frozen=True)
@@ -97,6 +114,10 @@ class SplitDescriptor:
 
     kmax_id: str
     other_id: str
+
+    def __post_init__(self):
+        _checked(self.kmax_id, str, "split.kmax_id")
+        _checked(self.other_id, str, "split.other_id")
 
 
 @dataclass(frozen=True)
@@ -139,7 +160,13 @@ class FramedModel:
                 raise InvalidInput(f"subs[{k}].parents: containment cycle through {s.id!r}")
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "ancestors", anc)
-        object.__setattr__(self, "_rank_lcm", math.lcm(self.typ.rank, *(s.rank for s in self.subs)))
+        n = math.lcm(self.typ.rank, *(s.rank for s in self.subs))
+        object.__setattr__(self, "_rank_lcm", n)
+        # _slopes reads each slope times q*n at sigma = p/q as a*q - b*p from
+        # these (a, b): the ambient's, then each subobject's in subs order
+        t, w = self.typ, n // self.typ.rank
+        subs_ab = tuple((s.degree * (n // s.rank), n // s.rank if s.fr else 0) for s in self.subs)
+        object.__setattr__(self, "_linear", ((t.degree * w, w if t.framing_nonzero else 0), subs_ab))
         if self.split is not None:
             if self.split.kmax_id == self.split.other_id:
                 raise InvalidInput(f"split: kmax_id and other_id both name {self.split.kmax_id!r}; the summands must differ")
@@ -177,10 +204,30 @@ class FramedModel:
         return outer_id in self.ancestors[inner_id]
 
     @cached_property
+    def _charged(self) -> Tuple[Tuple[int, int], Tuple[Tuple[int, int], ...]]:
+        """_linear with every object charged sigma: the oriented inequality."""
+        n, t = self._rank_lcm, self.typ
+        subs_ab = tuple((s.degree * (n // s.rank), n // s.rank) for s in self.subs)
+        return (t.degree * (n // t.rank), n // t.rank), subs_ab
+
+    @cached_property
     def _oriented(self) -> Tuple[Tuple[bool, bool], Tuple[bool, bool]]:
         """(oriented semistable, oriented stable) for modules, then for pairs.
         They are taken at sigma_max, so each model computes them once."""
         return _oriented_verdicts(self, False), _oriented_verdicts(self, True)
+
+    @cached_property
+    def _canonical_closure_failure(self) -> Optional[str]:
+        """The AxiomViolated message when the maximal destabilizer at a
+        nonnegative sigma_max breaks constraint closure, else None: the
+        sigma-free half of the rank-2 equivalence precondition.  An
+        AmbiguousModel there is not stored, so each call raises it again."""
+        s_star = sigma_max(self, use_phi=False)
+        if s_star is not None and s_star >= 0:
+            w = _closure_witness(self, s_star)
+            if w is not None:
+                return f"subobject {w!r} breaks constraint closure at the canonical parameter {s_star}"
+        return None
 
 
 @dataclass(frozen=True)
@@ -216,7 +263,8 @@ def reduced_framed_slope(
     reference the suite checks them against.
     """
     if fr and framing_ambient_nonzero:
-        return Fraction(degree - sigma, rank)
+        q = sigma.denominator  # one Fraction from two ints: sigma = p/q
+        return Fraction(degree * q - sigma.numerator, rank * q)
     return Fraction(degree, rank)
 
 
@@ -226,13 +274,12 @@ def _slopes(m: FramedModel, sigma: Fraction, charge_all: bool = False) -> Tuple[
     integers in the same order as the slopes.
 
     delta is 1 for framed objects under a nonzero ambient framing, or for
-    every object when charge_all is set (the oriented inequality).
+    every object when charge_all is set (the oriented inequality).  Each
+    value is linear in sigma, from coefficients stored with the model.
     """
-    p, q, n = sigma.numerator, sigma.denominator, m._rank_lcm
-    t = m.typ
-    nz = t.framing_nonzero
-    amb = (t.degree * q - (p if nz or charge_all else 0)) * (n // t.rank)
-    return amb, [(s.degree * q - (p if charge_all or (s.fr and nz) else 0)) * (n // s.rank) for s in m.subs]
+    p, q = sigma.numerator, sigma.denominator
+    (a, b), subs = m._charged if charge_all else m._linear
+    return a * q - b * p, [a * q - b * p for a, b in subs]
 
 
 def _verdicts(m: FramedModel, sigma: Fraction, charge_all: bool = False) -> Tuple[bool, bool, bool, bool]:
@@ -381,7 +428,7 @@ def sigma_upper_bound(m: FramedModel) -> Optional[Fraction]:
     k = max(s.rank for s in kers)
     d = m.typ.degree
     h = m.ctx.frame_degree
-    return Fraction(d) - Fraction(m.typ.rank, k) * (d - h)
+    return Fraction(d * k - m.typ.rank * (d - h), k)
 
 
 def final_chamber_stable(m: FramedModel) -> bool:
@@ -505,13 +552,8 @@ def verify_rank2_equivalences(m: FramedModel, sigma: Fraction) -> EquivalenceRep
     w = _closure_witness(m, sigma)
     if w is not None:
         raise AxiomViolated(f"subobject {w!r} breaks constraint closure at sigma={sigma}")
-    s_star = sigma_max(m, use_phi=False)
-    if s_star is not None and s_star >= 0:
-        w = _closure_witness(m, s_star)
-        if w is not None:
-            raise AxiomViolated(
-                f"subobject {w!r} breaks constraint closure at the canonical parameter {s_star}"
-            )
+    if m._canonical_closure_failure is not None:
+        raise AxiomViolated(m._canonical_closure_failure)
 
     mismatches: List[Tuple[str, Optional[str]]] = []
     fm_ss, fm_stable, pair_ss, pair_stable = _verdicts(m, sigma)
@@ -718,9 +760,9 @@ def _suite_rank2(res: SuiteResult, m: FramedModel, sigmas: Sequence[Fraction], t
     # final-chamber criterion against direct evaluation far beyond every wall
     if nz:
         far = max(
-            [Fraction(m.typ.degree - 2 * s.degree) for s in m.subs if not s.fr]
-            + [Fraction(2 * s.degree - m.typ.degree) for s in m.subs if s.fr]
-            + [Fraction(0)]
+            [m.typ.degree - 2 * s.degree for s in m.subs if not s.fr]
+            + [2 * s.degree - m.typ.degree for s in m.subs if s.fr]
+            + [0]
         ) + 1
         _suite_check(
             res,

@@ -157,6 +157,17 @@ def test_evaluation(pairs, x):
     assert type(got) is type(want) and got == want
 
 
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(pairs_st)
+def test_evaluation_at_one_is_the_coefficient_sum(pairs):
+    """x = 1 takes the sum of the coefficients instead of Horner's rule; the
+    result is an int unless some exponent is negative, as for any int x."""
+    p, rp = both(pairs)
+    got, want = p(1), rp(1)
+    assert type(got) is type(want) and got == want == sum(c for _, c in rp.items())
+    assert type(got) is (Fraction if p and p.valuation() < 0 else int)
+
+
 @pytest.mark.parametrize("pairs", [[], [(0, 1)], [(-2, 3), (0, -7), (5, 12345678901234567890)], [(600, 1), (0, -1)]])
 def test_formatting_examples(pairs):
     assert_same(*both(pairs))

@@ -60,6 +60,19 @@ def test_reduced_framed_slope():
     assert reduced_framed_slope(1, -1, True, F(3), False) == -1
 
 
+def test_reduced_framed_slope_is_the_fraction_formula():
+    """The two-int construction equals (degree - sigma)/rank for a charged
+    object and degree/rank otherwise, for int and non-integral sigma."""
+    rng = random.Random(16)
+    for _ in range(500):
+        rank, degree = rng.randint(1, 4), rng.randint(-20, 5)
+        fr, amb = rng.random() < 0.5, rng.random() < 0.5
+        for sigma in (rng.randint(1, 30), F(rng.randint(1, 60), rng.randint(2, 7))):
+            want = F(degree - sigma, rank) if fr and amb else F(degree, rank)
+            got = reduced_framed_slope(rank, degree, fr, sigma, amb)
+            assert type(got) is F and got == want
+
+
 # -- framed module (semi)stability ---------------------------------------------
 
 
@@ -351,6 +364,22 @@ def test_axiom_checked_at_canonical_parameter():
         verify_rank2_equivalences(m, F(4))
 
 
+
+def test_canonical_closure_failure_is_found_once_and_raised_at_every_sigma(monkeypatch):
+    # closed at each probed sigma; at the canonical parameter 1 the
+    # non-invariant F is the maximal destabilizer
+    m = rank2(-5, [sub("K", 1, -3, fr=False, phi=True), sub("F", 1, 0, fr=True, phi=False)], delta_iso=True)
+    calls = []
+    real = stability.sigma_max
+    monkeypatch.setattr(stability, "sigma_max", lambda m, use_phi=False: calls.append(use_phi) or real(m, use_phi))
+    for sigma in (F(7, 2), 4, F(5)):
+        assert max_destabilizer(m, sigma).id == "K"
+        with pytest.raises(AxiomViolated) as exc:
+            verify_rank2_equivalences(m, sigma)
+        assert str(exc.value) == "subobject 'F' breaks constraint closure at the canonical parameter 1"
+    assert calls == [False]  # sigma_max once for the model, not once per sigma
+
+
 def test_threshold_formulas_are_rank_2_only():
     f = sub("F", 1, -1, fr=True)
     typ = FramedType(3, -5, True)
@@ -512,6 +541,30 @@ def test_non_integer_inputs_name_their_field(path, build):
     used as a number (a float bound) or left to fail later with TypeError."""
     with pytest.raises(InvalidInput, match=f"^{path}: expected an integer, got "):
         build()
+
+
+
+@pytest.mark.parametrize(
+    "message, build",
+    [
+        ("type.framing_nonzero: expected true or false, got 1", lambda: FramedType(2, -5, 1)),
+        ("type.delta_iso: expected true or false, got null", lambda: FramedType(2, -5, True, delta_iso=None)),
+        ("subs[*].fr: expected true or false, got 0", lambda: SubobjectData("K", 1, -3, 0, phi_invariant="no")),
+        ('subs[*].phi_invariant: expected true or false, got "no"',
+         lambda: SubobjectData("K", 1, -3, False, phi_invariant="no")),
+        ("subs[*].id: expected a string, got 5", lambda: SubobjectData(5, 1, -3, False)),
+        ("subs[*].parents: expected a string, got 7", lambda: SubobjectData("K", 1, -3, False, parents={7})),
+        ("split.kmax_id: expected a string, got 0", lambda: SplitDescriptor(0, "C")),
+        ("split.other_id: expected a string, got null", lambda: SplitDescriptor("K", None)),
+    ],
+)
+def test_flags_and_ids_of_the_wrong_kind_name_their_field(message, build):
+    """A library caller's flag or id is checked as the JSON reader checks it,
+    so no model is built that model_to_json_obj would write and the reader
+    then reject."""
+    with pytest.raises(InvalidInput) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def test_model_json_round_trip():
