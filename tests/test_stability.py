@@ -364,7 +364,6 @@ def test_axiom_checked_at_canonical_parameter():
         verify_rank2_equivalences(m, F(4))
 
 
-
 def test_canonical_closure_failure_is_found_once_and_raised_at_every_sigma(monkeypatch):
     # closed at each probed sigma; at the canonical parameter 1 the
     # non-invariant F is the maximal destabilizer
@@ -541,7 +540,6 @@ def test_non_integer_inputs_name_their_field(path, build):
     used as a number (a float bound) or left to fail later with TypeError."""
     with pytest.raises(InvalidInput, match=f"^{path}: expected an integer, got "):
         build()
-
 
 
 @pytest.mark.parametrize(
