@@ -2,7 +2,9 @@
 checks into reproducible text, JSON, CSV or LaTeX reports.
 
 Exit codes: 0 on success, 1 when a consistency check fails (the message
-names the failing invariant and its indices), 2 on invalid input.
+names the failing invariant and its indices), 2 on invalid input, 141
+(128 + SIGPIPE) when the reader of stdout closes it early, as `| head -1`
+does; nothing is written to stderr then.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -358,8 +361,13 @@ def run(config: RunConfig, out=None) -> int:
             print(_emit_betti(report, config.format), file=out)
             return 0 if report.ok else 1
         if config.command == "stability-check":
-            with open(config.model_path, "r", encoding="utf-8") as fh:
-                model = stability.model_from_json_obj(json.load(fh))
+            try:
+                with open(config.model_path, "r", encoding="utf-8") as fh:
+                    obj = json.load(fh)
+            except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+                print(f"error: {exc}", file=out)
+                return 2
+            model = stability.model_from_json_obj(obj)
             chambers.fm_index_range(model.typ.degree, "type.degree")  # chamber scans need d < 0
             print(_emit_stability(_stability_obj(model), config.format), file=out)
             return 0
@@ -370,16 +378,21 @@ def run(config: RunConfig, out=None) -> int:
     except InvalidInput as exc:
         print(f"error: invalid input: {exc}", file=out)
         return 2
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=out)
-        return 2
     except ConsistencyFailure as exc:
         print(f"error: consistency failure: {exc}", file=out)
         return 1
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    return run(parse_args(argv))
+    try:
+        status = run(parse_args(argv))
+        sys.stdout.flush()  # a reader that closed stdout early (| head) makes this raise here
+        return status
+    except BrokenPipeError:  # exit as SIGPIPE would; devnull takes the flush at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -46,6 +46,9 @@ def _trimmed(valuation: int, coeffs: Sequence[int]) -> Tuple[int, Tuple[int, ...
 class LaurentPoly:
     """Immutable integer Laurent polynomial in one variable t.
 
+    Storage is dense, the coefficients from the valuation to the degree, so
+    it grows with that span: t^(10^6) + 1 holds a million coefficients.
+
     >>> p = LaurentPoly({0: 1, 1: 1})
     >>> print(p * p)
     1 + 2*t + t^2
@@ -211,6 +214,8 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentPoly":
+        if type(n) is not int:
+            raise TypeError(f"exponent must be an int, got {n!r}")
         if n < 0:
             raise ValueError("negative powers are not defined; use lp_div_exact")
         result = LaurentPoly.one()

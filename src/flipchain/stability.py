@@ -9,9 +9,9 @@ Conventions baked into every check (curve with a degree-1 polarization):
 * A subobject with fr = False models one contained in the kernel of the
   framing; consequently fr is monotone under containment (a subobject of
   a kernel subobject is again in the kernel).
-* Quotient framing: if the chosen step has fr = True the quotient framing
-  vanishes; otherwise each quotient inherits the containing subobject's
-  flag.
+* Quotient framing: if a Harder-Narasimhan step has fr = True the quotient
+  framing vanishes; otherwise each quotient inherits the containing
+  subobject's flag.
 """
 
 from __future__ import annotations
@@ -318,15 +318,9 @@ def is_pair_stable(m: FramedModel, sigma: Fraction) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _max_destabilizer(m: FramedModel, sigma: Fraction) -> Optional[SubobjectData]:
-    """Tie order: slope, then rank, then containment; no positivity check."""
-    if not m.subs:
-        return None
-    amb, slopes = _slopes(m, sigma)
-    top = max(slopes)
-    if top < amb:
-        return None
-    cands = [s for s, sl in zip(m.subs, slopes) if sl == top]
+def _tie_break(m: FramedModel, cands: List[SubobjectData]) -> SubobjectData:
+    """The candidate of maximal rank among those tied at maximal slope, then
+    the one containing all the others; AmbiguousModel when none does."""
     max_rank = max(s.rank for s in cands)
     cands = [s for s in cands if s.rank == max_rank]
     if len(cands) == 1:
@@ -334,10 +328,17 @@ def _max_destabilizer(m: FramedModel, sigma: Fraction) -> Optional[SubobjectData
     for c in cands:
         if all(o.id == c.id or m.contains(c.id, o.id) for o in cands):
             return c
-    raise AmbiguousModel(
-        "incomparable subobjects tie at maximal slope and rank: "
-        + ", ".join(sorted(s.id for s in cands))
-    )
+    ids = ", ".join(sorted(s.id for s in cands))
+    raise AmbiguousModel(f"incomparable subobjects tie at maximal slope and rank: {ids}")
+
+
+def _max_destabilizer(m: FramedModel, sigma: Fraction) -> Optional[SubobjectData]:
+    """Tie order: slope, then rank, then containment; no positivity check."""
+    amb, slopes = _slopes(m, sigma)
+    top = max(slopes, default=amb - 1)
+    if top < amb:
+        return None
+    return _tie_break(m, [s for s, sl in zip(m.subs, slopes) if sl == top])
 
 
 def max_destabilizer(m: FramedModel, sigma: Fraction) -> Optional[SubobjectData]:
@@ -351,62 +352,41 @@ def max_destabilizer(m: FramedModel, sigma: Fraction) -> Optional[SubobjectData]
     return _max_destabilizer(m, _require_sigma(sigma))
 
 
-def _quotient_model(m: FramedModel, step: SubobjectData) -> FramedModel:
-    t = m.typ
-    q_framing = t.framing_nonzero and not step.fr
-    kept = [
-        g
-        for g in m.subs
-        if m.contains(g.id, step.id) and g.rank > step.rank
-    ]
-    kept_ids = {g.id for g in kept}
-    q_subs = []
-    for g in kept:
-        q_subs.append(
-            SubobjectData(
-                id=g.id,
-                rank=g.rank - step.rank,
-                degree=g.degree - step.degree,
-                fr=False if step.fr else g.fr,
-                phi_invariant=g.phi_invariant,
-                parents=frozenset(m.ancestors[g.id] & kept_ids),
-            )
-        )
-    q_typ = FramedType(
-        rank=t.rank - step.rank,
-        degree=t.degree - step.degree,
-        framing_nonzero=q_framing,
-        delta_iso=t.delta_iso,
-    )
-    return FramedModel(ctx=m.ctx, typ=q_typ, subs=tuple(q_subs))
-
-
 def hn_filtration(m: FramedModel, sigma: Fraction) -> HNFiltration:
-    """Greedy filtration by maximal destabilizers.
+    """Greedy filtration by maximal destabilizers, on the model's own lattice.
 
     A semistable model yields the one-step filtration whose single graded
     piece is the ambient object; otherwise the first step is the maximal
-    destabilizer and the construction recurses on the quotient model.
+    destabilizer B and the construction goes on in E/B.  Its subobjects are
+    B's strict containers G of larger rank, and since rank times framed
+    slope (deg - delta*sigma) is additive on exact sequences, G/B has slope
+    (w_G - w_B)/(r_G - r_B) with w = rank * slope from one _slopes pass.
+    The quotient's framing vanishes once a framed step is taken.
     """
     sigma = _require_sigma(sigma)
+    amb, slopes = _slopes(m, sigma)
+    w = {s.id: s.rank * sl for s, sl in zip(m.subs, slopes)}
+    r_e, d_e, w_e = m.typ.rank, m.typ.degree, m.typ.rank * amb
+    framed = m.typ.framing_nonzero
+    r_b = d_b = w_b = 0  # the last step, the zero subobject before the first
+    cands = list(m.subs)  # the subobjects of E/B, in m.subs order
     steps: List[str] = []
     graded: List[Tuple[int, int, bool]] = []
-    current = m
     while True:
-        if _verdicts(current, sigma)[0]:
-            t = current.typ
-            graded.append((t.rank, t.degree, t.framing_nonzero))
+        # each slope of E/B times the lcm of its ranks, in the order of the slopes
+        n = math.lcm(r_e - r_b, *(g.rank - r_b for g in cands))
+        top_amb = (w_e - w_b) * (n // (r_e - r_b))
+        scaled = [(w[g.id] - w_b) * (n // (g.rank - r_b)) for g in cands]
+        top = max(scaled, default=top_amb)
+        if top <= top_amb:
+            graded.append((r_e - r_b, d_e - d_b, framed))
             return HNFiltration(steps=tuple(steps), graded=tuple(graded))
-        step = _max_destabilizer(current, sigma)
-        assert step is not None  # unstable models always expose one
-        steps.append(step.id)
-        graded.append((step.rank, step.degree, step.fr))
-        try:
-            current = _quotient_model(current, step)
-        except InvalidInput as exc:  # the quotient of a valid model is valid, so this is an internal bug
-            raise ConsistencyFailure(
-                f"HN quotient model is invalid at step {len(steps) - 1} (id {step.id!r}, sigma={sigma}): {exc}"
-            ) from exc
+        b = _tie_break(m, [g for g, sl in zip(cands, scaled) if sl == top])
+        steps.append(b.id)
+        graded.append((b.rank - r_b, b.degree - d_b, framed and b.fr))
+        framed = framed and not b.fr
+        r_b, d_b, w_b = b.rank, b.degree, w[b.id]
+        cands = [g for g in cands if g.id in m.ancestors[b.id] and g.rank > r_b]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ import json
 import os
 import pkgutil
 import re
-from dataclasses import fields, replace
+import subprocess
+import sys
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -158,6 +160,22 @@ def test_verify_all_small_and_deterministic():
 
 def test_main_returns_status():
     assert main(["chambers", "--d", "-3", "--g", "2"]) == 0
+
+
+# betti's 18 kB report fails inside print, the short chambers report at the final flush
+@pytest.mark.parametrize("argv", [["betti", "--d", "-30", "--g", "5"], ["chambers", "--d", "-3", "--g", "2"]])
+def test_a_closed_stdout_exits_141_without_a_traceback(argv):
+    # the read end is closed before the child starts, so its first write fails, as under `| head -1`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(flipchain.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "flipchain.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 # -- golden renderings ----------------------------------------------------------------
@@ -419,25 +437,6 @@ def test_stability_check_lets_internal_errors_propagate(tmp_path, monkeypatch):
     monkeypatch.setattr(stability, "hn_filtration", hn_filtration)
     with pytest.raises(ValueError, match="internal bug"):
         check_model_file(tmp_path, base_model())
-
-
-def test_an_invalid_hn_quotient_is_a_consistency_failure(tmp_path, monkeypatch):
-    # A destabilizes at every sigma, and the quotient by it keeps the framed B
-    real = stability._quotient_model
-
-    def wrong_framing_flag(m, step):
-        q = real(m, step)
-        typ = replace(q.typ, framing_nonzero=m.typ.framing_nonzero and step.fr)
-        return stability.FramedModel(q.ctx, typ, q.subs)
-
-    monkeypatch.setattr(stability, "_quotient_model", wrong_framing_flag)
-    obj = base_model()
-    obj["type"].update(rank=3, degree=-5)
-    obj["subs"] = [{"id": "A", "rank": 1, "degree": -1, "fr": False, "parents": ["B"]},
-                   {"id": "B", "rank": 2, "degree": -3, "fr": True}]
-    status, text = check_model_file(tmp_path, obj)
-    assert status == 1
-    assert text.startswith("error: consistency failure: HN quotient model is invalid at step 0 (id 'A', sigma=")
 
 
 def test_model_reader_ignores_the_retired_epsilon_flag(tmp_path):

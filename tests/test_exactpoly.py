@@ -1,5 +1,6 @@
 """Ring arithmetic, exact division, kernels and coefficient extraction."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,12 @@ def test_difference_of_squares():
 
 def test_binomial_expansion():
     assert poly({0: 1, 1: 1}) ** 4 == poly({0: 1, 1: 4, 2: 6, 3: 4, 4: 1})
+
+
+@pytest.mark.parametrize("n", [2.0, True, False, Fraction(2), "2", None])
+def test_power_takes_only_an_int_exponent(n):
+    with pytest.raises(TypeError, match=f"^exponent must be an int, got {re.escape(repr(n))}$"):
+        poly({0: 1, 1: 1}) ** n
 
 
 def test_laurent_exponent_addition():

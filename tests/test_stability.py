@@ -624,7 +624,7 @@ SUITE_DOCTORS = [
     pytest.param(
         "_slopes", _low_invariant_slopes,
         ("threshold formula mismatch", "closure still violated", "graded slopes not strictly decreasing",
-         "strictly semistable"), 392, id="invariant-slopes-lowered",
+         "strictly semistable"), 397, id="invariant-slopes-lowered",
     ),
 ]
 
