@@ -4,7 +4,8 @@ time and compare each output digest with perfbench/reference.json.
 
     python3 scripts/check_digests.py
 
-Prints one line per pass and exits 1 if any digest differs or any pass fails.
+Prints one line per pass and exits 1 if any digest differs or any pass fails:
+exits nonzero, prints nothing, or runs past TIMEOUT_S.
 """
 
 import json
@@ -14,6 +15,18 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PASSES = (("betti_sweep", [0]), ("verify_all", range(10)), ("cli_requests", range(10)))
+#: Seconds one pass may take; each takes a few seconds on a 2-core host.
+TIMEOUT_S = 300
+
+
+def _status(proc: subprocess.CompletedProcess, want: str) -> str:
+    """"ok" when the pass exited 0 and its last stdout line holds the wanted digest."""
+    if proc.returncode != 0:
+        return f"PASS FAILED (exit {proc.returncode})"
+    lines = proc.stdout.splitlines()
+    if not lines:
+        return "PASS FAILED (no output)"
+    return "ok" if json.loads(lines[-1])["digest"] == want else "DIGEST MISMATCH"
 
 
 def main() -> int:
@@ -22,16 +35,15 @@ def main() -> int:
     bad = 0
     for w, seeds in PASSES:
         for n in seeds:
-            # one_pass.py measures the sources under its working directory
-            proc = subprocess.run([sys.executable, os.path.join("perfbench", "one_pass.py"), "--workload", w,
-                                   "--seed", str(n)], capture_output=True, text=True, cwd=ROOT)
             want = ref[w].get(str(n), ref[w].get("*"))
-            if proc.returncode != 0:
-                status = f"PASS FAILED (exit {proc.returncode})"
-            elif json.loads(proc.stdout.splitlines()[-1])["digest"] == want:
-                status = "ok"
+            try:
+                # one_pass.py measures the sources under its working directory
+                proc = subprocess.run([sys.executable, os.path.join("perfbench", "one_pass.py"), "--workload", w,
+                                       "--seed", str(n)], capture_output=True, text=True, cwd=ROOT, timeout=TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                status = "PASS TIMED OUT"
             else:
-                status = "DIGEST MISMATCH"
+                status = _status(proc, want)
             bad += status != "ok"
             print(w, n, status, flush=True)
     return 1 if bad else 0

@@ -234,7 +234,7 @@ def _stability_obj(m: stability.FramedModel) -> dict:
     entries = []
     for kind, sigma in points:
         entry = {"sigma": _to_json(sigma), "kind": kind,
-                 **dict(zip(_VERDICT_COLUMNS[2:], stability._verdicts(m, sigma)))}
+                 **dict(zip(_VERDICT_COLUMNS[2:], stability._verdicts(m, *stability._slopes(m, sigma))))}
         try:
             hn = stability.hn_filtration(m, sigma)
             entry["hn"] = {**_to_json(hn), "slopes": _to_json(hn.graded_slopes(sigma))}

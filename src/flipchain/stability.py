@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .chambers import (_REQUIRED, InvalidInput, _checked, _fields, _require_genus, _require_int, _require_sigma,
                        _to_json, build_chambers)
@@ -224,7 +224,7 @@ class FramedModel:
         AmbiguousModel there is not stored, so each call raises it again."""
         s_star = sigma_max(self, use_phi=False)
         if s_star is not None and s_star >= 0:
-            w = _closure_witness(self, s_star)
+            w = _closure_witness(self, *_slopes(self, s_star))
             if w is not None:
                 return f"subobject {w!r} breaks constraint closure at the canonical parameter {s_star}"
         return None
@@ -282,10 +282,10 @@ def _slopes(m: FramedModel, sigma: Fraction, charge_all: bool = False) -> Tuple[
     return a * q - b * p, [a * q - b * p for a, b in subs]
 
 
-def _verdicts(m: FramedModel, sigma: Fraction, charge_all: bool = False) -> Tuple[bool, bool, bool, bool]:
-    """(fm semistable, fm stable, pair semistable, pair stable) at sigma, from
-    one _slopes pass; the pair verdicts quantify over phi-invariant subobjects."""
-    amb, slopes = _slopes(m, sigma, charge_all)
+def _verdicts(m: FramedModel, amb: int, slopes: List[int]) -> Tuple[bool, bool, bool, bool]:
+    """(fm semistable, fm stable, pair semistable, pair stable) from one
+    _slopes pass (amb, slopes); the pair verdicts quantify over phi-invariant
+    subobjects."""
     top = top_phi = amb - 1  # the maxima over no subobjects break no inequality
     for s, sl in zip(m.subs, slopes):
         if sl > top:
@@ -297,20 +297,20 @@ def _verdicts(m: FramedModel, sigma: Fraction, charge_all: bool = False) -> Tupl
 
 def is_fm_semistable(m: FramedModel, sigma: Fraction) -> bool:
     """Every subobject's framed slope is at most the ambient framed slope."""
-    return _verdicts(m, _require_sigma(sigma))[0]
+    return _verdicts(m, *_slopes(m, _require_sigma(sigma)))[0]
 
 
 def is_fm_stable(m: FramedModel, sigma: Fraction) -> bool:
-    return _verdicts(m, _require_sigma(sigma))[1]
+    return _verdicts(m, *_slopes(m, _require_sigma(sigma)))[1]
 
 
 def is_pair_semistable(m: FramedModel, sigma: Fraction) -> bool:
     """Same inequality quantified only over phi-invariant subobjects."""
-    return _verdicts(m, _require_sigma(sigma))[2]
+    return _verdicts(m, *_slopes(m, _require_sigma(sigma)))[2]
 
 
 def is_pair_stable(m: FramedModel, sigma: Fraction) -> bool:
-    return _verdicts(m, _require_sigma(sigma))[3]
+    return _verdicts(m, *_slopes(m, _require_sigma(sigma)))[3]
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +332,9 @@ def _tie_break(m: FramedModel, cands: List[SubobjectData]) -> SubobjectData:
     raise AmbiguousModel(f"incomparable subobjects tie at maximal slope and rank: {ids}")
 
 
-def _max_destabilizer(m: FramedModel, sigma: Fraction) -> Optional[SubobjectData]:
-    """Tie order: slope, then rank, then containment; no positivity check."""
-    amb, slopes = _slopes(m, sigma)
+def _max_destabilizer(m: FramedModel, amb: int, slopes: List[int]) -> Optional[SubobjectData]:
+    """max_destabilizer from one _slopes pass (amb, slopes).  Tie order:
+    slope, then rank, then containment; no positivity check."""
     top = max(slopes, default=amb - 1)
     if top < amb:
         return None
@@ -349,7 +349,7 @@ def max_destabilizer(m: FramedModel, sigma: Fraction) -> Optional[SubobjectData]
     it is the maximal destabilizing subobject of a strictly semistable
     model.  Ties between incomparable subobjects raise AmbiguousModel.
     """
-    return _max_destabilizer(m, _require_sigma(sigma))
+    return _max_destabilizer(m, *_slopes(m, _require_sigma(sigma)))
 
 
 def hn_filtration(m: FramedModel, sigma: Fraction) -> HNFiltration:
@@ -363,8 +363,11 @@ def hn_filtration(m: FramedModel, sigma: Fraction) -> HNFiltration:
     (w_G - w_B)/(r_G - r_B) with w = rank * slope from one _slopes pass.
     The quotient's framing vanishes once a framed step is taken.
     """
-    sigma = _require_sigma(sigma)
-    amb, slopes = _slopes(m, sigma)
+    return _filtration(m, *_slopes(m, _require_sigma(sigma)))
+
+
+def _filtration(m: FramedModel, amb: int, slopes: List[int]) -> HNFiltration:
+    """hn_filtration from one _slopes pass (amb, slopes)."""
     w = {s.id: s.rank * sl for s, sl in zip(m.subs, slopes)}
     r_e, d_e, w_e = m.typ.rank, m.typ.degree, m.typ.rank * amb
     framed = m.typ.framing_nonzero
@@ -469,7 +472,7 @@ def _oriented_verdicts(m: FramedModel, pair: bool) -> Tuple[bool, bool]:
     if not m.typ.delta_iso or s < 0:
         return False, False
     # both sides of the oriented inequality subtract s/rank whatever the framing flags
-    verdicts = _verdicts(m, s, charge_all=True)
+    verdicts = _verdicts(m, *_slopes(m, s, charge_all=True))
     ss, stable = verdicts[2:] if pair else verdicts[:2]
     return ss, s > 0 and (stable or m.split is not None and _oriented_split_holds(m, s))
 
@@ -508,11 +511,11 @@ class EquivalenceReport:
         return not self.mismatches
 
 
-def _closure_witness(m: FramedModel, sigma: Fraction) -> Optional[str]:
+def _closure_witness(m: FramedModel, amb: int, slopes: List[int]) -> Optional[str]:
     for s in m.subs:
         if not s.fr and not s.phi_invariant:
             return s.id
-    md = _max_destabilizer(m, sigma)
+    md = _max_destabilizer(m, amb, slopes)
     if md is not None and not md.phi_invariant:
         return md.id
     return None
@@ -529,17 +532,21 @@ def verify_rank2_equivalences(m: FramedModel, sigma: Fraction) -> EquivalenceRep
     if m.typ.rank != 2:
         raise InvalidInput(f"type.rank: equivalence verification is specific to rank 2, got {m.typ.rank}")
     sigma = _require_sigma(sigma)
-    w = _closure_witness(m, sigma)
+    return _equivalences(m, sigma, *_slopes(m, sigma))
+
+
+def _equivalences(m: FramedModel, sigma: Fraction, amb: int, slopes: List[int]) -> EquivalenceReport:
+    """verify_rank2_equivalences from one _slopes pass (amb, slopes) at sigma."""
+    w = _closure_witness(m, amb, slopes)
     if w is not None:
         raise AxiomViolated(f"subobject {w!r} breaks constraint closure at sigma={sigma}")
     if m._canonical_closure_failure is not None:
         raise AxiomViolated(m._canonical_closure_failure)
 
     mismatches: List[Tuple[str, Optional[str]]] = []
-    fm_ss, fm_stable, pair_ss, pair_stable = _verdicts(m, sigma)
+    fm_ss, fm_stable, pair_ss, pair_stable = _verdicts(m, amb, slopes)
     for kind, agree, strict in (("semistable", fm_ss == pair_ss, False), ("stable", fm_stable == pair_stable, True)):
         if not agree:  # a non-invariant subobject at or above the ambient slope witnesses it
-            amb, slopes = _slopes(m, sigma)
             witness = next((s.id for s, sl in zip(m.subs, slopes)
                             if not s.phi_invariant and (sl >= amb if strict else sl > amb)), None)
             mismatches.append((kind, witness))
@@ -695,21 +702,29 @@ def random_chain_model(rng: random.Random) -> FramedModel:
 def close_constraints(m: FramedModel, sigmas: Iterable[Fraction]) -> FramedModel:
     """Force the constraint-closure axiom: mark every fr = False subobject
     and every maximal destabilizer at the given parameters (plus the
-    canonical parameter) as phi-invariant."""
-    need = {s.id for s in m.subs if not s.fr}
-    targets = [_require_sigma(s) for s in sigmas]
+    canonical parameter) as phi-invariant.  A model that already carries
+    every such flag is returned as it is."""
+    return _closed(m, [_destabilizer_or_ambiguity(m, *_slopes(m, _require_sigma(s))) for s in sigmas])
+
+
+def _destabilizer_or_ambiguity(m: FramedModel, amb: int, slopes: List[int]) -> Union[SubobjectData, AmbiguousModel, None]:
+    """_max_destabilizer from one _slopes pass, or the AmbiguousModel it raised."""
+    try:
+        return _max_destabilizer(m, amb, slopes)
+    except AmbiguousModel as exc:
+        return exc
+
+
+def _closed(m: FramedModel, found: Iterable[Union[SubobjectData, AmbiguousModel, None]]) -> FramedModel:
+    """close_constraints given what _destabilizer_or_ambiguity found at each
+    of its parameters; the canonical parameter is searched here."""
     s_star = sigma_max(m, use_phi=False)
     if s_star is not None and s_star >= 0:
-        targets.append(s_star)
-    for sigma in targets:
-        try:
-            md = _max_destabilizer(m, sigma)
-        except AmbiguousModel:
-            continue
-        if md is not None:
-            need.add(md.id)
-    subs = tuple(replace(s, phi_invariant=True) if s.id in need else s for s in m.subs)
-    return replace(m, subs=subs)
+        found = [*found, _destabilizer_or_ambiguity(m, *_slopes(m, s_star))]
+    need = {s.id for s in m.subs if not s.fr} | {md.id for md in found if isinstance(md, SubobjectData)}
+    if all(m.sub(sid).phi_invariant for sid in need):
+        return m
+    return replace(m, subs=tuple(replace(s, phi_invariant=True) if s.id in need else s for s in m.subs))
 
 
 @dataclass
@@ -731,8 +746,21 @@ def _suite_check(res: SuiteResult, cond: bool, message: Callable[[], str]) -> No
         res.failures.append(message())
 
 
+def _suite_passes(m: FramedModel, sigmas: Sequence[Fraction]) -> Tuple[FramedModel, List[tuple]]:
+    """The constraint-closed model, then per sigma: sigma, m's one _slopes
+    pass, the maximal destabilizer (or the AmbiguousModel) read off it, and
+    the closed model's pass.  The closed model shares m's passes only when it
+    is m; one whose flags changed takes its own, so a slope that depends on
+    the flags is read for the model it belongs to."""
+    passes = [_slopes(m, sigma) for sigma in sigmas]
+    found = [_destabilizer_or_ambiguity(m, *p) for p in passes]
+    closed = _closed(m, found)
+    closed_passes = passes if closed is m else [_slopes(closed, sigma) for sigma in sigmas]
+    return closed, list(zip(sigmas, passes, found, closed_passes))
+
+
 def _suite_rank2(res: SuiteResult, m: FramedModel, sigmas: Sequence[Fraction], tag: str) -> None:
-    closed = close_constraints(m, sigmas)
+    closed, rows = _suite_passes(m, sigmas)
     nz = m.typ.framing_nonzero
     bound = sigma_upper_bound(m) if nz else None
     has_kernel = any(not s.fr for s in m.subs)
@@ -750,8 +778,7 @@ def _suite_rank2(res: SuiteResult, m: FramedModel, sigmas: Sequence[Fraction], t
             lambda: f"{tag}: final-chamber verdict disagrees with stability at sigma={far}",
         )
 
-    for sigma in sigmas:
-        amb, slopes = _slopes(m, sigma)
+    for sigma, (amb, slopes), md, closed_pass in rows:
         for s, sl in zip(m.subs, slopes):
             _suite_check(
                 res,
@@ -764,7 +791,7 @@ def _suite_rank2(res: SuiteResult, m: FramedModel, sigmas: Sequence[Fraction], t
                 lambda: f"{tag}: strict threshold formula mismatch for {s.id} at sigma={sigma}",
             )
 
-        ss, stable = _verdicts(m, sigma)[:2]
+        ss, stable = _verdicts(m, amb, slopes)[:2]
         _suite_check(
             res,
             not stable or ss,
@@ -777,21 +804,19 @@ def _suite_rank2(res: SuiteResult, m: FramedModel, sigmas: Sequence[Fraction], t
                 lambda: f"{tag}: semistable at sigma={sigma} above the kernel bound {bound}",
             )
 
-        try:
-            md = _max_destabilizer(m, sigma)
-        except AmbiguousModel:
+        if isinstance(md, AmbiguousModel):
             res.ambiguous_skips += 1
             md = None
         try:
-            hn = hn_filtration(m, sigma)
+            hn = _filtration(m, amb, slopes)
         except AmbiguousModel:
             res.ambiguous_skips += 1
             hn = None
         if hn is not None:
-            slopes = hn.graded_slopes(sigma)
+            graded = hn.graded_slopes(sigma)
             _suite_check(
                 res,
-                all(a > b for a, b in zip(slopes, slopes[1:])),
+                all(a > b for a, b in zip(graded, graded[1:])),
                 lambda: f"{tag}: graded slopes not strictly decreasing at sigma={sigma}",
             )
             if not ss:
@@ -811,7 +836,7 @@ def _suite_rank2(res: SuiteResult, m: FramedModel, sigmas: Sequence[Fraction], t
             )
 
         try:
-            report = verify_rank2_equivalences(closed, sigma)
+            report = _equivalences(closed, sigma, *closed_pass)
         except AmbiguousModel:
             res.ambiguous_skips += 1
             continue
@@ -859,19 +884,20 @@ def run_stability_suite(seed: int, n_models: int = 10000) -> SuiteResult:
         m = random_chain_model(rng)
         sigmas = [Fraction(1, 2), Fraction(1), Fraction(3), Fraction(-m.typ.degree) + 2]
         for sigma in sigmas:
+            amb, slopes = _slopes(m, sigma)
             try:
-                hn = hn_filtration(m, sigma)
+                hn = _filtration(m, amb, slopes)
             except AmbiguousModel:
                 res.ambiguous_skips += 1
                 continue
-            slopes = hn.graded_slopes(sigma)
+            graded = hn.graded_slopes(sigma)
             _suite_check(
                 res,
-                all(a > b for a, b in zip(slopes, slopes[1:])),
+                all(a > b for a, b in zip(graded, graded[1:])),
                 lambda: f"chain[{n}]: graded slopes not strictly decreasing at sigma={sigma}",
             )
-            if not is_fm_semistable(m, sigma):
-                md = _max_destabilizer(m, sigma)
+            if not _verdicts(m, amb, slopes)[0]:
+                md = _max_destabilizer(m, amb, slopes)
                 _suite_check(
                     res,
                     md is not None and hn.steps[0] == md.id,

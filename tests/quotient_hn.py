@@ -69,7 +69,7 @@ def quotient_hn_filtration(m: FramedModel, sigma: Fraction) -> HNFiltration:
     graded: List[Tuple[int, int, bool]] = []
     current = m
     while True:
-        if _verdicts(current, sigma)[0]:
+        if _verdicts(current, *_slopes(current, sigma))[0]:
             t = current.typ
             graded.append((t.rank, t.degree, t.framing_nonzero))
             return HNFiltration(steps=tuple(steps), graded=tuple(graded))

@@ -2,6 +2,7 @@
 pair/module equivalences, on hand-built and randomized lattice models."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -588,6 +589,108 @@ def test_oriented_verdicts_are_computed_once_per_model(monkeypatch):
         verify_rank2_equivalences(m, sigma)
     assert verdicts == [f(m, pair) for f in (is_oriented_semistable, is_oriented_stable) for pair in (False, True)]
     assert calls.count(True) == 1  # the pair verdicts' sigma_max, taken once
+
+
+def rebuilt_closure(m, sigmas):
+    """close_constraints as a rebuilt model, whatever the flags: every kernel
+    subobject and every maximal destabilizer at sigmas and at a nonnegative
+    canonical parameter (which may be 0, so no public sigma) marked phi-invariant."""
+    s_star = sigma_max(m)
+    need = {s.id for s in m.subs if not s.fr}
+    for sigma in [*sigmas, *([s_star] if s_star is not None and s_star >= 0 else [])]:
+        try:
+            md = stability._max_destabilizer(m, *stability._slopes(m, sigma))
+        except AmbiguousModel:
+            continue
+        if md is not None:
+            need.add(md.id)
+    return replace(m, subs=tuple(replace(s, phi_invariant=True) if s.id in need else s for s in m.subs))
+
+
+def test_close_constraints_returns_a_closed_model_itself():
+    sigmas = [F(1, 2), F(1), F(2), F(4)]
+    m = rank2(-5, [sub("K", 1, -3, fr=False), sub("W", 1, -4, fr=True, phi=False)], delta_iso=True)
+    assert close_constraints(m, sigmas) is m
+    opened = rank2(-5, [sub("K", 1, -3, fr=False, phi=False), sub("B", 1, -1, fr=True, phi=False)])
+    closed = close_constraints(opened, sigmas)
+    assert closed is not opened and closed == rebuilt_closure(opened, sigmas)
+    assert [s.phi_invariant for s in closed.subs] == [True, True]
+    rng = random.Random(7)
+    for _ in range(300):
+        m = random_rank2_model(rng)
+        closed = close_constraints(m, sigmas)
+        assert closed == rebuilt_closure(m, sigmas)
+        assert (closed is m) == (closed == m)
+
+
+def suite_inputs(seed, n_models):
+    """Each (model, sigma list) that run_stability_suite hands _suite_rank2."""
+    seen = []
+    real = stability._suite_rank2
+
+    def record(res, m, sigmas, tag):
+        seen.append((m, sigmas))
+        real(res, m, sigmas, tag)
+
+    patch = pytest.MonkeyPatch()
+    patch.setattr(stability, "_suite_rank2", record)
+    try:
+        assert run_stability_suite(seed, n_models).ok
+    finally:
+        patch.undo()
+    return seen
+
+
+def outcome(f, *args):
+    """f's result, or the kind and message of the ConsistencyFailure it raised."""
+    try:
+        return f(*args)
+    except (AmbiguousModel, AxiomViolated) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_one_pass_bodies_match_the_public_api(seed):
+    """The suite's per-sigma results, read off one slope pass of each model,
+    equal what the public functions compute from their own passes."""
+    public_verdicts = (is_fm_semistable, is_fm_stable, is_pair_semistable, is_pair_stable)
+    seen = {"ambiguous": 0, "kept": 0, "rebuilt": 0, "violated": 0}
+    for m, sigmas in suite_inputs(seed, 300):
+        closed, rows = stability._suite_passes(m, sigmas)
+        assert closed == close_constraints(m, sigmas) == rebuilt_closure(m, sigmas)
+        assert (closed is m) == (closed == m)
+        seen["kept" if closed is m else "rebuilt"] += 1
+        assert [row[0] for row in rows] == list(sigmas)
+        for sigma, (amb, slopes), found, closed_pass in rows:
+            assert stability._verdicts(m, amb, slopes) == tuple(f(m, sigma) for f in public_verdicts)
+            if isinstance(found, AmbiguousModel):
+                seen["ambiguous"] += 1
+                found = "AmbiguousModel", str(found)
+            assert found == outcome(max_destabilizer, m, sigma)
+            assert outcome(stability._filtration, m, amb, slopes) == outcome(hn_filtration, m, sigma)
+            for model, (a, s) in ((m, (amb, slopes)), (closed, closed_pass)):
+                got = outcome(stability._equivalences, model, sigma, a, s)
+                assert got == outcome(verify_rank2_equivalences, model, sigma)
+            seen["violated"] += got[0] == "AxiomViolated" if isinstance(got, tuple) else 0
+    assert seen["ambiguous"] and seen["kept"] and seen["rebuilt"], seen
+    assert seen["violated"] == 0, seen  # the closed model always meets the precondition
+
+
+def test_the_suite_takes_one_slope_pass_per_sigma(monkeypatch):
+    """m's pass at each sigma feeds every check there; a closed model that is
+    not m takes one pass of its own per sigma, and one that is m takes none."""
+    sigmas = [F(1, 2), F(2), F(7, 2)]  # neither sigma_max (3) nor the final-chamber probe (6)
+    real = stability._slopes
+    for phi, rebuilt in ((True, False), (False, True)):
+        m = rank2(-5, [sub("K", 1, -4, fr=False, phi=phi), sub("C", 1, 0, fr=True)], delta_iso=True)
+        calls = []
+        monkeypatch.setattr(stability, "_slopes", lambda x, sigma, charge_all=False:
+                            calls.append((x is m, sigma, charge_all)) or real(x, sigma, charge_all))
+        res = stability.SuiteResult()
+        stability._suite_rank2(res, m, sigmas, "t")
+        assert res.ok and res.checks
+        per_sigma = [(own, sigma) for own, sigma, charged in calls if sigma in sigmas and not charged]
+        assert sorted(per_sigma) == sorted([(True, s) for s in sigmas] + [(False, s) for s in sigmas if rebuilt])
 
 
 def _low_invariant_slopes(real):
