@@ -750,8 +750,8 @@ def _suite_passes(m: FramedModel, sigmas: Sequence[Fraction]) -> Tuple[FramedMod
     """The constraint-closed model, then per sigma: sigma, m's one _slopes
     pass, the maximal destabilizer (or the AmbiguousModel) read off it, and
     the closed model's pass.  The closed model shares m's passes only when it
-    is m; one whose flags changed takes its own, so a slope that depends on
-    the flags is read for the model it belongs to."""
+    is m; one whose flags changed takes its own, so that each model's checks
+    read that model's slopes even where a faulty _slopes would read the flags."""
     passes = [_slopes(m, sigma) for sigma in sigmas]
     found = [_destabilizer_or_ambiguity(m, *p) for p in passes]
     closed = _closed(m, found)

@@ -615,15 +615,9 @@ def test_close_constraints_returns_a_closed_model_itself():
     closed = close_constraints(opened, sigmas)
     assert closed is not opened and closed == rebuilt_closure(opened, sigmas)
     assert [s.phi_invariant for s in closed.subs] == [True, True]
-    rng = random.Random(7)
-    for _ in range(300):
-        m = random_rank2_model(rng)
-        closed = close_constraints(m, sigmas)
-        assert closed == rebuilt_closure(m, sigmas)
-        assert (closed is m) == (closed == m)
 
 
-def suite_inputs(seed, n_models):
+def suite_inputs(monkeypatch, seed, n_models):
     """Each (model, sigma list) that run_stability_suite hands _suite_rank2."""
     seen = []
     real = stability._suite_rank2
@@ -632,12 +626,9 @@ def suite_inputs(seed, n_models):
         seen.append((m, sigmas))
         real(res, m, sigmas, tag)
 
-    patch = pytest.MonkeyPatch()
-    patch.setattr(stability, "_suite_rank2", record)
-    try:
-        assert run_stability_suite(seed, n_models).ok
-    finally:
-        patch.undo()
+    monkeypatch.setattr(stability, "_suite_rank2", record)
+    assert run_stability_suite(seed, n_models).ok
+    monkeypatch.undo()
     return seen
 
 
@@ -650,12 +641,12 @@ def outcome(f, *args):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_one_pass_bodies_match_the_public_api(seed):
+def test_one_pass_bodies_match_the_public_api(monkeypatch, seed):
     """The suite's per-sigma results, read off one slope pass of each model,
     equal what the public functions compute from their own passes."""
     public_verdicts = (is_fm_semistable, is_fm_stable, is_pair_semistable, is_pair_stable)
-    seen = {"ambiguous": 0, "kept": 0, "rebuilt": 0, "violated": 0}
-    for m, sigmas in suite_inputs(seed, 300):
+    seen = {"ambiguous": 0, "kept": 0, "rebuilt": 0}
+    for m, sigmas in suite_inputs(monkeypatch, seed, 300):
         closed, rows = stability._suite_passes(m, sigmas)
         assert closed == close_constraints(m, sigmas) == rebuilt_closure(m, sigmas)
         assert (closed is m) == (closed == m)
@@ -671,9 +662,9 @@ def test_one_pass_bodies_match_the_public_api(seed):
             for model, (a, s) in ((m, (amb, slopes)), (closed, closed_pass)):
                 got = outcome(stability._equivalences, model, sigma, a, s)
                 assert got == outcome(verify_rank2_equivalences, model, sigma)
-            seen["violated"] += got[0] == "AxiomViolated" if isinstance(got, tuple) else 0
+            # the closed model meets the precondition
+            assert isinstance(got, stability.EquivalenceReport) or got[0] == "AmbiguousModel"
     assert seen["ambiguous"] and seen["kept"] and seen["rebuilt"], seen
-    assert seen["violated"] == 0, seen  # the closed model always meets the precondition
 
 
 def test_the_suite_takes_one_slope_pass_per_sigma(monkeypatch):
