@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -40,59 +41,97 @@ class RunConfig:
     models: int = 10000
 
 
-def _add_format_flags(p: argparse.ArgumentParser) -> None:
-    grp = p.add_mutually_exclusive_group()
-    grp.add_argument("--json", dest="format", action="store_const", const="json")
-    grp.add_argument("--csv", dest="format", action="store_const", const="csv")
-    grp.add_argument("--latex", dest="format", action="store_const", const="latex")
-    p.set_defaults(format="text")
+@dataclass(frozen=True)
+class _Flag:
+    """One subcommand flag: nargs ints (one when nargs is None), or a path
+    when type is str."""
+
+    flag: str
+    dest: str
+    nargs: Optional[int] = None
+    metavar: Optional[Tuple[str, ...]] = None
+    help: Optional[str] = None
+    required: bool = False
+    type: type = int
 
 
-def _add_chambers(sub) -> None:
-    p = sub.add_parser("chambers", help="walls, chambers and flip loci")
-    p.add_argument("--d", type=int, required=True, help="degree (negative)")
-    p.add_argument("--g", type=int, required=True, help="genus (at least 2)")
-    _add_format_flags(p)
-
-
-def _add_betti(sub) -> None:
-    p = sub.add_parser("betti", help="per-chamber Poincare polynomials with dual routes")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--chamber", type=int, default=None, help="restrict to one chamber index")
-    _add_format_flags(p)
-
-
-def _add_stability_check(sub) -> None:
-    p = sub.add_parser("stability-check", help="verdicts for a model file at every chamber")
-    p.add_argument("--model", dest="model_path", required=True, help="path to a model JSON file")
-    _add_format_flags(p)
-
-
-def _add_verify_all(sub) -> None:
-    # omitted verify-all flags take their RunConfig defaults
-    p = sub.add_parser(
-        "verify-all", help="run the full consistency grid and property suite", argument_default=argparse.SUPPRESS
-    )
-    p.add_argument("--grid", nargs=2, type=int, metavar=("G_MAX", "D_MIN"))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--models", type=int, help="randomized models in the suite")
-
-
-#: Each subcommand and the function that adds its parser, in help order.
+#: Each subcommand, in help order: its help line, whether it takes one of
+#: the format flags (--json, --csv, --latex), and its other flags.  Omitted
+#: flags take their RunConfig defaults.
 _SUBCOMMANDS = {
-    "chambers": _add_chambers,
-    "betti": _add_betti,
-    "stability-check": _add_stability_check,
-    "verify-all": _add_verify_all,
+    "chambers": ("walls, chambers and flip loci", True, (
+        _Flag("--d", "d", help="degree (negative)", required=True),
+        _Flag("--g", "g", help="genus (at least 2)", required=True),
+    )),
+    "betti": ("per-chamber Poincare polynomials with dual routes", True, (
+        _Flag("--d", "d", required=True),
+        _Flag("--g", "g", required=True),
+        _Flag("--chamber", "chamber", help="restrict to one chamber index"),
+    )),
+    "stability-check": ("verdicts for a model file at every chamber", True, (
+        _Flag("--model", "model_path", help="path to a model JSON file", required=True, type=str),
+    )),
+    "verify-all": ("run the full consistency grid and property suite", False, (
+        _Flag("--grid", "grid", nargs=2, metavar=("G_MAX", "D_MIN")),
+        _Flag("--seed", "seed"),
+        _Flag("--models", "models", help="randomized models in the suite"),
+    )),
 }
+_FORMATS = ("json", "csv", "latex")
+#: The values the direct reader takes: an int is ASCII digits with an
+#: optional minus, and a path is not empty and does not start with "-".
+_PLAIN_VALUE = {int: re.compile(r"-?[0-9]+"), str: re.compile(r"[^-].*", re.S)}
 
 
 def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
-    """Parse a command line.  When argv[0] names a subcommand only its
-    parser is built, and the metavar keeps the top-level usage line listing
-    all four; otherwise (help, a missing or unknown command) all four are."""
+    """Parse a command line.  A plain one is read directly; argparse reads
+    every other, such as help or an error, and writes its message."""
     argv = sys.argv[1:] if argv is None else list(argv)
+    config = _read_plain(argv)
+    return config if config is not None else _parse_with_argparse(argv)
+
+
+def _read_plain(argv: List[str]) -> Optional[RunConfig]:
+    """The config of a subcommand followed by its flags, each at most once
+    with values in _PLAIN_VALUE, and at most one format flag; None for any
+    other line.  Argparse reads an accepted line the same way."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    _, formats, flags = _SUBCOMMANDS[argv[0]]
+    by_flag = {f.flag: f for f in flags}
+    values = {}
+    i = 1
+    while i < len(argv):
+        token = argv[i]
+        if formats and token.startswith("--") and token[2:] in _FORMATS:
+            if "format" in values:
+                return None
+            values["format"] = token[2:]
+            i += 1
+            continue
+        f = by_flag.get(token)
+        if f is None or f.dest in values:
+            return None
+        n = f.nargs or 1
+        args = argv[i + 1 : i + 1 + n]
+        if len(args) < n or not all(_PLAIN_VALUE[f.type].fullmatch(a) for a in args):
+            return None
+        try:
+            parsed = [f.type(a) for a in args]
+        except ValueError:  # an int past the interpreter's digit limit; argparse words the error
+            return None
+        values[f.dest] = tuple(parsed) if f.nargs else parsed[0]
+        i += 1 + n
+    if any(f.required and f.dest not in values for f in flags):
+        return None
+    return RunConfig(argv[0], **values)
+
+
+def _parse_with_argparse(argv: List[str]) -> RunConfig:
+    """Parse with argparse, built from _SUBCOMMANDS.  When argv[0] names a
+    subcommand only its parser is built, and the metavar keeps the top-level
+    usage line listing all four; otherwise (help, a missing or unknown
+    command) all four are."""
     parser = argparse.ArgumentParser(
         prog="flipchain",
         description="Exact wall-and-chamber structure, stability verdicts and "
@@ -102,7 +141,15 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
     metavar = None if len(names) > 1 else "{" + ",".join(_SUBCOMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
-        _SUBCOMMANDS[name](sub)
+        help_line, formats, flags = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_line, argument_default=argparse.SUPPRESS)
+        for f in flags:
+            p.add_argument(f.flag, dest=f.dest, type=f.type, nargs=f.nargs, metavar=f.metavar,
+                           help=f.help, required=f.required)
+        if formats:
+            grp = p.add_mutually_exclusive_group()
+            for fmt in _FORMATS:
+                grp.add_argument("--" + fmt, dest="format", action="store_const", const=fmt)
     ns = vars(parser.parse_args(argv))
     if "grid" in ns:
         ns["grid"] = tuple(ns["grid"])
@@ -349,6 +396,17 @@ def run_verify_all(g_max: int, d_min: int, seed: int, n_models: int, out) -> int
 # ---------------------------------------------------------------------------
 
 
+def _unique_keys(pairs: List[Tuple[str, object]]) -> dict:
+    """A JSON object as a dict, where json.load would keep the last of two
+    equal keys without a word."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def run(config: RunConfig, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
@@ -363,8 +421,8 @@ def run(config: RunConfig, out=None) -> int:
         if config.command == "stability-check":
             try:
                 with open(config.model_path, "r", encoding="utf-8") as fh:
-                    obj = json.load(fh)
-            except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+                    obj = json.load(fh, object_pairs_hook=_unique_keys)
+            except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON or a repeated key
                 print(f"error: {exc}", file=out)
                 return 2
             model = stability.model_from_json_obj(obj)

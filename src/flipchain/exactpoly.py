@@ -47,7 +47,9 @@ class LaurentPoly:
     """Immutable integer Laurent polynomial in one variable t.
 
     Storage is dense, the coefficients from the valuation to the degree, so
-    it grows with that span: t^(10^6) + 1 holds a million coefficients.
+    it grows with that span: LaurentPoly({0: 1, 10**6: 1}) holds a million
+    coefficients and takes about 25 ms and 23 MB (tracemalloc peak) to
+    build.  No CLI input reaches such a span; the Betti spans are about 4|d|.
 
     >>> p = LaurentPoly({0: 1, 1: 1})
     >>> print(p * p)

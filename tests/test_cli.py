@@ -22,7 +22,10 @@ from flipchain import betti, chambers, stability
 from flipchain.chambers import InvalidInput
 from flipchain.exactpoly import ConsistencyFailure, NotDivisible
 from flipchain.cli import (
+    _SUBCOMMANDS,
     RunConfig,
+    _parse_with_argparse,
+    _read_plain,
     chambers_obj_to_data,
     main,
     parse_args,
@@ -55,6 +58,14 @@ def test_parse_defaults():
     assert cfg.format == "json"
     cfg = parse_args(["verify-all", "--grid", "3", "-6", "--seed", "9", "--models", "10"])
     assert cfg.grid == (3, -6) and cfg.seed == 9 and cfg.models == 10
+    # lines the direct reader hands on to argparse
+    for argv, config in [
+        (["chambers", "--d=-5", "--g", "2"], RunConfig("chambers", d=-5, g=2)),
+        (["betti", "--d", "-5", "--g", "2", "--cham", "3"], RunConfig("betti", d=-5, g=2, chamber=3)),
+        (["chambers", "--d", "-5", "--d", "-6", "--g", "2"], RunConfig("chambers", d=-6, g=2)),  # the last wins
+    ]:
+        assert _read_plain(argv) is None
+        assert parse_args(argv) == config
 
 
 def test_chambers_text_output():
@@ -145,6 +156,12 @@ def test_stability_check_bad_json(tmp_path):
     path.write_bytes(b"\xff\xfe")  # not UTF-8
     status, _ = capture(["stability-check", "--model", str(path)])
     assert status == 2
+    path.write_text(json.dumps(base_model()).replace('"genus": 2', '"genus": ' + "2" * 5000))
+    status, text = capture(["stability-check", "--model", str(path)])  # past the int digit limit
+    assert status == 2 and text.startswith("error: Exceeds the limit"), text
+    status, text = capture(["stability-check", "--model", "model\0.json"])
+    assert (status, text) == (2, "error: embedded null byte\n")
+
 
 
 def test_verify_all_small_and_deterministic():
@@ -428,6 +445,16 @@ def test_model_with_a_duplicate_id_is_invalid_input(tmp_path):
     status, text = check_model_file(tmp_path, obj)
     assert status == 2
     assert text.startswith("error: invalid input: subs[1].id: duplicate subobject id 'L'")
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"genus": 9, ' + json.dumps(base_model())[1:], "genus"),
+    (json.dumps(base_model()).replace('"rank": 2,', '"rank": 3, "rank": 2,'), "rank"),
+])
+def test_model_file_with_a_duplicate_key_exits_2_naming_it(tmp_path, text, key):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    assert capture(["stability-check", "--model", str(path)]) == (2, f"error: duplicate key {key!r}\n")
 
 
 def test_stability_check_lets_internal_errors_propagate(tmp_path, monkeypatch):
@@ -803,6 +830,11 @@ _BETTI_USAGE = ("usage: flipchain betti [-h] --d D --g G [--chamber CHAMBER]\n"
 _VERIFY_USAGE = ("usage: flipchain verify-all [-h] [--grid G_MAX D_MIN] [--seed SEED]\n"
                  "                            [--models MODELS]\n")
 _FORMAT_HELP = "  --json\n  --csv\n  --latex\n"
+_CHAMBERS_HELP = (_CHAMBERS_USAGE + "\n"
+                  "options:\n"
+                  "  -h, --help  show this help message and exit\n"
+                  "  --d D       degree (negative)\n"
+                  "  --g G       genus (at least 2)\n" + _FORMAT_HELP)
 
 #: (argv, exit code, stdout, stderr) of argparse's own output at 80 columns.
 PARSER_OUTPUTS = [
@@ -820,11 +852,8 @@ PARSER_OUTPUTS = [
      "\n"
      "options:\n"
      "  -h, --help            show this help message and exit\n", ""),
-    (["chambers", "--help"], 0, _CHAMBERS_USAGE + "\n"
-     "options:\n"
-     "  -h, --help  show this help message and exit\n"
-     "  --d D       degree (negative)\n"
-     "  --g G       genus (at least 2)\n" + _FORMAT_HELP, ""),
+    (["chambers", "--help"], 0, _CHAMBERS_HELP, ""),
+    (["chambers", "--d", "-5", "--g", "2", "-h"], 0, _CHAMBERS_HELP, ""),
     (["betti", "--help"], 0, _BETTI_USAGE + "\n"
      "options:\n"
      "  -h, --help         show this help message and exit\n"
@@ -852,6 +881,9 @@ PARSER_OUTPUTS = [
     (["verify-all", "--grid", "3"], 2, "", _VERIFY_USAGE + "flipchain verify-all: error: argument --grid: expected 2 arguments\n"),
     (["betti", "--d", "-5", "--g", "2", "--latex", "--json"], 2, "",
      _BETTI_USAGE + "flipchain betti: error: argument --json: not allowed with argument --latex\n"),
+    # int("-5_0") is -50, but argparse reads -5_0 as an option string
+    (["chambers", "--d", "-5_0", "--g", "2"], 2, "",
+     _CHAMBERS_USAGE + "flipchain chambers: error: argument --d: expected one argument\n"),
 ]
 
 
@@ -863,3 +895,72 @@ def test_parser_help_and_errors_are_pinned(monkeypatch, capsys, argv, code, stdo
         parse_args(argv)
     assert exit_info.value.code == code
     assert capsys.readouterr() == (stdout, stderr)
+
+
+#: Tokens that argparse reads in more ways than the direct reader does.
+_VALUE_TOKENS = ["-5", "0", "-0", "00", "+5", " 5", "-5_0", "\u0665", "", "-", "-x", "-1e3", "-.5", "7",
+                 "model.json", "9" * 5000]
+_FLAG_TOKENS = sorted({f.flag for _, _, flags in _SUBCOMMANDS.values() for f in flags}) + [
+    "--json", "--csv", "--latex", "-h", "--cham", "--d=-5", "--"]
+_TOKENS = list(_SUBCOMMANDS) + _FLAG_TOKENS + _VALUE_TOKENS
+
+
+def _draw_line(rng):
+    """A plain line of a random subcommand, its values drawn from the first
+    five value tokens, then up to two tokens inserted, replaced or deleted."""
+    command = rng.choice(list(_SUBCOMMANDS))
+    _, formats, flags = _SUBCOMMANDS[command]
+    items = [[f.flag] + rng.choices(_VALUE_TOKENS[:5], k=f.nargs or 1) for f in flags
+             if f.required or rng.random() < 0.5]
+    if formats and rng.random() < 0.5:
+        items.append([rng.choice(["--json", "--csv", "--latex"])])
+    rng.shuffle(items)
+    argv = [command] + [token for item in items for token in item]
+    for _ in range(rng.randrange(3)):
+        k = rng.randrange(len(argv) + 1)
+        op = rng.randrange(3)
+        if op == 0:
+            argv.insert(k, rng.choice(_TOKENS))
+        elif k < len(argv) and op == 1:
+            argv[k] = rng.choice(_TOKENS)
+        elif k < len(argv):
+            del argv[k]
+    return argv
+
+
+def test_the_direct_reader_agrees_with_argparse_on_every_line_it_accepts():
+    rng = random.Random(19)
+    accepted = []
+    for _ in range(10000):
+        argv = _draw_line(rng)
+        config = _read_plain(argv)
+        if config is None:
+            continue
+        accepted.append(config.command)
+        try:
+            assert config == _parse_with_argparse(argv), argv
+        except SystemExit:
+            pytest.fail(f"argparse rejects {argv}, which the direct reader read as {config}")
+    assert len(accepted) > 2000 and set(accepted) == set(_SUBCOMMANDS)
+
+
+def _readme_command_lines():
+    """Every command line the README's CLI section shows, each [optional
+    part] taken or not, its metavars given values."""
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("## CLI\n")[1].split("\n## ")[0]
+    values = {"I": "3", "N": "7", "G_MAX": "3", "D_MIN": "-6"}
+    for usage in re.findall(r"flipchain ([a-z-]+[^`\n]*)", section):
+        lines = [[]]
+        usage = usage.split(" | ")[0]  # a shell pipe
+        for part in re.findall(r"\[[^]]*\]|\S+", usage):
+            choices = [[]] + [alt.split() for alt in part[1:-1].split("|")] if part[0] == "[" else [[part]]
+            lines = [line + c for line in lines for c in choices]
+        yield from ([values.get(token, token) for token in line] for line in lines)
+
+
+def test_the_direct_reader_accepts_the_readme_command_lines():
+    lines = list(_readme_command_lines())
+    assert len(lines) == 25
+    for argv in lines:
+        assert _read_plain(argv) == _parse_with_argparse(argv), argv
