@@ -897,8 +897,9 @@ def test_parser_help_and_errors_are_pinned(monkeypatch, capsys, argv, code, stdo
     assert capsys.readouterr() == (stdout, stderr)
 
 
-#: Tokens that argparse reads in more ways than the direct reader does.
-_VALUE_TOKENS = ["-5", "0", "-0", "00", "+5", " 5", "-5_0", "\u0665", "", "-", "-x", "-1e3", "-.5", "7",
+#: Values for the drawn lines: five plain ints, then a path and values that
+#: the reader declines, some of which int() or argparse would still read.
+_VALUE_TOKENS = ["-5", "0", "-0", "00", "7", "+5", " 5", "-5_0", "\u0665", "", "-", "-x", "-1e3", "-.5",
                  "model.json", "9" * 5000]
 _FLAG_TOKENS = sorted({f.flag for _, _, flags in _SUBCOMMANDS.values() for f in flags}) + [
     "--json", "--csv", "--latex", "-h", "--cham", "--d=-5", "--"]
@@ -951,8 +952,8 @@ def _readme_command_lines():
         section = fh.read().split("## CLI\n")[1].split("\n## ")[0]
     values = {"I": "3", "N": "7", "G_MAX": "3", "D_MIN": "-6"}
     for usage in re.findall(r"flipchain ([a-z-]+[^`\n]*)", section):
-        lines = [[]]
         usage = usage.split(" | ")[0]  # a shell pipe
+        lines = [[]]
         for part in re.findall(r"\[[^]]*\]|\S+", usage):
             choices = [[]] + [alt.split() for alt in part[1:-1].split("|")] if part[0] == "[" else [[part]]
             lines = [line + c for line in lines for c in choices]
