@@ -171,6 +171,39 @@ def _tabular(spec: str, header: Sequence[str], rows) -> str:
     return "\n".join(lines)
 
 
+_json_str = json.encoder.encode_basestring_ascii  # the C escaper json.dumps itself uses
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """The text json.dumps writes for value with indent 2, byte for byte,
+    for values made of dicts, lists, tuples, str, int, bool and None; indent
+    is the newline and indentation of value's own line.  CPython's json runs
+    its C encoder only without an indent, so reports are written here.  Any
+    other leaf, such as a float, is json.dumps(value); a non-str key raises
+    TypeError."""
+    if type(value) is str:
+        return _json_str(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_json_str(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in value]) + indent + "]"
+    return json.dumps(value)
+
+
 # ---------------------------------------------------------------------------
 # chambers reports
 # ---------------------------------------------------------------------------
@@ -194,7 +227,7 @@ def _interval(c: chambers.Chamber) -> str:
 
 def _emit_chambers(cd: chambers.ChamberData, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(_to_json(cd), indent=2)
+        return _json_text(_to_json(cd))
     flip_keys = [k.name for k in fields(chambers.FlipLocusData)]
     flip_rows = [[getattr(f, key) for key in flip_keys] for f in cd.flip_loci]
     if fmt == "csv":  # a flip's i is its chamber's fm_index
@@ -228,7 +261,7 @@ def _emit_chambers(cd: chambers.ChamberData, fmt: str) -> str:
 
 def _emit_betti(report: betti.BettiReport, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(betti.report_to_json_obj(report), indent=2)
+        return _json_text(betti.report_to_json_obj(report))
     degrees = range(2 * report.moduli_dim + 1)
     if fmt == "csv":
         return _csv(
@@ -279,17 +312,18 @@ def _stability_obj(m: stability.FramedModel) -> dict:
     for c in cd.chambers[1:]:
         points += [("wall", c.lower), ("chamber", c.representative)]
     entries = []
-    for kind, sigma in points:
+    for kind, sigma in points:  # one _slopes pass per sigma, as in the stability suite
+        amb, slopes = stability._slopes(m, sigma)
         entry = {"sigma": _to_json(sigma), "kind": kind,
-                 **dict(zip(_VERDICT_COLUMNS[2:], stability._verdicts(m, *stability._slopes(m, sigma))))}
+                 **dict(zip(_VERDICT_COLUMNS[2:], stability._verdicts(m, amb, slopes)))}
         try:
-            hn = stability.hn_filtration(m, sigma)
+            hn = stability._filtration(m, amb, slopes)
             entry["hn"] = {**_to_json(hn), "slopes": _to_json(hn.graded_slopes(sigma))}
         except stability.AmbiguousModel as exc:
             entry["hn"] = {"error": str(exc)}
         if m.typ.rank == 2:
             try:
-                rep = stability.verify_rank2_equivalences(m, sigma)
+                rep = stability._equivalences(m, sigma, amb, slopes)
                 entry["equivalences"] = {"ok": rep.ok, **_to_json(rep)}
             except stability.AxiomViolated as exc:
                 entry["equivalences"] = {"axiom_violated": str(exc)}
@@ -316,7 +350,7 @@ def _stability_obj(m: stability.FramedModel) -> dict:
 
 def _emit_stability(obj: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(obj, indent=2)
+        return _json_text(obj)
     if fmt == "csv":
         return _csv(_VERDICT_COLUMNS, ([e[key] for key in _VERDICT_COLUMNS] for e in obj["verdicts"]))
     if fmt == "latex":

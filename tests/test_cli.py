@@ -19,13 +19,15 @@ from hypothesis import strategies as st
 
 import flipchain
 from flipchain import betti, chambers, stability
-from flipchain.chambers import InvalidInput
+from flipchain.chambers import InvalidInput, _to_json
 from flipchain.exactpoly import ConsistencyFailure, NotDivisible
 from flipchain.cli import (
     _SUBCOMMANDS,
     RunConfig,
+    _json_text,
     _parse_with_argparse,
     _read_plain,
+    _stability_obj,
     chambers_obj_to_data,
     main,
     parse_args,
@@ -349,6 +351,80 @@ def test_stability_check_golden_rendering(tmp_path, model, fmt, digest):
     assert status == 0 and _sha256(text) == digest
 
 
+# -- the JSON writer ---------------------------------------------------------------
+
+#: Strings json escapes: quote, backslash, control characters, non-ASCII, an
+#: astral code point and lone surrogates.
+_JSON_STRINGS = ("", "k", '"', "\\", "\n\t\x00\x1f\x7f", "\xe9", "\u2603", "\U0001f600", "\ud800", "\udfff")
+
+
+def _draw_str(rng: random.Random) -> str:
+    if rng.random() < 0.5:
+        return "".join(rng.choice(_JSON_STRINGS) for _ in range(rng.randrange(3)))
+    return "".join(chr(rng.randrange(0x110000)) for _ in range(rng.randrange(4)))
+
+
+def _draw_json(rng: random.Random, depth: int = 0):
+    """A JSON value, containers nested at most four deep."""
+    kind = rng.randrange(8 if depth < 4 else 5)
+    if kind == 0:
+        return _draw_str(rng)
+    if kind == 1:
+        return rng.choice([0, -1, 7, 2**64, -(2**64) - 1, 10**40, rng.randint(-10**6, 10**6)])
+    if kind == 2:
+        return rng.choice([True, False, None, {}, [], ()])
+    if kind == 3:
+        return rng.choice([0.0, -0.0, 1.5, 1e300, float("inf"), float("-inf"), float("nan"), rng.random()])
+    n = rng.randrange(1, 5)
+    if kind in (4, 5):
+        return {_draw_str(rng): _draw_json(rng, depth + 1) for _ in range(n)}
+    items = [_draw_json(rng, depth + 1) for _ in range(n)]
+    return items if kind == 6 else tuple(items)
+
+
+def test_the_json_writer_writes_what_json_dumps_writes():
+    rng = random.Random(20)
+    for _ in range(3000):
+        value = _draw_json(rng)
+        assert _json_text(value) == json.dumps(value, indent=2), value
+
+
+@pytest.mark.parametrize("value", [{1: "a"}, {"a": {(1, 2): 0}}, [Fraction(1, 2)], {"a": {1, 2}}])
+def test_the_json_writer_rejects_what_json_cannot_hold(value):
+    with pytest.raises(TypeError):
+        _json_text(value)
+
+
+def _json_reports():
+    """(argv, report object) for chambers, betti (whole and per chamber) and
+    the golden stability models."""
+    for g in range(2, 5):
+        for d in range(-1, -31, -1):
+            yield ["chambers", "--d", str(d), "--g", str(g)], _to_json(chambers.build_chambers(d, g))
+    for g in (2, 3):
+        for d in range(-1, -11, -1):
+            argv = ["betti", "--d", str(d), "--g", str(g)]
+            report = betti.build_betti_report(d, g)
+            yield argv, betti.report_to_json_obj(report)
+            for ch in report.chambers:
+                only = betti.build_betti_report(d, g, only_chamber=ch.i)
+                yield argv + ["--chamber", str(ch.i)], betti.report_to_json_obj(only)
+
+
+def test_every_json_report_is_what_json_dumps_writes(tmp_path):
+    n = 0
+    for argv, obj in _json_reports():
+        assert capture(argv + ["--json"]) == (0, json.dumps(obj, indent=2) + "\n"), argv
+        n += 1
+    for model in (readme_model, chain_model, tie_model, zero_framing_model, no_kernel_model):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model()))
+        obj = _stability_obj(model_from_json_obj(model()))
+        assert capture(["stability-check", "--model", str(path), "--json"]) == (0, json.dumps(obj, indent=2) + "\n")
+        n += 1
+    assert n == 90 + 20 + 60 + 5  # chambers, betti reports, their chambers, models
+
+
 # -- strict model-file reader ----------------------------------------------------
 
 def base_model() -> dict:
@@ -458,10 +534,10 @@ def test_model_file_with_a_duplicate_key_exits_2_naming_it(tmp_path, text, key):
 
 
 def test_stability_check_lets_internal_errors_propagate(tmp_path, monkeypatch):
-    def hn_filtration(m, sigma):
+    def _filtration(m, amb, slopes):
         raise ValueError("internal bug")
 
-    monkeypatch.setattr(stability, "hn_filtration", hn_filtration)
+    monkeypatch.setattr(stability, "_filtration", _filtration)
     with pytest.raises(ValueError, match="internal bug"):
         check_model_file(tmp_path, base_model())
 
