@@ -1,6 +1,8 @@
 """Check that every output is as it was: run the 21 untimed benchmark passes
 (betti_sweep at seed 0, verify_all and cli_requests at seeds 0..9) one at a
-time and compare each output digest with perfbench/reference.json.
+time and compare each output digest with perfbench/reference.json, then run
+`verify-all --grid 8 -100 --models 0`, which reaches d = -100 where the
+passes stop at d = -32, and compare the sha256 of its whole stdout.
 
     python3 scripts/check_digests.py
 
@@ -8,44 +10,59 @@ Prints one line per pass and exits 1 if any digest differs or any pass fails:
 exits nonzero, prints nothing, or runs past TIMEOUT_S.
 """
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PASSES = (("betti_sweep", [0]), ("verify_all", range(10)), ("cli_requests", range(10)))
+#: (workload, seeds) for a benchmark pass, or (verify-all arguments, [sha256 of its stdout]).
+PASSES = (("betti_sweep", [0]), ("verify_all", range(10)), ("cli_requests", range(10)),
+          ("--grid 8 -100 --models 0", ["22494b8d69f13048b1cac39a8656f0d8bad40ba4a936f92ad2c103437bcdaddf"]))
 #: Seconds one pass may take; each takes a few seconds on a 2-core host.
 TIMEOUT_S = 300
 
 
-def _status(proc: subprocess.CompletedProcess, want: str) -> str:
-    """"ok" when the pass exited 0 and its last stdout line holds the wanted digest."""
+def _status(proc: subprocess.CompletedProcess, want: str, digest) -> str:
+    """"ok" when the pass exited 0 and digest(its stdout) is the wanted one."""
     if proc.returncode != 0:
         return f"PASS FAILED (exit {proc.returncode})"
-    lines = proc.stdout.splitlines()
-    if not lines:
+    if not proc.stdout.splitlines():
         return "PASS FAILED (no output)"
-    return "ok" if json.loads(lines[-1])["digest"] == want else "DIGEST MISMATCH"
+    return "ok" if digest(proc.stdout) == want else "DIGEST MISMATCH"
+
+
+def _last_line_digest(stdout) -> str:
+    return json.loads(stdout.splitlines()[-1])["digest"]
+
+
+def _sha256(stdout: bytes) -> str:
+    return hashlib.sha256(stdout).hexdigest()
 
 
 def main() -> int:
     with open(os.path.join(ROOT, "perfbench", "reference.json"), encoding="utf-8") as fh:
         ref = json.load(fh)["full"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))}
     bad = 0
     for w, seeds in PASSES:
         for n in seeds:
-            want = ref[w].get(str(n), ref[w].get("*"))
-            try:
+            if w in ref:
                 # one_pass.py measures the sources under its working directory
-                proc = subprocess.run([sys.executable, os.path.join("perfbench", "one_pass.py"), "--workload", w,
-                                       "--seed", str(n)], capture_output=True, text=True, cwd=ROOT, timeout=TIMEOUT_S)
+                label, want, digest = f"{w} {n}", ref[w].get(str(n), ref[w].get("*")), _last_line_digest
+                cmd = [sys.executable, os.path.join("perfbench", "one_pass.py"), "--workload", w, "--seed", str(n)]
+            else:
+                label, want, digest = f"verify-all {w}", n, _sha256
+                cmd = [sys.executable, "-m", "flipchain.cli", "verify-all", *w.split()]
+            try:
+                proc = subprocess.run(cmd, capture_output=True, cwd=ROOT, env=env, timeout=TIMEOUT_S)
             except subprocess.TimeoutExpired:
                 status = "PASS TIMED OUT"
             else:
-                status = _status(proc, want)
+                status = _status(proc, want, digest)
             bad += status != "ok"
-            print(w, n, status, flush=True)
+            print(label, status, flush=True)
     return 1 if bad else 0
 
 

@@ -5,8 +5,9 @@ exactly.  The per-chamber polynomial comes once from a telescoping sum of
 flip differences and once from a closed-form coefficient extraction that
 sums shifted coefficients of the symmetric-product recurrence; the flip
 differences themselves are checked against a direct projective-bundle
-computation.  All divisions are exact divisions that fail loudly, never
-series inversions.
+computation, once per distinct fiber identity in each process.  All
+divisions are exact divisions that fail loudly, never series inversions:
+a flip product or a closed chamber is divided by 1 - t^2 in one prefix pass.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
-from operator import sub
+from operator import eq, sub
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .chambers import InvalidInput, _checked, fm_index_range, moduli_dim
@@ -54,40 +55,48 @@ def _shared_factor(n: int, g: int) -> LaurentPoly:
     return _one_plus_t_pow(2 * g) * sym_product_poincare(n, g)
 
 
-def flip_difference(j: int, d: int, g: int) -> LaurentPoly:
-    """Betti change across the wall above chamber j, by two routes.
+def _fiber_factors(up: int, down: int, rank_plus: int, rank_minus: int) -> Tuple[LaurentPoly, LaurentPoly]:
+    """Formula route's fiber factor, (t^up - t^down)/(1-t^2) by exact division, and bundle
+    route's, P^(rank W+ - 1) - P^(rank W- - 1) for the projective fibers of the two flip loci."""
+    formula = lp_div_exact(_T(up) - _T(down), _ONE_MINUS_T2)
+    return formula, proj_space_poincare(rank_plus - 1) - proj_space_poincare(rank_minus - 1)
 
-    Both routes are a fiber factor times the shared factor E(n, g), n =
-    rank W+ = -d-j-1.  Formula route's fiber factor:
-    (t^(2d+2g+4j+2) - t^(-2d-2j-2)) / (1-t^2).  Bundle route's: difference
-    of the Poincare polynomials of the projective fibers of the two flip
-    loci over Pic x Sym.  The fiber factors are compared before the shared
-    factor is brought in: Z[t, 1/t] has no zero divisors and E(n, g) is
-    nonzero, so the products agree exactly when the fiber factors do.  A
-    mismatch raises NotDivisible.  The product itself is
-    (E t^(2d+2g+4j+2) - E t^(-2d-2j-2)) / (1-t^2): two shifted copies of
-    E's coefficient list and one exact division.
+
+@lru_cache(maxsize=None)
+def _fiber_identity_holds(up: int, down: int, rank_plus: int, rank_minus: int) -> bool:
+    """Only the verdict is kept, keyed on all four ints: a wrong exponent still makes a new key
+    that the bundle route checks.  An exception from the division is not cached."""
+    return eq(*_fiber_factors(up, down, rank_plus, rank_minus))
+
+
+def flip_difference(j: int, d: int, g: int) -> LaurentPoly:
+    """Betti change across the wall above chamber j, by two routes: each a fiber factor
+    (_fiber_factors) times the shared factor E(n, g), n = rank W+ = -d-j-1.  The fiber factors
+    are compared first, once per distinct key of _fiber_identity_holds in each process: Z[t, 1/t]
+    has no zero divisors and E(n, g) is nonzero, so the products agree exactly when the fiber
+    factors do.  A mismatch raises NotDivisible.  The product itself is
+    (E t^up - E t^down) / (1-t^2), up = 2d+2g+4j+2 and down = -2d-2j-2: two shifted copies of
+    E's coefficient list in one list, divided by one prefix pass whose top two entries must be 0.
     """
     _require_genus(g)
     _chamber_index_range(j, d, "j")
-    rank_plus = -d - j - 1
-    rank_minus = d + g + 2 * j + 1
+    rank_plus, rank_minus = -d - j - 1, d + g + 2 * j + 1
     even_factor = _shared_factor(rank_plus, g)
     up, down = 2 * d + 2 * g + 4 * j + 2, -2 * d - 2 * j - 2
-    num = _T(up) - _T(down)
-    formula = lp_div_exact(num, _ONE_MINUS_T2)
-    bundle = proj_space_poincare(rank_plus - 1) - proj_space_poincare(rank_minus - 1)
-    if formula != bundle:
-        raise NotDivisible(
-            f"flip difference routes disagree at j={j}, d={d}, g={g}: "
-            f"formula={formula * even_factor}, bundle={bundle * even_factor}"
-        )
+    if not _fiber_identity_holds(up, down, rank_plus, rank_minus):
+        formula, bundle = _fiber_factors(up, down, rank_plus, rank_minus)
+        raise NotDivisible(f"flip difference routes disagree at j={j}, d={d}, g={g}: "
+                           f"formula={formula * even_factor}, bundle={bundle * even_factor}")
     ef, lo = even_factor._coeffs, min(up, down)  # t^up E - t^down E as one list
     n = len(ef)
     terms = [0] * (abs(up - down) + n)
     terms[up - lo:up - lo + n] = ef
     terms[down - lo:down - lo + n] = map(sub, terms[down - lo:down - lo + n], ef)
-    return lp_div_exact(LaurentPoly._from_coeffs(lo + even_factor._val, terms), _ONE_MINUS_T2)
+    for e in range(2, len(terms)):  # divided by 1 - t^2 in place
+        terms[e] += terms[e - 2]
+    if terms[-1] or terms[-2]:
+        raise NotDivisible(f"nonzero remainder in the recursive route at (j={j}, d={d}, g={g})")
+    return LaurentPoly._from_coeffs(lo + even_factor._val, terms)  # its top two entries are the zeros just checked
 
 
 def terminal_poincare(d: int, g: int) -> LaurentPoly:

@@ -1,7 +1,10 @@
 """Poincare polynomial routes: symmetric products, flip differences,
 telescoping vs closed-form extraction, bundle moduli and blow-up identity."""
 
+import contextlib
+import hashlib
 import inspect
+import io
 import json
 import sys
 from dataclasses import replace
@@ -9,7 +12,7 @@ from math import comb
 
 import pytest
 
-from flipchain import betti
+from flipchain import betti, cli
 from flipchain.betti import (
     CHAMBER_INVARIANTS,
     REPORT_INVARIANTS,
@@ -29,7 +32,7 @@ from flipchain.betti import (
     u2d_poincare,
 )
 from flipchain.chambers import InvalidInput, fm_index_range, moduli_dim
-from flipchain.exactpoly import ConsistencyFailure, LaurentPoly, TruncatedBiSeries, lp_div_exact
+from flipchain.exactpoly import ConsistencyFailure, LaurentPoly, NotDivisible, TruncatedBiSeries, lp_div_exact
 
 ONE_PLUS_T = LaurentPoly({0: 1, 1: 1})
 
@@ -176,12 +179,88 @@ def test_recursive_route_at_a_large_degree_needs_no_deep_recursion():
 
 def test_only_the_caches_keyed_by_genus_remain_and_stay_small():
     assert sorted(f.__name__ for f in _betti_caches()) == [
-        "_closed_lists", "_shared_factor", "mcon_poincare", "u2d_poincare"]
+        "_closed_lists", "_fiber_identity_holds", "_shared_factor", "mcon_poincare", "u2d_poincare"]
     for cache in _betti_caches():
         cache.cache_clear()
     for d in range(-1, -41, -1):
         build_betti_report(d, 2)
-    assert sum(cache.cache_info().currsize for cache in _betti_caches()) <= 80
+    verdicts = betti._fiber_identity_holds
+    assert sum(cache.cache_info().currsize for cache in _betti_caches() if cache is not verdicts) <= 80
+    # the verdict cache holds one bool per distinct (up, down, rank W+, rank W-) the reports meet
+    keys = {(2 * d + 4 + 4 * j + 2, -2 * d - 2 * j - 2, -d - j - 1, d + 2 + 2 * j + 1)
+            for d in range(-1, -41, -1) for j in range(fm_index_range(d)[0], -d)}
+    assert verdicts.cache_info().currsize == len(keys) == 420
+
+
+def _flip_cells(genera, degrees):
+    return [(j, d, g) for g in genera for d in degrees for j in range(fm_index_range(d)[0], -d)]
+
+
+def test_flip_difference_is_the_product_of_the_bundle_and_shared_factors():
+    # plain LaurentPoly products, sharing no code with the prefix-pass division
+    for j, d, g in _flip_cells(range(2, 7), range(-1, -61, -1)):
+        rank_plus, rank_minus = -d - j - 1, d + g + 2 * j + 1
+        bundle = proj_space_poincare(rank_plus - 1) - proj_space_poincare(rank_minus - 1)
+        assert flip_difference(j, d, g) == bundle * betti._shared_factor(rank_plus, g), (j, d, g)
+
+
+def test_betti_json_output_is_unchanged():
+    # sha256 of the concatenated betti --json stdout, g 2..6 and d -1..-44, before the fiber
+    # verdict cache and the prefix-pass division
+    digest = hashlib.sha256()
+    for g in range(2, 7):
+        for d in range(-1, -45, -1):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(["betti", "--d", str(d), "--g", str(g), "--json"]) == 0
+            digest.update(out.getvalue().encode())
+    assert digest.hexdigest() == "d8882e0a67a591480bee8553672a6a984409883fc2205585ab612a978f86b324"
+
+
+def test_each_fiber_identity_is_checked_once_per_key(monkeypatch):
+    counts = {"_fiber_factors": 0, "flip_difference": 0}
+    for name in counts:
+        def counted(*args, _route=getattr(betti, name), _name=name):
+            counts[_name] += 1
+            return _route(*args)
+        monkeypatch.setattr(betti, name, counted)
+    for cache in _betti_caches():
+        cache.cache_clear()
+    for g in range(2, 6):
+        for d in range(-1, -33, -1):
+            build_betti_report(d, g)
+    assert counts == {"_fiber_factors": 320, "flip_difference": 1088}
+    assert betti._fiber_identity_holds.cache_info().currsize == 320
+
+
+def _disagreement(j, d, g):
+    return rf"^flip difference routes disagree at j={j}, d={d}, g={g}: formula=.*, bundle=.*$"
+
+
+def test_a_failing_fiber_identity_is_never_recorded_as_passed(monkeypatch):
+    proj = betti.proj_space_poincare
+    monkeypatch.setattr(betti, "proj_space_poincare", lambda n: proj(n) + (1 if n == 30 else 0))  # wrong P^30
+    for cache in _betti_caches():
+        cache.cache_clear()
+    try:
+        with pytest.raises(NotDivisible, match=_disagreement(29, -30, 2)):  # cold
+            build_betti_report(-30, 2)
+        for d in range(-1, -30, -1):  # none of these meets P^30
+            build_betti_report(d, 2)
+        with pytest.raises(NotDivisible, match=_disagreement(30, -32, 2)):  # after other keys are cached
+            build_betti_report(-32, 2)
+        for d, j in ((-30, 29), (-32, 30)):  # and again
+            with pytest.raises(NotDivisible, match=_disagreement(j, d, 2)):
+                build_betti_report(d, 2)
+    finally:
+        for cache in _betti_caches():
+            cache.cache_clear()
+
+
+def test_recursive_route_raises_on_a_nonzero_remainder(monkeypatch):
+    monkeypatch.setattr(betti, "sub", lambda a, b: a - 2 * b)  # t^up E - 2 t^down E, nonzero at t = 1
+    with pytest.raises(NotDivisible, match=r"^nonzero remainder in the recursive route at \(j=2, d=-5, g=2\)$"):
+        flip_difference(2, -5, 2)
 
 
 def _raises(*args, **kwargs):

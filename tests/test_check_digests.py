@@ -1,6 +1,7 @@
 """scripts/check_digests.py reports a pass that hangs or prints nothing as
 failed and exits 1, with the passes themselves replaced by stand-ins."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -55,3 +56,23 @@ def test_each_pass_has_a_timeout(monkeypatch, capsys):
     assert script.main() == 0
     assert capsys.readouterr().out == "betti_sweep 0 ok\n"
     assert seen == [script.TIMEOUT_S]
+
+
+@pytest.mark.parametrize(
+    "stdout, status", [(b"grid\n", "ok"), (b"other\n", "DIGEST MISMATCH"), (b"", "PASS FAILED (no output)")]
+)
+def test_the_grid_line_checks_the_sha256_of_the_whole_stdout(monkeypatch, capsys, stdout, status):
+    script = load_script()
+    (args, [digest]), = script.PASSES[-1:]
+    seen = []
+
+    def run(cmd, **kwargs):
+        seen.append((cmd[1:], kwargs["timeout"]))
+        return subprocess.CompletedProcess(cmd, 0, stdout=stdout, stderr=b"")
+
+    monkeypatch.setattr(script, "PASSES", ((args, [hashlib.sha256(b"grid\n").hexdigest()]),))
+    monkeypatch.setattr(script.subprocess, "run", run)
+    assert script.main() == (status != "ok")
+    assert capsys.readouterr().out == f"verify-all --grid 8 -100 --models 0 {status}\n"
+    assert seen == [(["-m", "flipchain.cli", "verify-all", "--grid", "8", "-100", "--models", "0"], script.TIMEOUT_S)]
+    assert digest == "22494b8d69f13048b1cac39a8656f0d8bad40ba4a936f92ad2c103437bcdaddf"
