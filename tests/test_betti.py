@@ -192,13 +192,11 @@ def test_only_the_caches_keyed_by_genus_remain_and_stay_small():
     assert verdicts.cache_info().currsize == len(keys) == 420
 
 
-def _flip_cells(genera, degrees):
-    return [(j, d, g) for g in genera for d in degrees for j in range(fm_index_range(d)[0], -d)]
-
-
 def test_flip_difference_is_the_product_of_the_bundle_and_shared_factors():
     # plain LaurentPoly products, sharing no code with the prefix-pass division
-    for j, d, g in _flip_cells(range(2, 7), range(-1, -61, -1)):
+    cells = [(j, d, g) for g in range(2, 7) for d in range(-1, -61, -1) for j in range(fm_index_range(d)[0], -d)]
+    assert len(cells) == 4650
+    for j, d, g in cells:
         rank_plus, rank_minus = -d - j - 1, d + g + 2 * j + 1
         bundle = proj_space_poincare(rank_plus - 1) - proj_space_poincare(rank_minus - 1)
         assert flip_difference(j, d, g) == bundle * betti._shared_factor(rank_plus, g), (j, d, g)
