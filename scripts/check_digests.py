@@ -1,8 +1,10 @@
 """Check that every output is as it was: run the 21 untimed benchmark passes
 (betti_sweep at seed 0, verify_all and cli_requests at seeds 0..9) one at a
-time and compare each output digest with perfbench/reference.json, then run
-`verify-all --grid 8 -100 --models 0`, which reaches d = -100 where the
-passes stop at d = -32, and compare the sha256 of its whole stdout.
+time and compare each output digest with perfbench/reference.json, then
+run three CLI commands that reach d = -100 where the passes stop at
+d = -32 (`verify-all --grid 8 -100 --models 0` and the printed polynomials
+of `betti --d -100 --json` at g = 2 and g = 8) and compare the sha256 of
+each one's whole stdout.
 
     python3 scripts/check_digests.py
 
@@ -17,9 +19,11 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-#: (workload, seeds) for a benchmark pass, or (verify-all arguments, [sha256 of its stdout]).
+#: (workload, seeds) for a benchmark pass, or (CLI command line, [sha256 of its stdout]).
 PASSES = (("betti_sweep", [0]), ("verify_all", range(10)), ("cli_requests", range(10)),
-          ("--grid 8 -100 --models 0", ["22494b8d69f13048b1cac39a8656f0d8bad40ba4a936f92ad2c103437bcdaddf"]))
+          ("verify-all --grid 8 -100 --models 0", ["22494b8d69f13048b1cac39a8656f0d8bad40ba4a936f92ad2c103437bcdaddf"]),
+          ("betti --d -100 --g 2 --json", ["a74b57efe9ca1826e2f31b56e078cb206b2e256ad3c755aa2e4d2a06c3fa58f0"]),
+          ("betti --d -100 --g 8 --json", ["3e77f1660ad6621302fc944686d8989fb58be6d7b099bb1549baa19703c9a5e7"]))
 #: Seconds one pass may take; each takes a few seconds on a 2-core host.
 TIMEOUT_S = 300
 
@@ -53,8 +57,8 @@ def main() -> int:
                 label, want, digest = f"{w} {n}", ref[w].get(str(n), ref[w].get("*")), _last_line_digest
                 cmd = [sys.executable, os.path.join("perfbench", "one_pass.py"), "--workload", w, "--seed", str(n)]
             else:
-                label, want, digest = f"verify-all {w}", n, _sha256
-                cmd = [sys.executable, "-m", "flipchain.cli", "verify-all", *w.split()]
+                label, want, digest = w, n, _sha256
+                cmd = [sys.executable, "-m", "flipchain.cli", *w.split()]
             try:
                 proc = subprocess.run(cmd, capture_output=True, cwd=ROOT, env=env, timeout=TIMEOUT_S)
             except subprocess.TimeoutExpired:

@@ -26,8 +26,11 @@ _T = LaurentPoly.monomial
 _ONE_MINUS_T2 = LaurentPoly({0: 1, 2: -1})
 
 
-def _one_plus_t_pow(n: int) -> LaurentPoly:
-    return LaurentPoly._from_coeffs(0, [comb(n, k) for k in range(n + 1)])
+def _one_plus_t_pow(n: int, step: int = 1) -> LaurentPoly:
+    """(1 + t^step)^n as its binomial row, C(n, k) at exponent step * k."""
+    row = [0] * (step * n + 1)
+    row[::step] = [comb(n, k) for k in range(n + 1)]
+    return LaurentPoly._from_coeffs(0, row)
 
 
 def proj_space_poincare(n: int) -> LaurentPoly:
@@ -44,8 +47,12 @@ def sym_product_poincare(n: int, g: int) -> LaurentPoly:
     "Symmetric products of an algebraic curve", Topology 1, 1962)."""
     if min(_require_int(n, "n"), _require_int(g, "g")) < 0:
         raise InvalidInput(f"{'n' if n < 0 else 'g'}: must be nonnegative, got n={n}, g={g}")
-    terms = (_T(k, comb(2 * g, k)) * proj_space_poincare(n - k) for k in range(min(n, 2 * g) + 1))
-    return sum(terms, LaurentPoly.zero())
+    coeffs = [0] * (2 * n + 1)  # C(2g, k) t^k (1 + t^2 + ... + t^(2n-2k)) added in place
+    for k in range(min(n, 2 * g) + 1):
+        c = comb(2 * g, k)
+        for e in range(k, 2 * n - k + 1, 2):
+            coeffs[e] += c
+    return LaurentPoly._from_coeffs(0, coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -205,7 +212,7 @@ def u2d_poincare(g: int) -> LaurentPoly:
     (1+t)^(2g) ((1+t^3)^(2g) - t^(2g) (1+t)^(2g)) / ((1-t^2)(1-t^4))."""
     _require_genus(g)
     num = _one_plus_t_pow(2 * g) * (
-        LaurentPoly({0: 1, 3: 1}) ** (2 * g) - _T(2 * g) * _one_plus_t_pow(2 * g)
+        _one_plus_t_pow(2 * g, 3) - _T(2 * g) * _one_plus_t_pow(2 * g)
     )
     den = _ONE_MINUS_T2 * LaurentPoly({0: 1, 4: -1})
     return lp_div_exact(num, den)
@@ -230,7 +237,7 @@ def mcon_poincare(g: int) -> LaurentPoly:
     line of endomorphism directions over each stable point."""
     _require_genus(g)
     num = _one_plus_t_pow(2 * g) * (
-        LaurentPoly({0: 1, 3: 1}) ** (2 * g) - _T(2 * g) * _one_plus_t_pow(2 * g)
+        _one_plus_t_pow(2 * g, 3) - _T(2 * g) * _one_plus_t_pow(2 * g)
     )
     result = lp_div_exact(num, _ONE_MINUS_T2 * _ONE_MINUS_T2)
     expected = u2d_poincare(g) * LaurentPoly({0: 1, 2: 1})

@@ -97,7 +97,9 @@ class LaurentPoly:
     @classmethod
     def monomial(cls, exponent: int, coeff: int = 1) -> "LaurentPoly":
         """coeff * t**exponent; exponent may be negative."""
-        return cls({exponent: coeff})
+        if type(exponent) is not int or type(coeff) is not int:
+            raise TypeError(f"exponents and coefficients must be integers, got {exponent!r}: {coeff!r}")
+        return cls._from_coeffs(exponent, [coeff])
 
     # -- inspection --------------------------------------------------------
 

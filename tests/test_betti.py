@@ -55,6 +55,26 @@ def test_sym_square_elliptic():
     assert sym_product_poincare(2, 1) == LaurentPoly({0: 1, 1: 2, 2: 2, 3: 2, 4: 1})
 
 
+def sym_product_by_monomial_sum(n, g):
+    """Macdonald's sum as sym_product_poincare built it before it filled one
+    list: C(2g, k) t^k times P^(n-k) as LaurentPoly values, summed."""
+    terms = (LaurentPoly({k: comb(2 * g, k)}) * proj_space_poincare(n - k) for k in range(min(n, 2 * g) + 1))
+    return sum(terms, LaurentPoly.zero())
+
+
+def test_the_list_filled_sym_product_matches_the_monomial_sum():
+    for g in range(9):
+        for n in range(61):
+            assert sym_product_poincare(n, g) == sym_product_by_monomial_sum(n, g), (n, g)
+
+
+@pytest.mark.parametrize("step", [1, 3])
+def test_the_binomial_row_is_the_power_of_one_plus_t_to_the_step(step):
+    for n in range(21):
+        assert betti._one_plus_t_pow(n, step) == LaurentPoly({0: 1, step: 1}) ** n, (n, step)
+        assert betti._one_plus_t_pow(n) == ONE_PLUS_T ** n, n
+
+
 # -- flip differences -----------------------------------------------------------
 
 
@@ -275,6 +295,27 @@ def test_closed_route_shares_no_arithmetic_with_the_recursive_route(monkeypatch)
     for cache in _betti_caches():
         cache.cache_clear()
     assert [fm_poincare_closed(*cell) for cell in cells] == expected
+
+
+def test_a_wrong_sym_product_fails_the_two_route_check_and_leaves_the_closed_route_alone(monkeypatch):
+    d, g = -9, 3
+    lo, hi = fm_index_range(d)
+    for cache in _betti_caches():
+        cache.cache_clear()
+    expected = [fm_poincare_closed(i, d, g) for i in range(lo, hi + 1)]
+    sym = betti.sym_product_poincare
+    monkeypatch.setattr(betti, "sym_product_poincare", lambda n, g: sym(n, g) + 1)  # constant term 1 -> 2
+    for cache in _betti_caches():
+        cache.cache_clear()
+    try:
+        report = build_betti_report(d, g)
+        assert [f for f in report.failures() if f.startswith("two routes agree")] == [
+            f"two routes agree fails at (i={i}, d={d}, g={g})" for i in range(lo, hi + 1)]
+        assert [ch.p_closed for ch in report.chambers] == expected
+        assert [fm_poincare_closed(i, d, g) for i in range(lo, hi + 1)] == expected
+    finally:
+        for cache in _betti_caches():
+            cache.cache_clear()
 
 
 def test_closed_route_rejects_a_negative_shift(monkeypatch):

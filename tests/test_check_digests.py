@@ -58,21 +58,34 @@ def test_each_pass_has_a_timeout(monkeypatch, capsys):
     assert seen == [script.TIMEOUT_S]
 
 
-@pytest.mark.parametrize(
-    "stdout, status", [(b"grid\n", "ok"), (b"other\n", "DIGEST MISMATCH"), (b"", "PASS FAILED (no output)")]
-)
-def test_the_grid_line_checks_the_sha256_of_the_whole_stdout(monkeypatch, capsys, stdout, status):
+#: The CLI command lines the script pins, each with the sha256 of its whole stdout.
+CLI_PASSES = {
+    "verify-all --grid 8 -100 --models 0": "22494b8d69f13048b1cac39a8656f0d8bad40ba4a936f92ad2c103437bcdaddf",
+    "betti --d -100 --g 2 --json": "a74b57efe9ca1826e2f31b56e078cb206b2e256ad3c755aa2e4d2a06c3fa58f0",
+    "betti --d -100 --g 8 --json": "3e77f1660ad6621302fc944686d8989fb58be6d7b099bb1549baa19703c9a5e7",
+}
+
+
+def test_the_cli_passes_follow_the_benchmark_passes():
     script = load_script()
-    (args, [digest]), = script.PASSES[-1:]
+    assert [w for w, _ in script.PASSES[:3]] == ["betti_sweep", "verify_all", "cli_requests"]
+    assert {w: digest for w, (digest,) in script.PASSES[3:]} == CLI_PASSES
+
+
+@pytest.mark.parametrize("command", sorted(CLI_PASSES))
+@pytest.mark.parametrize(
+    "stdout, status", [(b"out\n", "ok"), (b"other\n", "DIGEST MISMATCH"), (b"", "PASS FAILED (no output)")]
+)
+def test_a_cli_pass_checks_the_sha256_of_its_whole_stdout(monkeypatch, capsys, command, stdout, status):
+    script = load_script()
     seen = []
 
     def run(cmd, **kwargs):
         seen.append((cmd[1:], kwargs["timeout"]))
         return subprocess.CompletedProcess(cmd, 0, stdout=stdout, stderr=b"")
 
-    monkeypatch.setattr(script, "PASSES", ((args, [hashlib.sha256(b"grid\n").hexdigest()]),))
+    monkeypatch.setattr(script, "PASSES", ((command, [hashlib.sha256(b"out\n").hexdigest()]),))
     monkeypatch.setattr(script.subprocess, "run", run)
     assert script.main() == (status != "ok")
-    assert capsys.readouterr().out == f"verify-all --grid 8 -100 --models 0 {status}\n"
-    assert seen == [(["-m", "flipchain.cli", "verify-all", "--grid", "8", "-100", "--models", "0"], script.TIMEOUT_S)]
-    assert digest == "22494b8d69f13048b1cac39a8656f0d8bad40ba4a936f92ad2c103437bcdaddf"
+    assert capsys.readouterr().out == f"{command} {status}\n"
+    assert seen == [(["-m", "flipchain.cli", *command.split()], script.TIMEOUT_S)]

@@ -38,6 +38,19 @@ def test_laurent_exponent_addition():
     assert LaurentPoly.monomial(-2) * LaurentPoly.monomial(5) == LaurentPoly.monomial(3)
 
 
+@pytest.mark.parametrize("exponent, coeff", [(True, 1), (2, False), (1.0, 1), (2, 1.5), (0.0, 0)])
+def test_monomial_takes_only_int_exponents_and_coefficients(exponent, coeff):
+    message = f"exponents and coefficients must be integers, got {exponent!r}: {coeff!r}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        LaurentPoly.monomial(exponent, coeff)
+
+
+def test_monomial_values():
+    assert LaurentPoly.monomial(7, 0) == LaurentPoly.monomial(-3, 0) == LaurentPoly.zero()
+    assert LaurentPoly.monomial(-3, 5).valuation() == LaurentPoly.monomial(-3, 5).degree() == -3
+    assert LaurentPoly.monomial(-3, 5) == poly({-3: 5})
+
+
 def test_zero_normalization_and_predicates():
     p = poly({3: 1}) - poly({3: 1})
     assert p.is_zero() and p == LaurentPoly.zero()

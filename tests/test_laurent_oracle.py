@@ -87,6 +87,19 @@ def test_non_integer_terms_raise_the_same_type_error(pairs, bad, at, as_mapping)
     assert outcome(LaurentPoly, terms)[0] is TypeError
 
 
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(-300, 300), coeffs | st.just(0))
+def test_monomials(exponent, coeff):
+    assert_same(LaurentPoly.monomial(exponent, coeff), DictLaurentPoly.monomial(exponent, coeff))
+    assert_same(LaurentPoly.monomial(exponent), DictLaurentPoly.monomial(exponent))
+
+
+@pytest.mark.parametrize("bad", BAD_TERMS)
+def test_monomials_of_non_integer_terms_raise_the_same_type_error(bad):
+    assert outcome(LaurentPoly.monomial, *bad) == outcome(DictLaurentPoly.monomial, *bad)
+    assert outcome(LaurentPoly.monomial, *bad)[0] is TypeError
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(pairs_st, pairs_st, st.integers(-5, 5))
 def test_ring_operations(a_pairs, b_pairs, k):
