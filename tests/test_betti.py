@@ -72,7 +72,6 @@ def test_the_list_filled_sym_product_matches_the_monomial_sum():
 def test_the_binomial_row_is_the_power_of_one_plus_t_to_the_step(step):
     for n in range(21):
         assert betti._one_plus_t_pow(n, step) == LaurentPoly({0: 1, step: 1}) ** n, (n, step)
-        assert betti._one_plus_t_pow(n) == ONE_PLUS_T ** n, n
 
 
 # -- flip differences -----------------------------------------------------------
