@@ -207,15 +207,19 @@ def fm_poincare_closed(i: int, d: int, g: int) -> LaurentPoly:
 
 
 @lru_cache(maxsize=None)
+def _bundle_numerator(g: int) -> LaurentPoly:
+    """(1+t)^(2g) ((1+t^3)^(2g) - t^(2g) (1+t)^(2g)), the numerator of
+    u2d_poincare and mcon_poincare; g is checked by its callers."""
+    e = _one_plus_t_pow(2 * g)
+    return e * (_one_plus_t_pow(2 * g, 3) - _T(2 * g) * e)
+
+
+@lru_cache(maxsize=None)
 def u2d_poincare(g: int) -> LaurentPoly:
     """Poincare polynomial of the rank-2 odd-degree bundle moduli space:
     (1+t)^(2g) ((1+t^3)^(2g) - t^(2g) (1+t)^(2g)) / ((1-t^2)(1-t^4))."""
     _require_genus(g)
-    num = _one_plus_t_pow(2 * g) * (
-        _one_plus_t_pow(2 * g, 3) - _T(2 * g) * _one_plus_t_pow(2 * g)
-    )
-    den = _ONE_MINUS_T2 * LaurentPoly({0: 1, 4: -1})
-    return lp_div_exact(num, den)
+    return lp_div_exact(_bundle_numerator(g), _ONE_MINUS_T2 * LaurentPoly({0: 1, 4: -1}))
 
 
 def u2d_from_bundle(g: int, d: int) -> LaurentPoly:
@@ -236,10 +240,7 @@ def mcon_poincare(g: int) -> LaurentPoly:
     factor as the bundle moduli polynomial times 1 + t^2, the shadow of a
     line of endomorphism directions over each stable point."""
     _require_genus(g)
-    num = _one_plus_t_pow(2 * g) * (
-        _one_plus_t_pow(2 * g, 3) - _T(2 * g) * _one_plus_t_pow(2 * g)
-    )
-    result = lp_div_exact(num, _ONE_MINUS_T2 * _ONE_MINUS_T2)
+    result = lp_div_exact(_bundle_numerator(g), _ONE_MINUS_T2 * _ONE_MINUS_T2)
     expected = u2d_poincare(g) * LaurentPoly({0: 1, 2: 1})
     if result != expected:
         raise NotDivisible(f"constrained moduli polynomial fails the fiber identity at g={g}")

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .chambers import (_REQUIRED, InvalidInput, _checked, _fields, _require_genus, _require_int, _require_sigma,
                        _to_json, build_chambers)
@@ -675,7 +675,6 @@ def random_chain_model(rng: random.Random) -> FramedModel:
     cut = rng.randint(0, length)  # chain members below the cut sit in the kernel
     subs: List[SubobjectData] = []
     prev_deg = None
-    prev_id = None
     for idx, rk in enumerate(ranks):
         fr = idx >= cut
         lo = d - 6 if fr else d  # kernel-side degrees stay at least d
@@ -683,14 +682,12 @@ def random_chain_model(rng: random.Random) -> FramedModel:
         deg = rng.randint(min(lo, hi), hi) if prev_deg is not None else rng.randint(lo, 2)
         if prev_deg is not None and deg < prev_deg:
             deg = prev_deg  # containment only raises degree along the chain
-        parents = frozenset()
-        sub = SubobjectData(f"C{idx}", rk, deg, fr=fr, phi_invariant=rng.random() < 0.5, parents=parents)
-        if prev_id is not None:
+        sub = SubobjectData(f"C{idx}", rk, deg, fr=fr, phi_invariant=rng.random() < 0.5)
+        if subs:
             # the chain is increasing, so the previous member gains a parent
             subs[-1] = replace(subs[-1], parents=subs[-1].parents | {sub.id})
         subs.append(sub)
         prev_deg = deg
-        prev_id = sub.id
     if rng.random() < 0.4:
         fr = rng.random() < 0.5
         deg = rng.randint(d if not fr else d - 4, 2)
@@ -727,23 +724,58 @@ def _closed(m: FramedModel, found: Iterable[Union[SubobjectData, AmbiguousModel,
     return replace(m, subs=tuple(replace(s, phi_invariant=True) if s.id in need else s for s in m.subs))
 
 
+#: Named checks of the stability suite, each with its failure template, whose
+#: positional fields _suite_check fills only when the check fails.  "closure
+#: after closing" is counted only where it fails: a closed model that meets
+#: the precondition is counted once, by "equivalences".
+SUITE_INVARIANTS = (
+    ("final chamber", "{}: final-chamber verdict disagrees with stability at sigma={}"),
+    ("threshold", "{}: threshold formula mismatch for {} at sigma={}"),
+    ("strict threshold", "{}: strict threshold formula mismatch for {} at sigma={}"),
+    ("stable => semistable", "{}: stable without semistable at sigma={}"),
+    ("kernel bound", "{}: semistable at sigma={} above the kernel bound {}"),
+    ("rank-2 graded slopes", "{}: graded slopes not strictly decreasing at sigma={}"),
+    ("rank-2 first step", "{}: first filtration step differs from the maximal destabilizer at sigma={}"),
+    ("destabilizer maximal", "{}: maximal destabilizer not maximal at sigma={}"),
+    ("closure after closing", "{}: closure still violated after closing: {}"),
+    ("equivalences", "{}: equivalences failed at sigma={}: {}"),
+    ("chain graded slopes", "chain[{}]: graded slopes not strictly decreasing at sigma={}"),
+    ("chain first step", "chain[{}]: first step is not the maximal destabilizer at sigma={}"),
+    ("wall strictly semistable", "wall model d={} fr={}: not strictly semistable at wall {}"),
+    ("off-wall", "wall model d={} fr={}: strictly semistable off the wall at {}"),
+    ("tie container", "tie containment: container not preferred"),
+    ("tie raises", "tie containment: incomparable tie did not raise"),
+)
+_SUITE_TEMPLATES = dict(SUITE_INVARIANTS)
+
+
 @dataclass
 class SuiteResult:
+    """Models run, ties skipped and failure texts, with the checks made and
+    failed per name of SUITE_INVARIANTS."""
+
     models: int = 0
-    checks: int = 0
     ambiguous_skips: int = 0
     failures: List[str] = field(default_factory=list)
+    check_counts: Dict[str, int] = field(default_factory=lambda: dict.fromkeys(_SUITE_TEMPLATES, 0))
+    failure_counts: Dict[str, int] = field(default_factory=lambda: dict.fromkeys(_SUITE_TEMPLATES, 0))
+
+    @property
+    def checks(self) -> int:
+        return sum(self.check_counts.values())
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
 
-def _suite_check(res: SuiteResult, cond: bool, message: Callable[[], str]) -> None:
-    """Count one check; message() builds the failure text only when cond fails."""
-    res.checks += 1
+def _suite_check(res: SuiteResult, name: str, cond: bool, *fields) -> None:
+    """Count one check of the named invariant; its failure text is formatted
+    from fields only when cond fails."""
+    res.check_counts[name] += 1
     if not cond:
-        res.failures.append(message())
+        res.failure_counts[name] += 1
+        res.failures.append(_SUITE_TEMPLATES[name].format(*fields))
 
 
 def _suite_passes(m: FramedModel, sigmas: Sequence[Fraction]) -> Tuple[FramedModel, List[tuple]]:
@@ -772,37 +804,18 @@ def _suite_rank2(res: SuiteResult, m: FramedModel, sigmas: Sequence[Fraction], t
             + [2 * s.degree - m.typ.degree for s in m.subs if s.fr]
             + [0]
         ) + 1
-        _suite_check(
-            res,
-            final_chamber_stable(m) == is_fm_stable(m, far),
-            lambda: f"{tag}: final-chamber verdict disagrees with stability at sigma={far}",
-        )
+        _suite_check(res, "final chamber", final_chamber_stable(m) == is_fm_stable(m, far), tag, far)
 
     for sigma, (amb, slopes), md, closed_pass in rows:
         for s, sl in zip(m.subs, slopes):
-            _suite_check(
-                res,
-                (sl <= amb) == rank2_threshold_holds(s, m.typ, sigma),
-                lambda: f"{tag}: threshold formula mismatch for {s.id} at sigma={sigma}",
-            )
-            _suite_check(
-                res,
-                (sl < amb) == rank2_threshold_holds(s, m.typ, sigma, strict=True),
-                lambda: f"{tag}: strict threshold formula mismatch for {s.id} at sigma={sigma}",
-            )
+            _suite_check(res, "threshold", (sl <= amb) == rank2_threshold_holds(s, m.typ, sigma), tag, s.id, sigma)
+            _suite_check(res, "strict threshold", (sl < amb) == rank2_threshold_holds(s, m.typ, sigma, strict=True),
+                         tag, s.id, sigma)
 
         ss, stable = _verdicts(m, amb, slopes)[:2]
-        _suite_check(
-            res,
-            not stable or ss,
-            lambda: f"{tag}: stable without semistable at sigma={sigma}",
-        )
+        _suite_check(res, "stable => semistable", not stable or ss, tag, sigma)
         if ss and nz and has_kernel:
-            _suite_check(
-                res,
-                sigma <= bound,
-                lambda: f"{tag}: semistable at sigma={sigma} above the kernel bound {bound}",
-            )
+            _suite_check(res, "kernel bound", sigma <= bound, tag, sigma, bound)
 
         if isinstance(md, AmbiguousModel):
             res.ambiguous_skips += 1
@@ -814,26 +827,17 @@ def _suite_rank2(res: SuiteResult, m: FramedModel, sigmas: Sequence[Fraction], t
             hn = None
         if hn is not None:
             graded = hn.graded_slopes(sigma)
-            _suite_check(
-                res,
-                all(a > b for a, b in zip(graded, graded[1:])),
-                lambda: f"{tag}: graded slopes not strictly decreasing at sigma={sigma}",
-            )
+            _suite_check(res, "rank-2 graded slopes", all(a > b for a, b in zip(graded, graded[1:])), tag, sigma)
             if not ss:
-                _suite_check(
-                    res,
-                    md is not None and hn.steps and hn.steps[0] == md.id,
-                    lambda: f"{tag}: first filtration step differs from the maximal destabilizer at sigma={sigma}",
-                )
+                _suite_check(res, "rank-2 first step", md is not None and hn.steps and hn.steps[0] == md.id,
+                             tag, sigma)
 
         if md is not None:
             # checked on the Fraction oracle, independent of _slopes
             top = reduced_framed_slope(md.rank, md.degree, md.fr, sigma, nz)
-            _suite_check(
-                res,
-                all(reduced_framed_slope(s.rank, s.degree, s.fr, sigma, nz) <= top for s in m.subs),
-                lambda: f"{tag}: maximal destabilizer not maximal at sigma={sigma}",
-            )
+            _suite_check(res, "destabilizer maximal",
+                         all(reduced_framed_slope(s.rank, s.degree, s.fr, sigma, nz) <= top for s in m.subs),
+                         tag, sigma)
 
         try:
             report = _equivalences(closed, sigma, *closed_pass)
@@ -841,13 +845,9 @@ def _suite_rank2(res: SuiteResult, m: FramedModel, sigmas: Sequence[Fraction], t
             res.ambiguous_skips += 1
             continue
         except AxiomViolated as exc:
-            res.failures.append(f"{tag}: closure still violated after closing: {exc}")
+            _suite_check(res, "closure after closing", False, tag, exc)
             continue
-        _suite_check(
-            res,
-            report.ok,
-            lambda: f"{tag}: equivalences failed at sigma={sigma}: {report.mismatches}",
-        )
+        _suite_check(res, "equivalences", report.ok, tag, sigma, report.mismatches)
 
 
 def _require_suite_args(seed: int, n_models: int) -> None:
@@ -891,18 +891,10 @@ def run_stability_suite(seed: int, n_models: int = 10000) -> SuiteResult:
                 res.ambiguous_skips += 1
                 continue
             graded = hn.graded_slopes(sigma)
-            _suite_check(
-                res,
-                all(a > b for a, b in zip(graded, graded[1:])),
-                lambda: f"chain[{n}]: graded slopes not strictly decreasing at sigma={sigma}",
-            )
+            _suite_check(res, "chain graded slopes", all(a > b for a, b in zip(graded, graded[1:])), n, sigma)
             if not _verdicts(m, amb, slopes)[0]:
                 md = _max_destabilizer(m, amb, slopes)
-                _suite_check(
-                    res,
-                    md is not None and hn.steps[0] == md.id,
-                    lambda: f"chain[{n}]: first step is not the maximal destabilizer at sigma={sigma}",
-                )
+                _suite_check(res, "chain first step", md is not None and hn.steps[0] == md.id, n, sigma)
         res.models += 1
 
     # strictly semistable exactly on walls: single-subobject models per wall
@@ -917,27 +909,16 @@ def run_stability_suite(seed: int, n_models: int = 10000) -> SuiteResult:
                     typ=FramedType(2, d, framing_nonzero=True),
                     subs=(sub,),
                 )
-                _suite_check(
-                    res,
-                    is_fm_semistable(m, Fraction(w)) and not is_fm_stable(m, Fraction(w)),
-                    lambda: f"wall model d={d} fr={fr}: not strictly semistable at wall {w}",
-                )
+                _suite_check(res, "wall strictly semistable",
+                             is_fm_semistable(m, Fraction(w)) and not is_fm_stable(m, Fraction(w)), d, fr, w)
                 for rep in cd.representatives:
-                    _suite_check(
-                        res,
-                        is_fm_semistable(m, rep) == is_fm_stable(m, rep),
-                        lambda: f"wall model d={d} fr={fr}: strictly semistable off the wall at {rep}",
-                    )
+                    _suite_check(res, "off-wall", is_fm_semistable(m, rep) == is_fm_stable(m, rep), d, fr, rep)
 
     # tie containment: a contained subobject loses to its container
     inner = SubobjectData("inner", 1, -2, fr=False, parents=frozenset({"outer"}))
     outer = SubobjectData("outer", 1, -2, fr=False)
     m = FramedModel(CurveContext(2), FramedType(2, -5, True), (inner, outer))
-    _suite_check(
-        res,
-        max_destabilizer(m, Fraction(1)).id == "outer",
-        lambda: "tie containment: container not preferred",
-    )
+    _suite_check(res, "tie container", max_destabilizer(m, Fraction(1)).id == "outer")
     loose = FramedModel(
         CurveContext(2),
         FramedType(2, -5, True),
@@ -945,8 +926,9 @@ def run_stability_suite(seed: int, n_models: int = 10000) -> SuiteResult:
     )
     try:
         max_destabilizer(loose, Fraction(1))
-        res.failures.append("tie containment: incomparable tie did not raise")
+        raised = False
     except AmbiguousModel:
-        res.checks += 1
+        raised = True
+    _suite_check(res, "tie raises", raised)
 
     return res

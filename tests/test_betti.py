@@ -198,13 +198,15 @@ def test_recursive_route_at_a_large_degree_needs_no_deep_recursion():
 
 def test_only_the_caches_keyed_by_genus_remain_and_stay_small():
     assert sorted(f.__name__ for f in _betti_caches()) == [
-        "_closed_lists", "_fiber_identity_holds", "_shared_factor", "mcon_poincare", "u2d_poincare"]
+        "_bundle_numerator", "_closed_lists", "_fiber_identity_holds", "_shared_factor", "mcon_poincare",
+        "u2d_poincare"]
     for cache in _betti_caches():
         cache.cache_clear()
     for d in range(-1, -41, -1):
         build_betti_report(d, 2)
     verdicts = betti._fiber_identity_holds
     assert sum(cache.cache_info().currsize for cache in _betti_caches() if cache is not verdicts) <= 80
+    assert betti._bundle_numerator.cache_info().misses == 1  # u2d_poincare and mcon_poincare share it
     # the verdict cache holds one bool per distinct (up, down, rank W+, rank W-) the reports meet
     keys = {(2 * d + 4 + 4 * j + 2, -2 * d - 2 * j - 2, -d - j - 1, d + 2 + 2 * j + 1)
             for d in range(-1, -41, -1) for j in range(fm_index_range(d)[0], -d)}

@@ -691,45 +691,53 @@ def _low_invariant_slopes(real):
     return doctored
 
 
-#: (stability name, doctor of the real function, failure kinds, failure count at seed 0 with 300 models)
+#: (stability name, doctor of the real function, failure kinds, failure count, failures per
+#: SUITE_INVARIANTS name and check total), the counts at seed 0 with 300 models
 SUITE_DOCTORS = [
     pytest.param(
         "rank2_threshold_holds",
         lambda real: lambda f, typ, sigma, strict=False: real(f, typ, sigma + 1 if f.fr else sigma, strict),
-        ("threshold formula mismatch",), 191, id="threshold-shifted-for-fr",
+        ("threshold formula mismatch",), 191, {"threshold": 103, "strict threshold": 88}, 15524,
+        id="threshold-shifted-for-fr",
     ),
     pytest.param(
         "final_chamber_stable", lambda real: lambda m: not real(m),
-        ("final-chamber verdict disagrees",), 300, id="final-chamber-negated",
+        ("final-chamber verdict disagrees",), 300, {"final chamber": 300}, 15524, id="final-chamber-negated",
     ),
     pytest.param(
         "sigma_upper_bound", lambda real: lambda m: None if real(m) is None else real(m) - 1,
-        ("above the kernel bound",), 3, id="kernel-bound-lowered",
+        ("above the kernel bound",), 3, {"kernel bound": 3}, 15524, id="kernel-bound-lowered",
     ),
     pytest.param(
         "reduced_framed_slope", lambda real: lambda rank, deg, fr, sigma, amb: real(rank, deg, fr, sigma, not amb),
-        ("graded slopes not strictly decreasing", "maximal destabilizer not maximal"), 377, id="oracle-flag-flipped",
+        ("graded slopes not strictly decreasing", "maximal destabilizer not maximal"), 377,
+        {"rank-2 graded slopes": 115, "destabilizer maximal": 107, "chain graded slopes": 155}, 15524,
+        id="oracle-flag-flipped",
     ),
     pytest.param(
         "sigma_max",
         lambda real: lambda m, use_phi=False: (lambda s: s + 1 if use_phi and s is not None else s)(real(m, use_phi)),
-        ("equivalences failed",), 19, id="pair-canonical-parameter-raised",
+        ("equivalences failed",), 19, {"equivalences": 19}, 15524, id="pair-canonical-parameter-raised",
     ),
     pytest.param(
         "_slopes", _low_invariant_slopes,
         ("threshold formula mismatch", "closure still violated", "graded slopes not strictly decreasing",
-         "strictly semistable"), 397, id="invariant-slopes-lowered",
+         "strictly semistable"), 397,
+        {"threshold": 104, "strict threshold": 72, "closure after closing": 4, "chain graded slopes": 21,
+         "wall strictly semistable": 98, "off-wall": 98}, 15579, id="invariant-slopes-lowered",
     ),
 ]
 
 
-@pytest.mark.parametrize("name, doctor, kinds, count", SUITE_DOCTORS)
-def test_the_suite_catches_a_doctored_engine(monkeypatch, name, doctor, kinds, count):
+@pytest.mark.parametrize("name, doctor, kinds, count, failure_counts, checks", SUITE_DOCTORS)
+def test_the_suite_catches_a_doctored_engine(monkeypatch, name, doctor, kinds, count, failure_counts, checks):
     monkeypatch.setattr(stability, name, doctor(getattr(stability, name)))
     res = run_stability_suite(seed=0, n_models=300)
     assert len(res.failures) == count
     assert all(any(kind in f for kind in kinds) for f in res.failures), res.failures[:3]
     assert all(any(kind in f for f in res.failures) for kind in kinds)
+    assert {k: n for k, n in res.failure_counts.items() if n} == failure_counts
+    assert res.checks == checks
 
 
 @pytest.mark.parametrize(
@@ -742,6 +750,41 @@ def test_suite_rejects_arguments_that_check_nothing(seed, n_models, message):
     with pytest.raises(InvalidInput) as exc:
         run_stability_suite(seed, n_models)
     assert str(exc.value) == message
+
+
+#: Checks per SUITE_INVARIANTS name at seed 0 with 300 models, as counted per
+#: call site before the names existed; "closure after closing" counts only failures.
+SUITE_CHECKS_AT_300 = {
+    "final chamber": 300, "threshold": 3018, "strict threshold": 3018, "stable => semistable": 1356,
+    "kernel bound": 104, "rank-2 graded slopes": 1317, "rank-2 first step": 873, "destabilizer maximal": 910,
+    "closure after closing": 0, "equivalences": 1274, "chain graded slopes": 1580, "chain first step": 1114,
+    "wall strictly semistable": 98, "off-wall": 560, "tie container": 1, "tie raises": 1,
+}
+
+
+def test_suite_counts_each_named_check():
+    names = [name for name, _ in stability.SUITE_INVARIANTS]
+    assert len(set(names)) == len(names)
+    res = run_stability_suite(seed=0, n_models=300)
+    assert res.ok
+    assert list(res.check_counts) == list(res.failure_counts) == names
+    assert res.check_counts == SUITE_CHECKS_AT_300
+    assert sum(res.check_counts.values()) == res.checks == 15524
+    assert not any(res.failure_counts.values())
+
+
+def test_a_failed_check_is_counted_under_its_name():
+    res = stability.SuiteResult()
+    stability._suite_check(res, "kernel bound", True, "t", F(2), F(1))
+    stability._suite_check(res, "kernel bound", False, "t", F(3), F(1))
+    stability._suite_check(res, "tie raises", False)
+    assert res.failures == ["t: semistable at sigma=3 above the kernel bound 1",
+                            "tie containment: incomparable tie did not raise"]
+    assert res.checks == 3 and not res.ok
+    assert {k: n for k, n in res.check_counts.items() if n} == {"kernel bound": 2, "tie raises": 1}
+    assert {k: n for k, n in res.failure_counts.items() if n} == {"kernel bound": 1, "tie raises": 1}
+    with pytest.raises(KeyError):
+        stability._suite_check(res, "unnamed", True)
 
 
 def test_suite_small_run_clean():
