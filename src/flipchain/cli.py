@@ -456,7 +456,8 @@ def run(config: RunConfig, out=None) -> int:
             try:
                 with open(config.model_path, "r", encoding="utf-8") as fh:
                     obj = json.load(fh, object_pairs_hook=_unique_keys)
-            except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON or a repeated key
+            # ValueError: not UTF-8, not JSON or a repeated key; RecursionError: nested too deep
+            except (OSError, ValueError, RecursionError) as exc:
                 print(f"error: {exc}", file=out)
                 return 2
             model = stability.model_from_json_obj(obj)

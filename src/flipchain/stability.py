@@ -180,21 +180,21 @@ class FramedModel:
 
     @staticmethod
     def _ancestor_map(by_id: Dict[str, SubobjectData]) -> Dict[str, FrozenSet[str]]:
-        memo: Dict[str, FrozenSet[str]] = {}
-
-        def visit(sid: str, stack: tuple) -> FrozenSet[str]:
-            if sid in memo:
-                return memo[sid]
-            if sid in stack:
-                return frozenset(stack[stack.index(sid):])  # cycle; caught by caller
-            ups = set()
-            for p in by_id[sid].parents:
-                ups.add(p)
-                ups |= visit(p, stack + (sid,))
-            memo[sid] = frozenset(ups)
-            return memo[sid]
-
-        return {sid: visit(sid, ()) for sid in by_id}
+        """Each id's strict containers (its own too on a containment cycle), from a
+        worklist per subobject, so a long chain needs no deep recursion."""
+        anc: Dict[str, FrozenSet[str]] = {}
+        for sid, s in by_id.items():
+            ups, todo = set(), list(s.parents)
+            while todo:
+                p = todo.pop()
+                if p not in ups:
+                    ups.add(p)
+                    if p in anc:
+                        ups |= anc[p]
+                    else:
+                        todo.extend(by_id[p].parents)
+            anc[sid] = frozenset(ups)
+        return anc
 
     def sub(self, sid: str) -> SubobjectData:
         return self._by_id[sid]
@@ -248,24 +248,26 @@ class HNFiltration:
 # ---------------------------------------------------------------------------
 
 
-def reduced_framed_slope(
-    rank: int,
-    degree: int,
-    fr: bool,
-    sigma: Fraction,
-    framing_ambient_nonzero: bool,
-) -> Fraction:
+def reduced_framed_slope(rank: int, degree: int, fr: bool, sigma: Fraction,
+                         framing_ambient_nonzero: bool) -> Fraction:
     """(degree - delta*sigma)/rank with delta = 1 iff the framing is nonzero.
 
     On a curve the rank-normalized Hilbert polynomials all share the
     m-coefficient 1, so this constant term carries the whole comparison.
-    The verdicts are decided by _slopes in integers; this is the exact
-    reference the suite checks them against.
+    The verdicts are decided by _slopes in integers; the suite checks them
+    against this value's terms, _framed_slope_terms.
     """
+    return Fraction(*_framed_slope_terms(rank, degree, fr, sigma, framing_ambient_nonzero))
+
+
+def _framed_slope_terms(rank: int, degree: int, fr: bool, sigma: Fraction,
+                        framing_ambient_nonzero: bool) -> Tuple[int, int]:
+    """reduced_framed_slope as (numerator, positive denominator): the suite's exact
+    oracle compares these by cross-multiplication, apart from any model's _linear."""
     if fr and framing_ambient_nonzero:
-        q = sigma.denominator  # one Fraction from two ints: sigma = p/q
-        return Fraction(degree * q - sigma.numerator, rank * q)
-    return Fraction(degree, rank)
+        q = sigma.denominator  # sigma = p/q
+        return degree * q - sigma.numerator, rank * q
+    return degree, rank
 
 
 def _slopes(m: FramedModel, sigma: Fraction, charge_all: bool = False) -> Tuple[int, List[int]]:
@@ -321,8 +323,9 @@ def is_pair_stable(m: FramedModel, sigma: Fraction) -> bool:
 def _tie_break(m: FramedModel, cands: List[SubobjectData]) -> SubobjectData:
     """The candidate of maximal rank among those tied at maximal slope, then
     the one containing all the others; AmbiguousModel when none does."""
-    max_rank = max(s.rank for s in cands)
-    cands = [s for s in cands if s.rank == max_rank]
+    if len(cands) > 1:
+        max_rank = max(s.rank for s in cands)
+        cands = [s for s in cands if s.rank == max_rank]
     if len(cands) == 1:
         return cands[0]
     for c in cands:
@@ -511,13 +514,22 @@ class EquivalenceReport:
         return not self.mismatches
 
 
-def _closure_witness(m: FramedModel, amb: int, slopes: List[int]) -> Optional[str]:
+#: The found argument of _equivalences when its pass was not searched (None: no destabilizer).
+_UNSEARCHED = object()
+
+
+def _closure_witness(m: FramedModel, amb: int, slopes: List[int], found=_UNSEARCHED) -> Optional[str]:
+    """A non-invariant kernel subobject, else the pass's maximal destabilizer
+    when not invariant; found is _destabilizer_or_ambiguity's result, if taken."""
     for s in m.subs:
         if not s.fr and not s.phi_invariant:
             return s.id
-    md = _max_destabilizer(m, amb, slopes)
-    if md is not None and not md.phi_invariant:
-        return md.id
+    if found is _UNSEARCHED:
+        found = _max_destabilizer(m, amb, slopes)
+    elif isinstance(found, AmbiguousModel):
+        raise found
+    if found is not None and not found.phi_invariant:
+        return found.id
     return None
 
 
@@ -535,9 +547,10 @@ def verify_rank2_equivalences(m: FramedModel, sigma: Fraction) -> EquivalenceRep
     return _equivalences(m, sigma, *_slopes(m, sigma))
 
 
-def _equivalences(m: FramedModel, sigma: Fraction, amb: int, slopes: List[int]) -> EquivalenceReport:
-    """verify_rank2_equivalences from one _slopes pass (amb, slopes) at sigma."""
-    w = _closure_witness(m, amb, slopes)
+def _equivalences(m: FramedModel, sigma: Fraction, amb: int, slopes: List[int], found=_UNSEARCHED) -> EquivalenceReport:
+    """verify_rank2_equivalences from one _slopes pass (amb, slopes) at sigma;
+    found, when given, is the destabilizer search already made on that pass."""
+    w = _closure_witness(m, amb, slopes, found)
     if w is not None:
         raise AxiomViolated(f"subobject {w!r} breaks constraint closure at sigma={sigma}")
     if m._canonical_closure_failure is not None:
@@ -778,12 +791,18 @@ def _suite_check(res: SuiteResult, name: str, cond: bool, *fields) -> None:
         res.failures.append(_SUITE_TEMPLATES[name].format(*fields))
 
 
+def _graded_slopes_decrease(hn: HNFiltration, sigma: Fraction) -> bool:
+    """hn's graded slopes at sigma strictly decrease, compared in integers."""
+    terms = [_framed_slope_terms(rank, deg, fr, sigma, True) for rank, deg, fr in hn.graded]
+    return all(a * d > c * b for (a, b), (c, d) in zip(terms, terms[1:]))
+
+
 def _suite_passes(m: FramedModel, sigmas: Sequence[Fraction]) -> Tuple[FramedModel, List[tuple]]:
     """The constraint-closed model, then per sigma: sigma, m's one _slopes
     pass, the maximal destabilizer (or the AmbiguousModel) read off it, and
-    the closed model's pass.  The closed model shares m's passes only when it
-    is m; one whose flags changed takes its own, so that each model's checks
-    read that model's slopes even where a faulty _slopes would read the flags."""
+    the closed model's pass.  The closed model shares m's passes and searches
+    only when it is m; one whose flags changed takes its own, so each model's
+    checks read its own slopes even where a faulty _slopes reads the flags."""
     passes = [_slopes(m, sigma) for sigma in sigmas]
     found = [_destabilizer_or_ambiguity(m, *p) for p in passes]
     closed = _closed(m, found)
@@ -806,7 +825,7 @@ def _suite_rank2(res: SuiteResult, m: FramedModel, sigmas: Sequence[Fraction], t
         ) + 1
         _suite_check(res, "final chamber", final_chamber_stable(m) == is_fm_stable(m, far), tag, far)
 
-    for sigma, (amb, slopes), md, closed_pass in rows:
+    for sigma, (amb, slopes), found, closed_pass in rows:
         for s, sl in zip(m.subs, slopes):
             _suite_check(res, "threshold", (sl <= amb) == rank2_threshold_holds(s, m.typ, sigma), tag, s.id, sigma)
             _suite_check(res, "strict threshold", (sl < amb) == rank2_threshold_holds(s, m.typ, sigma, strict=True),
@@ -817,30 +836,28 @@ def _suite_rank2(res: SuiteResult, m: FramedModel, sigmas: Sequence[Fraction], t
         if ss and nz and has_kernel:
             _suite_check(res, "kernel bound", sigma <= bound, tag, sigma, bound)
 
-        if isinstance(md, AmbiguousModel):
+        md = None if isinstance(found, AmbiguousModel) else found
+        if md is not found:
             res.ambiguous_skips += 1
-            md = None
         try:
             hn = _filtration(m, amb, slopes)
         except AmbiguousModel:
             res.ambiguous_skips += 1
             hn = None
         if hn is not None:
-            graded = hn.graded_slopes(sigma)
-            _suite_check(res, "rank-2 graded slopes", all(a > b for a, b in zip(graded, graded[1:])), tag, sigma)
+            _suite_check(res, "rank-2 graded slopes", _graded_slopes_decrease(hn, sigma), tag, sigma)
             if not ss:
                 _suite_check(res, "rank-2 first step", md is not None and hn.steps and hn.steps[0] == md.id,
                              tag, sigma)
 
         if md is not None:
-            # checked on the Fraction oracle, independent of _slopes
-            top = reduced_framed_slope(md.rank, md.degree, md.fr, sigma, nz)
-            _suite_check(res, "destabilizer maximal",
-                         all(reduced_framed_slope(s.rank, s.degree, s.fr, sigma, nz) <= top for s in m.subs),
-                         tag, sigma)
+            # every c/d <= a/b on the exact slope terms, independent of _slopes
+            a, b = _framed_slope_terms(md.rank, md.degree, md.fr, sigma, nz)
+            terms = (_framed_slope_terms(s.rank, s.degree, s.fr, sigma, nz) for s in m.subs)
+            _suite_check(res, "destabilizer maximal", all(c * b <= a * d for c, d in terms), tag, sigma)
 
-        try:
-            report = _equivalences(closed, sigma, *closed_pass)
+        try:  # a closed model that is m reuses m's search on this pass
+            report = _equivalences(closed, sigma, *closed_pass, found if closed is m else _UNSEARCHED)
         except AmbiguousModel:
             res.ambiguous_skips += 1
             continue
@@ -890,8 +907,7 @@ def run_stability_suite(seed: int, n_models: int = 10000) -> SuiteResult:
             except AmbiguousModel:
                 res.ambiguous_skips += 1
                 continue
-            graded = hn.graded_slopes(sigma)
-            _suite_check(res, "chain graded slopes", all(a > b for a, b in zip(graded, graded[1:])), n, sigma)
+            _suite_check(res, "chain graded slopes", _graded_slopes_decrease(hn, sigma), n, sigma)
             if not _verdicts(m, amb, slopes)[0]:
                 md = _max_destabilizer(m, amb, slopes)
                 _suite_check(res, "chain first step", md is not None and hn.steps[0] == md.id, n, sigma)

@@ -61,6 +61,7 @@ def test_each_pass_has_a_timeout(monkeypatch, capsys):
 #: The CLI command lines the script pins, each with the sha256 of its whole stdout.
 CLI_PASSES = {
     "verify-all": "43e924cbb2ab0aa2d221d44b2ed6d58de50027eee30309382e3371f67e51f8a1",
+    "verify-all --seed 1": "79d5a7e187cf34df16b16d7a04ed1c027d449f523cdeb4cd8ee17982f21479fc",
     "verify-all --grid 8 -100 --models 0": "22494b8d69f13048b1cac39a8656f0d8bad40ba4a936f92ad2c103437bcdaddf",
     "betti --d -100 --g 2 --json": "a74b57efe9ca1826e2f31b56e078cb206b2e256ad3c755aa2e4d2a06c3fa58f0",
     "betti --d -100 --g 8 --json": "3e77f1660ad6621302fc944686d8989fb58be6d7b099bb1549baa19703c9a5e7",

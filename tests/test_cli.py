@@ -163,6 +163,20 @@ def test_stability_check_bad_json(tmp_path):
     assert status == 2 and text.startswith("error: Exceeds the limit"), text
     status, text = capture(["stability-check", "--model", "model\0.json"])
     assert (status, text) == (2, "error: embedded null byte\n")
+    path.write_text("[" * 100000 + "]" * 100000)  # nested past the decoder's recursion limit
+    status, text = capture(["stability-check", "--model", str(path)])
+    assert status == 2 and text.startswith("error: maximum recursion depth exceeded"), text
+
+
+def test_stability_check_reads_a_long_containment_chain(tmp_path):
+    n = 1100  # past the interpreter's default recursion limit
+    subs = [{"id": f"C{i}", "rank": 1, "degree": i - 2 * n, "fr": True, "parents": [f"C{i + 1}"] if i + 1 < n else []}
+            for i in range(n)]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"genus": 2, "type": {"rank": 2, "degree": -3, "framing_nonzero": True}, "subs": subs}))
+    status, text = capture(["stability-check", "--model", str(path), "--json"])
+    assert status == 0, text[:200]
+    assert json.loads(text)["rank"] == 2
 
 
 

@@ -1,7 +1,10 @@
 """Framed slope checks, filtrations, bounds, oriented verdicts and the
 pair/module equivalences, on hand-built and randomized lattice models."""
 
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -72,6 +75,28 @@ def test_reduced_framed_slope_is_the_fraction_formula():
             want = F(degree - sigma, rank) if fr and amb else F(degree, rank)
             got = reduced_framed_slope(rank, degree, fr, sigma, amb)
             assert type(got) is F and got == want
+
+
+def test_slope_terms_order_as_the_fraction_oracle():
+    """Cross-multiplied terms, as the suite compares them, give the order of the
+    reduced_framed_slope Fractions, and each pair of terms is that Fraction."""
+    rng = random.Random(24)
+
+    def draw():
+        sigma = F(rng.randint(-30, 60), rng.randint(1, 7))
+        return rng.randint(1, 4), rng.randint(-20, 5), rng.random() < 0.5, sigma, rng.random() < 0.5
+
+    seen = set()
+    for _ in range(10000):
+        x, y = draw(), draw()
+        (a, b), (c, d) = stability._framed_slope_terms(*x), stability._framed_slope_terms(*y)
+        assert b > 0 and d > 0
+        fx, fy = reduced_framed_slope(*x), reduced_framed_slope(*y)
+        assert F(a, b) == fx and F(c, d) == fy
+        order = (a * d > c * b) - (a * d < c * b)
+        assert order == (fx > fy) - (fx < fy)
+        seen.add(order)
+    assert seen == {-1, 0, 1}
 
 
 # -- framed module (semi)stability ---------------------------------------------
@@ -520,6 +545,37 @@ def test_validation_rejects_bad_models():
         )
 
 
+def test_a_long_containment_chain_builds():
+    """Each rank-1 subobject sits in the next: the ancestor map takes no
+    recursion per link."""
+    n = 2000
+    subs = [sub(f"C{i}", 1, i - 2 * n, fr=True, parents={f"C{i + 1}"} if i + 1 < n else ()) for i in range(n)]
+    m = rank2(-3, subs)
+    assert m.contains(f"C{n - 1}", "C0") and not m.contains("C0", f"C{n - 1}")
+    assert len(m.ancestors["C0"]) == n - 1 and m.ancestors[f"C{n - 1}"] == frozenset()
+
+
+CYCLE_SCRIPT = """
+from flipchain.stability import CurveContext, FramedModel, FramedType, InvalidInput, SubobjectData
+parents = {"S5": "S0 S2", "S3": "S0 S4", "S2": "S0 S3 S4", "S0": "S4", "S1": "S2 S3 S4", "S4": "S2"}
+subs = tuple(SubobjectData(k, 1, 0, True, parents=frozenset(v.split())) for k, v in parents.items())
+try:
+    FramedModel(CurveContext(2), FramedType(2, -3, True), subs)
+except InvalidInput as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1", "4", "5"])
+def test_a_containment_cycle_names_the_first_subobject_on_it(hash_seed):
+    """S3 < S4 < S2 < S3 is a cycle and S3 comes first in subs order, whatever
+    order the string hash gives the frozensets of parents."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stability.__file__)))
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", CYCLE_SCRIPT], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stdout == "subs[1].parents: containment cycle through 'S3'\n", proc.stderr
+
+
 @pytest.mark.parametrize(
     "path, build",
     [
@@ -684,6 +740,20 @@ def test_the_suite_takes_one_slope_pass_per_sigma(monkeypatch):
         assert sorted(per_sigma) == sorted([(True, s) for s in sigmas] + [(False, s) for s in sigmas if rebuilt])
 
 
+def test_the_suite_searches_each_maximal_destabilizer_once(monkeypatch):
+    """A closed model that is m reuses m's search on the same pass; a rebuilt
+    one searches its own, and verify_rank2_equivalences searches on its own."""
+    calls = []
+    real = stability._max_destabilizer
+    monkeypatch.setattr(stability, "_max_destabilizer", lambda *args: calls.append(1) or real(*args))
+    assert run_stability_suite(seed=0, n_models=300).ok
+    assert len(calls) == 3386  # 4,015 when the closed model searched every pass again
+    calls.clear()
+    m = rank2(-5, [sub("K", 1, -4, fr=False), sub("B", 1, -2, fr=True)])
+    assert verify_rank2_equivalences(m, F(1, 2)).ok
+    assert calls
+
+
 def _low_invariant_slopes(real):
     def doctored(m, sigma, charge_all=False):
         amb, slopes = real(m, sigma, charge_all)
@@ -709,7 +779,7 @@ SUITE_DOCTORS = [
         ("above the kernel bound",), 3, {"kernel bound": 3}, 15524, id="kernel-bound-lowered",
     ),
     pytest.param(
-        "reduced_framed_slope", lambda real: lambda rank, deg, fr, sigma, amb: real(rank, deg, fr, sigma, not amb),
+        "_framed_slope_terms", lambda real: lambda rank, deg, fr, sigma, amb: real(rank, deg, fr, sigma, not amb),
         ("graded slopes not strictly decreasing", "maximal destabilizer not maximal"), 377,
         {"rank-2 graded slopes": 115, "destabilizer maximal": 107, "chain graded slopes": 155}, 15524,
         id="oracle-flag-flipped",
