@@ -263,7 +263,7 @@ def reduced_framed_slope(rank: int, degree: int, fr: bool, sigma: Fraction,
 def _framed_slope_terms(rank: int, degree: int, fr: bool, sigma: Fraction,
                         framing_ambient_nonzero: bool) -> Tuple[int, int]:
     """reduced_framed_slope as (numerator, positive denominator): the suite's exact
-    oracle compares these by cross-multiplication, apart from any model's _linear."""
+    oracle, which cross-multiplies these and never reads a model's _linear."""
     if fr and framing_ambient_nonzero:
         q = sigma.denominator  # sigma = p/q
         return degree * q - sigma.numerator, rank * q
