@@ -128,20 +128,14 @@ def _read_plain(argv: List[str]) -> Optional[RunConfig]:
 
 
 def _parse_with_argparse(argv: List[str]) -> RunConfig:
-    """Parse with argparse, built from _SUBCOMMANDS.  When argv[0] names a
-    subcommand only its parser is built, and the metavar keeps the top-level
-    usage line listing all four; otherwise (help, a missing or unknown
-    command) all four are."""
+    """Parse with argparse, built from _SUBCOMMANDS."""
     parser = argparse.ArgumentParser(
         prog="flipchain",
         description="Exact wall-and-chamber structure, stability verdicts and "
         "Poincare polynomials for the rank-2 flip chain.",
     )
-    names = argv[:1] if argv[:1] and argv[0] in _SUBCOMMANDS else list(_SUBCOMMANDS)
-    metavar = None if len(names) > 1 else "{" + ",".join(_SUBCOMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_line, formats, flags = _SUBCOMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, formats, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_line, argument_default=argparse.SUPPRESS)
         for f in flags:
             p.add_argument(f.flag, dest=f.dest, type=f.type, nargs=f.nargs, metavar=f.metavar,
@@ -323,7 +317,8 @@ def _stability_obj(m: stability.FramedModel) -> dict:
             entry["hn"] = {"error": str(exc)}
         if m.typ.rank == 2:
             try:
-                rep = stability._equivalences(m, sigma, amb, slopes)
+                rep = stability._equivalences(m, sigma, amb, slopes,
+                                              stability._destabilizer_or_ambiguity(m, amb, slopes))
                 entry["equivalences"] = {"ok": rep.ok, **_to_json(rep)}
             except stability.AxiomViolated as exc:
                 entry["equivalences"] = {"axiom_violated": str(exc)}

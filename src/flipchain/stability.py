@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Collection
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -97,11 +98,15 @@ class SubobjectData:
             _checked(self.fr, bool, "subs[*].fr")
         if type(self.phi_invariant) is not bool:
             _checked(self.phi_invariant, bool, "subs[*].phi_invariant")
-        parents = frozenset(self.parents)
+        parents = self.parents
+        if type(parents) is not frozenset:
+            if isinstance(parents, str) or not isinstance(parents, Collection):
+                _checked(parents, list, "subs[*].parents")  # raises: a string is one id, not a collection of ids
+            parents = frozenset(parents)
+            object.__setattr__(self, "parents", parents)
         for p in parents:
             if type(p) is not str:
                 _checked(p, str, "subs[*].parents")
-        object.__setattr__(self, "parents", parents)
 
 
 @dataclass(frozen=True)
@@ -217,17 +222,14 @@ class FramedModel:
         return _oriented_verdicts(self, False), _oriented_verdicts(self, True)
 
     @cached_property
-    def _canonical_closure_failure(self) -> Optional[str]:
-        """The AxiomViolated message when the maximal destabilizer at a
-        nonnegative sigma_max breaks constraint closure, else None: the
-        sigma-free half of the rank-2 equivalence precondition.  An
-        AmbiguousModel there is not stored, so each call raises it again."""
+    def _canonical(self) -> Optional[Tuple[Fraction, Union[SubobjectData, AmbiguousModel, None]]]:
+        """sigma_max and _destabilizer_or_ambiguity on its pass when sigma_max is
+        nonnegative, else None: the canonical half of constraint closure, which
+        _closed and the rank-2 equivalence precondition both read."""
         s_star = sigma_max(self, use_phi=False)
-        if s_star is not None and s_star >= 0:
-            w = _closure_witness(self, *_slopes(self, s_star))
-            if w is not None:
-                return f"subobject {w!r} breaks constraint closure at the canonical parameter {s_star}"
-        return None
+        if s_star is None or s_star < 0:
+            return None
+        return s_star, _destabilizer_or_ambiguity(self, *_slopes(self, s_star))
 
 
 @dataclass(frozen=True)
@@ -514,25 +516,6 @@ class EquivalenceReport:
         return not self.mismatches
 
 
-#: The found argument of _equivalences when its pass was not searched (None: no destabilizer).
-_UNSEARCHED = object()
-
-
-def _closure_witness(m: FramedModel, amb: int, slopes: List[int], found=_UNSEARCHED) -> Optional[str]:
-    """A non-invariant kernel subobject, else the pass's maximal destabilizer
-    when not invariant; found is _destabilizer_or_ambiguity's result, if taken."""
-    for s in m.subs:
-        if not s.fr and not s.phi_invariant:
-            return s.id
-    if found is _UNSEARCHED:
-        found = _max_destabilizer(m, amb, slopes)
-    elif isinstance(found, AmbiguousModel):
-        raise found
-    if found is not None and not found.phi_invariant:
-        return found.id
-    return None
-
-
 def verify_rank2_equivalences(m: FramedModel, sigma: Fraction) -> EquivalenceReport:
     """Check that pair and framed-module verdicts agree on a rank-2 model.
 
@@ -544,17 +527,28 @@ def verify_rank2_equivalences(m: FramedModel, sigma: Fraction) -> EquivalenceRep
     if m.typ.rank != 2:
         raise InvalidInput(f"type.rank: equivalence verification is specific to rank 2, got {m.typ.rank}")
     sigma = _require_sigma(sigma)
-    return _equivalences(m, sigma, *_slopes(m, sigma))
+    amb, slopes = _slopes(m, sigma)
+    return _equivalences(m, sigma, amb, slopes, _destabilizer_or_ambiguity(m, amb, slopes))
 
 
-def _equivalences(m: FramedModel, sigma: Fraction, amb: int, slopes: List[int], found=_UNSEARCHED) -> EquivalenceReport:
-    """verify_rank2_equivalences from one _slopes pass (amb, slopes) at sigma;
-    found, when given, is the destabilizer search already made on that pass."""
-    w = _closure_witness(m, amb, slopes, found)
-    if w is not None:
-        raise AxiomViolated(f"subobject {w!r} breaks constraint closure at sigma={sigma}")
-    if m._canonical_closure_failure is not None:
-        raise AxiomViolated(m._canonical_closure_failure)
+def _equivalences(m: FramedModel, sigma: Fraction, amb: int, slopes: List[int],
+                  found: Union[SubobjectData, AmbiguousModel, None]) -> EquivalenceReport:
+    """verify_rank2_equivalences from one _slopes pass (amb, slopes) at sigma
+    and found, _destabilizer_or_ambiguity's result on that pass."""
+    for s in m.subs:  # a non-invariant kernel subobject, else the destabilizer, witnesses it
+        if not s.fr and not s.phi_invariant:
+            raise AxiomViolated(f"subobject {s.id!r} breaks constraint closure at sigma={sigma}")
+    if isinstance(found, AmbiguousModel):
+        raise found
+    if found is not None and not found.phi_invariant:
+        raise AxiomViolated(f"subobject {found.id!r} breaks constraint closure at sigma={sigma}")
+    canonical = m._canonical
+    if canonical is not None:
+        s_star, found = canonical
+        if isinstance(found, AmbiguousModel):  # stored on the model: each raise starts a fresh traceback
+            raise found.with_traceback(None)
+        if found is not None and not found.phi_invariant:
+            raise AxiomViolated(f"subobject {found.id!r} breaks constraint closure at the canonical parameter {s_star}")
 
     mismatches: List[Tuple[str, Optional[str]]] = []
     fm_ss, fm_stable, pair_ss, pair_stable = _verdicts(m, amb, slopes)
@@ -727,10 +721,9 @@ def _destabilizer_or_ambiguity(m: FramedModel, amb: int, slopes: List[int]) -> U
 
 def _closed(m: FramedModel, found: Iterable[Union[SubobjectData, AmbiguousModel, None]]) -> FramedModel:
     """close_constraints given what _destabilizer_or_ambiguity found at each
-    of its parameters; the canonical parameter is searched here."""
-    s_star = sigma_max(m, use_phi=False)
-    if s_star is not None and s_star >= 0:
-        found = [*found, _destabilizer_or_ambiguity(m, *_slopes(m, s_star))]
+    of its parameters; the canonical parameter's search is m._canonical."""
+    if m._canonical is not None:
+        found = [*found, m._canonical[1]]
     need = {s.id for s in m.subs if not s.fr} | {md.id for md in found if isinstance(md, SubobjectData)}
     if all(m.sub(sid).phi_invariant for sid in need):
         return m
@@ -856,8 +849,9 @@ def _suite_rank2(res: SuiteResult, m: FramedModel, sigmas: Sequence[Fraction], t
             terms = (_framed_slope_terms(s.rank, s.degree, s.fr, sigma, nz) for s in m.subs)
             _suite_check(res, "destabilizer maximal", all(c * b <= a * d for c, d in terms), tag, sigma)
 
-        try:  # a closed model that is m reuses m's search on this pass
-            report = _equivalences(closed, sigma, *closed_pass, found if closed is m else _UNSEARCHED)
+        try:  # a closed model that is m reuses m's search on this pass; a rebuilt one searches its own
+            report = _equivalences(closed, sigma, *closed_pass,
+                                   found if closed is m else _destabilizer_or_ambiguity(closed, *closed_pass))
         except AmbiguousModel:
             res.ambiguous_skips += 1
             continue

@@ -1055,3 +1055,19 @@ def test_the_direct_reader_accepts_the_readme_command_lines():
     assert len(lines) == 25
     for argv in lines:
         assert _read_plain(argv) == _parse_with_argparse(argv), argv
+
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+
+
+def test_the_direct_reader_accepts_every_benchmark_command_line(monkeypatch):
+    """argparse runs only for help and errors, so every command line the
+    benchmark times, read from perfbench/workloads.py, is a plain one."""
+    monkeypatch.syspath_prepend(PERFBENCH)  # workloads imports its sibling tracer
+    workloads = importlib.import_module("workloads")
+    for size in ("full", "tiny"):
+        for seed in range(10):
+            requests, _ = workloads.request_stream(seed, workloads.SIZES[size], "models")
+            argvs = [*requests, workloads.VerifyAll(seed, workloads.SIZES[size], "models").argv]
+            assert {argv[0] for argv in argvs} == {"betti", "chambers", "stability-check", "verify-all"}
+            assert [argv for argv in argvs if _read_plain(argv) is None] == []

@@ -405,6 +405,18 @@ def test_canonical_closure_failure_is_found_once_and_raised_at_every_sigma(monke
     assert calls == [False]  # sigma_max once for the model, not once per sigma
 
 
+def test_an_ambiguous_canonical_search_is_raised_afresh_at_every_sigma():
+    # no destabilizer at sigma = 1/2; at the canonical parameter 1 the kernel
+    # subobjects A and B tie, and that search is stored with the model
+    m = rank2(-5, [sub("A", 1, -3, fr=False), sub("B", 1, -3, fr=False)])
+    depths = []
+    for _ in range(3):
+        with pytest.raises(AmbiguousModel, match="A, B$") as exc:
+            verify_rank2_equivalences(m, F(1, 2))
+        depths.append(len(exc.traceback))
+    assert depths[0] == depths[1] == depths[2]
+
+
 def test_threshold_formulas_are_rank_2_only():
     f = sub("F", 1, -1, fr=True)
     typ = FramedType(3, -5, True)
@@ -609,6 +621,10 @@ def test_non_integer_inputs_name_their_field(path, build):
          lambda: SubobjectData("K", 1, -3, False, phi_invariant="no")),
         ("subs[*].id: expected a string, got 5", lambda: SubobjectData(5, 1, -3, False)),
         ("subs[*].parents: expected a string, got 7", lambda: SubobjectData("K", 1, -3, False, parents={7})),
+        ('subs[*].parents: expected a list, got "K"', lambda: SubobjectData("F", 1, -2, False, parents="K")),
+        ('subs[*].parents: expected a list, got "KC"', lambda: SubobjectData("F", 1, -2, False, parents="KC")),
+        ("subs[*].parents: expected a list, got null", lambda: SubobjectData("F", 1, -2, False, parents=None)),
+        ("subs[*].parents: expected a list, got 5", lambda: SubobjectData("F", 1, -2, False, parents=5)),
         ("split.kmax_id: expected a string, got 0", lambda: SplitDescriptor(0, "C")),
         ("split.other_id: expected a string, got null", lambda: SplitDescriptor("K", None)),
     ],
@@ -710,13 +726,16 @@ def test_one_pass_bodies_match_the_public_api(monkeypatch, seed):
         assert [row[0] for row in rows] == list(sigmas)
         for sigma, (amb, slopes), found, closed_pass in rows:
             assert stability._verdicts(m, amb, slopes) == tuple(f(m, sigma) for f in public_verdicts)
+            searched = found
             if isinstance(found, AmbiguousModel):
                 seen["ambiguous"] += 1
                 found = "AmbiguousModel", str(found)
             assert found == outcome(max_destabilizer, m, sigma)
             assert outcome(stability._filtration, m, amb, slopes) == outcome(hn_filtration, m, sigma)
             for model, (a, s) in ((m, (amb, slopes)), (closed, closed_pass)):
-                got = outcome(stability._equivalences, model, sigma, a, s)
+                if model is not m:
+                    searched = stability._destabilizer_or_ambiguity(model, a, s)
+                got = outcome(stability._equivalences, model, sigma, a, s, searched)
                 assert got == outcome(verify_rank2_equivalences, model, sigma)
             # the closed model meets the precondition
             assert isinstance(got, stability.EquivalenceReport) or got[0] == "AmbiguousModel"
@@ -747,11 +766,26 @@ def test_the_suite_searches_each_maximal_destabilizer_once(monkeypatch):
     real = stability._max_destabilizer
     monkeypatch.setattr(stability, "_max_destabilizer", lambda *args: calls.append(1) or real(*args))
     assert run_stability_suite(seed=0, n_models=300).ok
-    assert len(calls) == 3386  # 4,015 when the closed model searched every pass again
+    assert len(calls) == 3333  # 3,386 when the canonical parameter was searched twice per kept model
     calls.clear()
     m = rank2(-5, [sub("K", 1, -4, fr=False), sub("B", 1, -2, fr=True)])
     assert verify_rank2_equivalences(m, F(1, 2)).ok
     assert calls
+
+
+def test_a_kept_model_searches_its_canonical_parameter_once(monkeypatch):
+    """On a model that closing leaves as it is, with sigma_max = 3 and one
+    sigma, the suite searches that sigma's pass and the canonical one: the
+    closure and the equivalence precondition share the canonical search."""
+    m = rank2(-5, [sub("K", 1, -4, fr=False), sub("C", 1, 0, fr=True)])
+    calls = []
+    real = stability._max_destabilizer
+    monkeypatch.setattr(stability, "_max_destabilizer", lambda *args: calls.append(1) or real(*args))
+    res = stability.SuiteResult()
+    stability._suite_rank2(res, m, [F(1, 2)], "t")
+    assert res.ok and res.check_counts["equivalences"] == 1
+    assert len(calls) == 2
+    assert sigma_max(m) == 3 and close_constraints(m, [F(1, 2)]) is m
 
 
 def _low_invariant_slopes(real):
