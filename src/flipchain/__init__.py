@@ -5,7 +5,6 @@ from .exactpoly import (
     LaurentPoly,
     ConsistencyFailure,
     NotDivisible,
-    TruncatedBiSeries,
     lp_div_exact,
 )
 from .chambers import (

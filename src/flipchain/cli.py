@@ -2,7 +2,8 @@
 checks into reproducible text, JSON, CSV or LaTeX reports.
 
 Exit codes: 0 on success, 1 when a consistency check fails (the message
-names the failing invariant and its indices), 2 on invalid input, 141
+names the failing invariant and its indices) or a printed stability-check
+equivalence entry is not ok, 2 on invalid input, 141
 (128 + SIGPIPE) when the reader of stdout closes it early, as `| head -1`
 does; nothing is written to stderr then.
 """
@@ -296,51 +297,7 @@ def _emit_betti(report: betti.BettiReport, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-_VERDICT_COLUMNS = ("sigma", "kind", "fm_semistable", "fm_stable", "pair_semistable", "pair_stable")
-
-
-def _stability_obj(m: stability.FramedModel) -> dict:
-    # sigma ascending: each chamber representative, after its lower end when that is a wall (not 0)
-    cd = chambers.build_chambers(m.typ.degree, m.ctx.genus)
-    points = [("chamber", cd.chambers[0].representative)]
-    for c in cd.chambers[1:]:
-        points += [("wall", c.lower), ("chamber", c.representative)]
-    entries = []
-    for kind, sigma in points:  # one _slopes pass per sigma, as in the stability suite
-        amb, slopes = stability._slopes(m, sigma)
-        entry = {"sigma": _to_json(sigma), "kind": kind,
-                 **dict(zip(_VERDICT_COLUMNS[2:], stability._verdicts(m, amb, slopes)))}
-        try:
-            hn = stability._filtration(m, amb, slopes)
-            entry["hn"] = {**_to_json(hn), "slopes": _to_json(hn.graded_slopes(sigma))}
-        except stability.AmbiguousModel as exc:
-            entry["hn"] = {"error": str(exc)}
-        if m.typ.rank == 2:
-            try:
-                rep = stability._equivalences(m, sigma, amb, slopes,
-                                              stability._destabilizer_or_ambiguity(m, amb, slopes))
-                entry["equivalences"] = {"ok": rep.ok, **_to_json(rep)}
-            except stability.AxiomViolated as exc:
-                entry["equivalences"] = {"axiom_violated": str(exc)}
-            except stability.AmbiguousModel as exc:
-                entry["equivalences"] = {"ambiguous": str(exc)}
-        entries.append(entry)
-    nz = m.typ.framing_nonzero
-    return {
-        "d": m.typ.degree,
-        "g": m.ctx.genus,
-        "rank": m.typ.rank,
-        "sigma_upper_bound": _to_json(stability.sigma_upper_bound(m)) if nz else None,
-        "final_chamber_stable": stability.final_chamber_stable(m) if nz else None,
-        "sigma_max": _to_json(stability.sigma_max(m)),
-        "oriented": {
-            "module_semistable": stability.is_oriented_semistable(m, pair=False),
-            "module_stable": stability.is_oriented_stable(m, pair=False),
-            "pair_semistable": stability.is_oriented_semistable(m, pair=True),
-            "pair_stable": stability.is_oriented_stable(m, pair=True),
-        },
-        "verdicts": entries,
-    }
+_VERDICT_COLUMNS = ("sigma", "kind", *stability.VERDICT_KEYS)
 
 
 def _emit_stability(obj: dict, fmt: str) -> str:
@@ -358,11 +315,8 @@ def _emit_stability(obj: dict, fmt: str) -> str:
     lines.append(f"sigma upper bound: {obj['sigma_upper_bound']}")
     lines.append(f"final chamber stable: {obj['final_chamber_stable']}")
     lines.append(f"canonical parameter: {obj['sigma_max']}")
-    o = obj["oriented"]
-    lines.append(
-        "oriented: module ss={module_semistable} s={module_stable}, "
-        "pair ss={pair_semistable} s={pair_stable}".format(**o)
-    )
+    lines.append("oriented: module ss={module_semistable} s={module_stable}, "
+                 "pair ss={pair_semistable} s={pair_stable}".format(**obj["oriented"]))
     for e in obj["verdicts"]:
         lines.append(
             f"sigma = {e['sigma']} ({e['kind']}): fm ss={e['fm_semistable']} s={e['fm_stable']}, "
@@ -393,7 +347,7 @@ def _verify_cell(g: int, d: int) -> List[str]:
 def run_verify_all(g_max: int, d_min: int, seed: int, n_models: int, out) -> int:
     _require_genus(g_max, "grid")  # a grid that checks no cell is bad input
     chambers.fm_index_range(d_min, "grid")
-    stability._require_suite_args(seed, n_models)
+    stability.require_suite_args(seed, n_models)
     t0 = time.monotonic()
     cells = [(g, d) for g in range(2, g_max + 1) for d in range(d_min, 0)]
     failures = [f for g, d in cells for f in _verify_cell(g, d)]
@@ -455,10 +409,9 @@ def run(config: RunConfig, out=None) -> int:
             except (OSError, ValueError, RecursionError) as exc:
                 print(f"error: {exc}", file=out)
                 return 2
-            model = stability.model_from_json_obj(obj)
-            chambers.fm_index_range(model.typ.degree, "type.degree")  # chamber scans need d < 0
-            print(_emit_stability(_stability_obj(model), config.format), file=out)
-            return 0
+            report = stability.report_obj(stability.model_from_json_obj(obj))
+            print(_emit_stability(report, config.format), file=out)
+            return 1 if any(e.get("equivalences", {}).get("ok") is False for e in report["verdicts"]) else 0
         if config.command == "verify-all":
             g_max, d_min = config.grid
             return run_verify_all(g_max, d_min, config.seed, config.models, out)

@@ -201,7 +201,7 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, int):
+        if type(other) is int:  # a bool is no coefficient, as in the constructor
             return LaurentPoly._from_coeffs(self._val, [c * other for c in self._coeffs])
         if not isinstance(other, LaurentPoly):
             return NotImplemented

@@ -140,7 +140,7 @@ class DictLaurentPoly:
         return (-self) + other
 
     def __mul__(self, other) -> "DictLaurentPoly":
-        if isinstance(other, int):
+        if type(other) is int:
             return DictLaurentPoly({e: c * other for e, c in self._terms.items()})
         if not isinstance(other, DictLaurentPoly):
             return NotImplemented

@@ -1,5 +1,6 @@
 """CLI surface: formats, exit codes, JSON round trips and determinism."""
 
+import ast
 import hashlib
 import importlib
 import inspect
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flipchain
-from flipchain import betti, chambers, stability
+from flipchain import betti, chambers, cli, stability
 from flipchain.chambers import InvalidInput, _to_json
 from flipchain.exactpoly import ConsistencyFailure, NotDivisible
 from flipchain.cli import (
@@ -27,7 +28,6 @@ from flipchain.cli import (
     _json_text,
     _parse_with_argparse,
     _read_plain,
-    _stability_obj,
     chambers_obj_to_data,
     main,
     parse_args,
@@ -433,7 +433,7 @@ def test_every_json_report_is_what_json_dumps_writes(tmp_path):
     for model in (readme_model, chain_model, tie_model, zero_framing_model, no_kernel_model):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(model()))
-        obj = _stability_obj(model_from_json_obj(model()))
+        obj = stability.report_obj(model_from_json_obj(model()))
         assert capture(["stability-check", "--model", str(path), "--json"]) == (0, json.dumps(obj, indent=2) + "\n")
         n += 1
     assert n == 90 + 20 + 60 + 5  # chambers, betti reports, their chambers, models
@@ -545,6 +545,39 @@ def test_model_file_with_a_duplicate_key_exits_2_naming_it(tmp_path, text, key):
     path = tmp_path / "model.json"
     path.write_text(text)
     assert capture(["stability-check", "--model", str(path)]) == (2, f"error: duplicate key {key!r}\n")
+
+
+def test_stability_check_exits_1_on_a_failed_equivalence_entry(tmp_path, monkeypatch):
+    verdicts = stability._verdicts
+
+    def flipped(m, amb, slopes):
+        fm_ss, fm_stable, pair_ss, pair_stable = verdicts(m, amb, slopes)
+        return fm_ss, fm_stable, not pair_ss, not pair_stable
+
+    monkeypatch.setattr(stability, "_verdicts", flipped)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(zero_framing_model()))
+    status, text = capture(["stability-check", "--model", str(path), "--json"])
+    obj = stability.report_obj(model_from_json_obj(zero_framing_model()))
+    assert (status, text) == (1, json.dumps(obj, indent=2) + "\n")  # the report is still printed
+    assert any(e["equivalences"].get("ok") is False for e in obj["verdicts"])
+
+
+def test_the_report_names_type_degree_unless_the_degree_is_negative():
+    obj = base_model()
+    obj["type"]["degree"] = 0
+    with pytest.raises(InvalidInput, match="^type.degree: degree must be negative, got 0$"):
+        stability.report_obj(model_from_json_obj(obj))
+
+
+def test_the_cli_reads_no_private_name_of_the_stability_engine():
+    private = []
+    for node in ast.walk(ast.parse(inspect.getsource(cli))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "stability":
+            private += [node.attr] if node.attr.startswith("_") else []
+        elif isinstance(node, ast.ImportFrom) and node.module == "stability":
+            private += [a.name for a in node.names if a.name.startswith("_")]
+    assert private == []
 
 
 def test_stability_check_lets_internal_errors_propagate(tmp_path, monkeypatch):

@@ -34,6 +34,15 @@ def test_power_takes_only_an_int_exponent(n):
         poly({0: 1, 1: 1}) ** n
 
 
+@pytest.mark.parametrize("scalar", [True, False])
+def test_a_bool_scalar_is_rejected_like_a_bool_coefficient(scalar):
+    p = poly({0: 1, 1: 1})
+    for op in (lambda: p * scalar, lambda: scalar * p, lambda: p + scalar):
+        with pytest.raises(TypeError):
+            op()
+    assert p * int(scalar) == int(scalar) * p == poly({0: int(scalar), 1: int(scalar)})
+
+
 def test_laurent_exponent_addition():
     assert LaurentPoly.monomial(-2) * LaurentPoly.monomial(5) == LaurentPoly.monomial(3)
 

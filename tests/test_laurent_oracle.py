@@ -108,7 +108,7 @@ def test_ring_operations(a_pairs, b_pairs, k):
                        (a * k, ra * k), (k * a, k * ra), (a + k, ra + k), (k + a, k + ra), (a - k, ra - k),
                        (k - a, k - ra)):
         assert_same(dense, ref)
-    for other in ("x", 1.5, Fraction(1, 2)):  # the messages name the two classes
+    for other in ("x", 1.5, Fraction(1, 2), True, False):  # the messages name the two classes
         assert outcome(lambda: a + other)[0] is outcome(lambda: ra + other)[0] is TypeError
         assert outcome(lambda: a * other)[0] is outcome(lambda: ra * other)[0] is TypeError
 
