@@ -70,13 +70,29 @@ _JSON_LEAVES = frozenset((int, bool, str, type(None)))
 
 
 def _to_json(value):
-    """The written JSON form of a report or model value: a dataclass as an
-    object of its fields in declaration order, a tuple as a list, a
-    frozenset as a sorted list, a Fraction as its string and a LaurentPoly
-    through to_json_obj().  The common leaves are tested first; any other
-    value is its own form."""
-    if type(value) in _JSON_LEAVES:
+    """The object form of a report or model value, which the strict readers
+    compare with and the report builders return: a dataclass as an object of
+    its fields in declaration order, a tuple as a list, a frozenset as a
+    sorted list, a Fraction as its string and a LaurentPoly through
+    to_json_obj().  Exact types are tested first, and a leaf field or item
+    is taken as it is; any other value is its own form.  The CLI writes
+    reports with _json_text, not through this form."""
+    kind = type(value)
+    if kind in _JSON_LEAVES:
         return value
+    if kind is LaurentPoly:
+        return value.to_json_obj()
+    if kind is tuple:
+        return [item if type(item) in _JSON_LEAVES else _to_json(item) for item in value]
+    if kind is Fraction:
+        return str(value)
+    names = getattr(kind, "__dataclass_fields__", None)
+    if names is not None:
+        obj = {}
+        for name in names:
+            item = getattr(value, name)
+            obj[name] = item if type(item) in _JSON_LEAVES else _to_json(item)
+        return obj
     if isinstance(value, tuple):
         return [_to_json(item) for item in value]
     if isinstance(value, Fraction):
@@ -85,8 +101,51 @@ def _to_json(value):
         return value.to_json_obj()
     if isinstance(value, frozenset):
         return sorted(value)
-    names = getattr(type(value), "__dataclass_fields__", None)
-    return value if names is None else {name: _to_json(getattr(value, name)) for name in names}
+    return value
+
+
+_json_str = json.encoder.encode_basestring_ascii  # the C escaper json.dumps itself uses
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """json.dumps(_to_json(value), indent=2), byte for byte, written in one
+    walk of value with no object form in between; indent is the newline and
+    indentation of value's own line.  Values are read as _to_json reads
+    them, and dicts, lists and their items as json.dumps does; a
+    LaurentPoly is written from its coefficients with one format per
+    nonzero term.  CPython's json runs its C encoder only without an
+    indent, so reports are written here.  Any other leaf, such as a float,
+    is json.dumps(value); a non-str key or a set raises TypeError."""
+    kind = type(value)
+    if kind is str:
+        return _json_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if kind is Fraction:
+        return '"%s"' % value
+    inner = indent + "  "
+    if isinstance(value, LaurentPoly):
+        if not value._coeffs:
+            return "{" + inner + '"terms": []' + indent + "}"
+        row = inner + "  "
+        term = "[" + row + "  %d," + row + '  "%d"' + row + "]"
+        terms = [term % (e, c) for e, c in enumerate(value._coeffs, value._val) if c]
+        return "{" + inner + '"terms": [' + row + ("," + row).join(terms) + inner + "]" + indent + "}"
+    names = getattr(kind, "__dataclass_fields__", None)
+    if names is not None or isinstance(value, dict):
+        pairs = value.items() if names is None else ((name, getattr(value, name)) for name in names)
+        items = [_json_str(k) + ": " + _json_text(v, inner) for k, v in pairs]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if isinstance(value, (list, tuple, frozenset)):
+        items = [_json_text(v, inner) for v in (sorted(value) if isinstance(value, frozenset) else value)]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    return '"%s"' % value if isinstance(value, Fraction) else json.dumps(value)
 
 
 def _require_equal(got, want, path: str, where: str) -> None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence, Tuple
 
 from . import betti, chambers, stability
-from .chambers import InvalidInput, _checked, _require_equal, _require_genus, _to_json
+from .chambers import InvalidInput, _checked, _json_text, _require_equal, _require_genus, _to_json
 from .exactpoly import ConsistencyFailure
 
 #: Failure lines verify-all prints before it only counts the rest.
@@ -166,39 +166,6 @@ def _tabular(spec: str, header: Sequence[str], rows) -> str:
     return "\n".join(lines)
 
 
-_json_str = json.encoder.encode_basestring_ascii  # the C escaper json.dumps itself uses
-
-
-def _json_text(value, indent: str = "\n") -> str:
-    """The text json.dumps writes for value with indent 2, byte for byte,
-    for values made of dicts, lists, tuples, str, int, bool and None; indent
-    is the newline and indentation of value's own line.  CPython's json runs
-    its C encoder only without an indent, so reports are written here.  Any
-    other leaf, such as a float, is json.dumps(value); a non-str key raises
-    TypeError."""
-    if type(value) is str:
-        return _json_str(value)
-    if type(value) is int:
-        return int.__repr__(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [_json_str(k) + ": " + _json_text(v, inner) for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in value]) + indent + "]"
-    return json.dumps(value)
-
-
 # ---------------------------------------------------------------------------
 # chambers reports
 # ---------------------------------------------------------------------------
@@ -222,7 +189,7 @@ def _interval(c: chambers.Chamber) -> str:
 
 def _emit_chambers(cd: chambers.ChamberData, fmt: str) -> str:
     if fmt == "json":
-        return _json_text(_to_json(cd))
+        return _json_text(cd)
     flip_keys = [k.name for k in fields(chambers.FlipLocusData)]
     flip_rows = [[getattr(f, key) for key in flip_keys] for f in cd.flip_loci]
     if fmt == "csv":  # a flip's i is its chamber's fm_index
@@ -256,7 +223,7 @@ def _emit_chambers(cd: chambers.ChamberData, fmt: str) -> str:
 
 def _emit_betti(report: betti.BettiReport, fmt: str) -> str:
     if fmt == "json":
-        return _json_text(betti.report_to_json_obj(report))
+        return _json_text(report)
     degrees = range(2 * report.moduli_dim + 1)
     if fmt == "csv":
         return _csv(

@@ -65,6 +65,8 @@ CLI_PASSES = {
     "verify-all --grid 8 -100 --models 0": "22494b8d69f13048b1cac39a8656f0d8bad40ba4a936f92ad2c103437bcdaddf",
     "betti --d -100 --g 2 --json": "a74b57efe9ca1826e2f31b56e078cb206b2e256ad3c755aa2e4d2a06c3fa58f0",
     "betti --d -100 --g 8 --json": "3e77f1660ad6621302fc944686d8989fb58be6d7b099bb1549baa19703c9a5e7",
+    "chambers --d -100 --g 8 --json": "5a0ee1a39b90514ddbce2c2681d0e77da2bf2b3452223153db1dc5789c853525",
+    "betti --d -40 --g 6 --chamber 25 --json": "a10d9c8852c329b34f764abf79975826692446500de5ec3d1bc8095f612d119f",
 }
 
 

@@ -20,12 +20,11 @@ from hypothesis import strategies as st
 
 import flipchain
 from flipchain import betti, chambers, cli, stability
-from flipchain.chambers import InvalidInput, _to_json
-from flipchain.exactpoly import ConsistencyFailure, NotDivisible
+from flipchain.chambers import InvalidInput, _json_text, _to_json
+from flipchain.exactpoly import ConsistencyFailure, LaurentPoly, NotDivisible
 from flipchain.cli import (
     _SUBCOMMANDS,
     RunConfig,
-    _json_text,
     _parse_with_argparse,
     _read_plain,
     chambers_obj_to_data,
@@ -403,10 +402,59 @@ def test_the_json_writer_writes_what_json_dumps_writes():
         assert _json_text(value) == json.dumps(value, indent=2), value
 
 
-@pytest.mark.parametrize("value", [{1: "a"}, {"a": {(1, 2): 0}}, [Fraction(1, 2)], {"a": {1, 2}}])
+@pytest.mark.parametrize("value", [{1: "a"}, {"a": {(1, 2): 0}}, {"a": {1, 2}}])
 def test_the_json_writer_rejects_what_json_cannot_hold(value):
     with pytest.raises(TypeError):
         _json_text(value)
+
+
+def test_the_json_writer_writes_a_fraction_in_a_list_as_to_json_does():
+    assert _json_text([Fraction(1, 2)]) == json.dumps(_to_json((Fraction(1, 2),)), indent=2)
+
+
+def _report_values():
+    """Values of every report kind: chambers at d -1..-60, betti whole and
+    per chamber at d -1..-20, each at g 2..5; the golden stability-check
+    models' reports and model objects with the dataclasses they are written
+    from; zero, negative and wider-than-64-bit Laurent polynomials."""
+    for g in range(2, 6):
+        for d in range(-1, -61, -1):
+            yield chambers.build_chambers(d, g)
+        for d in range(-1, -21, -1):
+            yield betti.build_betti_report(d, g)
+            lo, hi = chambers.fm_index_range(d)
+            for i in {lo, (lo + hi) // 2, hi}:
+                yield betti.build_betti_report(d, g, only_chamber=i)
+    for model in (readme_model, chain_model, tie_model, zero_framing_model, no_kernel_model):
+        m = model_from_json_obj(model())
+        yield from (stability.report_obj(m), model_to_json_obj(m), m.ctx, m.typ, m.subs, m.split)
+    polys = (LaurentPoly(), LaurentPoly({-3: -5, 0: 1, 7: -(2**64)}), LaurentPoly({2: 3**90, 40: -(10**30)}))
+    yield from polys
+    yield polys
+    yield betti.U2dReport(closed=polys[1], via_bundle=polys[0], agree=None)
+
+
+def test_the_json_writer_writes_every_report_as_json_dumps_writes_its_object_form():
+    n = 0
+    for value in _report_values():
+        assert _json_text(value) == json.dumps(_to_json(value), indent=2), value
+        n += 1
+    assert n == 240 + 80 + 4 * 54 + 5 * 6 + 5  # chambers, betti reports, their chambers, models, polynomials
+    assert _json_text(LaurentPoly()) == '{\n  "terms": []\n}'
+
+
+def test_chambers_and_betti_json_reports_are_written_without_the_object_form(monkeypatch):
+    argvs = (["betti", "--d", "-9", "--g", "3", "--json"], ["betti", "--d", "-9", "--g", "3", "--chamber", "6", "--json"],
+             ["chambers", "--d", "-9", "--g", "3", "--json"])
+    want = [capture(argv) for argv in argvs]
+
+    def raises(value):
+        raise AssertionError("the object form was built")
+
+    for module in (chambers, betti, cli):
+        monkeypatch.setattr(module, "_to_json", raises)
+    assert [capture(argv) for argv in argvs] == want
+    assert all(status == 0 and text.startswith("{") for status, text in want)
 
 
 def _json_reports():
