@@ -74,9 +74,9 @@ def _to_json(value):
     compare with and the report builders return: a dataclass as an object of
     its fields in declaration order, a tuple as a list, a frozenset as a
     sorted list, a Fraction as its string and a LaurentPoly through
-    to_json_obj().  Exact types are tested first, and a leaf field or item
-    is taken as it is; any other value is its own form.  The CLI writes
-    reports with _json_text, not through this form."""
+    to_json_obj().  Types are matched exactly, a frozenset by isinstance,
+    and a leaf field or item is taken as it is; any other value is its own
+    form.  The CLI writes reports with _json_text, not through this form."""
     kind = type(value)
     if kind in _JSON_LEAVES:
         return value
@@ -93,12 +93,6 @@ def _to_json(value):
             item = getattr(value, name)
             obj[name] = item if type(item) in _JSON_LEAVES else _to_json(item)
         return obj
-    if isinstance(value, tuple):
-        return [_to_json(item) for item in value]
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, LaurentPoly):
-        return value.to_json_obj()
     if isinstance(value, frozenset):
         return sorted(value)
     return value
@@ -112,10 +106,10 @@ def _json_text(value, indent: str = "\n") -> str:
     walk of value with no object form in between; indent is the newline and
     indentation of value's own line.  Values are read as _to_json reads
     them, and dicts, lists and their items as json.dumps does; a
-    LaurentPoly is written from its coefficients with one format per
-    nonzero term.  CPython's json runs its C encoder only without an
-    indent, so reports are written here.  Any other leaf, such as a float,
-    is json.dumps(value); a non-str key or a set raises TypeError."""
+    LaurentPoly writes itself with its json_text.  CPython's json runs its
+    C encoder only without an indent, so reports are written here.  Any
+    other leaf, such as a float, is json.dumps(value); a non-str key or a
+    set raises TypeError."""
     kind = type(value)
     if kind is str:
         return _json_str(value)
@@ -129,14 +123,9 @@ def _json_text(value, indent: str = "\n") -> str:
         return "false"
     if kind is Fraction:
         return '"%s"' % value
+    if kind is LaurentPoly:
+        return value.json_text(indent)
     inner = indent + "  "
-    if isinstance(value, LaurentPoly):
-        if not value._coeffs:
-            return "{" + inner + '"terms": []' + indent + "}"
-        row = inner + "  "
-        term = "[" + row + "  %d," + row + '  "%d"' + row + "]"
-        terms = [term % (e, c) for e, c in enumerate(value._coeffs, value._val) if c]
-        return "{" + inner + '"terms": [' + row + ("," + row).join(terms) + inner + "]" + indent + "}"
     names = getattr(kind, "__dataclass_fields__", None)
     if names is not None or isinstance(value, dict):
         pairs = value.items() if names is None else ((name, getattr(value, name)) for name in names)
@@ -145,7 +134,7 @@ def _json_text(value, indent: str = "\n") -> str:
     if isinstance(value, (list, tuple, frozenset)):
         items = [_json_text(v, inner) for v in (sorted(value) if isinstance(value, frozenset) else value)]
         return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
-    return '"%s"' % value if isinstance(value, Fraction) else json.dumps(value)
+    return json.dumps(value)
 
 
 def _require_equal(got, want, path: str, where: str) -> None:

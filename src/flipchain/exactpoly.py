@@ -260,6 +260,18 @@ class LaurentPoly:
         """
         return {"terms": [[e, str(c)] for e, c in self.items()]}
 
+    def json_text(self, indent: str = "\n") -> str:
+        """json.dumps(self.to_json_obj(), indent=2), byte for byte, with one
+        format per nonzero term and no object form built; indent is the
+        newline and indentation of the object's own line."""
+        inner = indent + "  "
+        if not self._coeffs:
+            return "{" + inner + '"terms": []' + indent + "}"
+        row = inner + "  "
+        term = "[" + row + "  %d," + row + '  "%d"' + row + "]"
+        terms = [term % ec for ec in self.items()]
+        return "{" + inner + '"terms": [' + row + ("," + row).join(terms) + inner + "]" + indent + "}"
+
 
 def lp_div_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     """Exact division in the Laurent polynomial ring over the integers.
