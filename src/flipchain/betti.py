@@ -107,11 +107,10 @@ def flip_difference(j: int, d: int, g: int) -> LaurentPoly:
 
 
 def terminal_poincare(d: int, g: int) -> LaurentPoly:
-    """Last chamber: a projective bundle of fiber dimension -d + g - 2 over
-    the g-dimensional torus, so (1+t)^(2g) (1 - t^(-2d+2g-2)) / (1 - t^2)."""
+    """Last chamber: a projective bundle with fiber P^(-d+g-2) over the
+    degree-0 Picard torus, so (1+t)^(2g) times proj_space_poincare(-d+g-2)."""
     moduli_dim(d, g)  # rejects (d, g)
-    num = LaurentPoly({0: 1}) - _T(-2 * d + 2 * g - 2)
-    return _one_plus_t_pow(2 * g) * lp_div_exact(num, _ONE_MINUS_T2)
+    return _one_plus_t_pow(2 * g) * proj_space_poincare(-d + g - 2)
 
 
 def _recursive_chain(i: int, d: int, g: int) -> Dict[int, LaurentPoly]:

@@ -66,10 +66,8 @@ class FramedType:
         if _require_int(self.rank, "type.rank") < 1:
             raise InvalidInput(f"type.rank: rank must be positive, got {self.rank}")
         _require_int(self.degree, "type.degree")
-        if type(self.framing_nonzero) is not bool:
-            _checked(self.framing_nonzero, bool, "type.framing_nonzero")
-        if type(self.delta_iso) is not bool:
-            _checked(self.delta_iso, bool, "type.delta_iso")
+        _checked(self.framing_nonzero, bool, "type.framing_nonzero")
+        _checked(self.delta_iso, bool, "type.delta_iso")
 
 
 @dataclass(frozen=True)
@@ -91,22 +89,19 @@ class SubobjectData:
     parents: FrozenSet[str] = frozenset()
 
     def __post_init__(self):
-        # inline type tests: a verify-all pass builds tens of thousands of these
-        if type(self.id) is not str:
-            _checked(self.id, str, "subs[*].id")
-        if type(self.fr) is not bool:
-            _checked(self.fr, bool, "subs[*].fr")
-        if type(self.phi_invariant) is not bool:
-            _checked(self.phi_invariant, bool, "subs[*].phi_invariant")
+        _checked(self.id, str, "subs[*].id")
+        _checked(self.fr, bool, "subs[*].fr")
+        _checked(self.phi_invariant, bool, "subs[*].phi_invariant")
+        if isinstance(self.parents, str) or not isinstance(self.parents, Collection):
+            _checked(self.parents, list, "subs[*].parents")  # raises: a string is one id, not a collection of ids
         parents = self.parents
-        if type(parents) is not frozenset:
-            if isinstance(parents, str) or not isinstance(parents, Collection):
-                _checked(parents, list, "subs[*].parents")  # raises: a string is one id, not a collection of ids
-            parents = frozenset(parents)
-            object.__setattr__(self, "parents", parents)
         for p in parents:
-            if type(p) is not str:
-                _checked(p, str, "subs[*].parents")
+            _checked(p, str, "subs[*].parents")
+        if type(parents) is not frozenset:
+            object.__setattr__(self, "parents", frozenset(parents))
+            if len(self.parents) < len(parents):  # a parent listed twice
+                dup = next(p for p in parents if list(parents).count(p) > 1)
+                raise InvalidInput(f"subs[*].parents: duplicate parent {dup!r}")
 
 
 @dataclass(frozen=True)
@@ -663,8 +658,11 @@ def model_from_json_obj(obj) -> FramedModel:
     subs = []
     for k, raw in enumerate(top["subs"]):
         sub = _fields(raw, f"subs[{k}]", _SUB_FIELDS)
+        seen = set()
         for n, parent in enumerate(sub["parents"]):
-            _checked(parent, str, f"subs[{k}].parents[{n}]")
+            if _checked(parent, str, f"subs[{k}].parents[{n}]") in seen:
+                raise InvalidInput(f"subs[{k}].parents[{n}]: duplicate parent {parent!r}")
+            seen.add(parent)
         subs.append(SubobjectData(**sub))
     split = None if top["split"] is None else SplitDescriptor(**_fields(top["split"], "split", _SPLIT_FIELDS))
     return FramedModel(CurveContext(top["genus"], top["frame_degree"]), FramedType(**typ), tuple(subs), split)

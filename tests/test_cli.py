@@ -557,6 +557,7 @@ def _doctor(path, value=_DROP):
         (_doctor(("subs", 0, "id"), 3), "subs[0].id"),  # ids are strings
         (_doctor(("subs", 0, "parents"), "AB"), "subs[0].parents"),  # parents are a list ...
         (_doctor(("subs", 0, "parents"), [1]), "subs[0].parents[0]"),  # ... of strings
+        (_doctor(("subs", 0, "parents"), ["K", "K"]), "subs[0].parents[1]"),  # ... that are distinct
         (lambda obj: [obj], "model"),  # the top level is an object
         (_doctor(("colour",), "red"), "colour"),  # unknown keys are rejected at the top ...
         (_doctor(("subs", 0, "weight"), 1), "subs[0].weight"),  # ... and inside

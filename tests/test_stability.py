@@ -625,6 +625,8 @@ def test_non_integer_inputs_name_their_field(path, build):
         ('subs[*].parents: expected a list, got "KC"', lambda: SubobjectData("F", 1, -2, False, parents="KC")),
         ("subs[*].parents: expected a list, got null", lambda: SubobjectData("F", 1, -2, False, parents=None)),
         ("subs[*].parents: expected a list, got 5", lambda: SubobjectData("F", 1, -2, False, parents=5)),
+        ("subs[*].parents: duplicate parent 'K'", lambda: SubobjectData("F", 1, -2, False, parents=["K", "K"])),
+        ("subs[*].parents: duplicate parent 'K'", lambda: SubobjectData("F", 1, -2, False, parents=("K", "C", "K"))),
         ("split.kmax_id: expected a string, got 0", lambda: SplitDescriptor(0, "C")),
         ("split.other_id: expected a string, got null", lambda: SplitDescriptor("K", None)),
     ],
