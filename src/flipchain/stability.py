@@ -77,8 +77,8 @@ class SubobjectData:
     fr is True when the restricted framing is nonzero; phi_invariant marks
     invariance under the endomorphism-valued field of the pair; parents
     holds ids of subobjects strictly containing this one.  A field of the
-    wrong kind raises InvalidInput naming subs[*].<field>: a subobject
-    does not know its index.
+    wrong kind, or a parent listed twice, raises InvalidInput naming
+    subs[*].<field>: a subobject does not know its index.
     """
 
     id: str
@@ -650,8 +650,8 @@ _SPLIT_FIELDS = {"kmax_id": (str, _REQUIRED), "other_id": (str, _REQUIRED)}
 
 def model_from_json_obj(obj) -> FramedModel:
     """Strict reader of the wire format: integers that are not bools, real
-    bools, string ids, a list of string parents and no unknown fields, with
-    InvalidInput naming the field path otherwise.  The retired
+    bools, string ids, a list of distinct string parents and no unknown
+    fields, with InvalidInput naming the field path otherwise.  The retired
     type.epsilon_nonzero is accepted and ignored."""
     top = _fields(obj, "", _MODEL_FIELDS)
     typ = _fields(top["type"], "type", _TYPE_FIELDS, retired=("epsilon_nonzero",))
