@@ -5,7 +5,7 @@ from .exactpoly import (
     LaurentPoly,
     ConsistencyFailure,
     NotDivisible,
-    lp_div_exact,
+    lp_div_one_minus_t_pow,
 )
 from .chambers import (
     Chamber,

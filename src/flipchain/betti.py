@@ -5,22 +5,23 @@ exactly.  The per-chamber polynomial comes once from a telescoping sum of
 flip differences and once from a closed-form coefficient extraction that
 sums shifted coefficients of the symmetric-product recurrence; the flip
 differences themselves are checked against a direct projective-bundle
-computation, once per distinct fiber identity in each process.  All
-divisions are exact divisions that fail loudly, never series inversions:
-a flip product or a closed chamber is divided by 1 - t^2 in one prefix pass.
+computation, once per distinct fiber identity in each process.  Every
+divisor is a geometric kernel 1 - t^k, every division an exact prefix pass
+that fails loudly, and both chamber routes cache lists divided once per (n, g).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from math import comb
-from operator import eq, sub
-from typing import Dict, Iterator, List, Optional, Tuple
+from operator import add, eq, sub
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .chambers import InvalidInput, _checked, fm_index_range, moduli_dim
 from .chambers import _chamber_index_range, _require_equal, _require_genus, _require_int, _to_json
-from .exactpoly import ConsistencyFailure, LaurentPoly, NotDivisible, lp_div_exact
+from .exactpoly import ConsistencyFailure, LaurentPoly, NotDivisible, lp_div_one_minus_t_pow
 
 _T = LaurentPoly.monomial
 _ONE_MINUS_T2 = LaurentPoly({0: 1, 2: -1})
@@ -40,6 +41,16 @@ def proj_space_poincare(n: int) -> LaurentPoly:
     return LaurentPoly._from_coeffs(0, ([1, 0] * (n + 1))[:-1])
 
 
+def _times_proj_space(p: Sequence[int], m: int) -> List[int]:
+    """p (1 + t^2 + ... + t^(2m)) for a list p from t^0 and m >= 0, of length len(p) + 2m, in one
+    step-2 sliding sum: out[e] = out[e-2] + p[e] - p[e-2m-2]."""
+    out = [*p, *[0] * (2 * m + 2)]
+    out[2 * m + 2:] = map(sub, out[2 * m + 2:], p)  # p - t^(2m+2) p
+    for r in (0, 1):
+        out[r::2] = accumulate(out[r::2])
+    return out[:-2]  # the top two entries are zero
+
+
 def sym_product_poincare(n: int, g: int) -> LaurentPoly:
     """Poincare polynomial of the n-th symmetric product of a genus-g curve,
     by Macdonald's explicit sum over k <= min(n, 2g) of C(2g, k) t^k times
@@ -56,16 +67,19 @@ def sym_product_poincare(n: int, g: int) -> LaurentPoly:
 
 
 @lru_cache(maxsize=None)
-def _shared_factor(n: int, g: int) -> LaurentPoly:
-    """E(n, g) = (1+t)^(2g) times the symmetric-product polynomial of
-    Sym^n; it does not depend on the degree d."""
-    return _one_plus_t_pow(2 * g) * sym_product_poincare(n, g)
+def _divided_shared_factor(n: int, g: int) -> List[int]:
+    """E(n, g) / (1 - t^2) from t^0, E = (1+t)^(2g) times Sym^n's polynomial, which does not depend
+    on d, truncated at E's length: past it the series repeats its last two entries."""
+    q = list((_one_plus_t_pow(2 * g) * sym_product_poincare(n, g))._coeffs)  # E's valuation is 0
+    for r in (0, 1):
+        q[r::2] = accumulate(q[r::2])
+    return q
 
 
 def _fiber_factors(up: int, down: int, rank_plus: int, rank_minus: int) -> Tuple[LaurentPoly, LaurentPoly]:
     """Formula route's fiber factor, (t^up - t^down)/(1-t^2) by exact division, and bundle
     route's, P^(rank W+ - 1) - P^(rank W- - 1) for the projective fibers of the two flip loci."""
-    formula = lp_div_exact(_T(up) - _T(down), _ONE_MINUS_T2)
+    formula = lp_div_one_minus_t_pow(_T(up) - _T(down), 2)
     return formula, proj_space_poincare(rank_plus - 1) - proj_space_poincare(rank_minus - 1)
 
 
@@ -76,55 +90,63 @@ def _fiber_identity_holds(up: int, down: int, rank_plus: int, rank_minus: int) -
     return eq(*_fiber_factors(up, down, rank_plus, rank_minus))
 
 
+def _flip_terms(j: int, d: int, g: int) -> Tuple[int, List[int]]:
+    """flip_difference(j, d, g) as (valuation, coefficients): (E t^up - E t^down) / (1-t^2),
+    up = 2d+2g+4j+2 and down = -2d-2j-2, is t^up Q - t^down Q for the cached Q = E / (1-t^2),
+    two shifted copies of Q, the lower carried past Q's end by Q's last two entries.  The top
+    two entries are the remainder and must be 0."""
+    _require_genus(g)
+    _chamber_index_range(j, d, "j")
+    rank_plus, rank_minus = -d - j - 1, d + g + 2 * j + 1
+    up, down = 2 * d + 2 * g + 4 * j + 2, -2 * d - 2 * j - 2
+    if not _fiber_identity_holds(up, down, rank_plus, rank_minus):
+        formula, bundle = _fiber_factors(up, down, rank_plus, rank_minus)
+        even_factor = _one_plus_t_pow(2 * g) * sym_product_poincare(rank_plus, g)
+        raise NotDivisible(f"flip difference routes disagree at j={j}, d={d}, g={g}: "
+                           f"formula={formula * even_factor}, bundle={bundle * even_factor}")
+    q, s = _divided_shared_factor(rank_plus, g), abs(up - down)
+    lower, higher = q + (q[-2:] * (s // 2 + 1))[:s], [0] * s + q
+    terms = list(map(sub, *((higher, lower) if up > down else (lower, higher))))
+    if terms[-1] or terms[-2]:
+        raise NotDivisible(f"nonzero remainder in the recursive route at (j={j}, d={d}, g={g})")
+    return min(up, down), terms
+
+
 def flip_difference(j: int, d: int, g: int) -> LaurentPoly:
     """Betti change across the wall above chamber j, by two routes: each a fiber factor
     (_fiber_factors) times the shared factor E(n, g), n = rank W+ = -d-j-1.  The fiber factors
     are compared first, once per distinct key of _fiber_identity_holds in each process: Z[t, 1/t]
     has no zero divisors and E(n, g) is nonzero, so the products agree exactly when the fiber
-    factors do.  A mismatch raises NotDivisible.  The product itself is
-    (E t^up - E t^down) / (1-t^2), up = 2d+2g+4j+2 and down = -2d-2j-2: two shifted copies of
-    E's coefficient list in one list, divided by one prefix pass whose top two entries must be 0.
-    """
-    _require_genus(g)
-    _chamber_index_range(j, d, "j")
-    rank_plus, rank_minus = -d - j - 1, d + g + 2 * j + 1
-    even_factor = _shared_factor(rank_plus, g)
-    up, down = 2 * d + 2 * g + 4 * j + 2, -2 * d - 2 * j - 2
-    if not _fiber_identity_holds(up, down, rank_plus, rank_minus):
-        formula, bundle = _fiber_factors(up, down, rank_plus, rank_minus)
-        raise NotDivisible(f"flip difference routes disagree at j={j}, d={d}, g={g}: "
-                           f"formula={formula * even_factor}, bundle={bundle * even_factor}")
-    ef, lo = even_factor._coeffs, min(up, down)  # t^up E - t^down E as one list
-    n = len(ef)
-    terms = [0] * (abs(up - down) + n)
-    terms[up - lo:up - lo + n] = ef
-    terms[down - lo:down - lo + n] = map(sub, terms[down - lo:down - lo + n], ef)
-    for e in range(2, len(terms)):  # divided by 1 - t^2 in place
-        terms[e] += terms[e - 2]
-    if terms[-1] or terms[-2]:
-        raise NotDivisible(f"nonzero remainder in the recursive route at (j={j}, d={d}, g={g})")
-    return LaurentPoly._from_coeffs(lo + even_factor._val, terms)  # its top two entries are the zeros just checked
+    factors do.  A mismatch raises NotDivisible.  The product itself is built by _flip_terms."""
+    return LaurentPoly._from_coeffs(*_flip_terms(j, d, g))
 
 
 def terminal_poincare(d: int, g: int) -> LaurentPoly:
     """Last chamber: a projective bundle with fiber P^(-d+g-2) over the
-    degree-0 Picard torus, so (1+t)^(2g) times proj_space_poincare(-d+g-2)."""
+    degree-0 Picard torus, so (1+t)^(2g) times 1 + t^2 + ... + t^(2(-d+g-2))."""
     moduli_dim(d, g)  # rejects (d, g)
-    return _one_plus_t_pow(2 * g) * proj_space_poincare(-d + g - 2)
+    return LaurentPoly._from_coeffs(0, _times_proj_space(_one_plus_t_pow(2 * g)._coeffs, -d + g - 2))
 
 
 def _recursive_chain(i: int, d: int, g: int) -> Dict[int, LaurentPoly]:
     """Chamber polynomials for k from the top chamber hi = -d-1 down to i,
     each the chamber above minus the flip difference at k: one top-down pass
     of the telescoping sum, whose top term reproduces the terminal chamber
-    with its sign."""
+    with its sign, subtracted into one running list from t^0."""
     _require_genus(g)
     _, hi = _chamber_index_range(i, d)
-    chain, above = {}, LaurentPoly.zero()
+    chain, above = {}, []
     for k in range(hi, i - 1, -1):
-        above = chain[k] = above - flip_difference(k, d, g)
-        if not above.is_polynomial():
-            raise ConsistencyFailure(f"negative exponent in the recursive route at (i={k}, d={d}, g={g}): {above}")
+        lo, terms = _flip_terms(k, d, g)
+        if lo < 0 and any(terms[:-lo]):
+            above_k = LaurentPoly._from_coeffs(0, above) - LaurentPoly._from_coeffs(lo, terms)
+            raise ConsistencyFailure(f"negative exponent in the recursive route at (i={k}, d={d}, g={g}): {above_k}")
+        if lo < 0:
+            lo, terms = 0, terms[-lo:]
+        end = lo + len(terms) - 2  # the top two entries of terms are zeros
+        above += [0] * (end - len(above))
+        above[lo:end] = map(sub, above[lo:end], terms)
+        chain[k] = LaurentPoly._from_coeffs(0, above)
     return chain
 
 
@@ -134,18 +156,22 @@ def fm_poincare_recursive(i: int, d: int, g: int) -> LaurentPoly:
 
 
 def _e_times_f(k: int, g: int) -> List[int]:
-    """(1+t)^(2g) f_k as a coefficient list from t^0, read off the cached B
-    lists: t^(2k) times it is (1+t)^(2g) (B_k - B_(k-1))."""
+    """(1+t)^(2g) f_k from t^0, read off the cached B lists: t^(2k) times it is (1+t)^(2g)
+    (B_k - B_(k-1)), and a step-2 difference of a divided list gives back its numerator."""
     if k < 0:
         return []
     b, below = _closed_lists(k, g)[1], _closed_lists(k - 1, g)[1] if k else []
-    return [c - below[e] if e < len(below) else c for e, c in enumerate(b[2 * k:], 2 * k)]
+    f = list(map(sub, b[2 * k:], b[2 * k - 2:] if k else [0, 0] + b))  # (1+t)^(2g) B_k from t^(2k)
+    below = list(map(sub, below[2 * k:], below[2 * k - 2:]))  # (1+t)^(2g) B_(k-1) from t^(2k)
+    f[:len(below)] = map(sub, f, below)
+    return f
 
 
 @lru_cache(maxsize=None)
 def _closed_lists(n: int, g: int) -> Tuple[List[int], List[int]]:
-    """(1+t)^(2g) A_n and (1+t)^(2g) B_n as coefficient lists from t^0,
-    both of length 4n + 2g + 1, where
+    """(1+t)^(2g) A_n / (1 - t^2) and (1+t)^(2g) B_n / (1 - t^2) as power
+    series from t^0, truncated at their numerators' 4n + 2g + 1 terms (past
+    that each repeats its last two entries), where
     A_n = f_n + t^4 A_(n-1) and B_n = B_(n-1) + t^(2n) f_n
     and f_k is the x^k coefficient of Macdonald's series
     (1+xt)^(2g) / ((1-x)(1-x t^2)) for the symmetric products, from the
@@ -154,21 +180,20 @@ def _closed_lists(n: int, g: int) -> Tuple[List[int], List[int]]:
     Nothing else is kept: f is read back off the B lists.  Call it with n
     rising, so that the entries at n-1, n-2 and n-3 are already cached."""
     top = 4 * n + 2 * g + 1
-    ef = [0] * (2 * n + 2 * g + 1)  # (1+t)^(2g) f_n
-    for e in range(2 * g + 1):
-        ef[n + e] = comb(2 * g, n) * comb(2 * g, e)
-    for e, x in enumerate(_e_times_f(n - 1, g)):
-        ef[e] += x
-        ef[e + 2] += x
-    for e, x in enumerate(_e_times_f(n - 2, g)):
-        ef[e + 2] -= x
-    a_below, b_below = _closed_lists(n - 1, g) if n else ([], [])
-    a = ef + [0] * (top - len(ef))
-    for e, x in enumerate(a_below):
-        a[e + 4] += x
-    b = b_below + [0] * (top - len(b_below))
-    for e, x in enumerate(ef, 2 * n):
-        b[e] += x
+    ef = [0] * top  # (1+t)^(2g) f_n, then divided by 1 - t^2
+    ef[n:n + 2 * g + 1] = [comb(2 * g, n) * comb(2 * g, e) for e in range(2 * g + 1)]
+    f1, f2 = _e_times_f(n - 1, g), _e_times_f(n - 2, g)
+    ef[:len(f1)] = map(add, ef, f1)
+    ef[2:len(f1) + 2] = map(add, ef[2:len(f1) + 2], f1)
+    ef[2:len(f2) + 2] = map(sub, ef[2:len(f2) + 2], f2)
+    for r in (0, 1):
+        ef[r::2] = accumulate(ef[r::2])
+    if not n:
+        return ef, ef[:]
+    a_below, b_below = _closed_lists(n - 1, g)
+    a = ef[:4] + list(map(add, ef[4:], a_below))
+    b = b_below + [0, *b_below[-2:]][-2:] * 2  # carried on by its last two entries, a zero before a lone one
+    b[2 * n:] = map(add, b[2 * n:], ef)
     return a, b
 
 
@@ -181,11 +206,11 @@ def fm_poincare_closed(i: int, d: int, g: int) -> LaurentPoly:
     coefficient of Macdonald's series that coefficient is t^s A_n - B_n,
     s = 2d+2g+4i+2, for A_n = sum over m of t^(4m) f_(n-m) and
     B_n = sum over k of t^(2k) f_k (see _closed_lists).  With
-    (1+t)^(2g) A_n and (1+t)^(2g) B_n cached as integer lists by (n, g), the
-    chamber is one shifted subtraction and one prefix-sum division by
-    1 - t^2, in plain integers: this route shares no polynomial arithmetic
-    with the recursive one.  A negative shift raises ConsistencyFailure and
-    a nonzero remainder NotDivisible, both naming (i, d, g).
+    (1+t)^(2g) A_n and (1+t)^(2g) B_n / (1 - t^2) cached by (n, g) as integer
+    lists, the chamber is one shifted subtraction, B's list carried on by its
+    last two entries: this route shares no polynomial arithmetic with the
+    recursive one.  A negative shift raises ConsistencyFailure and a nonzero
+    remainder, the top two entries, NotDivisible, both naming (i, d, g).
     """
     _require_genus(g)
     _chamber_index_range(i, d)
@@ -195,11 +220,8 @@ def fm_poincare_closed(i: int, d: int, g: int) -> LaurentPoly:
     for k in range(n):  # bottom-up, so no deep recursion
         _closed_lists(k, g)
     a, b = _closed_lists(n, g)
-    q = b + [0] * shift  # (1+t)^(2g) (B_n - t^shift A_n), then divided by 1 - t^2
-    for e, x in enumerate(a, shift):
-        q[e] -= x
-    for e in range(2, len(q)):
-        q[e] += q[e - 2]
+    q = b + (b[-2:] * (shift // 2 + 1))[:shift]  # (1+t)^(2g) (B_n - t^shift A_n) / (1 - t^2)
+    q[shift:] = map(sub, q[shift:], a)
     if q[-1] or q[-2]:
         raise NotDivisible(f"nonzero remainder in the closed route at (i={i}, d={d}, g={g})")
     return LaurentPoly._from_coeffs(0, q)  # its top two entries are the zeros just checked
@@ -218,7 +240,7 @@ def u2d_poincare(g: int) -> LaurentPoly:
     """Poincare polynomial of the rank-2 odd-degree bundle moduli space:
     (1+t)^(2g) ((1+t^3)^(2g) - t^(2g) (1+t)^(2g)) / ((1-t^2)(1-t^4))."""
     _require_genus(g)
-    return lp_div_exact(_bundle_numerator(g), _ONE_MINUS_T2 * LaurentPoly({0: 1, 4: -1}))
+    return lp_div_one_minus_t_pow(lp_div_one_minus_t_pow(_bundle_numerator(g), 2), 4)
 
 
 def u2d_from_bundle(g: int, d: int) -> LaurentPoly:
@@ -228,9 +250,12 @@ def u2d_from_bundle(g: int, d: int) -> LaurentPoly:
     lo, _ = fm_index_range(d)
     if d % 2 == 0 or -d <= 4 * g - 4:
         raise InvalidInput(f"d: the bundle route needs odd d with -d > 4g - 4, got d={d}, g={g}")
-    fm = fm_poincare_closed(lo, d, g)
-    fiber_exp = 2 * (-d - 2 * g + 2)
-    return lp_div_exact(fm * _ONE_MINUS_T2, LaurentPoly({0: 1, fiber_exp: -1}))
+    return _bundle_quotient(fm_poincare_closed(lo, d, g), d, g)
+
+
+def _bundle_quotient(lowest: LaurentPoly, d: int, g: int) -> LaurentPoly:
+    """The lowest chamber's polynomial over P^(-d-2g+1) (u2d_from_bundle checks d, g)."""
+    return lp_div_one_minus_t_pow(lowest * _ONE_MINUS_T2, 2 * (-d - 2 * g + 2))
 
 
 @lru_cache(maxsize=None)
@@ -239,7 +264,7 @@ def mcon_poincare(g: int) -> LaurentPoly:
     factor as the bundle moduli polynomial times 1 + t^2, the shadow of a
     line of endomorphism directions over each stable point."""
     _require_genus(g)
-    result = lp_div_exact(_bundle_numerator(g), _ONE_MINUS_T2 * _ONE_MINUS_T2)
+    result = lp_div_one_minus_t_pow(lp_div_one_minus_t_pow(_bundle_numerator(g), 2), 2)
     expected = u2d_poincare(g) * LaurentPoly({0: 1, 2: 1})
     if result != expected:
         raise NotDivisible(f"constrained moduli polynomial fails the fiber identity at g={g}")
@@ -249,10 +274,11 @@ def mcon_poincare(g: int) -> LaurentPoly:
 def _blowup_delta(next_to_last: LaurentPoly, terminal: LaurentPoly, d: int, g: int) -> LaurentPoly:
     """Difference between the next-to-last chamber polynomial and the blow-up
     prediction: terminal + (Pic x curve) * (proj space of the codimension
-    minus one, less a point).  Zero when the identity holds."""
+    minus one, less a point).  Zero when the identity holds.  With
+    c = -d+g-3 >= 2 for d <= -3, that last factor P^(c-1) - 1 is t^2 P^(c-2)."""
     c = -d + g - 3
     center = _one_plus_t_pow(2 * g) * LaurentPoly({0: 1, 1: 2 * g, 2: 1})
-    return next_to_last - terminal - center * (proj_space_poincare(c - 1) - LaurentPoly.one())
+    return next_to_last - terminal - LaurentPoly._from_coeffs(2, _times_proj_space(center._coeffs, c - 2))
 
 
 def blowup_delta(d: int, g: int) -> LaurentPoly:
@@ -357,10 +383,11 @@ REPORT_INVARIANTS = (
 
 
 def _chamber_betti(i: int, p_rec: LaurentPoly, p_clo: LaurentPoly) -> ChamberBetti:
-    """A chamber's record, every flag read off its two polynomials."""
-    return ChamberBetti(i=i, p_recursive=p_rec, p_closed=p_clo, agree=p_rec == p_clo, degree=p_rec.degree(),
-                        palindromic=p_rec.is_palindromic(), nonneg=p_rec.has_nonneg_coeffs(),
-                        constant_term=p_rec.coeff(0))
+    """A chamber's record, its flags read off its polynomials, one kept for both when they agree."""
+    agree = p_rec == p_clo
+    return ChamberBetti(i=i, p_recursive=p_rec, p_closed=p_rec if agree else p_clo, agree=agree,
+                        degree=p_rec.degree(), palindromic=p_rec.is_palindromic(),
+                        nonneg=p_rec.has_nonneg_coeffs(), constant_term=p_rec.coeff(0))
 
 
 def build_betti_report(d: int, g: int, only_chamber: Optional[int] = None) -> BettiReport:
@@ -372,21 +399,13 @@ def build_betti_report(d: int, g: int, only_chamber: Optional[int] = None) -> Be
     terminal = terminal_poincare(d, g)
     chain = _recursive_chain(min(lo, -d - 2) if d <= -3 else lo, d, g)  # the blow-up check reads -d-2
     chambers = tuple(_chamber_betti(i, chain[i], fm_poincare_closed(i, d, g)) for i in range(lo, hi + 1))
-    via = None
-    agree = None
-    if d % 2 != 0 and -d > 4 * g - 4:
-        via = u2d_from_bundle(g, d)
+    via = agree = None
+    if d % 2 != 0 and -d > 4 * g - 4:  # the report's own lowest chamber, if it holds it
+        via = _bundle_quotient(chambers[0].p_closed, d, g) if lo == fm_index_range(d)[0] else u2d_from_bundle(g, d)
         agree = via == u2d_poincare(g)
-    return BettiReport(
-        d=d,
-        g=g,
-        moduli_dim=dim,
-        chambers=chambers,
-        u2d=U2dReport(closed=u2d_poincare(g), via_bundle=via, agree=agree),
-        mcon=mcon_poincare(g),
-        terminal=terminal,
-        blowup_check=_blowup_delta(chain[-d - 2], terminal, d, g).is_zero() if d <= -3 else None,
-    )
+    return BettiReport(d=d, g=g, moduli_dim=dim, chambers=chambers, terminal=terminal, mcon=mcon_poincare(g),
+                       u2d=U2dReport(closed=u2d_poincare(g), via_bundle=via, agree=agree),
+                       blowup_check=_blowup_delta(chain[-d - 2], terminal, d, g).is_zero() if d <= -3 else None)
 
 
 def report_to_json_obj(r: BettiReport) -> dict:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import accumulate
 from operator import add, sub
 from typing import Dict, Iterable, Iterator, Sequence, Tuple, Union
 
@@ -221,7 +222,7 @@ class LaurentPoly:
         if type(n) is not int:
             raise TypeError(f"exponent must be an int, got {n!r}")
         if n < 0:
-            raise ValueError("negative powers are not defined; use lp_div_exact")
+            raise ValueError("negative powers are not defined; use lp_div_one_minus_t_pow")
         result = LaurentPoly.one()
         base = self
         while n:
@@ -273,40 +274,20 @@ class LaurentPoly:
         return "{" + inner + '"terms": [' + row + ("," + row).join(terms) + inner + "]" + indent + "}"
 
 
-def lp_div_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    """Exact division in the Laurent polynomial ring over the integers.
-
-    Integer long division from the top degree down: each quotient
-    coefficient is a divmod by the divisor's leading coefficient, or a
-    product when that is +-1 as in every divisor the Betti routes use, and
-    only the divisor's nonzero lower terms are subtracted.  A nonzero
-    remainder there, or anything left below the divisor's degree, raises
-    NotDivisible.
-    """
-    if den.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if num.is_zero():
-        return LaurentPoly.zero()
-    m = len(den._coeffs) - 1
-    dlead = den._coeffs[m]
-    unit = dlead in (1, -1)
-    lower = [(e, c) for e, c in enumerate(den._coeffs[:m]) if c]
-    rem = list(num._coeffs)
-    q = [0] * max(len(rem) - m, 0)
-    for k in range(len(rem) - m - 1, -1, -1):
-        if unit:
-            c = rem[k + m] * dlead
-        else:
-            c, r = divmod(rem[k + m], dlead)
-            if r:
-                raise NotDivisible(f"({num}) is not divisible by ({den})")
-        if c:
-            q[k] = c
-            for e, dc in lower:
-                rem[k + e] -= c * dc
-    if any(rem[:m]):
-        raise NotDivisible(f"({num}) is not divisible by ({den})")
-    return LaurentPoly._from_coeffs(num._val - den._val, q)
+def lp_div_one_minus_t_pow(num: LaurentPoly, k: int) -> LaurentPoly:
+    """Exact quotient num / (1 - t^k) for an int k >= 1, the kernel of every
+    divisor the Betti routes use: one step-k prefix pass, q[e] = num[e] +
+    q[e-k], run as one running sum per residue class of the exponent mod k.
+    Its top k entries are the remainder and must be zero, or NotDivisible is
+    raised; the entries below them are the quotient, at num's valuation."""
+    if type(k) is not int or k < 1:
+        raise ValueError(f"k must be a positive int, got {k!r}")
+    q = list(num._coeffs)
+    for r in range(min(k, len(q))):
+        q[r::k] = accumulate(q[r::k])
+    if any(q[-k:]):
+        raise NotDivisible(f"({num}) is not divisible by ({LaurentPoly({0: 1, k: -1})})")
+    return LaurentPoly._from_coeffs(num._val, q[:-k])
 
 
 class TruncatedBiSeries:

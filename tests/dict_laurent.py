@@ -1,8 +1,8 @@
 """The sparse, dict-backed Laurent polynomial that flipchain.exactpoly
 used before its dense storage, kept as the differential oracle for
-LaurentPoly and lp_div_exact (see test_laurent_oracle.py).  It raises the
-library's own NotDivisible, so the two can be compared exception for
-exception."""
+LaurentPoly and its division by 1 - t^k (see test_laurent_oracle.py).  It
+raises the library's own NotDivisible, so the two can be compared
+exception for exception."""
 
 from __future__ import annotations
 
@@ -161,7 +161,7 @@ class DictLaurentPoly:
 
     def __pow__(self, n: int) -> "DictLaurentPoly":
         if n < 0:
-            raise ValueError("negative powers are not defined; use lp_div_exact")
+            raise ValueError("negative powers are not defined; use lp_div_one_minus_t_pow")
         result = DictLaurentPoly.one()
         base = self
         while n:

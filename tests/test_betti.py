@@ -12,6 +12,7 @@ from math import comb
 
 import pytest
 
+from dict_laurent import DictLaurentPoly, dict_div_exact
 from flipchain import betti, cli
 from flipchain.betti import (
     CHAMBER_INVARIANTS,
@@ -32,7 +33,7 @@ from flipchain.betti import (
     u2d_poincare,
 )
 from flipchain.chambers import InvalidInput, fm_index_range, moduli_dim
-from flipchain.exactpoly import ConsistencyFailure, LaurentPoly, NotDivisible, TruncatedBiSeries, lp_div_exact
+from flipchain.exactpoly import ConsistencyFailure, LaurentPoly, NotDivisible, TruncatedBiSeries
 
 ONE_PLUS_T = LaurentPoly({0: 1, 1: 1})
 
@@ -157,14 +158,16 @@ def macdonald_series(g, order):
 
 def test_explicit_sum_and_recurrence_match_the_generating_function():
     # the list recurrence keeps (1+t)^(2g) f_k, so all three are compared
-    # times (1+t)^(2g), which is nonzero: Z[t] has no zero divisors
+    # times (1+t)^(2g), which is nonzero: Z[t] has no zero divisors; the cached
+    # A list is divided by 1 - t^2, and a step-2 difference undoes that
     for g in range(7):
         series, shared = macdonald_series(g, 15), ONE_PLUS_T ** (2 * g)
         a_below = LaurentPoly.zero()
         for k in range(16):
             listed = LaurentPoly(enumerate(betti._e_times_f(k, g)))
             assert listed == shared * sym_product_poincare(k, g) == shared * series.coeff_x(k), (k, g)
-            a = LaurentPoly(enumerate(betti._closed_lists(k, g)[0]))
+            divided = betti._closed_lists(k, g)[0]
+            a = LaurentPoly(enumerate(x - y for x, y in zip(divided, [0, 0] + divided)))
             assert a - LaurentPoly.monomial(4) * a_below == listed, (k, g)  # A_k = f_k + t^4 A_(k-1)
             a_below = a
 
@@ -198,7 +201,7 @@ def test_recursive_route_at_a_large_degree_needs_no_deep_recursion():
 
 def test_only_the_caches_keyed_by_genus_remain_and_stay_small():
     assert sorted(f.__name__ for f in _betti_caches()) == [
-        "_bundle_numerator", "_closed_lists", "_fiber_identity_holds", "_shared_factor", "mcon_poincare",
+        "_bundle_numerator", "_closed_lists", "_divided_shared_factor", "_fiber_identity_holds", "mcon_poincare",
         "u2d_poincare"]
     for cache in _betti_caches():
         cache.cache_clear()
@@ -220,7 +223,8 @@ def test_flip_difference_is_the_product_of_the_bundle_and_shared_factors():
     for j, d, g in cells:
         rank_plus, rank_minus = -d - j - 1, d + g + 2 * j + 1
         bundle = proj_space_poincare(rank_plus - 1) - proj_space_poincare(rank_minus - 1)
-        assert flip_difference(j, d, g) == bundle * betti._shared_factor(rank_plus, g), (j, d, g)
+        shared = ONE_PLUS_T ** (2 * g) * sym_product_poincare(rank_plus, g)  # E(n, g)
+        assert flip_difference(j, d, g) == bundle * shared, (j, d, g)
 
 
 def test_betti_json_output_is_unchanged():
@@ -237,7 +241,7 @@ def test_betti_json_output_is_unchanged():
 
 
 def test_each_fiber_identity_is_checked_once_per_key(monkeypatch):
-    counts = {"_fiber_factors": 0, "flip_difference": 0}
+    counts = {"_fiber_factors": 0, "_flip_terms": 0}
     for name in counts:
         def counted(*args, _route=getattr(betti, name), _name=name):
             counts[_name] += 1
@@ -248,7 +252,7 @@ def test_each_fiber_identity_is_checked_once_per_key(monkeypatch):
     for g in range(2, 6):
         for d in range(-1, -33, -1):
             build_betti_report(d, g)
-    assert counts == {"_fiber_factors": 320, "flip_difference": 1088}
+    assert counts == {"_fiber_factors": 320, "_flip_terms": 1088}
     assert betti._fiber_identity_holds.cache_info().currsize == 320
 
 
@@ -282,6 +286,22 @@ def test_recursive_route_raises_on_a_nonzero_remainder(monkeypatch):
         flip_difference(2, -5, 2)
 
 
+def test_recursive_route_raises_on_a_nonzero_term_below_t0(monkeypatch):
+    expected = fm_poincare_recursive(2, -5, 2)
+    flip_terms = betti._flip_terms
+
+    def moved(j, d, g):  # j = 4: the same polynomial with two zeros below t^0; j = 3: moved down by 3
+        lo, terms = flip_terms(j, d, g)
+        return (lo - 2, [0, 0] + terms) if j == 4 else (lo - 3 if j == 3 else lo, terms)
+
+    monkeypatch.setattr(betti, "_flip_terms", moved)
+    assert fm_poincare_recursive(4, -5, 2) == terminal_poincare(-5, 2)
+    with pytest.raises(ConsistencyFailure, match=r"^negative exponent in the recursive route at \(i=3, d=-5, g=2\): "):
+        fm_poincare_recursive(2, -5, 2)
+    monkeypatch.undo()
+    assert fm_poincare_recursive(2, -5, 2) == expected
+
+
 def _raises(*args, **kwargs):
     raise AssertionError("the closed route used polynomial arithmetic")
 
@@ -292,7 +312,8 @@ def test_closed_route_shares_no_arithmetic_with_the_recursive_route(monkeypatch)
     expected = [fm_poincare_closed(*cell) for cell in cells]
     for name in ("__add__", "__sub__", "__neg__", "__mul__", "__pow__", "_combine"):
         monkeypatch.setattr(LaurentPoly, name, _raises)
-    monkeypatch.setattr(betti, "lp_div_exact", _raises)
+    monkeypatch.setattr(betti, "lp_div_one_minus_t_pow", _raises)
+    monkeypatch.setattr(betti, "_times_proj_space", _raises)
     for cache in _betti_caches():
         cache.cache_clear()
     assert [fm_poincare_closed(*cell) for cell in cells] == expected
@@ -331,7 +352,7 @@ def test_closed_route_raises_on_a_nonzero_remainder():
         cache.cache_clear()
     try:
         fm_poincare_closed(6, -12, 3)
-        betti._closed_lists(5, 3)[1][4] += 1  # corrupt (1+t)^(2g) B_5, which chamber 6 of d = -12 reads
+        betti._closed_lists(5, 3)[1][-1] += 1  # corrupt (1+t)^(2g) B_5 / (1 - t^2), which chamber 6 of d = -12 reads
         with pytest.raises(ConsistencyFailure, match=r"^nonzero remainder in the closed route at \(i=6, d=-12, g=3\)$"):
             fm_poincare_closed(6, -12, 3)
     finally:
@@ -342,13 +363,34 @@ def test_closed_route_raises_on_a_nonzero_remainder():
 def test_a_report_takes_each_flip_difference_once(monkeypatch):
     calls = []
 
-    def counted(j, d, g):
+    def counted(j, d, g, _flip_terms=betti._flip_terms):
         calls.append(j)
-        return flip_difference(j, d, g)
+        return _flip_terms(j, d, g)
 
-    monkeypatch.setattr(betti, "flip_difference", counted)
+    monkeypatch.setattr(betti, "_flip_terms", counted)
     report = build_betti_report(-9, 3)
     assert sorted(calls) == [ch.i for ch in report.chambers]
+
+
+@pytest.mark.parametrize("only_chamber, closed_calls", [(None, 5), (4, 1), (6, 2)])
+def test_a_report_takes_the_lowest_closed_chamber_once(monkeypatch, only_chamber, closed_calls):
+    # d = -9 is odd with -d > 4g - 4, so the report divides its lowest chamber, 4, by the bundle's fiber;
+    # a report that does not hold chamber 4 computes it
+    calls = []
+
+    def counted(i, d, g, _closed=fm_poincare_closed):
+        calls.append(i)
+        return _closed(i, d, g)
+
+    monkeypatch.setattr(betti, "fm_poincare_closed", counted)
+    report = build_betti_report(-9, 2, only_chamber)
+    assert len(calls) == closed_calls and calls.count(4) == 1
+    assert report.u2d.via_bundle == u2d_poincare(2) and report.u2d.agree is True
+
+
+def test_an_agreeing_chamber_keeps_one_polynomial():
+    report = build_betti_report(-9, 3)
+    assert all(ch.agree and ch.p_closed is ch.p_recursive for ch in report.chambers)
 
 
 @pytest.mark.parametrize("route", [fm_poincare_closed, fm_poincare_recursive, flip_difference])
@@ -376,10 +418,11 @@ def test_specialization_at_one_matches_telescoping():
 
 
 def test_u2d_g2_exact():
-    factor = lp_div_exact(
-        LaurentPoly({0: 1, 3: 1}) ** 4 - LaurentPoly.monomial(4) * ONE_PLUS_T ** 4,
-        LaurentPoly({0: 1, 2: -1}) * LaurentPoly({0: 1, 4: -1}),
-    )
+    # the factor by the dict-backed oracle's long division, which shares no code with the library's
+    factor = LaurentPoly(dict_div_exact(
+        DictLaurentPoly({0: 1, 3: 1}) ** 4 - DictLaurentPoly.monomial(4) * DictLaurentPoly({0: 1, 1: 1}) ** 4,
+        DictLaurentPoly({0: 1, 2: -1}) * DictLaurentPoly({0: 1, 4: -1}),
+    ).items())
     assert [factor.coeff(k) for k in range(7)] == [1, 0, 1, 4, 1, 0, 1]
     assert u2d_poincare(2) == ONE_PLUS_T ** 4 * factor
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flipchain.exactpoly import LaurentPoly, NotDivisible, TruncatedBiSeries, lp_div_exact
+from flipchain.exactpoly import LaurentPoly, NotDivisible, TruncatedBiSeries, lp_div_one_minus_t_pow
 
 ONE = LaurentPoly.one()
 T = LaurentPoly.monomial(1)
@@ -85,44 +85,35 @@ def test_evaluation_at_one():
 
 
 def test_geometric_factor_division():
-    num = poly({0: 1, 6: -1})
-    den = poly({0: 1, 2: -1})
-    assert lp_div_exact(num, den) == poly({0: 1, 2: 1, 4: 1})
+    assert lp_div_one_minus_t_pow(poly({0: 1, 6: -1}), 2) == poly({0: 1, 2: 1, 4: 1})
 
 
 def test_identity_division():
-    den = poly({0: 1, 2: -1})
-    assert lp_div_exact(den, den) == ONE
+    assert lp_div_one_minus_t_pow(poly({0: 1, 2: -1}), 2) == ONE
 
 
 def test_division_oracle_by_multiplication():
     # ((1+t)^4 (1-t^4)) / (1-t^2) compared against the product route
-    lhs = lp_div_exact(poly({0: 1, 1: 1}) ** 4 * poly({0: 1, 4: -1}), poly({0: 1, 2: -1}))
+    lhs = lp_div_one_minus_t_pow(poly({0: 1, 1: 1}) ** 4 * poly({0: 1, 4: -1}), 2)
     rhs = poly({0: 1, 1: 1}) ** 4 * poly({0: 1, 2: 1})
     assert lhs == rhs
 
 
 def test_not_divisible():
+    with pytest.raises(NotDivisible, match=r"^\(1 \+ t\) is not divisible by \(1 - t\^2\)$"):
+        lp_div_one_minus_t_pow(poly({0: 1, 1: 1}), 2)
     with pytest.raises(NotDivisible):
-        lp_div_exact(poly({0: 1, 1: 1}), poly({0: 1, 2: -1}))
-    with pytest.raises(NotDivisible):
-        lp_div_exact(poly({0: 3}), poly({0: 2}))
-    with pytest.raises(ZeroDivisionError):
-        lp_div_exact(ONE, LaurentPoly.zero())
-
-
-def test_integer_division_by_a_non_unit_leading_coefficient():
-    den = poly({0: 3, 1: 5})
-    assert lp_div_exact(poly({0: 1, 1: 2}) * den, den) == poly({0: 1, 1: 2})
-    with pytest.raises(NotDivisible):
-        lp_div_exact(poly({0: 1, 1: 2}), den)
+        lp_div_one_minus_t_pow(poly({0: 1, 3: -1}), 4)  # a span shorter than k
+    for k in (0, -2, True, 2.0):
+        with pytest.raises(ValueError, match="^k must be a positive int"):
+            lp_div_one_minus_t_pow(ONE, k)
 
 
 def test_laurent_division_with_shifts():
     num = LaurentPoly.monomial(-3) * poly({0: 1, 4: -1})
-    den = LaurentPoly.monomial(2) * poly({0: 1, 2: -1})
-    q = lp_div_exact(num, den)
-    assert q * den == num
+    q = lp_div_one_minus_t_pow(num, 2)
+    assert q * poly({0: 1, 2: -1}) == num
+    assert q == poly({-3: 1, -1: 1})
 
 
 # -- geometric kernels and series --------------------------------------------
@@ -180,7 +171,6 @@ def test_json_round_trip_and_layout():
 
 terms_st = st.dictionaries(st.integers(-6, 6), st.integers(-50, 50), max_size=6)
 poly_st = terms_st.map(LaurentPoly)
-nonzero_poly_st = poly_st.filter(lambda p: not p.is_zero())
 
 
 @settings(derandomize=True, deadline=None)
@@ -194,9 +184,9 @@ def test_ring_axioms(a, b, c):
 
 
 @settings(derandomize=True, deadline=None)
-@given(poly_st, nonzero_poly_st)
-def test_exact_division_round_trip(a, b):
-    assert lp_div_exact(a * b, b) == a
+@given(poly_st, st.integers(1, 8))
+def test_exact_division_round_trip(a, k):
+    assert lp_div_one_minus_t_pow(a * poly({0: 1, k: -1}), k) == a
 
 
 @settings(derandomize=True, deadline=None, max_examples=50)

@@ -1,7 +1,9 @@
-"""Differential test of the dense LaurentPoly and lp_div_exact against the
-sparse dict class they replaced (dict_laurent.py): every public operation,
-on small dense inputs, on sparse t^a - t^b inputs with spans up to 600 (the
-shape of the flip numerators at |d| = 150) and on palindromes."""
+"""Differential test of the dense LaurentPoly, its division by 1 - t^k and
+the Betti layer's product by a projective space's polynomial against the
+sparse dict class the dense one replaced (dict_laurent.py) and its long
+division: every public operation, on small dense inputs, on sparse t^a - t^b
+inputs with spans up to 600 (the shape of the flip numerators at
+|d| = 150) and on palindromes."""
 
 from fractions import Fraction
 
@@ -10,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dict_laurent import DictLaurentPoly, dict_div_exact
-from flipchain.exactpoly import LaurentPoly, lp_div_exact
+from flipchain.betti import _times_proj_space
+from flipchain.exactpoly import LaurentPoly, NotDivisible, lp_div_one_minus_t_pow
 
 coeffs = st.integers(-20, 20) | st.integers(-10**30, 10**30)
 small_pairs = st.lists(st.tuples(st.integers(-8, 8), coeffs), max_size=8)
@@ -120,35 +123,53 @@ def test_powers(pairs, n):
     assert_same_outcome(outcome(pow, a, n), outcome(pow, ra, n))
 
 
+def kernel(k):
+    """1 - t^k on both sides."""
+    return both([(0, 1), (k, -1)])
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(pairs_st, short_pairs, st.booleans())
-def test_exact_division_and_its_failures(a_pairs, b_pairs, exact):
-    (a, ra), (b, rb) = both(a_pairs), both(b_pairs)
-    num, rnum = (a * b, ra * rb) if exact else (a, ra)
-    got, want = outcome(lp_div_exact, num, b), outcome(dict_div_exact, rnum, rb)
-    assert_same_outcome(got, want)
-    if exact and b:
+@given(pairs_st, st.integers(1, 8), st.booleans(), st.integers(-20, 20), st.integers(-5, 5).filter(bool))
+def test_division_by_one_minus_t_pow_and_its_failures(a_pairs, k, exact, e, c):
+    """A numerator a * (1 - t^k) is divided back to a; a perturbed one, or a
+    itself when it is not divisible, raises the same NotDivisible on both sides."""
+    (a, ra), (den, rden) = both(a_pairs), kernel(k)
+    num, rnum = (a * den, ra * rden) if exact else (a, ra)
+    got = outcome(lp_div_one_minus_t_pow, num, k)
+    assert_same_outcome(got, outcome(dict_div_exact, rnum, rden))
+    if exact:
         assert got == a
+    bumped, rbumped = num + LaurentPoly.monomial(e, c), rnum + DictLaurentPoly.monomial(e, c)
+    got = outcome(lp_div_one_minus_t_pow, bumped, k)
+    assert_same_outcome(got, outcome(dict_div_exact, rbumped, rden))
+    if exact:  # a monomial is never a multiple of 1 - t^k
+        assert got[0] is NotDivisible
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
-@given(st.integers(-300, 300), st.integers(-300, 300), st.integers(1, 300), st.sampled_from([1, -1, 2, -2, 3]))
-def test_division_of_sparse_binomials(a, b, k, lead):
-    """(t^a - t^b) / (1 - t^2) and by lead t^k - 1, as in the flip fibers and the bundle route."""
+@given(st.integers(-300, 300), st.integers(-300, 300), st.integers(1, 300))
+def test_division_of_sparse_binomials(a, b, k):
+    """(t^a - t^b) / (1 - t^k), as in the flip fibers (k = 2) and the bundle route."""
     num, rnum = both([(a, 1), (b, -1)])
-    for den_pairs in ([(0, 1), (2, -1)], [(0, -1), (k, lead)]):
-        den, rden = both(den_pairs)
-        assert_same_outcome(outcome(lp_div_exact, num, den), outcome(dict_div_exact, rnum, rden))
+    for k in (2, k):
+        assert_same_outcome(outcome(lp_div_one_minus_t_pow, num, k), outcome(dict_div_exact, rnum, kernel(k)[1]))
 
 
-def test_division_by_zero_and_of_zero():
+def test_division_of_zero():
     zero, rzero = both([])
-    for pairs in ([], [(0, 1)], [(-3, 2), (5, 1)]):
-        p, rp = both(pairs)
-        assert outcome(lp_div_exact, p, zero) == outcome(dict_div_exact, rp, rzero) == (
-            ZeroDivisionError, "division by the zero polynomial")
-        if pairs:
-            assert_same(lp_div_exact(zero, p), dict_div_exact(rzero, rp))
+    for k in range(1, 9):
+        assert_same(lp_div_one_minus_t_pow(zero, k), dict_div_exact(rzero, kernel(k)[1]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(coeffs, max_size=12), st.integers(0, 8) | st.integers(9, 60))
+def test_product_by_a_projective_space(p, m):
+    """_times_proj_space(p, m), one sliding sum, against the oracle's product
+    by 1 + t^2 + ... + t^(2m); zeros at either end of p included."""
+    out = _times_proj_space(p, m)
+    assert len(out) == len(p) + 2 * m
+    proj = DictLaurentPoly({2 * k: 1 for k in range(m + 1)})
+    assert_same(LaurentPoly._from_coeffs(0, out), DictLaurentPoly(enumerate(p)) * proj)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)

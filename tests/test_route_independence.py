@@ -60,16 +60,16 @@ ROUTES = [
     ("recursive and closed chambers",
      lambda: betti.fm_poincare_recursive(-D - 2, D, G), lambda: betti.fm_poincare_closed(-D - 2, D, G),
      INPUT_CHECKS | LIST_TO_POLY),
-    # no lp_div_exact: the terminal chamber is (1+t)^(2g) P^(-d+g-2), not a long division
+    # no division by 1 - t^k: the terminal chamber is (1+t)^(2g) times P^(-d+g-2), one sliding sum
     ("terminal chamber and the recursive chain's top entry",
      lambda: betti.terminal_poincare(D, G), lambda: betti._recursive_chain(-D - 1, D, G),
      {"chambers._require_genus", "chambers._require_int", "chambers.fm_index_range",
-      "betti._one_plus_t_pow", "betti.proj_space_poincare", "exactpoly.LaurentPoly.__mul__"} | LIST_TO_POLY),
+      "betti._one_plus_t_pow"} | LIST_TO_POLY),
     # exact division and products, which test_laurent_oracle checks against a dict-based oracle
     ("bundle moduli and the lowest chamber's fibration quotient",
      lambda: betti.u2d_poincare(G), lambda: betti.u2d_from_bundle(G, -4 * G - 1),
-     {"chambers._require_genus", "chambers._require_int", "exactpoly.LaurentPoly.__init__",
-      "exactpoly.LaurentPoly.__mul__", "exactpoly.LaurentPoly.is_zero", "exactpoly.lp_div_exact"} | LIST_TO_POLY),
+     {"chambers._require_genus", "chambers._require_int", "exactpoly.LaurentPoly.__mul__",
+      "exactpoly.lp_div_one_minus_t_pow"} | LIST_TO_POLY),
     ("suite oracle and suite engine", suite_oracle, suite_engine, set()),
 ]
 
@@ -101,6 +101,6 @@ def test_two_routes_share_only_their_allowed_functions(row, route_a, route_b, al
     assert a & b <= allowed, f"{row} also share {sorted(a & b - allowed)}"
 
 
-def test_the_recursive_chain_calls_lp_div_exact():
-    """So the terminal row rejects an lp_div_exact in terminal_poincare."""
-    assert "exactpoly.lp_div_exact" in flipchain_frames(lambda: betti._recursive_chain(-D - 1, D, G))
+def test_the_recursive_chain_calls_lp_div_one_minus_t_pow():
+    """So the terminal row rejects a division by 1 - t^k in terminal_poincare."""
+    assert "exactpoly.lp_div_one_minus_t_pow" in flipchain_frames(lambda: betti._recursive_chain(-D - 1, D, G))
