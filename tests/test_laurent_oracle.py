@@ -151,8 +151,8 @@ def test_division_by_one_minus_t_pow_and_its_failures(a_pairs, k, exact, e, c):
 def test_division_of_sparse_binomials(a, b, k):
     """(t^a - t^b) / (1 - t^k), as in the flip fibers (k = 2) and the bundle route."""
     num, rnum = both([(a, 1), (b, -1)])
-    for k in (2, k):
-        assert_same_outcome(outcome(lp_div_one_minus_t_pow, num, k), outcome(dict_div_exact, rnum, kernel(k)[1]))
+    for m in (2, k):
+        assert_same_outcome(outcome(lp_div_one_minus_t_pow, num, m), outcome(dict_div_exact, rnum, kernel(m)[1]))
 
 
 def test_division_of_zero():
