@@ -1,14 +1,16 @@
 """Check that every output is as it was: run the 21 untimed benchmark passes
 (betti_sweep at seed 0, verify_all and cli_requests at seeds 0..9) one at a
 time and compare each output digest with perfbench/reference.json, then
-run eight CLI commands and compare the sha256 of each one's whole stdout:
+run nine CLI commands and compare the sha256 of each one's whole stdout:
 `verify-all` with its defaults and at `--seed 1` (the full stability suite,
 where the passes run small ones), three that reach d = -100 where the
 passes stop at d = -32 (`verify-all --grid 8 -100 --models 0` and the printed
 polynomials of `betti --d -100 --json` at g = 2 and g = 8), two JSON
 reports larger than any pass writes (`chambers --d -100 --g 8 --json` and
-`betti --d -40 --g 6 --chamber 25 --json`), and one odd-degree report,
-`betti --d -101 --g 3 --json`, whose bundle route divides by 1 - t^194.
+`betti --d -40 --g 6 --chamber 25 --json`), one odd-degree report,
+`betti --d -101 --g 3 --json`, whose bundle route divides by 1 - t^194, and
+the one text-format report, `betti --d -45 --g 4`, which prints the bundle
+route's `via lowest chamber` and the `terminal blow-up identity` verdicts.
 
     python3 scripts/check_digests.py
 
@@ -33,7 +35,8 @@ PASSES = (("betti_sweep", [0]), ("verify_all", range(10)), ("cli_requests", rang
           ("chambers --d -100 --g 8 --json", ["5a0ee1a39b90514ddbce2c2681d0e77da2bf2b3452223153db1dc5789c853525"]),
           ("betti --d -40 --g 6 --chamber 25 --json",
            ["a10d9c8852c329b34f764abf79975826692446500de5ec3d1bc8095f612d119f"]),
-          ("betti --d -101 --g 3 --json", ["d304191038b6e49a76b5e993843fac955a03795b577bbdbb580ef2d65d9b07f9"]))
+          ("betti --d -101 --g 3 --json", ["d304191038b6e49a76b5e993843fac955a03795b577bbdbb580ef2d65d9b07f9"]),
+          ("betti --d -45 --g 4", ["e29864f62af8c77a2a056921bd67757e094567d5f052dd0760f68cc7a276f2bb"]))
 #: Seconds one pass may take; each takes a few seconds on a 2-core host.
 TIMEOUT_S = 300
 

@@ -8,6 +8,10 @@ differences themselves are checked against a direct projective-bundle
 computation, once per distinct fiber identity in each process.  Every
 divisor is a geometric kernel 1 - t^k, every division an exact prefix pass
 that fails loudly, and both chamber routes cache lists divided once per (n, g).
+What no report keeps runs on integer lists: each flip is subtracted straight
+into the chain's running list, and the fiber verdicts and the blow-up
+difference are list passes.  A LaurentPoly is built only for a value a report
+keeps or prints, or for an error message.
 """
 
 from __future__ import annotations
@@ -16,22 +20,26 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import comb
-from operator import add, eq, sub
+from operator import add, sub
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .chambers import InvalidInput, _checked, fm_index_range, moduli_dim
 from .chambers import _chamber_index_range, _require_equal, _require_genus, _require_int, _to_json
-from .exactpoly import ConsistencyFailure, LaurentPoly, NotDivisible, lp_div_one_minus_t_pow
+from .exactpoly import ConsistencyFailure, LaurentPoly, NotDivisible, _div_one_minus_t_pow, lp_div_one_minus_t_pow
 
-_T = LaurentPoly.monomial
 _ONE_MINUS_T2 = LaurentPoly({0: 1, 2: -1})
 
 
-def _one_plus_t_pow(n: int, step: int = 1) -> LaurentPoly:
-    """(1 + t^step)^n as its binomial row, C(n, k) at exponent step * k."""
+def _one_plus_t_pow(n: int, step: int = 1) -> List[int]:
+    """(1 + t^step)^n as its binomial row from t^0, C(n, k) at exponent step * k."""
     row = [0] * (step * n + 1)
     row[::step] = [comb(n, k) for k in range(n + 1)]
-    return LaurentPoly._from_coeffs(0, row)
+    return row
+
+
+def _even_factor(n: int, g: int) -> LaurentPoly:
+    """E(n, g) = (1+t)^(2g) times Sym^n's polynomial, the flip differences' shared factor."""
+    return LaurentPoly._from_coeffs(0, _one_plus_t_pow(2 * g)) * sym_product_poincare(n, g)
 
 
 def proj_space_poincare(n: int) -> LaurentPoly:
@@ -70,46 +78,63 @@ def sym_product_poincare(n: int, g: int) -> LaurentPoly:
 def _divided_shared_factor(n: int, g: int) -> List[int]:
     """E(n, g) / (1 - t^2) from t^0, E = (1+t)^(2g) times Sym^n's polynomial, which does not depend
     on d, truncated at E's length: past it the series repeats its last two entries."""
-    q = list((_one_plus_t_pow(2 * g) * sym_product_poincare(n, g))._coeffs)  # E's valuation is 0
+    q = list(_even_factor(n, g)._coeffs)  # E's valuation is 0
     for r in (0, 1):
         q[r::2] = accumulate(q[r::2])
     return q
 
 
-def _fiber_factors(up: int, down: int, rank_plus: int, rank_minus: int) -> Tuple[LaurentPoly, LaurentPoly]:
+def _fiber_factors(up: int, down: int, rank_plus: int, rank_minus: int) -> Tuple[int, List[int], List[int]]:
     """Formula route's fiber factor, (t^up - t^down)/(1-t^2) by exact division, and bundle
-    route's, P^(rank W+ - 1) - P^(rank W- - 1) for the projective fibers of the two flip loci."""
-    formula = lp_div_one_minus_t_pow(_T(up) - _T(down), 2)
-    return formula, proj_space_poincare(rank_plus - 1) - proj_space_poincare(rank_minus - 1)
+    route's, P^(rank W+ - 1) - P^(rank W- - 1) for the projective fibers of the two flip loci,
+    as (lo, formula, bundle): two integer lists of one length from t^lo."""
+    plus, minus = proj_space_poincare(rank_plus - 1), proj_space_poincare(rank_minus - 1)
+    lo = min(up, down, plus._val, minus._val)
+    width = max(up - 1, down - 1, plus._val + len(plus._coeffs), minus._val + len(minus._coeffs)) - lo
+    numerator = [0] * (width + 2)  # zeros past t^up and t^down leave the quotient's top zero
+    numerator[up - lo] += 1
+    numerator[down - lo] -= 1
+    bundle = [0] * width
+    for p, op in ((plus, add), (minus, sub)):
+        at = p._val - lo
+        bundle[at:at + len(p._coeffs)] = map(op, bundle[at:at + len(p._coeffs)], p._coeffs)
+    return lo, _div_one_minus_t_pow(lo, numerator, 2), bundle
 
 
 @lru_cache(maxsize=None)
 def _fiber_identity_holds(up: int, down: int, rank_plus: int, rank_minus: int) -> bool:
     """Only the verdict is kept, keyed on all four ints: a wrong exponent still makes a new key
     that the bundle route checks.  An exception from the division is not cached."""
-    return eq(*_fiber_factors(up, down, rank_plus, rank_minus))
+    _, formula, bundle = _fiber_factors(up, down, rank_plus, rank_minus)
+    return formula == bundle
 
 
-def _flip_terms(j: int, d: int, g: int) -> Tuple[int, List[int]]:
-    """flip_difference(j, d, g) as (valuation, coefficients): (E t^up - E t^down) / (1-t^2),
-    up = 2d+2g+4j+2 and down = -2d-2j-2, is t^up Q - t^down Q for the cached Q = E / (1-t^2),
-    two shifted copies of Q, the lower carried past Q's end by Q's last two entries.  The top
-    two entries are the remainder and must be 0."""
-    _require_genus(g)
-    _chamber_index_range(j, d, "j")
+def _subtract_flip(acc: List[int], base: int, j: int, d: int, g: int) -> int:
+    """Subtract flip_difference(j, d, g) from acc, the coefficients of a polynomial from t^base,
+    in place, and return acc's base: lowered, with zeros put in front, if the flip reaches below
+    it.  The flip is t^up Q - t^down Q, up = 2d+2g+4j+2 and down = -2d-2j-2, for the cached
+    Q = E / (1-t^2): two shifted copies of Q, the lower carried past Q's end by Q's last two
+    entries (up - down is even).  The flip's top two entries are the remainder and must leave
+    acc as it was there.  (j, d, g) must be checked."""
     rank_plus, rank_minus = -d - j - 1, d + g + 2 * j + 1
     up, down = 2 * d + 2 * g + 4 * j + 2, -2 * d - 2 * j - 2
     if not _fiber_identity_holds(up, down, rank_plus, rank_minus):
-        formula, bundle = _fiber_factors(up, down, rank_plus, rank_minus)
-        even_factor = _one_plus_t_pow(2 * g) * sym_product_poincare(rank_plus, g)
-        raise NotDivisible(f"flip difference routes disagree at j={j}, d={d}, g={g}: "
-                           f"formula={formula * even_factor}, bundle={bundle * even_factor}")
-    q, s = _divided_shared_factor(rank_plus, g), abs(up - down)
-    lower, higher = q + (q[-2:] * (s // 2 + 1))[:s], [0] * s + q
-    terms = list(map(sub, *((higher, lower) if up > down else (lower, higher))))
-    if terms[-1] or terms[-2]:
+        lo, formula, bundle = _fiber_factors(up, down, rank_plus, rank_minus)
+        formula, bundle = (LaurentPoly._from_coeffs(lo, f) * _even_factor(rank_plus, g) for f in (formula, bundle))
+        raise NotDivisible(f"flip difference routes disagree at j={j}, d={d}, g={g}: formula={formula}, bundle={bundle}")
+    q, lo, s = _divided_shared_factor(rank_plus, g), min(up, down), abs(up - down)
+    if lo < base:
+        acc[:0] = [0] * (base - lo)
+        base = lo
+    at, top = lo - base, lo - base + s + len(q)
+    acc += [0] * (top - len(acc))
+    remainder = acc[top - 2:top]
+    lower, higher = (add, sub) if down < up else (sub, add)  # acc + t^down Q - t^up Q
+    acc[at:top] = map(lower, acc[at:top], q + q[-2:] * (s // 2))
+    acc[at + s:top] = map(higher, acc[at + s:top], q)
+    if acc[top - 2:top] != remainder:
         raise NotDivisible(f"nonzero remainder in the recursive route at (j={j}, d={d}, g={g})")
-    return min(up, down), terms
+    return base
 
 
 def flip_difference(j: int, d: int, g: int) -> LaurentPoly:
@@ -117,35 +142,37 @@ def flip_difference(j: int, d: int, g: int) -> LaurentPoly:
     (_fiber_factors) times the shared factor E(n, g), n = rank W+ = -d-j-1.  The fiber factors
     are compared first, once per distinct key of _fiber_identity_holds in each process: Z[t, 1/t]
     has no zero divisors and E(n, g) is nonzero, so the products agree exactly when the fiber
-    factors do.  A mismatch raises NotDivisible.  The product itself is built by _flip_terms."""
-    return LaurentPoly._from_coeffs(*_flip_terms(j, d, g))
+    factors do.  A mismatch raises NotDivisible.  The product itself is subtracted from a zero
+    list by _subtract_flip, as the recursive chain subtracts it from its running list."""
+    _require_genus(g)
+    _chamber_index_range(j, d, "j")
+    acc = []
+    base = _subtract_flip(acc, 0, j, d, g)
+    return LaurentPoly._from_coeffs(base, [-c for c in acc])
 
 
 def terminal_poincare(d: int, g: int) -> LaurentPoly:
     """Last chamber: a projective bundle with fiber P^(-d+g-2) over the
     degree-0 Picard torus, so (1+t)^(2g) times 1 + t^2 + ... + t^(2(-d+g-2))."""
     moduli_dim(d, g)  # rejects (d, g)
-    return LaurentPoly._from_coeffs(0, _times_proj_space(_one_plus_t_pow(2 * g)._coeffs, -d + g - 2))
+    return LaurentPoly._from_coeffs(0, _times_proj_space(_one_plus_t_pow(2 * g), -d + g - 2))
 
 
 def _recursive_chain(i: int, d: int, g: int) -> Dict[int, LaurentPoly]:
     """Chamber polynomials for k from the top chamber hi = -d-1 down to i,
     each the chamber above minus the flip difference at k: one top-down pass
     of the telescoping sum, whose top term reproduces the terminal chamber
-    with its sign, subtracted into one running list from t^0."""
+    with its sign, each flip subtracted into one running list from t^0."""
     _require_genus(g)
     _, hi = _chamber_index_range(i, d)
     chain, above = {}, []
     for k in range(hi, i - 1, -1):
-        lo, terms = _flip_terms(k, d, g)
-        if lo < 0 and any(terms[:-lo]):
-            above_k = LaurentPoly._from_coeffs(0, above) - LaurentPoly._from_coeffs(lo, terms)
-            raise ConsistencyFailure(f"negative exponent in the recursive route at (i={k}, d={d}, g={g}): {above_k}")
-        if lo < 0:
-            lo, terms = 0, terms[-lo:]
-        end = lo + len(terms) - 2  # the top two entries of terms are zeros
-        above += [0] * (end - len(above))
-        above[lo:end] = map(sub, above[lo:end], terms)
+        base = _subtract_flip(above, 0, k, d, g)
+        if base < 0:
+            if any(above[:-base]):
+                above_k = LaurentPoly._from_coeffs(base, above)
+                raise ConsistencyFailure(f"negative exponent in the recursive route at (i={k}, d={d}, g={g}): {above_k}")
+            del above[:-base]
         chain[k] = LaurentPoly._from_coeffs(0, above)
     return chain
 
@@ -214,11 +241,21 @@ def fm_poincare_closed(i: int, d: int, g: int) -> LaurentPoly:
     """
     _require_genus(g)
     _chamber_index_range(i, d)
+    _fill_closed_lists(-d - i - 1, g)
+    return _closed_chamber(i, d, g)
+
+
+def _fill_closed_lists(n: int, g: int) -> None:
+    """Cache _closed_lists(k, g) for k up to n, bottom-up, so no call recurses deeply."""
+    for k in range(n + 1):
+        _closed_lists(k, g)
+
+
+def _closed_chamber(i: int, d: int, g: int) -> LaurentPoly:
+    """fm_poincare_closed for a checked (i, d, g) whose lists _fill_closed_lists has cached."""
     n, shift = -d - i - 1, 2 * d + 2 * g + 4 * i + 2
     if shift < 0:  # a negative list index would wrap around silently
         raise ConsistencyFailure(f"negative shift t^{shift} in the closed route at (i={i}, d={d}, g={g})")
-    for k in range(n):  # bottom-up, so no deep recursion
-        _closed_lists(k, g)
     a, b = _closed_lists(n, g)
     q = b + (b[-2:] * (shift // 2 + 1))[:shift]  # (1+t)^(2g) (B_n - t^shift A_n) / (1 - t^2)
     q[shift:] = map(sub, q[shift:], a)
@@ -231,8 +268,8 @@ def fm_poincare_closed(i: int, d: int, g: int) -> LaurentPoly:
 def _bundle_numerator(g: int) -> LaurentPoly:
     """(1+t)^(2g) ((1+t^3)^(2g) - t^(2g) (1+t)^(2g)), the numerator of
     u2d_poincare and mcon_poincare; g is checked by its callers."""
-    e = _one_plus_t_pow(2 * g)
-    return e * (_one_plus_t_pow(2 * g, 3) - _T(2 * g) * e)
+    e, e3 = (LaurentPoly._from_coeffs(0, _one_plus_t_pow(2 * g, step)) for step in (1, 3))
+    return e * (e3 - LaurentPoly.monomial(2 * g) * e)
 
 
 @lru_cache(maxsize=None)
@@ -248,6 +285,7 @@ def u2d_from_bundle(g: int, d: int) -> LaurentPoly:
     the lowest chamber fibers over it in projective spaces of dimension
     -d - 2g + 1, so divide out that projective-space factor exactly."""
     lo, _ = fm_index_range(d)
+    _require_genus(g)
     if d % 2 == 0 or -d <= 4 * g - 4:
         raise InvalidInput(f"d: the bundle route needs odd d with -d > 4g - 4, got d={d}, g={g}")
     return _bundle_quotient(fm_poincare_closed(lo, d, g), d, g)
@@ -275,15 +313,24 @@ def _blowup_delta(next_to_last: LaurentPoly, terminal: LaurentPoly, d: int, g: i
     """Difference between the next-to-last chamber polynomial and the blow-up
     prediction: terminal + (Pic x curve) * (proj space of the codimension
     minus one, less a point).  Zero when the identity holds.  With
-    c = -d+g-3 >= 2 for d <= -3, that last factor P^(c-1) - 1 is t^2 P^(c-2)."""
-    c = -d + g - 3
-    center = _one_plus_t_pow(2 * g) * LaurentPoly({0: 1, 1: 2 * g, 2: 1})
-    return next_to_last - terminal - LaurentPoly._from_coeffs(2, _times_proj_space(center._coeffs, c - 2))
+    c = -d+g-3 >= 2 for d <= -3, that last factor P^(c-1) - 1 is t^2 P^(c-2).
+    The three terms are added into one integer list."""
+    e = _one_plus_t_pow(2 * g)
+    center = [*e, 0, 0]  # (1+t)^(2g) (1 + 2g t + t^2), by shifted adds
+    center[1:len(e) + 1] = map(add, center[1:len(e) + 1], [2 * g * c for c in e])
+    center[2:] = map(add, center[2:], e)
+    terms = ((next_to_last._val, next_to_last._coeffs, add), (terminal._val, terminal._coeffs, sub),
+             (2, _times_proj_space(center, -d + g - 5), sub))
+    lo = min(v for v, _, _ in terms)
+    out = [0] * (max(v + len(cs) for v, cs, _ in terms) - lo)
+    for v, cs, op in terms:
+        out[v - lo:v - lo + len(cs)] = map(op, out[v - lo:v - lo + len(cs)], cs)
+    return LaurentPoly._from_coeffs(lo, out)
 
 
 def blowup_delta(d: int, g: int) -> LaurentPoly:
     """The blow-up identity's difference at (d, g), zero when it holds; d <= -3."""
-    if d > -3:
+    if _require_int(d, "d") > -3:
         raise InvalidInput(f"d: the terminal flip needs d <= -3, got {d}")
     return _blowup_delta(fm_poincare_recursive(-d - 2, d, g), terminal_poincare(d, g), d, g)
 
@@ -398,7 +445,8 @@ def build_betti_report(d: int, g: int, only_chamber: Optional[int] = None) -> Be
         lo = hi = only_chamber
     terminal = terminal_poincare(d, g)
     chain = _recursive_chain(min(lo, -d - 2) if d <= -3 else lo, d, g)  # the blow-up check reads -d-2
-    chambers = tuple(_chamber_betti(i, chain[i], fm_poincare_closed(i, d, g)) for i in range(lo, hi + 1))
+    _fill_closed_lists(-d - lo - 1, g)  # the report's lowest chamber has the highest n
+    chambers = tuple(_chamber_betti(i, chain[i], _closed_chamber(i, d, g)) for i in range(lo, hi + 1))
     via = agree = None
     if d % 2 != 0 and -d > 4 * g - 4:  # the report's own lowest chamber, if it holds it
         via = _bundle_quotient(chambers[0].p_closed, d, g) if lo == fm_index_range(d)[0] else u2d_from_bundle(g, d)

@@ -106,7 +106,9 @@ def _json_text(value, indent: str = "\n") -> str:
     walk of value with no object form in between; indent is the newline and
     indentation of value's own line.  Values are read as _to_json reads
     them, and dicts, lists and their items as json.dumps does; a
-    LaurentPoly writes itself with its json_text.  CPython's json runs its
+    LaurentPoly writes itself with its json_text.  A field whose value is the
+    very object of the field before it reuses that field's text, as a
+    chamber's agreeing p_closed does.  CPython's json runs its
     C encoder only without an indent, so reports are written here.  Any
     other leaf, such as a float, is json.dumps(value); a non-str key or a
     set raises TypeError."""
@@ -129,7 +131,11 @@ def _json_text(value, indent: str = "\n") -> str:
     names = getattr(kind, "__dataclass_fields__", None)
     if names is not None or isinstance(value, dict):
         pairs = value.items() if names is None else ((name, getattr(value, name)) for name in names)
-        items = [_json_str(k) + ": " + _json_text(v, inner) for k, v in pairs]
+        items, last, text = [], object(), ""
+        for k, v in pairs:
+            if v is not last:  # a field holding the very object of the field before it reuses its text
+                last, text = v, _json_text(v, inner)
+            items.append(_json_str(k) + ": " + text)
         return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
     if isinstance(value, (list, tuple, frozenset)):
         items = [_json_text(v, inner) for v in (sorted(value) if isinstance(value, frozenset) else value)]

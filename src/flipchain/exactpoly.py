@@ -17,7 +17,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from itertools import accumulate
 from operator import add, sub
-from typing import Dict, Iterable, Iterator, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
 
 class ConsistencyFailure(ArithmeticError):
@@ -276,18 +276,25 @@ class LaurentPoly:
 
 def lp_div_one_minus_t_pow(num: LaurentPoly, k: int) -> LaurentPoly:
     """Exact quotient num / (1 - t^k) for an int k >= 1, the kernel of every
-    divisor the Betti routes use: one step-k prefix pass, q[e] = num[e] +
-    q[e-k], run as one running sum per residue class of the exponent mod k.
-    Its top k entries are the remainder and must be zero, or NotDivisible is
-    raised; the entries below them are the quotient, at num's valuation."""
+    divisor the Betti routes use, at num's valuation (see _div_one_minus_t_pow)."""
     if type(k) is not int or k < 1:
         raise ValueError(f"k must be a positive int, got {k!r}")
-    q = list(num._coeffs)
+    return LaurentPoly._from_coeffs(num._val, _div_one_minus_t_pow(num._val, num._coeffs, k))
+
+
+def _div_one_minus_t_pow(valuation: int, coeffs: Sequence[int], k: int) -> List[int]:
+    """The quotient's list for the numerator sum of coeffs[e] t^(valuation + e), k >= 1: one
+    step-k prefix pass, q[e] = coeffs[e] + q[e-k], run as one running sum per residue class of
+    the exponent mod k.  Its top k entries are the remainder and must be zero, or NotDivisible
+    is raised naming the numerator; the entries below them are returned, from t^valuation."""
+    q = list(coeffs)
     for r in range(min(k, len(q))):
         q[r::k] = accumulate(q[r::k])
     if any(q[-k:]):
-        raise NotDivisible(f"({num}) is not divisible by ({LaurentPoly({0: 1, k: -1})})")
-    return LaurentPoly._from_coeffs(num._val, q[:-k])
+        numerator = LaurentPoly._from_coeffs(valuation, coeffs)
+        raise NotDivisible(f"({numerator}) is not divisible by ({LaurentPoly({0: 1, k: -1})})")
+    del q[-k:]
+    return q
 
 
 class TruncatedBiSeries:

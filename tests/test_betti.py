@@ -72,7 +72,7 @@ def test_the_list_filled_sym_product_matches_the_monomial_sum():
 @pytest.mark.parametrize("step", [1, 3])
 def test_the_binomial_row_is_the_power_of_one_plus_t_to_the_step(step):
     for n in range(21):
-        assert betti._one_plus_t_pow(n, step) == LaurentPoly({0: 1, step: 1}) ** n, (n, step)
+        assert LaurentPoly._from_coeffs(0, betti._one_plus_t_pow(n, step)) == LaurentPoly({0: 1, step: 1}) ** n, (n, step)
 
 
 # -- flip differences -----------------------------------------------------------
@@ -240,8 +240,84 @@ def test_betti_json_output_is_unchanged():
     assert digest.hexdigest() == "d8882e0a67a591480bee8553672a6a984409883fc2205585ab612a978f86b324"
 
 
+def test_an_agreeing_chamber_polynomial_is_written_once(monkeypatch):
+    # d = -20 is even, so the report's other polynomials are u2d.closed, mcon and terminal
+    plain = io.StringIO()
+    with contextlib.redirect_stdout(plain):
+        assert cli.main(["betti", "--d", "-20", "--g", "3", "--json"]) == 0
+    calls = []
+
+    def counted(self, indent="\n", _json_text=LaurentPoly.json_text):
+        calls.append(self)
+        return _json_text(self, indent)
+
+    monkeypatch.setattr(LaurentPoly, "json_text", counted)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["betti", "--d", "-20", "--g", "3", "--json"]) == 0
+    assert out.getvalue() == plain.getvalue()
+    chambers = json.loads(out.getvalue())["chambers"]
+    assert len(chambers) == 10 and all(ch["p_closed"] == ch["p_recursive"] for ch in chambers)
+    assert len(calls) == 10 + 3
+
+
+def _projective(n):
+    """1 + t^2 + ... + t^(2n), written here as the test's own oracle; zero for n = -1."""
+    return LaurentPoly({2 * k: 1 for k in range(n + 1)})
+
+
+def _fiber_oracle(up, down, rank_plus, rank_minus):
+    """LaurentPoly equality of the two fiber factors, with the division multiplied out: Z[t, 1/t]
+    has no zero divisors, so (t^up - t^down) / (1 - t^2) = B exactly when t^up - t^down = B (1 - t^2)."""
+    bundle = _projective(rank_plus - 1) - _projective(rank_minus - 1)
+    return bundle * LaurentPoly({0: 1, 2: -1}) == LaurentPoly({up: 1}) - LaurentPoly({down: 1})
+
+
+def test_the_fiber_verdict_is_polynomial_equality_of_the_two_factors():
+    # every key a betti_sweep pass meets (g 2..5, d -1..-32), and wrong keys made from each
+    keys = {(2 * d + 2 * g + 4 * j + 2, -2 * d - 2 * j - 2, -d - j - 1, d + g + 2 * j + 1)
+            for g in range(2, 6) for d in range(-1, -33, -1) for j in range(fm_index_range(d)[0], -d)}
+    assert len(keys) == 320 and all(_fiber_oracle(*key) for key in keys)
+    holds = betti._fiber_identity_holds.__wrapped__  # the verdict itself, past its cache
+    for up, down, rank_plus, rank_minus in keys:
+        for key in ((up, down, rank_plus, rank_minus), (up + 2, down, rank_plus, rank_minus),
+                    (up - 2, down, rank_plus, rank_minus), (up, down, rank_minus, rank_plus)):
+            assert holds(*key) == _fiber_oracle(*key), key
+
+
+def _blowup_oracle(next_to_last, d, g):
+    """next_to_last - terminal - center (P^(c-1) - 1), c = -d+g-3, in LaurentPoly arithmetic."""
+    center = ONE_PLUS_T ** (2 * g) * LaurentPoly({0: 1, 1: 2 * g, 2: 1})  # Pic x curve
+    terminal = ONE_PLUS_T ** (2 * g) * _projective(-d + g - 2)
+    return next_to_last - terminal - center * (_projective(-d + g - 4) - LaurentPoly.one())
+
+
+def test_the_blowup_difference_is_the_polynomial_formula():
+    for g in range(2, 7):
+        for d in range(-3, -61, -1):
+            next_to_last, terminal = fm_poincare_recursive(-d - 2, d, g), terminal_poincare(d, g)
+            assert betti._blowup_delta(next_to_last, terminal, d, g) == _blowup_oracle(next_to_last, d, g) == LaurentPoly.zero()
+            assert blowup_delta(d, g).is_zero()
+            e = (0, next_to_last.degree() // 2, -2, next_to_last.degree() + 3)[d % 4]  # inside and outside its span
+            bumped = next_to_last + LaurentPoly.monomial(e, -3 if d % 3 else 1)
+            delta = betti._blowup_delta(bumped, terminal, d, g)
+            assert delta == _blowup_oracle(bumped, d, g) == bumped - next_to_last and delta, (d, g)
+
+
+@pytest.mark.parametrize("call, path", [
+    pytest.param(lambda: u2d_from_bundle("x", -9), "g", id="u2d_from_bundle-str"),
+    pytest.param(lambda: u2d_from_bundle(None, -9), "g", id="u2d_from_bundle-None"),
+    pytest.param(lambda: blowup_delta("x", 2), "d", id="blowup_delta-str"),
+    pytest.param(lambda: blowup_consistency(None, 2), "d", id="blowup_consistency-None"),
+    pytest.param(lambda: blowup_delta(-5, "x"), "g", id="blowup_delta-genus-str"),
+])
+def test_a_wrongly_typed_argument_is_invalid_input_naming_it(call, path):
+    with pytest.raises(InvalidInput, match=f"^{path}: expected an integer, got "):
+        call()
+
+
 def test_each_fiber_identity_is_checked_once_per_key(monkeypatch):
-    counts = {"_fiber_factors": 0, "_flip_terms": 0}
+    counts = {"_fiber_factors": 0, "_subtract_flip": 0}
     for name in counts:
         def counted(*args, _route=getattr(betti, name), _name=name):
             counts[_name] += 1
@@ -252,7 +328,7 @@ def test_each_fiber_identity_is_checked_once_per_key(monkeypatch):
     for g in range(2, 6):
         for d in range(-1, -33, -1):
             build_betti_report(d, g)
-    assert counts == {"_fiber_factors": 320, "_flip_terms": 1088}
+    assert counts == {"_fiber_factors": 320, "_subtract_flip": 1088}
     assert betti._fiber_identity_holds.cache_info().currsize == 320
 
 
@@ -281,20 +357,23 @@ def test_a_failing_fiber_identity_is_never_recorded_as_passed(monkeypatch):
 
 
 def test_recursive_route_raises_on_a_nonzero_remainder(monkeypatch):
-    monkeypatch.setattr(betti, "sub", lambda a, b: a - 2 * b)  # t^up E - 2 t^down E, nonzero at t = 1
+    flip_difference(2, -5, 2)  # its fiber verdict is cached before the subtraction is doctored
+    monkeypatch.setattr(betti, "sub", lambda a, b: a - 2 * b)  # up = down: -2Q + Q, nonzero at the top
     with pytest.raises(NotDivisible, match=r"^nonzero remainder in the recursive route at \(j=2, d=-5, g=2\)$"):
         flip_difference(2, -5, 2)
 
 
 def test_recursive_route_raises_on_a_nonzero_term_below_t0(monkeypatch):
     expected = fm_poincare_recursive(2, -5, 2)
-    flip_terms = betti._flip_terms
+    subtract_flip = betti._subtract_flip
 
-    def moved(j, d, g):  # j = 4: the same polynomial with two zeros below t^0; j = 3: moved down by 3
-        lo, terms = flip_terms(j, d, g)
-        return (lo - 2, [0, 0] + terms) if j == 4 else (lo - 3 if j == 3 else lo, terms)
+    def moved(acc, base, j, d, g):  # j = 4: the same polynomial with two zeros below t^0; j = 3: moved down by 3
+        if j == 4:
+            acc[:0] = [0, 0]
+            return subtract_flip(acc, base - 2, j, d, g)
+        return subtract_flip(acc, base + 3, j, d, g) - 3 if j == 3 else subtract_flip(acc, base, j, d, g)
 
-    monkeypatch.setattr(betti, "_flip_terms", moved)
+    monkeypatch.setattr(betti, "_subtract_flip", moved)
     assert fm_poincare_recursive(4, -5, 2) == terminal_poincare(-5, 2)
     with pytest.raises(ConsistencyFailure, match=r"^negative exponent in the recursive route at \(i=3, d=-5, g=2\): "):
         fm_poincare_recursive(2, -5, 2)
@@ -363,11 +442,11 @@ def test_closed_route_raises_on_a_nonzero_remainder():
 def test_a_report_takes_each_flip_difference_once(monkeypatch):
     calls = []
 
-    def counted(j, d, g, _flip_terms=betti._flip_terms):
+    def counted(acc, base, j, d, g, _subtract_flip=betti._subtract_flip):
         calls.append(j)
-        return _flip_terms(j, d, g)
+        return _subtract_flip(acc, base, j, d, g)
 
-    monkeypatch.setattr(betti, "_flip_terms", counted)
+    monkeypatch.setattr(betti, "_subtract_flip", counted)
     report = build_betti_report(-9, 3)
     assert sorted(calls) == [ch.i for ch in report.chambers]
 
@@ -378,11 +457,11 @@ def test_a_report_takes_the_lowest_closed_chamber_once(monkeypatch, only_chamber
     # a report that does not hold chamber 4 computes it
     calls = []
 
-    def counted(i, d, g, _closed=fm_poincare_closed):
+    def counted(i, d, g, _closed=betti._closed_chamber):
         calls.append(i)
         return _closed(i, d, g)
 
-    monkeypatch.setattr(betti, "fm_poincare_closed", counted)
+    monkeypatch.setattr(betti, "_closed_chamber", counted)
     report = build_betti_report(-9, 2, only_chamber)
     assert len(calls) == closed_calls and calls.count(4) == 1
     assert report.u2d.via_bundle == u2d_poincare(2) and report.u2d.agree is True

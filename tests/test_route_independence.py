@@ -69,7 +69,7 @@ ROUTES = [
     ("bundle moduli and the lowest chamber's fibration quotient",
      lambda: betti.u2d_poincare(G), lambda: betti.u2d_from_bundle(G, -4 * G - 1),
      {"chambers._require_genus", "chambers._require_int", "exactpoly.LaurentPoly.__mul__",
-      "exactpoly.lp_div_one_minus_t_pow"} | LIST_TO_POLY),
+      "exactpoly.lp_div_one_minus_t_pow", "exactpoly._div_one_minus_t_pow"} | LIST_TO_POLY),
     ("suite oracle and suite engine", suite_oracle, suite_engine, set()),
 ]
 
@@ -102,5 +102,6 @@ def test_two_routes_share_only_their_allowed_functions(row, route_a, route_b, al
 
 
 def test_the_recursive_chain_calls_lp_div_one_minus_t_pow():
-    """So the terminal row rejects a division by 1 - t^k in terminal_poincare."""
-    assert "exactpoly.lp_div_one_minus_t_pow" in flipchain_frames(lambda: betti._recursive_chain(-D - 1, D, G))
+    """So the terminal row rejects a division by 1 - t^k in terminal_poincare: the chain's fiber
+    verdicts run the list core of lp_div_one_minus_t_pow."""
+    assert "exactpoly._div_one_minus_t_pow" in flipchain_frames(lambda: betti._recursive_chain(-D - 1, D, G))
