@@ -8,10 +8,11 @@ differences themselves are checked against a direct projective-bundle
 computation, once per distinct fiber identity in each process.  Every
 divisor is a geometric kernel 1 - t^k, every division an exact prefix pass
 that fails loudly, and both chamber routes cache lists divided once per (n, g).
-What no report keeps runs on integer lists: each flip is subtracted straight
-into the chain's running list, and the fiber verdicts and the blow-up
-difference are list passes.  A LaurentPoly is built only for a value a report
-keeps or prints, or for an error message.
+What no report keeps runs on integer lists from t^0: each flip is subtracted
+straight into the chain's running list, its two exponents (twice a
+flip-locus rank) checked up front, and the fiber verdicts and the blow-up
+difference are list passes.  A LaurentPoly is built only for a value a
+report keeps or prints, or for an error message.
 """
 
 from __future__ import annotations
@@ -84,57 +85,53 @@ def _divided_shared_factor(n: int, g: int) -> List[int]:
     return q
 
 
-def _fiber_factors(up: int, down: int, rank_plus: int, rank_minus: int) -> Tuple[int, List[int], List[int]]:
-    """Formula route's fiber factor, (t^up - t^down)/(1-t^2) by exact division, and bundle
-    route's, P^(rank W+ - 1) - P^(rank W- - 1) for the projective fibers of the two flip loci,
-    as (lo, formula, bundle): two integer lists of one length from t^lo."""
-    plus, minus = proj_space_poincare(rank_plus - 1), proj_space_poincare(rank_minus - 1)
-    lo = min(up, down, plus._val, minus._val)
-    width = max(up - 1, down - 1, plus._val + len(plus._coeffs), minus._val + len(minus._coeffs)) - lo
+def _fiber_factors(up: int, down: int, rank_plus: int, rank_minus: int) -> Tuple[List[int], List[int]]:
+    """Formula route's fiber factor, (t^up - t^down)/(1-t^2) by exact division, and bundle route's,
+    P^(rank W+ - 1) - P^(rank W- - 1) for the projective fibers of the two flip loci, as (formula,
+    bundle): two integer lists of one length from t^0.  The caller has checked up, down >= 0."""
+    plus, minus = (proj_space_poincare(r - 1)._coeffs for r in (rank_plus, rank_minus))
+    width = max(up - 1, down - 1, len(plus), len(minus))
     numerator = [0] * (width + 2)  # zeros past t^up and t^down leave the quotient's top zero
-    numerator[up - lo] += 1
-    numerator[down - lo] -= 1
-    bundle = [0] * width
-    for p, op in ((plus, add), (minus, sub)):
-        at = p._val - lo
-        bundle[at:at + len(p._coeffs)] = map(op, bundle[at:at + len(p._coeffs)], p._coeffs)
-    return lo, _div_one_minus_t_pow(lo, numerator, 2), bundle
+    numerator[up] += 1
+    numerator[down] -= 1
+    bundle = list(plus) + [0] * (width - len(plus))
+    bundle[:len(minus)] = map(sub, bundle, minus)
+    return _div_one_minus_t_pow(0, numerator, 2), bundle
 
 
 @lru_cache(maxsize=None)
 def _fiber_identity_holds(up: int, down: int, rank_plus: int, rank_minus: int) -> bool:
     """Only the verdict is kept, keyed on all four ints: a wrong exponent still makes a new key
     that the bundle route checks.  An exception from the division is not cached."""
-    _, formula, bundle = _fiber_factors(up, down, rank_plus, rank_minus)
+    formula, bundle = _fiber_factors(up, down, rank_plus, rank_minus)
     return formula == bundle
 
 
-def _subtract_flip(acc: List[int], base: int, j: int, d: int, g: int) -> int:
-    """Subtract flip_difference(j, d, g) from acc, the coefficients of a polynomial from t^base,
-    in place, and return acc's base: lowered, with zeros put in front, if the flip reaches below
-    it.  The flip is t^up Q - t^down Q, up = 2d+2g+4j+2 and down = -2d-2j-2, for the cached
-    Q = E / (1-t^2): two shifted copies of Q, the lower carried past Q's end by Q's last two
-    entries (up - down is even).  The flip's top two entries are the remainder and must leave
-    acc as it was there.  (j, d, g) must be checked."""
+def _subtract_flip(acc: List[int], j: int, d: int, g: int) -> None:
+    """Subtract flip_difference(j, d, g) in place from acc, a polynomial's coefficients from t^0.
+    The flip is t^up Q - t^down Q for the cached Q = E / (1-t^2), up = 2d+2g+4j+2 = 2 rank W- and
+    down = -2d-2j-2 = 2 rank W+, checked up front: a negative one raises ConsistencyFailure before
+    the fiber verdict.  Two shifted copies of Q, the lower carried past Q's end by Q's last two
+    entries (up - down is even); the flip's top two entries are the remainder and must leave acc
+    as it was there.  (j, d, g) must be checked."""
     rank_plus, rank_minus = -d - j - 1, d + g + 2 * j + 1
     up, down = 2 * d + 2 * g + 4 * j + 2, -2 * d - 2 * j - 2
+    lo, s = min(up, down), abs(up - down)
+    if lo < 0:  # a negative list index would wrap around silently
+        raise ConsistencyFailure(f"negative exponent t^{lo} in the recursive route at (j={j}, d={d}, g={g})")
     if not _fiber_identity_holds(up, down, rank_plus, rank_minus):
-        lo, formula, bundle = _fiber_factors(up, down, rank_plus, rank_minus)
-        formula, bundle = (LaurentPoly._from_coeffs(lo, f) * _even_factor(rank_plus, g) for f in (formula, bundle))
+        formula, bundle = _fiber_factors(up, down, rank_plus, rank_minus)
+        formula, bundle = (LaurentPoly._from_coeffs(0, f) * _even_factor(rank_plus, g) for f in (formula, bundle))
         raise NotDivisible(f"flip difference routes disagree at j={j}, d={d}, g={g}: formula={formula}, bundle={bundle}")
-    q, lo, s = _divided_shared_factor(rank_plus, g), min(up, down), abs(up - down)
-    if lo < base:
-        acc[:0] = [0] * (base - lo)
-        base = lo
-    at, top = lo - base, lo - base + s + len(q)
+    q = _divided_shared_factor(rank_plus, g)
+    top = lo + s + len(q)
     acc += [0] * (top - len(acc))
     remainder = acc[top - 2:top]
     lower, higher = (add, sub) if down < up else (sub, add)  # acc + t^down Q - t^up Q
-    acc[at:top] = map(lower, acc[at:top], q + q[-2:] * (s // 2))
-    acc[at + s:top] = map(higher, acc[at + s:top], q)
+    acc[lo:top] = map(lower, acc[lo:top], q + q[-2:] * (s // 2))
+    acc[lo + s:top] = map(higher, acc[lo + s:top], q)
     if acc[top - 2:top] != remainder:
         raise NotDivisible(f"nonzero remainder in the recursive route at (j={j}, d={d}, g={g})")
-    return base
 
 
 def flip_difference(j: int, d: int, g: int) -> LaurentPoly:
@@ -142,13 +139,13 @@ def flip_difference(j: int, d: int, g: int) -> LaurentPoly:
     (_fiber_factors) times the shared factor E(n, g), n = rank W+ = -d-j-1.  The fiber factors
     are compared first, once per distinct key of _fiber_identity_holds in each process: Z[t, 1/t]
     has no zero divisors and E(n, g) is nonzero, so the products agree exactly when the fiber
-    factors do.  A mismatch raises NotDivisible.  The product itself is subtracted from a zero
-    list by _subtract_flip, as the recursive chain subtracts it from its running list."""
+    factors do.  A mismatch raises NotDivisible.  The product is subtracted from an empty list
+    from t^0 by _subtract_flip, which first checks that both exponents, twice a flip-locus rank, are >= 0."""
     _require_genus(g)
     _chamber_index_range(j, d, "j")
     acc = []
-    base = _subtract_flip(acc, 0, j, d, g)
-    return LaurentPoly._from_coeffs(base, [-c for c in acc])
+    _subtract_flip(acc, j, d, g)
+    return LaurentPoly._from_coeffs(0, [-c for c in acc])
 
 
 def terminal_poincare(d: int, g: int) -> LaurentPoly:
@@ -159,20 +156,15 @@ def terminal_poincare(d: int, g: int) -> LaurentPoly:
 
 
 def _recursive_chain(i: int, d: int, g: int) -> Dict[int, LaurentPoly]:
-    """Chamber polynomials for k from the top chamber hi = -d-1 down to i,
-    each the chamber above minus the flip difference at k: one top-down pass
-    of the telescoping sum, whose top term reproduces the terminal chamber
-    with its sign, each flip subtracted into one running list from t^0."""
+    """Chamber polynomials for k from the top chamber hi = -d-1 down to i, each the chamber above
+    minus the flip difference at k: one top-down pass of the telescoping sum, whose top term
+    reproduces the terminal chamber with its sign, each flip subtracted into one running list from
+    t^0 by _subtract_flip, which first checks that its exponents, twice a flip-locus rank, are >= 0."""
     _require_genus(g)
     _, hi = _chamber_index_range(i, d)
     chain, above = {}, []
     for k in range(hi, i - 1, -1):
-        base = _subtract_flip(above, 0, k, d, g)
-        if base < 0:
-            if any(above[:-base]):
-                above_k = LaurentPoly._from_coeffs(base, above)
-                raise ConsistencyFailure(f"negative exponent in the recursive route at (i={k}, d={d}, g={g}): {above_k}")
-            del above[:-base]
+        _subtract_flip(above, k, d, g)
         chain[k] = LaurentPoly._from_coeffs(0, above)
     return chain
 

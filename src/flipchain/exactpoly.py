@@ -144,10 +144,13 @@ class LaurentPoly:
     def __call__(self, x):
         """Evaluate at x (int or Fraction) by Horner's rule; x must be
         nonzero if any exponent is negative, and the result is a Fraction
-        then even for an int x.  At x = 1 it is the sum of the coefficients."""
+        then even for an int x.  At x = 1 it is the sum of the coefficients.
+        Any other x, a bool or a float included, raises TypeError."""
         if type(x) is int and x == 1:
             total = sum(self._coeffs)
             return Fraction(total) if self._val < 0 else total
+        if type(x) is not int and not isinstance(x, Fraction):
+            raise TypeError(f"evaluation point must be an int or a Fraction, got {x!r}")
         total = 0
         for c in reversed(self._coeffs):
             total = total * x + c

@@ -436,6 +436,7 @@ def sigma_max(m: FramedModel, use_phi: bool = False) -> Optional[Fraction]:
     so the parameter is a single exact rational.  Subobjects tied at the
     maximal (scaled slope, rank) have the same degree, so any of them gives it.
     """
+    _checked(use_phi, bool, "use_phi")
     elig = [s for s in m.subs if not s.fr and (s.phi_invariant or not use_phi)]
     if not elig:
         return None
@@ -462,7 +463,7 @@ def _oriented_split_holds(m: FramedModel, s: Fraction) -> bool:
 def oriented_split_case(m: FramedModel, pair: bool = False) -> bool:
     """Split alternative of oriented stability, checked through the declared
     direct-sum descriptor; InvalidInput when the model has none."""
-    s = sigma_max(m, use_phi=pair)
+    s = sigma_max(m, use_phi=_checked(pair, bool, "pair"))
     if s is None:
         return False
     return _oriented_split_holds(m, s)
@@ -490,13 +491,13 @@ def is_oriented_semistable(m: FramedModel, pair: bool = False) -> bool:
     parameter is nonnegative and the shifted slope inequality holds for all
     (phi-invariant, for pairs) subobjects.
     """
-    return m._oriented[bool(pair)][0]
+    return m._oriented[_checked(pair, bool, "pair")][0]
 
 
 def is_oriented_stable(m: FramedModel, pair: bool = False) -> bool:
     """Strict variant; a declared direct-sum splitting can rescue stability
     when some subobject sits exactly on the shifted slope equality."""
-    return m._oriented[bool(pair)][1]
+    return m._oriented[_checked(pair, bool, "pair")][1]
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +570,7 @@ def rank2_threshold_holds(sub: SubobjectData, typ: FramedType, sigma: Fraction, 
     """Closed-form half-line on which a rank-2 subobject satisfies its
     inequality: sigma >= 2 deg F - d when fr, sigma <= d - 2 deg F when not.
     Compared in integers: p against bound * q for sigma = p/q."""
+    _checked(strict, bool, "strict")
     if typ.rank != 2:
         raise InvalidInput(f"type.rank: the threshold formulas are specific to rank 2, got {typ.rank}")
     d = typ.degree

@@ -363,22 +363,14 @@ def test_recursive_route_raises_on_a_nonzero_remainder(monkeypatch):
         flip_difference(2, -5, 2)
 
 
-def test_recursive_route_raises_on_a_nonzero_term_below_t0(monkeypatch):
-    expected = fm_poincare_recursive(2, -5, 2)
-    subtract_flip = betti._subtract_flip
-
-    def moved(acc, base, j, d, g):  # j = 4: the same polynomial with two zeros below t^0; j = 3: moved down by 3
-        if j == 4:
-            acc[:0] = [0, 0]
-            return subtract_flip(acc, base - 2, j, d, g)
-        return subtract_flip(acc, base + 3, j, d, g) - 3 if j == 3 else subtract_flip(acc, base, j, d, g)
-
-    monkeypatch.setattr(betti, "_subtract_flip", moved)
-    assert fm_poincare_recursive(4, -5, 2) == terminal_poincare(-5, 2)
-    with pytest.raises(ConsistencyFailure, match=r"^negative exponent in the recursive route at \(i=3, d=-5, g=2\): "):
-        fm_poincare_recursive(2, -5, 2)
-    monkeypatch.undo()
-    assert fm_poincare_recursive(2, -5, 2) == expected
+def test_recursive_route_rejects_a_negative_exponent(monkeypatch):
+    # j = 3 is below the window [5, 9] of d = -10, where up = 2d+2g+4j+2 = -2 and down = 12
+    monkeypatch.setattr(betti, "_chamber_index_range", lambda i, d, path="i": (0, -d - 1))
+    message = r"^negative exponent t\^-2 in the recursive route at \(j=3, d=-10, g=2\)$"
+    with pytest.raises(ConsistencyFailure, match=message):
+        fm_poincare_recursive(0, -10, 2)
+    with pytest.raises(ConsistencyFailure, match=message):
+        flip_difference(3, -10, 2)
 
 
 def _raises(*args, **kwargs):
@@ -439,12 +431,72 @@ def test_closed_route_raises_on_a_nonzero_remainder():
             cache.cache_clear()
 
 
+_CHAMBER_ROUTE_FUNCTIONS = ("_subtract_flip", "_recursive_chain", "_fiber_factors", "flip_difference",
+                            "fm_poincare_recursive", "fm_poincare_closed", "_closed_chamber", "_closed_lists",
+                            "_e_times_f")
+
+# the lines of those functions that only raise, or only build a raise's message, by function and text
+_UNREACHED_BY_VALID_INPUT = {
+    ("_subtract_flip",
+     'raise ConsistencyFailure(f"negative exponent t^{lo} in the recursive route at (j={j}, d={d}, g={g})")'),
+    ("_subtract_flip", "formula, bundle = _fiber_factors(up, down, rank_plus, rank_minus)"),
+    ("_subtract_flip",
+     "formula, bundle = (LaurentPoly._from_coeffs(0, f) * _even_factor(rank_plus, g) for f in (formula, bundle))"),
+    ("_subtract_flip", 'raise NotDivisible(f"flip difference routes disagree at j={j}, d={d}, g={g}: '
+                       'formula={formula}, bundle={bundle}")'),
+    ("_subtract_flip", 'raise NotDivisible(f"nonzero remainder in the recursive route at (j={j}, d={d}, g={g})")'),
+    ("_closed_chamber",
+     'raise ConsistencyFailure(f"negative shift t^{shift} in the closed route at (i={i}, d={d}, g={g})")'),
+    ("_closed_chamber", 'raise NotDivisible(f"nonzero remainder in the closed route at (i={i}, d={d}, g={g})")'),
+}
+
+
+def _body_lines(code):
+    """Each line of a function's body that holds code, mapped to its text."""
+    lines, first = inspect.getsourcelines(code)
+    return {n: lines[n - first].strip() for _, _, n in code.co_lines() if n is not None and n != first}
+
+
+def test_every_line_of_the_chamber_routes_runs_on_valid_input():
+    codes = {name: inspect.unwrap(getattr(betti, name)).__code__ for name in _CHAMBER_ROUTE_FUNCTIONS}
+    ran = {code: set() for code in codes.values()}
+
+    def trace(frame, event, arg):
+        if frame.f_code not in ran:
+            return None
+        if event == "line":
+            ran[frame.f_code].add(frame.f_lineno)
+        return trace
+
+    for cache in _betti_caches():
+        cache.cache_clear()
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        for g in (2, 5):
+            for d in (-1, -2, -3, -4, -9, -20):
+                lo, hi = fm_index_range(d)
+                for i in (lo, hi):
+                    build_betti_report(d, g, i)
+                    flip_difference(i, d, g)
+                    fm_poincare_recursive(i, d, g)
+                    fm_poincare_closed(i, d, g)
+                build_betti_report(d, g)
+    finally:
+        sys.settrace(previous)
+        for cache in _betti_caches():
+            cache.cache_clear()
+    missed = {(name, text) for name, code in codes.items()
+              for n, text in _body_lines(code).items() if n not in ran[code]}
+    assert missed == _UNREACHED_BY_VALID_INPUT
+
+
 def test_a_report_takes_each_flip_difference_once(monkeypatch):
     calls = []
 
-    def counted(acc, base, j, d, g, _subtract_flip=betti._subtract_flip):
+    def counted(acc, j, d, g, _subtract_flip=betti._subtract_flip):
         calls.append(j)
-        return _subtract_flip(acc, base, j, d, g)
+        _subtract_flip(acc, j, d, g)
 
     monkeypatch.setattr(betti, "_subtract_flip", counted)
     report = build_betti_report(-9, 3)

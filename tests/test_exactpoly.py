@@ -81,6 +81,12 @@ def test_evaluation_at_one():
     assert p(1) == 4
 
 
+@pytest.mark.parametrize("x", [0.5, 1.0, True, False, "2", None, 2j])
+def test_evaluation_takes_only_an_int_or_a_fraction(x):
+    with pytest.raises(TypeError, match=f"^evaluation point must be an int or a Fraction, got {re.escape(repr(x))}$"):
+        poly({0: 1, 1: 1, -1: 2})(x)
+
+
 # -- exact division ----------------------------------------------------------
 
 

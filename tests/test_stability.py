@@ -640,6 +640,27 @@ def test_flags_and_ids_of_the_wrong_kind_name_their_field(message, build):
     assert str(exc.value) == message
 
 
+_FLAG_CALLS = {
+    "is_oriented_semistable": ("pair", lambda m, v: is_oriented_semistable(m, pair=v)),
+    "is_oriented_stable": ("pair", lambda m, v: is_oriented_stable(m, pair=v)),
+    "oriented_split_case": ("pair", lambda m, v: oriented_split_case(m, pair=v)),
+    "sigma_max": ("use_phi", lambda m, v: sigma_max(m, use_phi=v)),
+    "rank2_threshold_holds": ("strict", lambda m, v: rank2_threshold_holds(m.subs[1], m.typ, F(5), strict=v)),
+}
+
+
+@pytest.mark.parametrize("value, shown", [("no", '"no"'), (1, "1"), (0, "0"), (None, "null"), ("", '""')])
+@pytest.mark.parametrize("function", sorted(_FLAG_CALLS))
+def test_a_flag_that_is_not_a_bool_is_rejected_naming_it(function, value, shown):
+    """A truthy or falsy stand-in for a flag is rejected, not read as the bool
+    it coerces to: pair="no" would give the pair verdict and use_phi="no" None."""
+    m = rank2(-5, [sub("K", 1, -4, fr=False, phi=False), sub("C", 1, 0, fr=True)], delta_iso=True)
+    name, call = _FLAG_CALLS[function]
+    with pytest.raises(InvalidInput) as exc:
+        call(m, value)
+    assert str(exc.value) == f"{name}: expected true or false, got {shown}"
+
+
 def test_model_json_round_trip():
     m = rank2(
         -5,
