@@ -395,9 +395,10 @@ def _flip_difference_at_one(j: int, d: int, g: int) -> int:
     """The flip difference above chamber j at t = 1, in closed form:
     rank W+ - rank W- (the limit of the t-power quotient) times 2^(2g) times
     the total Betti number of Sym^n of the curve, n = -d - j - 1, which is
-    the x^n coefficient of (1+x)^(2g) / (1-x)^2."""
+    the x^n coefficient of (1+x)^(2g) / (1-x)^2.  For n >= 2g the sum runs
+    over every k, and (n+1) 4^g - sum_k k C(2g, k) = 4^g (n + 1 - g)."""
     n = -d - j - 1
-    sym_at_one = sum(comb(2 * g, k) * (n - k + 1) for k in range(min(n, 2 * g) + 1))
+    sym_at_one = 4 ** g * (n + 1 - g) if n >= 2 * g else sum(comb(2 * g, k) * (n - k + 1) for k in range(n + 1))
     rank_plus, rank_minus = -d - j - 1, d + g + 2 * j + 1
     return (rank_plus - rank_minus) * 4 ** g * sym_at_one
 

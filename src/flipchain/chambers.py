@@ -278,33 +278,31 @@ class ChamberLocation:
     wall: Optional[int] = None
 
 
-def build_chambers(d: int, g: int) -> ChamberData:
-    """Walls, chambers covering (0, -d] and flip loci for degree d < 0.
+def chamber_bounds(d: int, path: str = "d") -> Tuple[int, ...]:
+    """The chamber ends (0, *walls, -d) for degree d < 0, as ints; InvalidInput
+    naming path otherwise.  The wall set is {eta_i : lo+1 <= i <= hi}, empty
+    for d in {-1, -2}; every wall list is read from here."""
+    lo, hi = fm_index_range(d, path)
+    return (0, *(eta(i, d) for i in range(lo + 1, hi + 1)), -d)
 
-    The wall set is {eta_i : lo+1 <= i <= hi}; it is empty for d in
-    {-1, -2}.  Each chamber's representative is its midpoint, taken as an
-    exact rational, and each chamber i < hi has the flip locus of the wall
-    above it.
-    """
+
+def _midpoints(bounds: Tuple[int, ...]) -> List[Fraction]:
+    """Each chamber's representative, the exact midpoint of its two ends."""
+    return [Fraction(a + b, 2) for a, b in zip(bounds, bounds[1:])]
+
+
+def build_chambers(d: int, g: int) -> ChamberData:
+    """Walls, chambers covering (0, -d] and flip loci for degree d < 0: one
+    Fraction per end in chamber_bounds(d), shared by the chambers on either
+    side of it, and for each chamber i < hi the flip locus of the wall above."""
     dim = moduli_dim(d, g)  # rejects (d, g)
     lo, hi = fm_index_range(d)
-    walls = tuple(eta(i, d) for i in range(lo + 1, hi + 1))
-    bounds = (0, *walls, -d)  # ints, so each endpoint is one Fraction() and no Fraction arithmetic
-    chambers = []
-    for j in range(len(bounds) - 1):
-        lo_b, hi_b = bounds[j], bounds[j + 1]
-        chambers.append(
-            Chamber(
-                index=j,
-                fm_index=lo + j,
-                lower=Fraction(lo_b),
-                upper=Fraction(hi_b),
-                closed_upper=(j == len(bounds) - 2),
-                representative=Fraction(lo_b + hi_b, 2),
-            )
-        )
+    bounds = chamber_bounds(d)
+    ends, last = [Fraction(b) for b in bounds], len(bounds) - 2
+    chambers = tuple(Chamber(j, lo + j, ends[j], ends[j + 1], j == last, rep)
+                     for j, rep in enumerate(_midpoints(bounds)))
     flips = tuple(_flip_row(i, d, g, dim) for i in range(lo, hi))
-    return ChamberData(d, g, dim, walls, tuple(chambers), flips)
+    return ChamberData(d, g, dim, bounds[1:-1], chambers, flips)
 
 
 def chamber_of(sigma: Fraction, cd: ChamberData) -> ChamberLocation:

@@ -545,6 +545,20 @@ def test_specialization_at_one_matches_telescoping():
             assert fm_poincare_recursive(i, d, g)(1) == tele
 
 
+def test_flip_difference_at_one_closed_form_is_the_sum():
+    """For n >= 2g the t = 1 check uses 4^g (n + 1 - g) in place of
+    sum_k C(2g, k)(n - k + 1); both sides agree with the sum for every n.
+    Each n is the lowest chamber of two degrees, whose rank differences
+    n - g and n - g - 1 are not both zero."""
+    for g in range(2, 17):
+        for n in range(400):
+            total = sum(comb(2 * g, k) * (n - k + 1) for k in range(min(n, 2 * g) + 1))
+            for j, d in ((n, -2 * n - 1), (n + 1, -2 * n - 2)):
+                assert fm_index_range(d)[0] == j
+                rank_plus, rank_minus = -d - j - 1, d + g + 2 * j + 1
+                assert betti._flip_difference_at_one(j, d, g) == (rank_plus - rank_minus) * 4 ** g * total
+
+
 # -- bundle moduli and the constrained space -------------------------------------------
 
 

@@ -567,6 +567,7 @@ def _doctor(path, value=_DROP):
         (_doctor(("subs", 0, "rank"), 2), "subs[0].rank"),  # rank not proper
         (_doctor(("subs", 0, "parents"), ["M"]), "subs[0].parents"),  # unknown parent
         (_doctor(("type", "degree"), 0), "type.degree"),  # chamber scans need d < 0
+        (_doctor(("type", "degree"), 3), "type.degree"),
         (_doctor(("genus",), 1), "genus"),
         (_with_split("L", "C"), "split"),  # the summands do not add up to the type
         (_self_split, "split"),  # one subobject cannot be both summands

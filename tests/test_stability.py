@@ -1,6 +1,7 @@
 """Framed slope checks, filtrations, bounds, oriented verdicts and the
 pair/module equivalences, on hand-built and randomized lattice models."""
 
+import json
 import os
 import random
 import subprocess
@@ -11,7 +12,7 @@ from fractions import Fraction as F
 import pytest
 
 from flipchain import betti, stability
-from flipchain.chambers import InvalidInput, build_chambers, chamber_of
+from flipchain.chambers import InvalidInput, _to_json, build_chambers, chamber_of
 from flipchain.stability import (
     AmbiguousModel,
     AxiomViolated,
@@ -505,9 +506,14 @@ def oracle_oriented(m, pair, strict):
     return reduced_framed_slope(k.rank, k.degree, False, s_star, True) == reduced_framed_slope(o.rank, o.degree, True, s_star, True)
 
 
-def test_integer_verdicts_match_the_fraction_oracle():
+def lattice_models():
+    """The first 300 valid draws of random_lattice_model at seed 2024."""
     rng = random.Random(2024)
-    models = [m for m in (random_lattice_model(rng) for _ in range(400)) if m is not None][:300]
+    return [m for m in (random_lattice_model(rng) for _ in range(400)) if m is not None][:300]
+
+
+def test_integer_verdicts_match_the_fraction_oracle():
+    models = lattice_models()
     assert len(models) == 300
     assert any(not m.typ.framing_nonzero for m in models) and any(m.ctx.frame_degree for m in models)
     assert {m.typ.rank for m in models} == {2, 3, 4} and any(m.split for m in models)
@@ -527,6 +533,62 @@ def test_integer_verdicts_match_the_fraction_oracle():
             else:
                 got = max_destabilizer(m, sigma)
                 assert (got and got.id) == want
+
+
+# -- the stability-check report -------------------------------------------------------
+
+
+def chamber_walk(d):
+    """(kind, sigma) from build_chambers: chamber 0's representative, then each
+    later chamber's lower wall and representative."""
+    cd = build_chambers(d, 2)
+    points = [("chamber", cd.chambers[0].representative)]
+    for c in cd.chambers[1:]:
+        points += [("wall", c.lower), ("chamber", c.representative)]
+    return points
+
+
+def test_report_sigma_points_are_the_chamber_walk(monkeypatch):
+    """report_obj takes its sigma values from chamber_bounds, in the order,
+    types and values of the chamber walk over build_chambers."""
+    seen = []
+    real = stability._equivalences  # called once per point of a rank-2 report, with its sigma
+    monkeypatch.setattr(stability, "_equivalences", lambda m, sigma, *rest: seen.append(sigma) or real(m, sigma, *rest))
+    for d in range(-1, -61, -1):
+        seen.clear()
+        entries = stability.report_obj(rank2(d, [sub("K", 1, d, fr=False)]))["verdicts"]
+        want = chamber_walk(d)
+        assert [(type(s), s) for s in seen] == [(type(s), s) for _, s in want]
+        assert [(e["kind"], e["sigma"]) for e in entries] == [(k, str(s)) for k, s in want]
+
+
+def test_suite_sigma_lists_are_walls_then_representatives(monkeypatch):
+    for m, sigmas in suite_inputs(monkeypatch, 0, 300):
+        cd = build_chambers(m.typ.degree, m.ctx.genus)
+        want = [F(w) for w in cd.walls] + list(cd.representatives)
+        assert [(type(s), s) for s in sigmas] == [(type(s), s) for s in want]
+
+
+def test_report_hn_blocks_are_the_filtration_and_its_slopes():
+    """Each hn block is {**_to_json(hn), "slopes": _to_json(hn.graded_slopes(sigma))},
+    or the ambiguity hn_filtration raises, on the lattice models at every point;
+    a model with d >= 0 has no report."""
+    blocks = 0
+    for m in lattice_models():
+        if m.typ.degree >= 0:
+            with pytest.raises(InvalidInput, match="^type.degree: degree must be negative"):
+                stability.report_obj(m)
+            continue
+        for entry in stability.report_obj(m)["verdicts"]:
+            sigma = F(entry["sigma"])
+            try:
+                hn = hn_filtration(m, sigma)
+                want = {**_to_json(hn), "slopes": _to_json(hn.graded_slopes(sigma))}
+                blocks += 1
+            except AmbiguousModel as exc:
+                want = {"error": str(exc)}
+            assert entry["hn"] == want and json.dumps(entry["hn"]) == json.dumps(want)
+    assert blocks > 1000
 
 
 # -- model validation and serialization ------------------------------------------------
