@@ -61,8 +61,9 @@ def _fields(obj, path: str, spec: dict, retired: Iterable[str] = ()) -> dict:
             if default is _REQUIRED:
                 raise InvalidInput(f"{at}{key}: missing")
             fields[key] = default
-        else:
-            fields[key] = _checked(obj[key], kind, at + key)
+        else:  # a value of exactly its kind needs no check and no path
+            value = obj[key]
+            fields[key] = value if type(value) is kind else _checked(value, kind, at + key)
     return fields
 
 
@@ -339,15 +340,7 @@ def _flip_row(i: int, d: int, g: int, total: int) -> FlipLocusData:
     base_dim = g + (-d - i - 1)
     dim_minus = base_dim + rank_minus - 1
     dim_plus = base_dim + rank_plus - 1
-    return FlipLocusData(
-        i=i,
-        rank_minus=rank_minus,
-        rank_plus=rank_plus,
-        dim_p_minus=dim_minus,
-        dim_p_plus=dim_plus,
-        codim_minus=total - dim_minus,
-        codim_plus=total - dim_plus,
-    )
+    return FlipLocusData(i, rank_minus, rank_plus, dim_minus, dim_plus, total - dim_minus, total - dim_plus)
 
 
 #: Named invariants of the flip at the wall above chamber i, as predicates

@@ -349,11 +349,13 @@ def run_verify_all(g_max: int, d_min: int, seed: int, n_models: int, out) -> int
 def _unique_keys(pairs: List[Tuple[str, object]]) -> dict:
     """A JSON object as a dict, where json.load would keep the last of two
     equal keys without a word."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ValueError(f"duplicate key {key!r}")
-        obj[key] = value
+    obj = dict(pairs)
+    if len(obj) < len(pairs):  # a key came twice: name the first one repeated
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r}")
+            seen.add(key)
     return obj
 
 

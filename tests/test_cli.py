@@ -587,14 +587,54 @@ def test_model_with_a_duplicate_id_is_invalid_input(tmp_path):
     assert text.startswith("error: invalid input: subs[1].id: duplicate subobject id 'L'")
 
 
+_TYPE_ONLY = '{"genus": 2, "type": {%s, "framing_nonzero": true}, "subs": []}'
+
+
 @pytest.mark.parametrize("text, key", [
     ('{"genus": 9, ' + json.dumps(base_model())[1:], "genus"),
     (json.dumps(base_model()).replace('"rank": 2,', '"rank": 3, "rank": 2,'), "rank"),
+    # a key given three times: the error names the first key repeated, not the first key seen
+    *((_TYPE_ONLY % inner, key) for inner, key in [
+        ('"degree": -5, "rank": 2, "rank": 2, "degree": -5, "rank": 2', "rank"),
+        ('"rank": 2, "degree": -5, "degree": -5, "rank": 2, "rank": 2', "degree"),
+        ('"rank": 2, "rank": 2, "rank": 2, "degree": -5', "rank"),
+    ]),
 ])
 def test_model_file_with_a_duplicate_key_exits_2_naming_it(tmp_path, text, key):
     path = tmp_path / "model.json"
     path.write_text(text)
     assert capture(["stability-check", "--model", str(path)]) == (2, f"error: duplicate key {key!r}\n")
+
+
+@pytest.mark.parametrize("path, value, message", [
+    # null for a required field
+    (("genus",), None, "genus: expected an integer, got null"),
+    (("type",), None, "type: expected an object, got null"),
+    (("subs",), None, "subs: expected a list, got null"),
+    (("type", "framing_nonzero"), None, "type.framing_nonzero: expected true or false, got null"),
+    (("subs", 0, "id"), None, "subs[0].id: expected a string, got null"),
+    (("subs", 0, "degree"), None, "subs[0].degree: expected an integer, got null"),
+    # null for a defaulted field whose default is not null
+    (("frame_degree",), None, "frame_degree: expected an integer, got null"),
+    (("type", "delta_iso"), None, "type.delta_iso: expected true or false, got null"),
+    (("subs", 0, "phi_invariant"), None, "subs[0].phi_invariant: expected true or false, got null"),
+    (("subs", 0, "parents"), None, "subs[0].parents: expected a list, got null"),
+    # a bool in an int field
+    (("genus",), True, "genus: expected an integer, got true"),
+    (("frame_degree",), False, "frame_degree: expected an integer, got false"),
+    (("type", "rank"), True, "type.rank: expected an integer, got true"),
+    (("type", "degree"), False, "type.degree: expected an integer, got false"),
+    (("subs", 0, "rank"), True, "subs[0].rank: expected an integer, got true"),
+    (("subs", 0, "degree"), True, "subs[0].degree: expected an integer, got true"),
+])
+def test_model_reader_rejects_null_and_bool_values_with_the_exact_message(tmp_path, path, value, message):
+    assert check_model_file(tmp_path, _doctor(path, value)(base_model())) == (2, f"error: invalid input: {message}\n")
+
+
+def test_model_reader_rejects_an_unknown_key_beside_the_retired_epsilon_flag(tmp_path):
+    obj = base_model()
+    obj["type"].update(epsilon_nonzero=True, zeta=1)
+    assert check_model_file(tmp_path, obj) == (2, "error: invalid input: type.zeta: unknown field\n")
 
 
 def test_stability_check_exits_1_on_a_failed_equivalence_entry(tmp_path, monkeypatch):

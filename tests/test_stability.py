@@ -1,6 +1,7 @@
 """Framed slope checks, filtrations, bounds, oriented verdicts and the
 pair/module equivalences, on hand-built and randomized lattice models."""
 
+import inspect
 import json
 import os
 import random
@@ -591,6 +592,43 @@ def test_report_hn_blocks_are_the_filtration_and_its_slopes():
     assert blocks > 1000
 
 
+def _body_lines(code):
+    """Each line of a function's body that holds code, mapped to its text."""
+    lines, first = inspect.getsourcelines(code)
+    return {n: lines[n - first].strip() for _, _, n in code.co_lines() if n is not None and n != first}
+
+
+def test_every_line_of_the_filtration_runs_on_valid_input():
+    """The first step is read off the slope pass, so only models with a chain
+    of containers reach the general loop; every line of _filtration runs on
+    the lattice models and chain draws at five sigma values, and no line is
+    exempt."""
+    code = stability._filtration.__code__
+    ran = set()
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return trace
+
+    rng = random.Random(33)
+    models = lattice_models() + [stability.random_chain_model(rng) for _ in range(200)]
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        for m in models:
+            for sigma in (F(1, 2), F(1), F(3), F(13, 2), F(abs(m.typ.degree) + 2)):
+                try:
+                    hn_filtration(m, sigma)
+                except AmbiguousModel:
+                    pass
+    finally:
+        sys.settrace(previous)
+    assert {text for n, text in _body_lines(code).items() if n not in ran} == set()
+
+
 # -- model validation and serialization ------------------------------------------------
 
 
@@ -627,6 +665,29 @@ def test_a_long_containment_chain_builds():
     m = rank2(-3, subs)
     assert m.contains(f"C{n - 1}", "C0") and not m.contains("C0", f"C{n - 1}")
     assert len(m.ancestors["C0"]) == n - 1 and m.ancestors[f"C{n - 1}"] == frozenset()
+
+
+def test_the_ancestor_map_is_the_transitive_closure_in_any_listing_order():
+    """On random containment graphs, cycles and nodes below them included, each
+    id's set is every id reachable through parents, its own id only on a cycle."""
+    rng = random.Random(5)
+    cyclic = 0
+    for _ in range(400):
+        ids = [f"S{k}" for k in range(rng.randint(1, 8))]
+        by_id = {i: sub(i, 1, 0, fr=True, parents={p for p in ids if p != i and rng.random() < 0.25}) for i in ids}
+        by_id = dict(rng.sample(list(by_id.items()), len(by_id)))
+        want = {}
+        for i in ids:
+            seen, todo = set(), list(by_id[i].parents)
+            while todo:
+                p = todo.pop()
+                if p not in seen:
+                    seen.add(p)
+                    todo += by_id[p].parents
+            want[i] = seen
+        assert FramedModel._ancestor_map(by_id) == want
+        cyclic += any(i in want[i] for i in ids)
+    assert 50 < cyclic < 350
 
 
 CYCLE_SCRIPT = """
