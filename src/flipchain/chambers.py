@@ -340,7 +340,15 @@ def _flip_row(i: int, d: int, g: int, total: int) -> FlipLocusData:
     base_dim = g + (-d - i - 1)
     dim_minus = base_dim + rank_minus - 1
     dim_plus = base_dim + rank_plus - 1
-    return FlipLocusData(i, rank_minus, rank_plus, dim_minus, dim_plus, total - dim_minus, total - dim_plus)
+    return FlipLocusData(
+        i=i,
+        rank_minus=rank_minus,
+        rank_plus=rank_plus,
+        dim_p_minus=dim_minus,
+        dim_p_plus=dim_plus,
+        codim_minus=total - dim_minus,
+        codim_plus=total - dim_plus,
+    )
 
 
 #: Named invariants of the flip at the wall above chamber i, as predicates
