@@ -30,11 +30,15 @@ _KIND_NAMES = {int: "an integer", bool: "true or false", str: "a string", list: 
 
 def _shown(value) -> str:
     """At most 60 characters of value as JSON, or of its repr when JSON
-    cannot hold it (a Fraction from a Python caller, say)."""
+    cannot hold it (a Fraction from a Python caller, say), or a fixed text
+    when neither can (an int past the 4,300-digit limit of int-to-str)."""
     try:
         return json.dumps(value)[:60]
     except (TypeError, ValueError):
-        return repr(value)[:60]
+        try:
+            return repr(value)[:60]
+        except ValueError:
+            return f"<int of {value.bit_length()} bits>" if type(value) is int else f"<{type(value).__name__}>"
 
 
 def _checked(value, kind: type, path: str):
@@ -67,52 +71,21 @@ def _fields(obj, path: str, spec: dict, retired: Iterable[str] = ()) -> dict:
     return fields
 
 
-_JSON_LEAVES = frozenset((int, bool, str, type(None)))
-
-
-def _to_json(value):
-    """The object form of a report or model value, which the strict readers
-    compare with and the report builders return: a dataclass as an object of
-    its fields in declaration order, a tuple as a list, a frozenset as a
-    sorted list, a Fraction as its string and a LaurentPoly through
-    to_json_obj().  Types are matched exactly, a frozenset by isinstance,
-    and a leaf field or item is taken as it is; any other value is its own
-    form.  The CLI writes reports with _json_text, not through this form."""
-    kind = type(value)
-    if kind in _JSON_LEAVES:
-        return value
-    if kind is LaurentPoly:
-        return value.to_json_obj()
-    if kind is tuple:
-        return [item if type(item) in _JSON_LEAVES else _to_json(item) for item in value]
-    if kind is Fraction:
-        return str(value)
-    names = getattr(kind, "__dataclass_fields__", None)
-    if names is not None:
-        obj = {}
-        for name in names:
-            item = getattr(value, name)
-            obj[name] = item if type(item) in _JSON_LEAVES else _to_json(item)
-        return obj
-    if isinstance(value, frozenset):
-        return sorted(value)
-    return value
-
-
 _json_str = json.encoder.encode_basestring_ascii  # the C escaper json.dumps itself uses
 
 
 def _json_text(value, indent: str = "\n") -> str:
-    """json.dumps(_to_json(value), indent=2), byte for byte, written in one
-    walk of value with no object form in between; indent is the newline and
-    indentation of value's own line.  Values are read as _to_json reads
-    them, and dicts, lists and their items as json.dumps does; a
-    LaurentPoly writes itself with its json_text.  A field whose value is the
-    very object of the field before it reuses that field's text, as a
-    chamber's agreeing p_closed does.  CPython's json runs its
-    C encoder only without an indent, so reports are written here.  Any
-    other leaf, such as a float, is json.dumps(value); a non-str key or a
-    set raises TypeError."""
+    """The JSON text of a report or model value, indented by 2 as json.dumps
+    indents, and the one JSON writer: every object form is json.loads of this
+    text.  A dataclass is an object of its fields in declaration order, a tuple
+    an array, a frozenset a sorted array, a Fraction its quoted string and a
+    LaurentPoly its json_text; dicts, lists, str, int, bool and None are
+    written as json.dumps writes them, in one walk of value with no object
+    form in between (CPython's json runs its C encoder only without an
+    indent).  indent is the newline and indentation of value's own line.  A
+    field whose value is the very object of the field before it reuses that
+    field's text, as a chamber's agreeing p_closed does.  Any other leaf, such
+    as a float, is json.dumps(value); a non-str key or a set raises TypeError."""
     kind = type(value)
     if kind is str:
         return _json_str(value)
@@ -145,8 +118,9 @@ def _json_text(value, indent: str = "\n") -> str:
 
 
 def _require_equal(got, want, path: str, where: str) -> None:
-    """Nothing when the JSON value got is want; InvalidInput naming the
-    deepest path that differs otherwise.  Types compare exactly (a bool is
+    """Nothing when the JSON value got is want, the parse of the text the CLI
+    prints (json.loads(_json_text(report))); InvalidInput naming the deepest
+    path that differs otherwise.  Types compare exactly (a bool is
     not an integer, 1.0 is not 1), objects key by key in any order, lists
     item by item over their common length and then by length."""
     if type(got) is dict and type(want) is dict:

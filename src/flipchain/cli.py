@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence, Tuple
 
 from . import betti, chambers, stability
-from .chambers import InvalidInput, _checked, _json_text, _require_equal, _require_genus, _to_json
+from .chambers import InvalidInput, _checked, _json_text, _require_equal, _require_genus
 from .exactpoly import ConsistencyFailure
 
 #: Failure lines verify-all prints before it only counts the rest.
@@ -179,7 +179,7 @@ def chambers_obj_to_data(obj) -> chambers.ChamberData:
     _checked(obj, dict, "chambers report")
     d, g = (_checked(obj.get(key), int, key) for key in ("d", "g"))
     cd = chambers.build_chambers(d, g)
-    _require_equal(obj, _to_json(cd), "", f"for d={d}, g={g}")
+    _require_equal(obj, json.loads(_json_text(cd)), "", f"for d={d}, g={g}")
     return cd
 
 

@@ -256,18 +256,12 @@ class LaurentPoly:
                 parts.append(f"+ {term}" if c > 0 else f"- {term}")
         return " ".join(parts)
 
-    def to_json_obj(self) -> dict:
-        """{"terms": [[exponent, "coefficient"], ...]} sorted by exponent.
-
-        Coefficients are decimal strings so arbitrary precision survives any
-        JSON reader.
-        """
-        return {"terms": [[e, str(c)] for e, c in self.items()]}
-
     def json_text(self, indent: str = "\n") -> str:
-        """json.dumps(self.to_json_obj(), indent=2), byte for byte, with one
-        format per nonzero term and no object form built; indent is the
-        newline and indentation of the object's own line."""
+        """{"terms": [[exponent, "coefficient"], ...]} sorted by exponent, the
+        coefficients as decimal strings so arbitrary precision survives any
+        JSON reader, indented as json.dumps(..., indent=2) indents it, with one
+        format per nonzero term; indent is the newline and indentation of the
+        object's own line.  json.loads of it is the polynomial's object form."""
         inner = indent + "  "
         if not self._coeffs:
             return "{" + inner + '"terms": []' + indent + "}"

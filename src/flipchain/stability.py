@@ -16,6 +16,7 @@ Conventions baked into every check (curve with a degree-1 polarization):
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from collections.abc import Collection
@@ -25,7 +26,7 @@ from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .chambers import (_REQUIRED, InvalidInput, _checked, _fields, _require_genus, _require_int, _require_sigma,
-                       _midpoints, _to_json, chamber_bounds)
+                       _json_text, _midpoints, chamber_bounds)
 from .exactpoly import ConsistencyFailure
 
 
@@ -598,9 +599,10 @@ def rank2_threshold_holds(sub: SubobjectData, typ: FramedType, sigma: Fraction, 
 
 
 def model_to_json_obj(m: FramedModel) -> dict:
-    obj = {**_to_json(m.ctx), "type": _to_json(m.typ), "subs": _to_json(m.subs)}
-    if m.split is not None:
-        obj["split"] = _to_json(m.split)
+    ctx, typ, subs, split = json.loads(_json_text((m.ctx, m.typ, m.subs, m.split)))
+    obj = {**ctx, "type": typ, "subs": subs}
+    if split is not None:
+        obj["split"] = split
     return obj
 
 
@@ -622,7 +624,7 @@ def report_obj(m: FramedModel) -> dict:
         amb, slopes = _slopes(m, sigma)
         entry = {"sigma": str(sigma), "kind": kind, **dict(zip(VERDICT_KEYS, _verdicts(m, amb, slopes)))}
         try:
-            hn = _filtration(m, amb, slopes)  # _to_json(hn) and hn.graded_slopes(sigma), from hn's own tuples
+            hn = _filtration(m, amb, slopes)  # json.loads(_json_text(hn)) and hn.graded_slopes(sigma), from hn's tuples
             entry["hn"] = {"steps": list(hn.steps), "graded": [list(piece) for piece in hn.graded],
                            "slopes": [str(Fraction(*_framed_slope_terms(*piece, sigma, True))) for piece in hn.graded]}
         except AmbiguousModel as exc:
@@ -630,20 +632,21 @@ def report_obj(m: FramedModel) -> dict:
         if m.typ.rank == 2:
             try:
                 rep = _equivalences(m, sigma, amb, slopes, _destabilizer_or_ambiguity(m, amb, slopes))
-                entry["equivalences"] = {"ok": rep.ok, **_to_json(rep)}
+                entry["equivalences"] = {"ok": rep.ok, "mismatches": [list(pair) for pair in rep.mismatches]}
             except AxiomViolated as exc:
                 entry["equivalences"] = {"axiom_violated": str(exc)}
             except AmbiguousModel as exc:
                 entry["equivalences"] = {"ambiguous": str(exc)}
         entries.append(entry)
     nz = m.typ.framing_nonzero
+    bound, top = (sigma_upper_bound(m) if nz else None), sigma_max(m)
     return {
         "d": m.typ.degree,
         "g": m.ctx.genus,
         "rank": m.typ.rank,
-        "sigma_upper_bound": _to_json(sigma_upper_bound(m)) if nz else None,
+        "sigma_upper_bound": None if bound is None else str(bound),
         "final_chamber_stable": final_chamber_stable(m) if nz else None,
-        "sigma_max": _to_json(sigma_max(m)),
+        "sigma_max": None if top is None else str(top),
         "oriented": dict(zip(("module_semistable", "module_stable", "pair_semistable", "pair_stable"),
                              m._oriented[0] + m._oriented[1])),
         "verdicts": entries,

@@ -356,13 +356,6 @@ def test_a_failing_fiber_identity_is_never_recorded_as_passed(monkeypatch):
             cache.cache_clear()
 
 
-def test_recursive_route_raises_on_a_nonzero_remainder(monkeypatch):
-    flip_difference(2, -5, 2)  # its fiber verdict is cached before the subtraction is doctored
-    monkeypatch.setattr(betti, "sub", lambda a, b: a - 2 * b)  # up = down: -2Q + Q, nonzero at the top
-    with pytest.raises(NotDivisible, match=r"^nonzero remainder in the recursive route at \(j=2, d=-5, g=2\)$"):
-        flip_difference(2, -5, 2)
-
-
 def test_recursive_route_rejects_a_negative_exponent(monkeypatch):
     # j = 3 is below the window [5, 9] of d = -10, where up = 2d+2g+4j+2 = -2 and down = 12
     monkeypatch.setattr(betti, "_chamber_index_range", lambda i, d, path="i": (0, -d - 1))
@@ -444,7 +437,6 @@ _UNREACHED_BY_VALID_INPUT = {
      "formula, bundle = (LaurentPoly._from_coeffs(0, f) * _even_factor(rank_plus, g) for f in (formula, bundle))"),
     ("_subtract_flip", 'raise NotDivisible(f"flip difference routes disagree at j={j}, d={d}, g={g}: '
                        'formula={formula}, bundle={bundle}")'),
-    ("_subtract_flip", 'raise NotDivisible(f"nonzero remainder in the recursive route at (j={j}, d={d}, g={g})")'),
     ("_closed_chamber",
      'raise ConsistencyFailure(f"negative shift t^{shift} in the closed route at (i={i}, d={d}, g={g})")'),
     ("_closed_chamber", 'raise NotDivisible(f"nonzero remainder in the closed route at (i={i}, d={d}, g={g})")'),

@@ -11,7 +11,7 @@ import pkgutil
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 import pytest
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import flipchain
 from flipchain import betti, chambers, cli, stability
-from flipchain.chambers import InvalidInput, _json_text, _to_json
+from flipchain.chambers import InvalidInput, _json_text
 from flipchain.exactpoly import ConsistencyFailure, LaurentPoly, NotDivisible
 from flipchain.cli import (
     _SUBCOMMANDS,
@@ -408,8 +408,24 @@ def test_the_json_writer_rejects_what_json_cannot_hold(value):
         _json_text(value)
 
 
-def test_the_json_writer_writes_a_fraction_in_a_list_as_to_json_does():
-    assert _json_text([Fraction(1, 2)]) == json.dumps(_to_json((Fraction(1, 2),)), indent=2)
+def _object_form(value):
+    """The default hook of json.dumps for report values, the JSON writer's
+    reference, written apart from it: a dataclass is its fields in declaration
+    order, a LaurentPoly its terms, a frozenset a sorted list and a Fraction
+    its string."""
+    if is_dataclass(value):
+        return {f.name: getattr(value, f.name) for f in fields(value)}
+    if type(value) is LaurentPoly:
+        return {"terms": [[e, str(c)] for e, c in value.items()]}
+    if type(value) is frozenset:
+        return sorted(value)
+    if type(value) is Fraction:
+        return str(value)
+    raise TypeError(f"{type(value).__name__} is not a report value")
+
+
+def test_the_json_writer_writes_a_fraction_in_a_list_as_json_dumps_does():
+    assert _json_text([Fraction(1, 2)]) == json.dumps((Fraction(1, 2),), indent=2, default=_object_form)
 
 
 def _report_values():
@@ -437,46 +453,31 @@ def _report_values():
 def test_the_json_writer_writes_every_report_as_json_dumps_writes_its_object_form():
     n = 0
     for value in _report_values():
-        assert _json_text(value) == json.dumps(_to_json(value), indent=2), value
+        assert _json_text(value) == json.dumps(value, indent=2, default=_object_form), value
         n += 1
     assert n == 240 + 80 + 4 * 54 + 5 * 6 + 5  # chambers, betti reports, their chambers, models, polynomials
     assert _json_text(LaurentPoly()) == '{\n  "terms": []\n}'
 
 
-def test_chambers_and_betti_json_reports_are_written_without_the_object_form(monkeypatch):
-    argvs = (["betti", "--d", "-9", "--g", "3", "--json"], ["betti", "--d", "-9", "--g", "3", "--chamber", "6", "--json"],
-             ["chambers", "--d", "-9", "--g", "3", "--json"])
-    want = [capture(argv) for argv in argvs]
-
-    def raises(value):
-        raise AssertionError("the object form was built")
-
-    for module in (chambers, betti, cli):
-        monkeypatch.setattr(module, "_to_json", raises)
-    assert [capture(argv) for argv in argvs] == want
-    assert all(status == 0 and text.startswith("{") for status, text in want)
-
-
 def _json_reports():
-    """(argv, report object) for chambers, betti (whole and per chamber) and
+    """(argv, report value) for chambers, betti (whole and per chamber) and
     the golden stability models."""
     for g in range(2, 5):
         for d in range(-1, -31, -1):
-            yield ["chambers", "--d", str(d), "--g", str(g)], _to_json(chambers.build_chambers(d, g))
+            yield ["chambers", "--d", str(d), "--g", str(g)], chambers.build_chambers(d, g)
     for g in (2, 3):
         for d in range(-1, -11, -1):
             argv = ["betti", "--d", str(d), "--g", str(g)]
             report = betti.build_betti_report(d, g)
-            yield argv, betti.report_to_json_obj(report)
+            yield argv, report
             for ch in report.chambers:
-                only = betti.build_betti_report(d, g, only_chamber=ch.i)
-                yield argv + ["--chamber", str(ch.i)], betti.report_to_json_obj(only)
+                yield argv + ["--chamber", str(ch.i)], betti.build_betti_report(d, g, only_chamber=ch.i)
 
 
 def test_every_json_report_is_what_json_dumps_writes(tmp_path):
     n = 0
-    for argv, obj in _json_reports():
-        assert capture(argv + ["--json"]) == (0, json.dumps(obj, indent=2) + "\n"), argv
+    for argv, value in _json_reports():
+        assert capture(argv + ["--json"]) == (0, json.dumps(value, indent=2, default=_object_form) + "\n"), argv
         n += 1
     for model in (readme_model, chain_model, tie_model, zero_framing_model, no_kernel_model):
         path = tmp_path / "model.json"
@@ -811,6 +812,21 @@ def chambers_report_obj() -> dict:
 def test_report_readers_reject_with_the_field_path(read, emitted, doctor, field):
     with pytest.raises(InvalidInput, match=f"^{re.escape(field)}: "):
         read(doctor(emitted()))
+
+
+HUGE = 10**5000  # past the 4,300-digit limit of int-to-str, so neither json.dumps nor repr can write it
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: chambers._checked(HUGE, str, "subs[*].id"), "subs[*].id: expected a string, got <int of 16610 bits>"),
+    (lambda: stability.SubobjectData(HUGE, 1, -1, fr=True), "subs[*].id: expected a string, got <int of 16610 bits>"),
+    (lambda: chambers_obj_to_data(_doctor(("walls", 0), HUGE)(chambers_report_obj())),
+     "walls[0]: expected 2 for d=-6, g=3, got <int of 16610 bits>"),
+], ids=["_checked", "SubobjectData", "chambers_obj_to_data"])
+def test_an_int_too_long_to_write_is_named_by_its_bit_count(call, message):
+    with pytest.raises(InvalidInput) as info:
+        call()
+    assert str(info.value) == message
 
 
 #: JSON values a leaf of a report is replaced with.
@@ -1178,6 +1194,27 @@ def test_the_direct_reader_accepts_the_readme_command_lines():
     assert len(lines) == 25
     for argv in lines:
         assert _read_plain(argv) == _parse_with_argparse(argv), argv
+
+
+def _readme_code_names():
+    """(owner, name) for each backticked module.name in the README of the
+    five modules, with or without the flipchain. prefix, and each Class.attr
+    of a class flipchain exports; call arguments after either are allowed."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    modules = ("betti", "chambers", "cli", "exactpoly", "stability")
+    for module, name in re.findall(rf"`(?:flipchain\.)?({'|'.join(modules)})\.(\w+)(?:\([^`]*\))?`", text):
+        yield importlib.import_module(f"flipchain.{module}"), name
+    classes = {name: value for name, value in vars(flipchain).items() if isinstance(value, type)}
+    for cls, name in re.findall(r"`([A-Z]\w*)\.(\w+)(?:\([^`]*\))?`", text):
+        if cls in classes:
+            yield classes[cls], name
+
+
+def test_the_readme_names_only_code_that_exists():
+    names = set(_readme_code_names())
+    assert len(names) == 16
+    assert sorted(f"{owner.__name__}.{name}" for owner, name in names if not hasattr(owner, name)) == []
 
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")

@@ -1,5 +1,6 @@
 """Ring arithmetic, exact division, kernels and coefficient extraction."""
 
+import json
 import re
 from fractions import Fraction
 
@@ -169,7 +170,7 @@ def test_order_mismatch_rejected():
 
 def test_json_round_trip_and_layout():
     p = poly({-2: 3, 0: -7, 5: 12345678901234567890})
-    obj = p.to_json_obj()
+    obj = json.loads(p.json_text())
     assert obj == {"terms": [[-2, "3"], [0, "-7"], [5, "12345678901234567890"]]}
 
 

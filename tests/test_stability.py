@@ -13,7 +13,7 @@ from fractions import Fraction as F
 import pytest
 
 from flipchain import betti, stability
-from flipchain.chambers import InvalidInput, _to_json, build_chambers, chamber_of
+from flipchain.chambers import InvalidInput, _json_text, build_chambers, chamber_of
 from flipchain.stability import (
     AmbiguousModel,
     AxiomViolated,
@@ -571,7 +571,7 @@ def test_suite_sigma_lists_are_walls_then_representatives(monkeypatch):
 
 
 def test_report_hn_blocks_are_the_filtration_and_its_slopes():
-    """Each hn block is {**_to_json(hn), "slopes": _to_json(hn.graded_slopes(sigma))},
+    """Each hn block is {**hn's fields, "slopes": hn.graded_slopes(sigma)}, as json.loads reads their text,
     or the ambiguity hn_filtration raises, on the lattice models at every point;
     a model with d >= 0 has no report."""
     blocks = 0
@@ -584,12 +584,36 @@ def test_report_hn_blocks_are_the_filtration_and_its_slopes():
             sigma = F(entry["sigma"])
             try:
                 hn = hn_filtration(m, sigma)
-                want = {**_to_json(hn), "slopes": _to_json(hn.graded_slopes(sigma))}
+                want = {**json.loads(_json_text(hn)), "slopes": json.loads(_json_text(hn.graded_slopes(sigma)))}
                 blocks += 1
             except AmbiguousModel as exc:
                 want = {"error": str(exc)}
             assert entry["hn"] == want and json.dumps(entry["hn"]) == json.dumps(want)
     assert blocks > 1000
+
+
+def test_report_equivalence_blocks_are_the_report_with_its_verdict(monkeypatch):
+    """Each rank-2 equivalences block that holds a report is {"ok": rep.ok,
+    **rep's fields} as json.loads reads their text, for the report of
+    verify_rank2_equivalences on the lattice models at every point and for a
+    doctored report with mismatches, so report_obj's own field list cannot
+    drift from EquivalenceReport."""
+    blocks = 0
+    for m in lattice_models():
+        if m.typ.rank != 2 or m.typ.degree >= 0:
+            continue
+        for entry in stability.report_obj(m)["verdicts"]:
+            if "ok" in entry["equivalences"]:
+                rep = verify_rank2_equivalences(m, F(entry["sigma"]))
+                want = {"ok": rep.ok, **json.loads(_json_text(rep))}
+                assert entry["equivalences"] == want and json.dumps(entry["equivalences"]) == json.dumps(want)
+                blocks += 1
+    assert blocks > 200
+    rep = stability.EquivalenceReport((("fm_semistable", "L"), ("pair_stable", None)))
+    monkeypatch.setattr(stability, "_equivalences", lambda *args: rep)
+    entry = stability.report_obj(rank2(-5, [sub("L", 1, -3, fr=False)]))["verdicts"][0]
+    assert entry["equivalences"] == {"ok": False, **json.loads(_json_text(rep))}
+    assert entry["equivalences"]["mismatches"] == [["fm_semistable", "L"], ["pair_stable", None]]
 
 
 def _body_lines(code):
