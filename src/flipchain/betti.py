@@ -10,9 +10,12 @@ divisor is a geometric kernel 1 - t^k, every division an exact prefix pass
 that fails loudly, and both chamber routes cache lists divided once per (n, g).
 What no report keeps runs on integer lists from t^0: each flip is subtracted
 straight into the chain's running list, its two exponents (twice a
-flip-locus rank) checked up front, and the fiber verdicts and the blow-up
-difference are list passes.  A LaurentPoly is built only for a value a
-report keeps or prints, or for an error message.
+flip-locus rank) checked up front, and the fiber verdicts, the blow-up
+difference and the bundle moduli numerator are list passes.  The flips'
+shared factor E(n, g) = (1+t)^(2g) Sym^n takes the Abel-Jacobi form, a
+binomial row over 1 - t^2, for n >= 2g - 1, and is a product only below.
+A LaurentPoly is built only for a value a report keeps or prints, or for an
+error message.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from operator import add, sub
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .chambers import InvalidInput, _checked, fm_index_range, moduli_dim
-from .chambers import _chamber_index_range, _json_text, _require_equal, _require_genus, _require_int
+from .chambers import _as_text, _chamber_index_range, _json_text, _require_equal, _require_genus, _require_int
 from .exactpoly import ConsistencyFailure, LaurentPoly, NotDivisible, _div_one_minus_t_pow, lp_div_one_minus_t_pow
 
 _ONE_MINUS_T2 = LaurentPoly({0: 1, 2: -1})
@@ -44,11 +47,16 @@ def _even_factor(n: int, g: int) -> LaurentPoly:
     return LaurentPoly._from_coeffs(0, _one_plus_t_pow(2 * g)) * sym_product_poincare(n, g)
 
 
+def _proj_space(m: int) -> List[int]:
+    """1 + t^2 + ... + t^(2m) for m >= -1 as its list from t^0, empty for m = -1."""
+    return ([1, 0] * (m + 1))[:-1]
+
+
 def proj_space_poincare(n: int) -> LaurentPoly:
     """1 + t^2 + ... + t^(2n) for projective n-space; zero for n = -1."""
     if _require_int(n, "n") < -1:
-        raise InvalidInput(f"n: projective dimension must be at least -1, got {n}")
-    return LaurentPoly._from_coeffs(0, ([1, 0] * (n + 1))[:-1])
+        raise InvalidInput(f"n: projective dimension must be at least -1, got {_as_text(n)}")
+    return LaurentPoly._from_coeffs(0, _proj_space(n))
 
 
 def _times_proj_space(p: Sequence[int], m: int) -> List[int]:
@@ -67,7 +75,7 @@ def sym_product_poincare(n: int, g: int) -> LaurentPoly:
     the Poincare polynomial of projective (n - k)-space (Macdonald,
     "Symmetric products of an algebraic curve", Topology 1, 1962)."""
     if min(_require_int(n, "n"), _require_int(g, "g")) < 0:
-        raise InvalidInput(f"{'n' if n < 0 else 'g'}: must be nonnegative, got n={n}, g={g}")
+        raise InvalidInput(f"{'n' if n < 0 else 'g'}: must be nonnegative, got n={_as_text(n)}, g={_as_text(g)}")
     coeffs = [0] * (2 * n + 1)  # C(2g, k) t^k (1 + t^2 + ... + t^(2n-2k)) added in place
     for k in range(min(n, 2 * g) + 1):
         c = comb(2 * g, k)
@@ -79,8 +87,20 @@ def sym_product_poincare(n: int, g: int) -> LaurentPoly:
 @lru_cache(maxsize=None)
 def _divided_shared_factor(n: int, g: int) -> List[int]:
     """E(n, g) / (1 - t^2) from t^0, E = (1+t)^(2g) times Sym^n's polynomial, which does not depend
-    on d, truncated at E's length: past it the series repeats its last two entries."""
-    q = list(_even_factor(n, g)._coeffs)  # E's valuation is 0
+    on d, truncated at E's length 2n + 2g + 1: past it the series repeats its last two entries.
+    For n >= 2g - 1, Sym^n is a P^(n-g)-bundle over the Jacobian by Abel-Jacobi, so
+    E = (1+t)^(4g) (1 - t^(2(n-g+1))) / (1 - t^2): the binomial row less its shift, divided twice by
+    1 - t^2 in step-2 prefix passes, the first exact.  Below 2g - 1 the bundle form fails, and E is
+    the product."""
+    if n < 2 * g - 1:
+        q = list(_even_factor(n, g)._coeffs)  # E's valuation is 0
+    else:
+        row, shift = _one_plus_t_pow(4 * g), 2 * (n - g + 1)
+        q = row + [0] * shift
+        q[shift:] = map(sub, q[shift:], row)  # (1+t)^(4g) (1 - t^shift)
+        for r in (0, 1):
+            q[r::2] = accumulate(q[r::2])
+        del q[-2:]  # E, less the zero remainder
     for r in (0, 1):
         q[r::2] = accumulate(q[r::2])
     return q
@@ -90,14 +110,14 @@ def _fiber_factors(up: int, down: int, rank_plus: int, rank_minus: int) -> Tuple
     """Formula route's fiber factor, (t^up - t^down)/(1-t^2) by exact division, and bundle route's,
     P^(rank W+ - 1) - P^(rank W- - 1) for the projective fibers of the two flip loci, as (formula,
     bundle): two integer lists of one length from t^0.  The caller has checked up, down >= 0."""
-    plus, minus = (proj_space_poincare(r - 1)._coeffs for r in (rank_plus, rank_minus))
+    plus, minus = _proj_space(rank_plus - 1), _proj_space(rank_minus - 1)
     width = max(up - 1, down - 1, len(plus), len(minus))
     numerator = [0] * (width + 2)  # zeros past t^up and t^down leave the quotient's top zero
     numerator[up] += 1
     numerator[down] -= 1
-    bundle = list(plus) + [0] * (width - len(plus))
-    bundle[:len(minus)] = map(sub, bundle, minus)
-    return _div_one_minus_t_pow(0, numerator, 2), bundle
+    plus += [0] * (width - len(plus))
+    plus[:len(minus)] = map(sub, plus, minus)
+    return _div_one_minus_t_pow(0, numerator, 2), plus
 
 
 @lru_cache(maxsize=None)
@@ -171,16 +191,14 @@ def fm_poincare_recursive(i: int, d: int, g: int) -> LaurentPoly:
     return _recursive_chain(i, d, g)[i]
 
 
-def _e_times_f(k: int, g: int) -> List[int]:
-    """(1+t)^(2g) f_k from t^0, read off the cached B lists: t^(2k) times it is (1+t)^(2g)
-    (B_k - B_(k-1)), and a step-2 difference of a divided list gives back its numerator."""
-    if k < 0:
-        return []
-    b, below = _closed_lists(k, g)[1], _closed_lists(k - 1, g)[1] if k else []
-    f = list(map(sub, b[2 * k:], b[2 * k - 2:] if k else [0, 0] + b))  # (1+t)^(2g) B_k from t^(2k)
-    below = list(map(sub, below[2 * k:], below[2 * k - 2:]))  # (1+t)^(2g) B_(k-1) from t^(2k)
-    f[:len(below)] = map(sub, f, below)
-    return f
+def _window(x: List[int], start: int, width: int) -> List[int]:
+    """Entries start .. start + width - 1 of a series cached as x from t^0: zero below t^0, and past
+    x's end its last two entries repeated (a zero before a lone one)."""
+    end, top = start + width, len(x)
+    w = [0] * -start + x[:end] if start < 0 else x[start:end]
+    if end > top:
+        w += ([0, 0, *x][-2:] * ((end - top) // 2 + 1))[max(start - top, 0):end - top]  # from t^top on
+    return w
 
 
 @lru_cache(maxsize=None)
@@ -193,23 +211,30 @@ def _closed_lists(n: int, g: int) -> Tuple[List[int], List[int]]:
     (1+xt)^(2g) / ((1-x)(1-x t^2)) for the symmetric products, from the
     recurrence its denominator gives:
     f_k = C(2g, k) t^k + (1+t^2) f_(k-1) - t^2 f_(k-2), and f_k = 0 for k < 0.
-    Nothing else is kept: f is read back off the B lists.  Call it with n
-    rising, so that the entries at n-1, n-2 and n-3 are already cached."""
-    top = 4 * n + 2 * g + 1
-    ef = [0] * top  # (1+t)^(2g) f_n, then divided by 1 - t^2
-    ef[n:n + 2 * g + 1] = [comb(2 * g, n) * comb(2 * g, e) for e in range(2 * g + 1)]
-    f1, f2 = _e_times_f(n - 1, g), _e_times_f(n - 2, g)
-    ef[:len(f1)] = map(add, ef, f1)
-    ef[2:len(f1) + 2] = map(add, ef[2:len(f1) + 2], f1)
-    ef[2:len(f2) + 2] = map(sub, ef[2:len(f2) + 2], f2)
-    for r in (0, 1):
-        ef[r::2] = accumulate(ef[r::2])
-    if not n:
-        return ef, ef[:]
-    a_below, b_below = _closed_lists(n - 1, g)
-    a = ef[:4] + list(map(add, ef[4:], a_below))
-    b = b_below + [0, *b_below[-2:]][-2:] * 2  # carried on by its last two entries, a zero before a lone one
-    b[2 * n:] = map(add, b[2 * n:], ef)
+    Nothing else is kept.  Each f_n is built once, as F_n = (1+t)^(2g) f_n /
+    (1 - t^2) on its numerator's 2n + 2g + 1 terms, and the recurrence reads
+    F_(n-1) and F_(n-2) back off the last three cached B lists B'_k, since
+    t^(2k) F_k = B'_k - B'_(k-1).  Call it with n rising, so that the entries
+    at n-1, n-2 and n-3 are already cached."""
+    if not n:  # F_0 = (1+t)^(2g) / (1 - t^2)
+        a = [comb(2 * g, e) for e in range(2 * g + 1)]
+        for r in (0, 1):
+            a[r::2] = accumulate(a[r::2])
+        return a, a[:]
+    width = 2 * n + 2 * g + 1  # F_n's numerator's length
+    a_below, b1 = _closed_lists(n - 1, g)
+    b2, b3 = (_closed_lists(k, g)[1] if k >= 0 else [] for k in (n - 2, n - 3))
+    w2 = _window(b2, 2 * n - 6, width + 4)
+    f1 = list(map(sub, _window(b1, 2 * n - 4, width + 2), w2[2:]))  # t^2 F_(n-1)
+    f2 = map(sub, w2, _window(b3, 2 * n - 6, width))  # t^2 F_(n-2)
+    f = list(map(add, f1[2:], map(sub, f1, f2)))
+    c = comb(2 * g, n)
+    if c:  # C(2g, n) t^n (1+t)^(2g) / (1 - t^2), t^n times C(2g, n) F_0
+        f[n:] = map(add, f[n:], map(c.__mul__, _window(_closed_lists(0, g)[0], 0, width - n)))
+    a = f + f[-2:] * n  # carried on to 4n + 2g + 1 terms by its last two entries
+    a[4:] = map(add, a[4:], a_below)
+    b = b1 + [0, *b1[-2:]][-2:] * 2  # the same, a zero before a lone entry
+    b[2 * n:] = map(add, b[2 * n:], f)
     return a, b
 
 
@@ -254,11 +279,16 @@ def _closed_chamber(i: int, d: int, g: int) -> LaurentPoly:
 
 
 @lru_cache(maxsize=None)
-def _bundle_numerator(g: int) -> LaurentPoly:
-    """(1+t)^(2g) ((1+t^3)^(2g) - t^(2g) (1+t)^(2g)), the numerator of
-    u2d_poincare and mcon_poincare; g is checked by its callers."""
-    e, e3 = (LaurentPoly._from_coeffs(0, _one_plus_t_pow(2 * g, step)) for step in (1, 3))
-    return e * (e3 - LaurentPoly.monomial(2 * g) * e)
+def _bundle_numerator(g: int) -> List[int]:
+    """(1+t)^(2g) ((1+t^3)^(2g) - t^(2g) (1+t)^(2g)), the numerator of u2d_poincare and
+    mcon_poincare, from t^0: one shifted add of (1+t)^(2g) per term C(2g, k) t^(3k), less
+    t^(2g) (1+t)^(4g); g is checked by its callers."""
+    e = _one_plus_t_pow(2 * g)
+    out = [0] * (8 * g + 1)
+    for k in range(2 * g + 1):
+        out[3 * k:3 * k + 2 * g + 1] = map(add, out[3 * k:3 * k + 2 * g + 1], map(comb(2 * g, k).__mul__, e))
+    out[2 * g:6 * g + 1] = map(sub, out[2 * g:6 * g + 1], _one_plus_t_pow(4 * g))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -266,7 +296,7 @@ def u2d_poincare(g: int) -> LaurentPoly:
     """Poincare polynomial of the rank-2 odd-degree bundle moduli space:
     (1+t)^(2g) ((1+t^3)^(2g) - t^(2g) (1+t)^(2g)) / ((1-t^2)(1-t^4))."""
     _require_genus(g)
-    return lp_div_one_minus_t_pow(lp_div_one_minus_t_pow(_bundle_numerator(g), 2), 4)
+    return LaurentPoly._from_coeffs(0, _div_one_minus_t_pow(0, _div_one_minus_t_pow(0, _bundle_numerator(g), 2), 4))
 
 
 def u2d_from_bundle(g: int, d: int) -> LaurentPoly:
@@ -276,7 +306,7 @@ def u2d_from_bundle(g: int, d: int) -> LaurentPoly:
     lo, _ = fm_index_range(d)
     _require_genus(g)
     if d % 2 == 0 or -d <= 4 * g - 4:
-        raise InvalidInput(f"d: the bundle route needs odd d with -d > 4g - 4, got d={d}, g={g}")
+        raise InvalidInput(f"d: the bundle route needs odd d with -d > 4g - 4, got d={_as_text(d)}, g={_as_text(g)}")
     return _bundle_quotient(fm_poincare_closed(lo, d, g), d, g)
 
 
@@ -291,11 +321,13 @@ def mcon_poincare(g: int) -> LaurentPoly:
     factor as the bundle moduli polynomial times 1 + t^2, the shadow of a
     line of endomorphism directions over each stable point."""
     _require_genus(g)
-    result = lp_div_one_minus_t_pow(lp_div_one_minus_t_pow(_bundle_numerator(g), 2), 2)
-    expected = u2d_poincare(g) * LaurentPoly({0: 1, 2: 1})
+    result = _div_one_minus_t_pow(0, _div_one_minus_t_pow(0, _bundle_numerator(g), 2), 2)
+    u = u2d_poincare(g)._coeffs  # its valuation is 0
+    expected = [*u, 0, 0]
+    expected[2:] = map(add, expected[2:], u)
     if result != expected:
         raise NotDivisible(f"constrained moduli polynomial fails the fiber identity at g={g}")
-    return result
+    return LaurentPoly._from_coeffs(0, result)
 
 
 def _blowup_delta(next_to_last: LaurentPoly, terminal: LaurentPoly, d: int, g: int) -> LaurentPoly:
@@ -320,7 +352,7 @@ def _blowup_delta(next_to_last: LaurentPoly, terminal: LaurentPoly, d: int, g: i
 def blowup_delta(d: int, g: int) -> LaurentPoly:
     """The blow-up identity's difference at (d, g), zero when it holds; d <= -3."""
     if _require_int(d, "d") > -3:
-        raise InvalidInput(f"d: the terminal flip needs d <= -3, got {d}")
+        raise InvalidInput(f"d: the terminal flip needs d <= -3, got {_as_text(d)}")
     return _blowup_delta(fm_poincare_recursive(-d - 2, d, g), terminal_poincare(d, g), d, g)
 
 

@@ -41,6 +41,15 @@ def _shown(value) -> str:
             return f"<int of {value.bit_length()} bits>" if type(value) is int else f"<{type(value).__name__}>"
 
 
+def _as_text(value) -> str:
+    """str(value), or _shown's fixed text when int-to-str refuses it (an int, or a Fraction's
+    numerator or denominator, past its 4,300-digit limit)."""
+    try:
+        return str(value)
+    except ValueError:
+        return _shown(value)
+
+
 def _checked(value, kind: type, path: str):
     """The value when it is of the JSON kind int, bool, str, list or dict (a
     bool is not an integer); InvalidInput naming the field path otherwise."""
@@ -161,20 +170,21 @@ def fm_index_range(d: int, path: str = "d") -> Tuple[int, int]:
     sigma in (eta_i, eta_(i+1)).
     """
     if _require_int(d, path) >= 0:
-        raise InvalidInput(f"{path}: degree must be negative, got {d}")
+        raise InvalidInput(f"{path}: degree must be negative, got {_as_text(d)}")
     return (-d) // 2, -d - 1
 
 
 def _require_genus(g: int, path: str = "g") -> None:
     """The one home of the rule genus >= 2; InvalidInput naming path otherwise."""
     if _require_int(g, path) < 2:
-        raise InvalidInput(f"{path}: genus must be at least 2, got {g}")
+        raise InvalidInput(f"{path}: genus must be at least 2, got {_as_text(g)}")
 
 
 def _chamber_index_range(i: int, d: int, path: str = "i") -> Tuple[int, int]:
     """fm_index_range(d) when it holds the index i; InvalidInput naming path otherwise."""
     lo, hi = fm_index_range(d)
     if not lo <= _require_int(i, path) <= hi:
+        i, lo, hi, d = map(_as_text, (i, lo, hi, d))
         raise InvalidInput(f"{path}: index {i} outside [{lo}, {hi}] for d={d}")
     return lo, hi
 
@@ -185,7 +195,7 @@ def _require_sigma(sigma):
     if type(sigma) is not Fraction and type(sigma) is not int:
         raise InvalidInput(f"sigma: expected an int or a Fraction, got {sigma!r}")
     if sigma.numerator <= 0:  # the denominator of a Fraction is positive
-        raise InvalidInput(f"sigma: must be positive, got {sigma}")
+        raise InvalidInput(f"sigma: must be positive, got {_as_text(sigma)}")
     return sigma
 
 
@@ -302,7 +312,8 @@ def flip_locus(i: int, d: int, g: int) -> FlipLocusData:
     total = moduli_dim(d, g)
     lo, hi = fm_index_range(d)
     if not lo <= _require_int(i, "i") < hi:  # the last chamber has no wall above it
-        raise InvalidInput(f"i: flip index {i} outside [{lo}, {hi - 1}] for d={d}")
+        i, lo, hi, d = map(_as_text, (i, lo, hi - 1, d))
+        raise InvalidInput(f"i: flip index {i} outside [{lo}, {hi}] for d={d}")
     return _flip_row(i, d, g, total)
 
 

@@ -243,18 +243,11 @@ class LaurentPoly:
     def __str__(self) -> str:
         if not self._coeffs:
             return "0"
-        parts = []
-        for e, c in self.items():
-            if e == 0:
-                term = str(abs(c))
-            else:
-                var = "t" if e == 1 else f"t^{e}"
-                term = var if abs(c) == 1 else f"{abs(c)}*{var}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
+        text = "".join([(f" + {c}*t^{e}" if c > 1 else f" - {-c}*t^{e}" if c < -1 else f" + t^{e}" if c == 1 else f" - t^{e}")
+                        if e != 0 and e != 1 else  # t^0 and t^1 print as a bare number and t
+                        (" - " if c < 0 else " + ") + (str(abs(c)) if not e else "t" if c in (1, -1) else f"{abs(c)}*t")
+                        for e, c in enumerate(self._coeffs, self._val) if c])
+        return text[3:] if text[1] == "+" else "-" + text[3:]  # the first term's sign takes no spaces
 
     def json_text(self, indent: str = "\n") -> str:
         """{"terms": [[exponent, "coefficient"], ...]} sorted by exponent, the

@@ -610,23 +610,29 @@ def model_to_json_obj(m: FramedModel) -> dict:
 VERDICT_KEYS = ("fm_semistable", "fm_stable", "pair_semistable", "pair_stable")
 
 
+def _ratio_text(p: int, q: int) -> str:
+    """str(Fraction(p, q)) for q > 0, by one gcd and no Fraction."""
+    k = math.gcd(p, q)
+    return str(p // k) if k == q else f"{p // k}/{q // k}"
+
+
 def report_obj(m: FramedModel) -> dict:
     """The stability-check report of m, JSON-ready: bounds and oriented verdicts,
     then per sigma (each chamber representative, after its lower end when that is a
     wall) what one _slopes pass gives.  InvalidInput naming type.degree unless d < 0."""
-    bounds = chamber_bounds(m.typ.degree, "type.degree")
-    reps = _midpoints(bounds)
-    points = [("chamber", reps[0])]
-    for w, mid in zip(bounds[1:-1], reps[1:]):
-        points += [("wall", Fraction(w)), ("chamber", mid)]
+    bounds, points = chamber_bounds(m.typ.degree, "type.degree"), []
+    for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):  # sigma and its text, from the ends
+        if k:
+            points.append(("wall", Fraction(lo), str(lo)))
+        points.append(("chamber", Fraction(lo + hi, 2), _ratio_text(lo + hi, 2)))
     entries = []
-    for kind, sigma in points:
+    for kind, sigma, sigma_text in points:
         amb, slopes = _slopes(m, sigma)
-        entry = {"sigma": str(sigma), "kind": kind, **dict(zip(VERDICT_KEYS, _verdicts(m, amb, slopes)))}
+        entry = {"sigma": sigma_text, "kind": kind, **dict(zip(VERDICT_KEYS, _verdicts(m, amb, slopes)))}
         try:
             hn = _filtration(m, amb, slopes)  # json.loads(_json_text(hn)) and hn.graded_slopes(sigma), from hn's tuples
             entry["hn"] = {"steps": list(hn.steps), "graded": [list(piece) for piece in hn.graded],
-                           "slopes": [str(Fraction(*_framed_slope_terms(*piece, sigma, True))) for piece in hn.graded]}
+                           "slopes": [_ratio_text(*_framed_slope_terms(*piece, sigma, True)) for piece in hn.graded]}
         except AmbiguousModel as exc:
             entry["hn"] = {"error": str(exc)}
         if m.typ.rank == 2:

@@ -156,20 +156,23 @@ def macdonald_series(g, order):
     return product
 
 
+def _undivided(divided):
+    """The numerator of a list cached divided by 1 - t^2: a step-2 difference undoes the division."""
+    return LaurentPoly(enumerate(x - y for x, y in zip(divided, [0, 0] + divided)))
+
+
 def test_explicit_sum_and_recurrence_match_the_generating_function():
-    # the list recurrence keeps (1+t)^(2g) f_k, so all three are compared
-    # times (1+t)^(2g), which is nonzero: Z[t] has no zero divisors; the cached
-    # A list is divided by 1 - t^2, and a step-2 difference undoes that
+    # the closed lists hold (1+t)^(2g) f_k only inside (1+t)^(2g) A_k and (1+t)^(2g) B_k, so all three
+    # are compared times (1+t)^(2g), which is nonzero: Z[t] has no zero divisors
     for g in range(7):
         series, shared = macdonald_series(g, 15), ONE_PLUS_T ** (2 * g)
-        a_below = LaurentPoly.zero()
+        a_below = b_below = LaurentPoly.zero()
         for k in range(16):
-            listed = LaurentPoly(enumerate(betti._e_times_f(k, g)))
+            a, b = (_undivided(divided) for divided in betti._closed_lists(k, g))
+            listed = a - LaurentPoly.monomial(4) * a_below  # A_k = f_k + t^4 A_(k-1)
             assert listed == shared * sym_product_poincare(k, g) == shared * series.coeff_x(k), (k, g)
-            divided = betti._closed_lists(k, g)[0]
-            a = LaurentPoly(enumerate(x - y for x, y in zip(divided, [0, 0] + divided)))
-            assert a - LaurentPoly.monomial(4) * a_below == listed, (k, g)  # A_k = f_k + t^4 A_(k-1)
-            a_below = a
+            assert b - b_below == LaurentPoly.monomial(2 * k) * listed, (k, g)  # B_k = B_(k-1) + t^(2k) f_k
+            a_below, b_below = a, b
 
 
 def _betti_caches():
@@ -225,6 +228,23 @@ def test_flip_difference_is_the_product_of_the_bundle_and_shared_factors():
         bundle = proj_space_poincare(rank_plus - 1) - proj_space_poincare(rank_minus - 1)
         shared = ONE_PLUS_T ** (2 * g) * sym_product_poincare(rank_plus, g)  # E(n, g)
         assert flip_difference(j, d, g) == bundle * shared, (j, d, g)
+
+
+def test_the_divided_shared_factor_is_the_product_on_both_sides_of_the_abel_jacobi_bound():
+    # (1+t)^(2g) Sym^n by plain LaurentPoly products, divided by 1 - t^2 in a running sum per parity
+    # of the exponent; from n = 2g - 1 on the route takes the Abel-Jacobi form instead of the product
+    for cache in _betti_caches():
+        cache.cache_clear()
+    sides = set()
+    for g in range(2, 13):
+        shared = ONE_PLUS_T ** (2 * g)
+        for n in range(101):
+            q = list((shared * sym_product_poincare(n, g))._coeffs)
+            for k in range(2, len(q)):
+                q[k] += q[k - 2]
+            assert betti._divided_shared_factor(n, g) == q, (n, g)
+            sides.add(n >= 2 * g - 1)
+    assert sides == {False, True}
 
 
 def test_betti_json_output_is_unchanged():
@@ -337,8 +357,8 @@ def _disagreement(j, d, g):
 
 
 def test_a_failing_fiber_identity_is_never_recorded_as_passed(monkeypatch):
-    proj = betti.proj_space_poincare
-    monkeypatch.setattr(betti, "proj_space_poincare", lambda n: proj(n) + (1 if n == 30 else 0))  # wrong P^30
+    proj = betti._proj_space  # the bundle side's P^m lists
+    monkeypatch.setattr(betti, "_proj_space", lambda m: [2, *proj(m)[1:]] if m == 30 else proj(m))  # wrong P^30
     for cache in _betti_caches():
         cache.cache_clear()
     try:
@@ -426,7 +446,7 @@ def test_closed_route_raises_on_a_nonzero_remainder():
 
 _CHAMBER_ROUTE_FUNCTIONS = ("_subtract_flip", "_recursive_chain", "_fiber_factors", "flip_difference",
                             "fm_poincare_recursive", "fm_poincare_closed", "_closed_chamber", "_closed_lists",
-                            "_e_times_f")
+                            "_window", "_divided_shared_factor")
 
 # the lines of those functions that only raise, or only build a raise's message, by function and text
 _UNREACHED_BY_VALID_INPUT = {

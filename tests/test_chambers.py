@@ -129,6 +129,36 @@ def test_index_rules_take_only_ints(call, field):
         call()
 
 
+HUGE = 10 ** 5000  # past the 4,300-digit limit of int-to-str
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: moduli_dim(HUGE, 2), "d: degree must be negative, got <int of 16610 bits>"),
+        (lambda: moduli_dim(-5, -HUGE), "g: genus must be at least 2, got <int of 16610 bits>"),
+        (lambda: flip_locus(HUGE, -5, 2), "i: flip index <int of 16610 bits> outside [2, 3] for d=-5"),
+        (lambda: betti.build_betti_report(-5, 2, only_chamber=HUGE),
+         "chamber: index <int of 16610 bits> outside [2, 4] for d=-5"),
+        (lambda: betti.fm_poincare_closed(2, -HUGE, 2),
+         "i: index 2 outside [<int of 16609 bits>, <int of 16610 bits>] for d=<int of 16610 bits>"),
+        (lambda: chambers._require_sigma(Fraction(-HUGE, 3)), "sigma: must be positive, got <Fraction>"),
+        (lambda: chambers._require_sigma(-HUGE), "sigma: must be positive, got <int of 16610 bits>"),
+        (lambda: betti.proj_space_poincare(-HUGE),
+         "n: projective dimension must be at least -1, got <int of 16610 bits>"),
+        (lambda: betti.sym_product_poincare(-HUGE, 2), "n: must be nonnegative, got n=<int of 16610 bits>, g=2"),
+        (lambda: betti.u2d_from_bundle(HUGE, -5),
+         "d: the bundle route needs odd d with -d > 4g - 4, got d=-5, g=<int of 16610 bits>"),
+        (lambda: betti.blowup_delta(HUGE, 2), "d: the terminal flip needs d <= -3, got <int of 16610 bits>"),
+    ],
+)
+def test_an_int_too_long_to_print_is_invalid_input_naming_its_field(call, message):
+    # the text is the one _shown gives; a value that prints is printed as before
+    with pytest.raises(InvalidInput) as caught:
+        call()
+    assert str(caught.value) == message
+
+
 def test_moduli_dim():
     assert moduli_dim(-5, 2) == 7
     assert moduli_dim(-1, 2) == 3

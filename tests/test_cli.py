@@ -1213,7 +1213,7 @@ def _readme_code_names():
 
 def test_the_readme_names_only_code_that_exists():
     names = set(_readme_code_names())
-    assert len(names) == 16
+    assert len(names) == 17
     assert sorted(f"{owner.__name__}.{name}" for owner, name in names if not hasattr(owner, name)) == []
 
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from flipchain import betti
+from flipchain.chambers import fm_index_range
 from flipchain.stability import (
     CurveContext,
     FramedModel,
@@ -27,6 +28,9 @@ from flipchain.stability import (
 )
 
 D, G = -20, 3
+#: The chamber row traces the chamber below the top and the lowest one: their flips and closed
+#: lists reach n = 1 and n = 9, below and above the Abel-Jacobi bound 2g - 1 = 5.
+CHAMBERS = (-D - 2, fm_index_range(D)[0])
 #: A rank-2 model that C destabilizes at SIGMA, so the HN filtration takes a step.
 MODEL = FramedModel(CurveContext(2), FramedType(2, -5, True),
                     (SubobjectData("K", 1, -3, False), SubobjectData("C", 1, -2, True)))
@@ -58,11 +62,14 @@ def suite_engine():
 #: (row, one route, the other route, the flipchain functions the two may share)
 ROUTES = [
     ("recursive and closed chambers",
-     lambda: betti.fm_poincare_recursive(-D - 2, D, G), lambda: betti.fm_poincare_closed(-D - 2, D, G),
+     lambda: [betti.fm_poincare_recursive(i, D, G) for i in CHAMBERS],
+     lambda: [betti.fm_poincare_closed(i, D, G) for i in CHAMBERS],
      INPUT_CHECKS | LIST_TO_POLY),
-    # no division by 1 - t^k: the terminal chamber is (1+t)^(2g) times P^(-d+g-2), one sliding sum
+    # no division by 1 - t^k: the terminal chamber is (1+t)^(2g) times P^(-d+g-2), one sliding sum; the
+    # chain runs from its top entry down to the lowest chamber, so the Abel-Jacobi side of the flips'
+    # shared factor, which may share only the binomial row with the terminal chamber, is traced too
     ("terminal chamber and the recursive chain's top entry",
-     lambda: betti.terminal_poincare(D, G), lambda: betti._recursive_chain(-D - 1, D, G),
+     lambda: betti.terminal_poincare(D, G), lambda: betti._recursive_chain(CHAMBERS[1], D, G),
      {"chambers._require_genus", "chambers._require_int", "chambers.fm_index_range",
       "betti._one_plus_t_pow"} | LIST_TO_POLY),
     # exact division and products, which test_laurent_oracle checks against a dict-based oracle
@@ -105,3 +112,24 @@ def test_the_recursive_chain_calls_lp_div_one_minus_t_pow():
     """So the terminal row rejects a division by 1 - t^k in terminal_poincare: the chain's fiber
     verdicts run the list core of lp_div_one_minus_t_pow."""
     assert "exactpoly._div_one_minus_t_pow" in flipchain_frames(lambda: betti._recursive_chain(-D - 1, D, G))
+
+
+def test_the_chamber_row_sees_a_helper_both_routes_reach_only_above_the_abel_jacobi_bound(monkeypatch):
+    """Each chamber route doctored to call proj_space_poincare only for n >= 2g - 1, as a P^(n-g) of
+    the Abel-Jacobi form might be taken from one helper: the chamber below the top alone, whose n
+    stay below 2g - 1, does not see it; the row, which also traces the lowest chamber, does."""
+    def reaching_the_helper(route):
+        def doctored(n, g):
+            if n >= 2 * g - 1:
+                betti.proj_space_poincare(n - g)
+            return route(n, g)
+        doctored.cache_clear = route.cache_clear
+        return doctored
+
+    for name in ("_divided_shared_factor", "_closed_lists"):
+        monkeypatch.setattr(betti, name, reaching_the_helper(getattr(betti, name)))
+    row, recursive, closed, allowed = ROUTES[0]
+    top = [flipchain_frames(lambda: route(-D - 2, D, G)) for route in (betti.fm_poincare_recursive,
+                                                                         betti.fm_poincare_closed)]
+    assert top[0] & top[1] <= allowed
+    assert "betti.proj_space_poincare" in flipchain_frames(recursive) & flipchain_frames(closed) - allowed

@@ -101,6 +101,14 @@ def test_slope_terms_order_as_the_fraction_oracle():
     assert seen == {-1, 0, 1}
 
 
+def test_ratio_text_is_the_printed_fraction():
+    # the hn slopes and sigma values of stability-check, printed with one gcd and no Fraction
+    for p in range(-60, 61):
+        for q in range(1, 25):
+            assert stability._ratio_text(p, q) == str(F(p, q)), (p, q)
+    assert stability._ratio_text(-(10 ** 40) * 6, 4) == str(F(-(10 ** 40) * 6, 4))
+
+
 # -- framed module (semi)stability ---------------------------------------------
 
 
