@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import comb
 from operator import add, sub
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .chambers import InvalidInput, _checked, fm_index_range, moduli_dim
 from .chambers import _as_text, _chamber_index_range, _json_text, _require_equal, _require_genus, _require_int
@@ -365,8 +365,7 @@ def blowup_consistency(d: int, g: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChamberBetti:
+class ChamberBetti(NamedTuple):
     i: int
     p_recursive: LaurentPoly
     p_closed: LaurentPoly
@@ -377,8 +376,7 @@ class ChamberBetti:
     constant_term: int
 
 
-@dataclass(frozen=True)
-class U2dReport:
+class U2dReport(NamedTuple):
     closed: LaurentPoly
     via_bundle: Optional[LaurentPoly]
     agree: Optional[bool]
@@ -454,9 +452,8 @@ REPORT_INVARIANTS = (
 def _chamber_betti(i: int, p_rec: LaurentPoly, p_clo: LaurentPoly) -> ChamberBetti:
     """A chamber's record, its flags read off its polynomials, one kept for both when they agree."""
     agree = p_rec == p_clo
-    return ChamberBetti(i=i, p_recursive=p_rec, p_closed=p_rec if agree else p_clo, agree=agree,
-                        degree=p_rec.degree(), palindromic=p_rec.is_palindromic(),
-                        nonneg=p_rec.has_nonneg_coeffs(), constant_term=p_rec.coeff(0))
+    return ChamberBetti(i, p_rec, p_rec if agree else p_clo, agree, p_rec.degree(), p_rec.is_palindromic(),
+                        p_rec.has_nonneg_coeffs(), p_rec.coeff(0))
 
 
 def build_betti_report(d: int, g: int, only_chamber: Optional[int] = None) -> BettiReport:

@@ -11,9 +11,8 @@ Pic^(i+1) x Sym^(-d-i-1) of the curve.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from .exactpoly import LaurentPoly
 
@@ -86,11 +85,13 @@ _json_str = json.encoder.encode_basestring_ascii  # the C escaper json.dumps its
 def _json_text(value, indent: str = "\n") -> str:
     """The JSON text of a report or model value, indented by 2 as json.dumps
     indents, and the one JSON writer: every object form is json.loads of this
-    text.  A dataclass is an object of its fields in declaration order, a tuple
-    an array, a frozenset a sorted array, a Fraction its quoted string and a
-    LaurentPoly its json_text; dicts, lists, str, int, bool and None are
-    written as json.dumps writes them, in one walk of value with no object
-    form in between (CPython's json runs its C encoder only without an
+    text.  A record is an object of its fields in declaration order: a named
+    tuple (a report row, which neither checks its inputs nor holds derived
+    state) or a dataclass (a record that does either, or is mutated).  Any
+    other tuple is an array, a frozenset a sorted array, a Fraction its quoted
+    string and a LaurentPoly its json_text; dicts, lists, str, int, bool and
+    None are written as json.dumps writes them, in one walk of value with no
+    object form in between (CPython's json runs its C encoder only without an
     indent).  indent is the newline and indentation of value's own line.  A
     field whose value is the very object of the field before it reuses that
     field's text, as a chamber's agreeing p_closed does.  Any other leaf, such
@@ -111,9 +112,15 @@ def _json_text(value, indent: str = "\n") -> str:
     if kind is LaurentPoly:
         return value.json_text(indent)
     inner = indent + "  "
-    names = getattr(kind, "__dataclass_fields__", None)
-    if names is not None or isinstance(value, dict):
-        pairs = value.items() if names is None else ((name, getattr(value, name)) for name in names)
+    if isinstance(value, tuple):  # a named tuple is an object, any other tuple an array
+        names = getattr(kind, "_fields", None)
+        pairs = None if names is None else zip(names, value)
+    elif isinstance(value, dict):
+        pairs = value.items()
+    else:
+        names = getattr(kind, "__dataclass_fields__", None)
+        pairs = None if names is None else ((name, getattr(value, name)) for name in names)
+    if pairs is not None:
         items, last, text = [], object(), ""
         for k, v in pairs:
             if v is not last:  # a field holding the very object of the field before it reuses its text
@@ -206,8 +213,7 @@ def moduli_dim(d: int, g: int) -> int:
     return -d + 2 * g - 2
 
 
-@dataclass(frozen=True)
-class Chamber:
+class Chamber(NamedTuple):
     """One open interval between walls, with a canonical rational point.
 
     `index` is the position j of the interval I_j counting from 0 at the
@@ -224,8 +230,7 @@ class Chamber:
     representative: Fraction
 
 
-@dataclass(frozen=True)
-class FlipLocusData:
+class FlipLocusData(NamedTuple):
     """Ranks and dimensions of the two flip loci at the wall above chamber i."""
 
     i: int
@@ -237,8 +242,7 @@ class FlipLocusData:
     codim_plus: int
 
 
-@dataclass(frozen=True)
-class ChamberData:
+class ChamberData(NamedTuple):
     """The chambers report: its fields, in order, are what chambers --json
     writes.  flip_loci holds the flip at each wall, from the lowest."""
 
@@ -254,8 +258,7 @@ class ChamberData:
         return tuple(c.representative for c in self.chambers)
 
 
-@dataclass(frozen=True)
-class ChamberLocation:
+class ChamberLocation(NamedTuple):
     """Where a sigma value sits: a chamber, a wall, or the empty region."""
 
     kind: str  # "chamber" | "wall" | "empty"
@@ -325,15 +328,7 @@ def _flip_row(i: int, d: int, g: int, total: int) -> FlipLocusData:
     base_dim = g + (-d - i - 1)
     dim_minus = base_dim + rank_minus - 1
     dim_plus = base_dim + rank_plus - 1
-    return FlipLocusData(
-        i=i,
-        rank_minus=rank_minus,
-        rank_plus=rank_plus,
-        dim_p_minus=dim_minus,
-        dim_p_plus=dim_plus,
-        codim_minus=total - dim_minus,
-        codim_plus=total - dim_plus,
-    )
+    return FlipLocusData(i, rank_minus, rank_plus, dim_minus, dim_plus, total - dim_minus, total - dim_plus)
 
 
 #: Named invariants of the flip at the wall above chamber i, as predicates
@@ -346,19 +341,23 @@ FLIP_INVARIANTS = (
 )
 
 
-def _wall_endpoints_hold(cd: ChamberData) -> bool:
+def _wall_endpoints_hold(d: int, walls: Tuple[int, ...]) -> bool:
     """No walls for d in {-1, -2}; otherwise the first wall is 1 or 2 by the
     parity of d and the last is -d - 2."""
-    if cd.d >= -2:
-        return not cd.walls
-    return bool(cd.walls) and cd.walls[0] == (1 if cd.d % 2 else 2) and cd.walls[-1] == -cd.d - 2
+    if d >= -2:
+        return not walls
+    return bool(walls) and walls[0] == (1 if d % 2 else 2) and walls[-1] == -d - 2
 
 
 def structure_failures(d: int, g: int) -> List[str]:
     """One line per failed wall or flip-locus invariant at (d, g), naming the
-    invariant and its indices; empty when the structure is consistent."""
-    cd = build_chambers(d, g)
-    failures = [] if _wall_endpoints_hold(cd) else [f"wall endpoints fail at (d={d}, g={g}): {cd.walls}"]
-    for fl in cd.flip_loci:
+    invariant and its indices; empty when the structure is consistent.  It
+    reads the walls and flip rows build_chambers is made of, not its report."""
+    dim = moduli_dim(d, g)  # rejects (d, g)
+    lo, hi = fm_index_range(d)
+    walls = chamber_bounds(d)[1:-1]
+    failures = [] if _wall_endpoints_hold(d, walls) else [f"wall endpoints fail at (d={d}, g={g}): {walls}"]
+    for i in range(lo, hi):
+        fl = _flip_row(i, d, g, dim)
         failures += [f"{name} fails at (i={fl.i}, d={d}, g={g})" for name, holds in FLIP_INVARIANTS if not holds(fl, d, g)]
     return failures

@@ -18,8 +18,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, fields
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import betti, chambers, stability
 from .chambers import InvalidInput, _checked, _json_text, _require_equal, _require_genus
@@ -29,8 +28,7 @@ from .exactpoly import ConsistencyFailure
 MAX_PRINTED_FAILURES = 50
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     d: Optional[int] = None
     g: Optional[int] = None
@@ -42,8 +40,7 @@ class RunConfig:
     models: int = 10000
 
 
-@dataclass(frozen=True)
-class _Flag:
+class _Flag(NamedTuple):
     """One subcommand flag: nargs ints (one when nargs is None), or a path
     when type is str."""
 
@@ -190,13 +187,12 @@ def _interval(c: chambers.Chamber) -> str:
 def _emit_chambers(cd: chambers.ChamberData, fmt: str) -> str:
     if fmt == "json":
         return _json_text(cd)
-    flip_keys = [k.name for k in fields(chambers.FlipLocusData)]
-    flip_rows = [[getattr(f, key) for key in flip_keys] for f in cd.flip_loci]
+    flip_rows = [list(f) for f in cd.flip_loci]
     if fmt == "csv":  # a flip's i is its chamber's fm_index
-        chamber_keys = [k.name for k in fields(chambers.Chamber)]
+        flip_keys = chambers.FlipLocusData._fields
         no_flip = [""] * len(flip_keys)  # no wall above the last chamber
-        rows = [[getattr(c, key) for key in chamber_keys] + f[1:] for c, f in zip(cd.chambers, flip_rows + [no_flip])]
-        return _csv(chamber_keys + flip_keys[1:], rows)
+        rows = [list(c) + f[1:] for c, f in zip(cd.chambers, flip_rows + [no_flip])]
+        return _csv(chambers.Chamber._fields + flip_keys[1:], rows)
     if fmt == "latex":
         chamber_rows = [(c.index, c.fm_index, f"${_interval(c)}$", f"${c.representative}$") for c in cd.chambers]
         flip_header = ("$i$", "rk$W^-$", "rk$W^+$", r"$\dim\mathbb{P}W^-$", r"$\dim\mathbb{P}W^+$",

@@ -23,7 +23,7 @@ from collections.abc import Collection
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .chambers import (_REQUIRED, InvalidInput, _checked, _fields, _require_genus, _require_int, _require_sigma,
                        _json_text, _midpoints, chamber_bounds)
@@ -233,8 +233,7 @@ class FramedModel:
         return s_star, _destabilizer_or_ambiguity(self, *_slopes(self, s_star))
 
 
-@dataclass(frozen=True)
-class HNFiltration:
+class HNFiltration(NamedTuple):
     """Steps (ids of the original model, innermost first) and the graded
     pieces (rank, degree, framing flag) of the successive quotients."""
 
@@ -379,7 +378,7 @@ def _filtration(m: FramedModel, amb: int, slopes: List[int]) -> HNFiltration:
     t = m.typ
     top = max(slopes, default=amb)
     if top <= amb:  # semistable: E is the one graded piece
-        return HNFiltration(steps=(), graded=((t.rank, t.degree, t.framing_nonzero),))
+        return HNFiltration((), ((t.rank, t.degree, t.framing_nonzero),))
     b = _tie_break(m, [s for s, sl in zip(m.subs, slopes) if sl == top])
     anc = m.ancestors[b.id]
     # E/B's subobjects are B's strict containers of larger rank, each with w = rank * slope
@@ -404,7 +403,7 @@ def _filtration(m: FramedModel, amb: int, slopes: List[int]) -> HNFiltration:
         r_b, d_b, w_b = b.rank, b.degree, w[b.id]
         cands = [g for g in cands if g.id in m.ancestors[b.id] and g.rank > r_b]
     graded.append((r_e - r_b, d_e - d_b, framed))
-    return HNFiltration(steps=tuple(steps), graded=tuple(graded))
+    return HNFiltration(tuple(steps), tuple(graded))
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +514,7 @@ def is_oriented_stable(m: FramedModel, pair: bool = False) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     """Each verdict pair that disagrees, with a witnessing subobject id for
     the plain (non-oriented) verdicts where one exists."""
 
@@ -573,7 +571,7 @@ def _equivalences(m: FramedModel, sigma: Fraction, amb: int, slopes: List[int],
         mismatches.append(("oriented_semistable", None))
     if fm_ostable != pair_ostable:
         mismatches.append(("oriented_stable", None))
-    return EquivalenceReport(mismatches=tuple(mismatches))
+    return EquivalenceReport(tuple(mismatches))
 
 
 def rank2_threshold_holds(sub: SubobjectData, typ: FramedType, sigma: Fraction, strict: bool = False) -> bool:

@@ -672,7 +672,7 @@ def _doctor_chamber(changes):
     """Doctor chamber i = 3 of a report."""
 
     def doctor(report):
-        chs = tuple(replace(ch, **changes(ch)) if ch.i == 3 else ch for ch in report.chambers)
+        chs = tuple(ch._replace(**changes(ch)) if ch.i == 3 else ch for ch in report.chambers)
         return replace(report, chambers=chs)
 
     return doctor
@@ -687,7 +687,7 @@ REPORT_DOCTORS = {
     "nonnegative": (_doctor_chamber(lambda ch: {"nonneg": False}), "i=3, d=-5, g=2"),
     "constant term 1": (_doctor_chamber(lambda ch: {"constant_term": 2}), "i=3, d=-5, g=2"),
     "t=1 telescoping": (_doctor_chamber(lambda ch: {"p_recursive": ch.p_recursive + 1}), "i=3, d=-5, g=2"),
-    "bundle route": (lambda r: replace(r, u2d=replace(r.u2d, agree=False)), "d=-5, g=2"),
+    "bundle route": (lambda r: replace(r, u2d=r.u2d._replace(agree=False)), "d=-5, g=2"),
     "terminal blow-up identity": (lambda r: replace(r, blowup_check=False), "d=-5, g=2"),
     "terminal chamber": (lambda r: replace(r, terminal=r.terminal + 1), "d=-5, g=2"),
 }

@@ -1,6 +1,5 @@
 """Wall lists, chamber location and flip-locus numerics."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -219,10 +218,10 @@ def test_structure_holds_on_a_grid():
 #: One doctoring of the flip locus at (i, d=-6, g=2) per flip invariant; i = 4
 #: is the terminal flip and i = 3 an interior one.
 FLIP_DOCTORS = {
-    "flip rank sum": (3, lambda fl: replace(fl, rank_plus=fl.rank_plus + 1)),
-    "interior codimension >= 2": (3, lambda fl: replace(fl, codim_plus=1)),
-    "terminal codimension": (4, lambda fl: replace(fl, codim_minus=2)),
-    "terminal dimension": (4, lambda fl: replace(fl, dim_p_minus=fl.dim_p_minus + 1)),
+    "flip rank sum": (3, lambda fl: fl._replace(rank_plus=fl.rank_plus + 1)),
+    "interior codimension >= 2": (3, lambda fl: fl._replace(codim_plus=1)),
+    "terminal codimension": (4, lambda fl: fl._replace(codim_minus=2)),
+    "terminal dimension": (4, lambda fl: fl._replace(dim_p_minus=fl.dim_p_minus + 1)),
 }
 
 
@@ -238,23 +237,28 @@ def test_doctored_flip_locus_names_its_invariant(monkeypatch, name):
     assert chambers.structure_failures(-6, 2) == [f"{name} fails at (i={i}, d=-6, g=2)"]
 
 
-def _doctor_stored_flip(name):
-    """A doctoring of the flip loci build_chambers stores, by FLIP_DOCTORS[name]."""
+def _doctor_flip_row(name):
+    """A doctoring of the flip rows _flip_row returns, by FLIP_DOCTORS[name]."""
     i, doctor = FLIP_DOCTORS[name]
-    return lambda cd: replace(cd, flip_loci=tuple(doctor(fl) if fl.i == i else fl for fl in cd.flip_loci))
+    return lambda fl: doctor(fl) if fl.i == i else fl
+
+
+def _doctor_walls(*walls):
+    """A doctoring of chamber_bounds that keeps its two ends around the given walls."""
+    return lambda bounds: (bounds[0], *walls, bounds[-1])
 
 
 @pytest.mark.parametrize(
-    "d, doctor, failure",
+    "d, target, doctor, failure",
     [
-        (-6, lambda cd: replace(cd, walls=(4,)), "wall endpoints fail at (d=-6, g=2): (4,)"),
-        (-5, lambda cd: replace(cd, walls=(2, 3)), "wall endpoints fail at (d=-5, g=2): (2, 3)"),
-        (-2, lambda cd: replace(cd, walls=(1,)), "wall endpoints fail at (d=-2, g=2): (1,)"),
-        # structure_failures checks the flip loci the chamber data carries
-        (-6, _doctor_stored_flip("flip rank sum"), "flip rank sum fails at (i=3, d=-6, g=2)"),
+        (-6, "chamber_bounds", _doctor_walls(4), "wall endpoints fail at (d=-6, g=2): (4,)"),
+        (-5, "chamber_bounds", _doctor_walls(2, 3), "wall endpoints fail at (d=-5, g=2): (2, 3)"),
+        (-2, "chamber_bounds", _doctor_walls(1), "wall endpoints fail at (d=-2, g=2): (1,)"),
+        # structure_failures checks the flip rows the chamber data is built from
+        (-6, "_flip_row", _doctor_flip_row("flip rank sum"), "flip rank sum fails at (i=3, d=-6, g=2)"),
     ],
 )
-def test_doctored_chamber_data_names_its_invariant(monkeypatch, d, doctor, failure):
-    real = chambers.build_chambers
-    monkeypatch.setattr(chambers, "build_chambers", lambda d, g: doctor(real(d, g)))
+def test_doctored_chamber_data_names_its_invariant(monkeypatch, d, target, doctor, failure):
+    real = getattr(chambers, target)
+    monkeypatch.setattr(chambers, target, lambda *args: doctor(real(*args)))
     assert chambers.structure_failures(d, 2) == [failure]

@@ -408,13 +408,27 @@ def test_the_json_writer_rejects_what_json_cannot_hold(value):
         _json_text(value)
 
 
+def _named_as_objects(value):
+    """value with each named tuple in it made the dict of its fields in
+    declaration order, lists and dicts walked, for json.dumps, which writes any
+    tuple as an array and never passes one to its default hook."""
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return {k: _named_as_objects(v) for k, v in zip(value._fields, value)}
+    if isinstance(value, dict):
+        return {k: _named_as_objects(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_named_as_objects(v) for v in value]
+    return value
+
+
 def _object_form(value):
     """The default hook of json.dumps for report values, the JSON writer's
     reference, written apart from it: a dataclass is its fields in declaration
-    order, a LaurentPoly its terms, a frozenset a sorted list and a Fraction
-    its string."""
+    order (a named tuple among them walked by _named_as_objects), a
+    LaurentPoly its terms, a frozenset a sorted list and a Fraction its
+    string."""
     if is_dataclass(value):
-        return {f.name: getattr(value, f.name) for f in fields(value)}
+        return {f.name: _named_as_objects(getattr(value, f.name)) for f in fields(value)}
     if type(value) is LaurentPoly:
         return {"terms": [[e, str(c)] for e, c in value.items()]}
     if type(value) is frozenset:
@@ -424,8 +438,13 @@ def _object_form(value):
     raise TypeError(f"{type(value).__name__} is not a report value")
 
 
+def _oracle_text(value) -> str:
+    """The JSON writer's reference text of a report value."""
+    return json.dumps(_named_as_objects(value), indent=2, default=_object_form)
+
+
 def test_the_json_writer_writes_a_fraction_in_a_list_as_json_dumps_does():
-    assert _json_text([Fraction(1, 2)]) == json.dumps((Fraction(1, 2),), indent=2, default=_object_form)
+    assert _json_text([Fraction(1, 2)]) == _oracle_text((Fraction(1, 2),))
 
 
 def _report_values():
@@ -453,10 +472,52 @@ def _report_values():
 def test_the_json_writer_writes_every_report_as_json_dumps_writes_its_object_form():
     n = 0
     for value in _report_values():
-        assert _json_text(value) == json.dumps(value, indent=2, default=_object_form), value
+        assert _json_text(value) == _oracle_text(value), value
         n += 1
     assert n == 240 + 80 + 4 * 54 + 5 * 6 + 5  # chambers, betti reports, their chambers, models, polynomials
     assert _json_text(LaurentPoly()) == '{\n  "terms": []\n}'
+
+
+#: The records written as named tuples, neither checking their inputs nor
+#: holding derived state, each with its fields, its JSON keys, in order.
+NAMED_TUPLE_RECORDS = {
+    chambers.Chamber: ("index", "fm_index", "lower", "upper", "closed_upper", "representative"),
+    chambers.FlipLocusData: ("i", "rank_minus", "rank_plus", "dim_p_minus", "dim_p_plus", "codim_minus", "codim_plus"),
+    chambers.ChamberData: ("d", "g", "moduli_dim", "walls", "chambers", "flip_loci"),
+    chambers.ChamberLocation: ("kind", "index", "wall"),
+    betti.ChamberBetti: ("i", "p_recursive", "p_closed", "agree", "degree", "palindromic", "nonneg", "constant_term"),
+    betti.U2dReport: ("closed", "via_bundle", "agree"),
+    stability.HNFiltration: ("steps", "graded"),
+    stability.EquivalenceReport: ("mismatches",),
+    cli.RunConfig: ("command", "d", "g", "format", "chamber", "model_path", "seed", "grid", "models"),
+    cli._Flag: ("flag", "dest", "nargs", "metavar", "help", "required", "type"),
+}
+#: The records that check their inputs, store derived state, hold a
+#: cached_property or are mutated, which a named tuple's _make and _replace
+#: would get round: they stay dataclasses.
+DATACLASS_RECORDS = {stability.CurveContext, stability.FramedType, stability.SubobjectData,
+                     stability.SplitDescriptor, stability.FramedModel, betti.BettiReport, stability.SuiteResult}
+
+
+def test_report_rows_are_named_tuples_and_checked_records_dataclasses():
+    classes = {value for name in ("betti", "chambers", "cli", "exactpoly", "stability")
+               for value in vars(getattr(flipchain, name)).values()
+               if inspect.isclass(value) and value.__module__ == f"flipchain.{name}"}
+    assert {cls for cls in classes if issubclass(cls, tuple)} == set(NAMED_TUPLE_RECORDS)
+    assert {cls for cls in classes if is_dataclass(cls)} == DATACLASS_RECORDS
+    cd, report = chambers.build_chambers(-5, 2), betti.build_betti_report(-5, 2)
+    m, sigma = model_from_json_obj(no_kernel_model()), Fraction(1, 2)
+    written = [cd, cd.chambers[0], cd.flip_loci[0], chambers.chamber_of(Fraction(1), cd), report.chambers[0],
+               report.u2d, stability.hn_filtration(m, sigma), stability.verify_rank2_equivalences(m, sigma),
+               parse_args(["chambers", "--d", "-5", "--g", "2"])]  # a _Flag holds a type, which JSON cannot
+    assert {type(value) for value in written} == set(NAMED_TUPLE_RECORDS) - {cli._Flag}
+    for cls, keys in NAMED_TUPLE_RECORDS.items():
+        assert cls._fields == keys
+    for value in written:
+        assert tuple(json.loads(_json_text(value))) == NAMED_TUPLE_RECORDS[type(value)]
+    fl = cd.flip_loci[0]  # an object as a named tuple, an array as a plain tuple of the same values
+    assert _json_text(fl) == json.dumps(dict(zip(fl._fields, fl)), indent=2)
+    assert _json_text(tuple(fl)) == json.dumps(list(fl), indent=2)
 
 
 def _json_reports():
@@ -477,7 +538,7 @@ def _json_reports():
 def test_every_json_report_is_what_json_dumps_writes(tmp_path):
     n = 0
     for argv, value in _json_reports():
-        assert capture(argv + ["--json"]) == (0, json.dumps(value, indent=2, default=_object_form) + "\n"), argv
+        assert capture(argv + ["--json"]) == (0, _oracle_text(value) + "\n"), argv
         n += 1
     for model in (readme_model, chain_model, tie_model, zero_framing_model, no_kernel_model):
         path = tmp_path / "model.json"
