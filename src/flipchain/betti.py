@@ -11,11 +11,11 @@ that fails loudly, and both chamber routes cache lists divided once per (n, g).
 What no report keeps runs on integer lists from t^0: each flip is subtracted
 straight into the chain's running list, its two exponents (twice a
 flip-locus rank) checked up front, and the fiber verdicts, the blow-up
-difference and the bundle moduli numerator are list passes.  The flips'
-shared factor E(n, g) = (1+t)^(2g) Sym^n takes the Abel-Jacobi form, a
-binomial row over 1 - t^2, for n >= 2g - 1, and is a product only below.
-A LaurentPoly is built only for a value a report keeps or prints, or for an
-error message.
+difference, the bundle moduli numerator and quotient, and the flips' shared
+factor E(n, g) = (1+t)^(2g) Sym^n, read off Macdonald's sum as one binomial
+row less its shifted reverse over 1 - t^2 at every n, are list passes.  No
+route does LaurentPoly ring arithmetic: a LaurentPoly is built from a list
+only for a value a report keeps or prints, or for an error message.
 """
 
 from __future__ import annotations
@@ -30,21 +30,12 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .chambers import InvalidInput, _checked, fm_index_range, moduli_dim
 from .chambers import _as_text, _chamber_index_range, _json_text, _require_equal, _require_genus, _require_int
-from .exactpoly import ConsistencyFailure, LaurentPoly, NotDivisible, _div_one_minus_t_pow, lp_div_one_minus_t_pow
-
-_ONE_MINUS_T2 = LaurentPoly({0: 1, 2: -1})
+from .exactpoly import ConsistencyFailure, LaurentPoly, NotDivisible, _div_one_minus_t_pow
 
 
-def _one_plus_t_pow(n: int, step: int = 1) -> List[int]:
-    """(1 + t^step)^n as its binomial row from t^0, C(n, k) at exponent step * k."""
-    row = [0] * (step * n + 1)
-    row[::step] = [comb(n, k) for k in range(n + 1)]
-    return row
-
-
-def _even_factor(n: int, g: int) -> LaurentPoly:
-    """E(n, g) = (1+t)^(2g) times Sym^n's polynomial, the flip differences' shared factor."""
-    return LaurentPoly._from_coeffs(0, _one_plus_t_pow(2 * g)) * sym_product_poincare(n, g)
+def _one_plus_t_pow(n: int) -> List[int]:
+    """(1 + t)^n as its binomial row from t^0, C(n, k) at exponent k."""
+    return [comb(n, k) for k in range(n + 1)]
 
 
 def _proj_space(m: int) -> List[int]:
@@ -88,19 +79,23 @@ def sym_product_poincare(n: int, g: int) -> LaurentPoly:
 def _divided_shared_factor(n: int, g: int) -> List[int]:
     """E(n, g) / (1 - t^2) from t^0, E = (1+t)^(2g) times Sym^n's polynomial, which does not depend
     on d, truncated at E's length 2n + 2g + 1: past it the series repeats its last two entries.
-    For n >= 2g - 1, Sym^n is a P^(n-g)-bundle over the Jacobian by Abel-Jacobi, so
-    E = (1+t)^(4g) (1 - t^(2(n-g+1))) / (1 - t^2): the binomial row less its shift, divided twice by
-    1 - t^2 in step-2 prefix passes, the first exact.  Below 2g - 1 the bundle form fails, and E is
-    the product."""
-    if n < 2 * g - 1:
-        q = list(_even_factor(n, g)._coeffs)  # E's valuation is 0
-    else:
-        row, shift = _one_plus_t_pow(4 * g), 2 * (n - g + 1)
-        q = row + [0] * shift
-        q[shift:] = map(sub, q[shift:], row)  # (1+t)^(4g) (1 - t^shift)
-        for r in (0, 1):
-            q[r::2] = accumulate(q[r::2])
-        del q[-2:]  # E, less the zero remainder
+    Macdonald's sum with each P^(n-k) written as (1 - t^(2n-2k+2)) / (1 - t^2) gives, for
+    m = min(n, 2g) and A = (1+t)^(2g) times the sum of C(2g, k) t^k over k <= m,
+    E (1 - t^2) = A - t^(2n+2-m) reverse(A), A's list read backwards, as (1+t)^(2g) is palindromic.
+    A, of degree 2g + m, is the binomial row of (1+t)^(4g) less (1+t)^(2g) times that of (1+t)^(2g)
+    past t^m; for n >= 2g nothing is past t^m, and this is the Abel-Jacobi form.  E is then two
+    step-2 prefix passes away, the first exact."""
+    m, e = min(n, 2 * g), _one_plus_t_pow(2 * g)
+    a = _one_plus_t_pow(4 * g)
+    for k in range(m + 1, 2 * g + 1):  # less C(2g, k) t^k (1+t)^(2g)
+        a[k:k + 2 * g + 1] = map(sub, a[k:k + 2 * g + 1], map(e[k].__mul__, e))
+    del a[2 * g + m + 1:]  # A's degree is 2g + m; the entries past it are now zero
+    shift = 2 * n + 2 - m
+    q = a + [0] * shift
+    q[shift:] = map(sub, q[shift:], reversed(a))  # E (1 - t^2)
+    for r in (0, 1):
+        q[r::2] = accumulate(q[r::2])
+    del q[-2:]  # E, less the zero remainder
     for r in (0, 1):
         q[r::2] = accumulate(q[r::2])
     return q
@@ -140,8 +135,7 @@ def _subtract_flip(acc: List[int], j: int, d: int, g: int) -> None:
     if lo < 0:  # a negative list index would wrap around silently
         raise ConsistencyFailure(f"negative exponent t^{lo} in the recursive route at (j={j}, d={d}, g={g})")
     if not _fiber_identity_holds(up, down, rank_plus, rank_minus):
-        formula, bundle = _fiber_factors(up, down, rank_plus, rank_minus)
-        formula, bundle = (LaurentPoly._from_coeffs(0, f) * _even_factor(rank_plus, g) for f in (formula, bundle))
+        formula, bundle = (LaurentPoly._from_coeffs(0, f) for f in _fiber_factors(up, down, rank_plus, rank_minus))
         raise NotDivisible(f"flip difference routes disagree at j={j}, d={d}, g={g}: formula={formula}, bundle={bundle}")
     q = _divided_shared_factor(rank_plus, g)
     top = lo + s + len(q)
@@ -311,8 +305,12 @@ def u2d_from_bundle(g: int, d: int) -> LaurentPoly:
 
 
 def _bundle_quotient(lowest: LaurentPoly, d: int, g: int) -> LaurentPoly:
-    """The lowest chamber's polynomial over P^(-d-2g+1) (u2d_from_bundle checks d, g)."""
-    return lp_div_one_minus_t_pow(lowest * _ONE_MINUS_T2, 2 * (-d - 2 * g + 2))
+    """The lowest chamber's polynomial over P^(-d-2g+1) (u2d_from_bundle checks d, g): times 1 - t^2
+    by one shifted subtraction, then over 1 - t^(2(-d-2g+2)) by an exact prefix pass."""
+    v, c = lowest._val, lowest._coeffs
+    num = [*c, 0, 0]
+    num[2:] = map(sub, num[2:], c)
+    return LaurentPoly._from_coeffs(v, _div_one_minus_t_pow(v, num, 2 * (-d - 2 * g + 2)))
 
 
 @lru_cache(maxsize=None)

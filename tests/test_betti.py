@@ -6,8 +6,10 @@ import hashlib
 import inspect
 import io
 import json
+import re
 import sys
 from dataclasses import replace
+from itertools import accumulate
 from math import comb
 
 import pytest
@@ -32,8 +34,8 @@ from flipchain.betti import (
     u2d_from_bundle,
     u2d_poincare,
 )
-from flipchain.chambers import InvalidInput, fm_index_range, moduli_dim
-from flipchain.exactpoly import ConsistencyFailure, LaurentPoly, NotDivisible, TruncatedBiSeries
+from flipchain.chambers import InvalidInput, _json_text, fm_index_range, moduli_dim
+from flipchain.exactpoly import ConsistencyFailure, LaurentPoly, NotDivisible, TruncatedBiSeries, lp_div_one_minus_t_pow
 
 ONE_PLUS_T = LaurentPoly({0: 1, 1: 1})
 
@@ -69,10 +71,9 @@ def test_the_list_filled_sym_product_matches_the_monomial_sum():
             assert sym_product_poincare(n, g) == sym_product_by_monomial_sum(n, g), (n, g)
 
 
-@pytest.mark.parametrize("step", [1, 3])
-def test_the_binomial_row_is_the_power_of_one_plus_t_to_the_step(step):
+def test_the_binomial_row_is_the_power_of_one_plus_t():
     for n in range(21):
-        assert LaurentPoly._from_coeffs(0, betti._one_plus_t_pow(n, step)) == LaurentPoly({0: 1, step: 1}) ** n, (n, step)
+        assert LaurentPoly._from_coeffs(0, betti._one_plus_t_pow(n)) == ONE_PLUS_T ** n, n
 
 
 # -- flip differences -----------------------------------------------------------
@@ -387,20 +388,43 @@ def test_recursive_route_rejects_a_negative_exponent(monkeypatch):
 
 
 def _raises(*args, **kwargs):
-    raise AssertionError("the closed route used polynomial arithmetic")
+    raise AssertionError("a Betti route used polynomial arithmetic")
+
+
+def _reports_and_routes():
+    """betti --json's text for full and --chamber reports at both parities of d, at g = 2, 3 and 5 and d down
+    to -41, so flips fall on both sides of n = 2g - 1, and the bundle route, flip differences and blow-up
+    differences; every cache cleared first."""
+    for cache in _betti_caches():
+        cache.cache_clear()
+    out = []
+    for g in (2, 3, 5):
+        for d in (-1, -4, -9, -16, -40, -41):
+            lo, hi = fm_index_range(d)
+            out += [_json_text(build_betti_report(d, g, i)) for i in (None, lo, (lo + hi) // 2, hi)]
+            out += [flip_difference(j, d, g) for j in (lo, hi)]
+            if d <= -3:
+                out.append(blowup_delta(d, g))
+            if d % 2 and -d > 4 * g - 4:
+                out.append(u2d_from_bundle(g, d))
+    return out
 
 
 def test_closed_route_shares_no_arithmetic_with_the_recursive_route(monkeypatch):
+    # whole reports and the other routes with LaurentPoly's ring operations raising, then the closed route
+    # alone with the recursive route's division and sliding sum raising too
+    expected = _reports_and_routes()
     # the lowest and the top chamber of each (d, g)
     cells = [(i, d, g) for g, d in ((2, -5), (3, -17), (4, -28), (5, -40), (2, -40)) for i in fm_index_range(d)]
-    expected = [fm_poincare_closed(*cell) for cell in cells]
-    for name in ("__add__", "__sub__", "__neg__", "__mul__", "__pow__", "_combine"):
+    closed = [fm_poincare_closed(*cell) for cell in cells]
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__", "__pow__", "_combine"):
         monkeypatch.setattr(LaurentPoly, name, _raises)
-    monkeypatch.setattr(betti, "lp_div_one_minus_t_pow", _raises)
+    assert _reports_and_routes() == expected
+    monkeypatch.setattr(betti, "_div_one_minus_t_pow", _raises)
     monkeypatch.setattr(betti, "_times_proj_space", _raises)
     for cache in _betti_caches():
         cache.cache_clear()
-    assert [fm_poincare_closed(*cell) for cell in cells] == expected
+    assert [fm_poincare_closed(*cell) for cell in cells] == closed
 
 
 def test_a_wrong_sym_product_fails_the_two_route_check_and_leaves_the_closed_route_alone(monkeypatch):
@@ -409,8 +433,16 @@ def test_a_wrong_sym_product_fails_the_two_route_check_and_leaves_the_closed_rou
     for cache in _betti_caches():
         cache.cache_clear()
     expected = [fm_poincare_closed(i, d, g) for i in range(lo, hi + 1)]
-    sym = betti.sym_product_poincare
-    monkeypatch.setattr(betti, "sym_product_poincare", lambda n, g: sym(n, g) + 1)  # constant term 1 -> 2
+
+    def wrong(n, g, _shared=betti._divided_shared_factor):
+        # Sym^n + 1, constant term 1 -> 2: E(n, g) gains (1+t)^(2g), so E / (1 - t^2) gains its prefix sums
+        gained = [comb(2 * g, k) for k in range(2 * g + 1)] + [0] * (2 * n)
+        for r in (0, 1):
+            gained[r::2] = accumulate(gained[r::2])
+        return [x + y for x, y in zip(_shared(n, g), gained)]
+
+    wrong.cache_clear = betti._divided_shared_factor.cache_clear
+    monkeypatch.setattr(betti, "_divided_shared_factor", wrong)
     for cache in _betti_caches():
         cache.cache_clear()
     try:
@@ -452,9 +484,8 @@ _CHAMBER_ROUTE_FUNCTIONS = ("_subtract_flip", "_recursive_chain", "_fiber_factor
 _UNREACHED_BY_VALID_INPUT = {
     ("_subtract_flip",
      'raise ConsistencyFailure(f"negative exponent t^{lo} in the recursive route at (j={j}, d={d}, g={g})")'),
-    ("_subtract_flip", "formula, bundle = _fiber_factors(up, down, rank_plus, rank_minus)"),
     ("_subtract_flip",
-     "formula, bundle = (LaurentPoly._from_coeffs(0, f) * _even_factor(rank_plus, g) for f in (formula, bundle))"),
+     "formula, bundle = (LaurentPoly._from_coeffs(0, f) for f in _fiber_factors(up, down, rank_plus, rank_minus))"),
     ("_subtract_flip", 'raise NotDivisible(f"flip difference routes disagree at j={j}, d={d}, g={g}: '
                        'formula={formula}, bundle={bundle}")'),
     ("_closed_chamber",
@@ -601,6 +632,20 @@ def test_u2d_fiber_factor():
     # for (g, d) = (2, -5) the lowest chamber fibers in projective planes
     fm = fm_poincare_closed(2, -5, 2)
     assert fm == u2d_poincare(2) * proj_space_poincare(2)
+
+
+def test_the_bundle_quotient_is_the_lowest_chamber_times_one_minus_t2_over_the_fiber_kernel():
+    # LaurentPoly products and lp_div_one_minus_t_pow as the reference for the list pass
+    one_minus_t2 = LaurentPoly({0: 1, 2: -1})
+    for g in range(2, 6):
+        for d in range(-4 * g + 3, -42, -2):
+            lowest, k = fm_poincare_closed(fm_index_range(d)[0], d, g), 2 * (-d - 2 * g + 2)
+            assert betti._bundle_quotient(lowest, d, g) == lp_div_one_minus_t_pow(lowest * one_minus_t2, k), (d, g)
+            for wrong in (lowest + 1, LaurentPoly.monomial(-3) * (lowest + 1)):  # both name the same numerator
+                with pytest.raises(NotDivisible) as expected:
+                    lp_div_one_minus_t_pow(wrong * one_minus_t2, k)
+                with pytest.raises(NotDivisible, match=f"^{re.escape(str(expected.value))}$"):
+                    betti._bundle_quotient(wrong, d, g)
 
 
 def test_u2d_from_bundle_preconditions():
