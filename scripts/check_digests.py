@@ -1,13 +1,15 @@
 """Check that every output is as it was: run the 21 untimed benchmark passes
 (betti_sweep at seed 0, verify_all and cli_requests at seeds 0..9) one at a
 time and compare each output digest with perfbench/reference.json, then
-run ten CLI commands and compare the sha256 of each one's whole stdout:
+run eleven CLI commands and compare the sha256 of each one's whole stdout:
 `verify-all` with its defaults and at `--seed 1` (the full stability suite,
 where the passes run small ones), three that reach d = -100 where the
 passes stop at d = -32 (`verify-all --grid 8 -100 --models 0` and the printed
 polynomials of `betti --d -100 --json` at g = 2 and g = 8), the grid that a
 speed claim about the Betti layer is measured on, `verify-all --grid 12 -200
---models 0` (about 8 s, the slowest line), two JSON
+--models 0` (about 8 s), the largest grid, `verify-all --grid 16 -300
+--models 0` (30-40 s on a 2-core host, the slowest line), which grows the
+closed route's table to n = 299 for every g up to 16, two JSON
 reports larger than any pass writes (`chambers --d -100 --g 8 --json` and
 `betti --d -40 --g 6 --chamber 25 --json`), one odd-degree report,
 `betti --d -101 --g 3 --json`, whose bundle route divides by 1 - t^194, and
@@ -33,6 +35,7 @@ PASSES = (("betti_sweep", [0]), ("verify_all", range(10)), ("cli_requests", rang
           ("verify-all --seed 1", ["79d5a7e187cf34df16b16d7a04ed1c027d449f523cdeb4cd8ee17982f21479fc"]),
           ("verify-all --grid 8 -100 --models 0", ["22494b8d69f13048b1cac39a8656f0d8bad40ba4a936f92ad2c103437bcdaddf"]),
           ("verify-all --grid 12 -200 --models 0", ["345b46bcf7df32019c1501cccfca1706a72b71c460d6ad28a41183b3ab7b0c07"]),
+          ("verify-all --grid 16 -300 --models 0", ["8d9bf1c36faf8a7f85b5839a0c70b5c069e4030ed9b498b062a9724706519661"]),
           ("betti --d -100 --g 2 --json", ["a74b57efe9ca1826e2f31b56e078cb206b2e256ad3c755aa2e4d2a06c3fa58f0"]),
           ("betti --d -100 --g 8 --json", ["3e77f1660ad6621302fc944686d8989fb58be6d7b099bb1549baa19703c9a5e7"]),
           ("chambers --d -100 --g 8 --json", ["5a0ee1a39b90514ddbce2c2681d0e77da2bf2b3452223153db1dc5789c853525"]),
@@ -40,7 +43,7 @@ PASSES = (("betti_sweep", [0]), ("verify_all", range(10)), ("cli_requests", rang
            ["a10d9c8852c329b34f764abf79975826692446500de5ec3d1bc8095f612d119f"]),
           ("betti --d -101 --g 3 --json", ["d304191038b6e49a76b5e993843fac955a03795b577bbdbb580ef2d65d9b07f9"]),
           ("betti --d -45 --g 4", ["e29864f62af8c77a2a056921bd67757e094567d5f052dd0760f68cc7a276f2bb"]))
-#: Seconds one pass may take; each takes a few seconds on a 2-core host.
+#: Seconds one pass may take; the slowest, --grid 16 -300, takes 30-40 s on a 2-core host.
 TIMEOUT_S = 300
 
 

@@ -7,7 +7,8 @@ sums shifted coefficients of the symmetric-product recurrence; the flip
 differences themselves are checked against a direct projective-bundle
 computation, once per distinct fiber identity in each process.  Every
 divisor is a geometric kernel 1 - t^k, every division an exact prefix pass
-that fails loudly, and both chamber routes cache lists divided once per (n, g).
+that fails loudly; the recursive route caches lists divided once per (n, g),
+the closed route one table of them per genus, grown under a lock.
 What no report keeps runs on integer lists from t^0: each flip is subtracted
 straight into the chain's running list, its two exponents (twice a
 flip-locus rank) checked up front, and the fiber verdicts, the blow-up
@@ -26,6 +27,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import comb
 from operator import add, sub
+from threading import Lock
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .chambers import InvalidInput, _checked, fm_index_range, moduli_dim
@@ -185,17 +187,16 @@ def fm_poincare_recursive(i: int, d: int, g: int) -> LaurentPoly:
     return _recursive_chain(i, d, g)[i]
 
 
-def _window(x: List[int], start: int, width: int) -> List[int]:
-    """Entries start .. start + width - 1 of a series cached as x from t^0: zero below t^0, and past
-    x's end its last two entries repeated (a zero before a lone one)."""
-    end, top = start + width, len(x)
-    w = [0] * -start + x[:end] if start < 0 else x[start:end]
-    if end > top:
-        w += ([0, 0, *x][-2:] * ((end - top) // 2 + 1))[max(start - top, 0):end - top]  # from t^top on
-    return w
-
-
 @lru_cache(maxsize=None)
+def _closed_table(g: int) -> Tuple[List[Tuple[List[int], List[int]]], List[List[int]], Lock]:
+    """Genus g's rows (A'_n, B'_n) of _closed_lists from n = 0, F_(n-1) and F_n for its last row n,
+    and the lock they grow under: at first row 0 = (F_0, F_0), F_0 = (1+t)^(2g) / (1 - t^2), F_(-1) = 0."""
+    f0 = [comb(2 * g, e) for e in range(2 * g + 1)]  # not _one_plus_t_pow, which the recursive route runs
+    for r in (0, 1):
+        f0[r::2] = accumulate(f0[r::2])
+    return [(f0, f0)], [[0] * len(f0), f0], Lock()
+
+
 def _closed_lists(n: int, g: int) -> Tuple[List[int], List[int]]:
     """(1+t)^(2g) A_n / (1 - t^2) and (1+t)^(2g) B_n / (1 - t^2) as power
     series from t^0, truncated at their numerators' 4n + 2g + 1 terms (past
@@ -205,31 +206,26 @@ def _closed_lists(n: int, g: int) -> Tuple[List[int], List[int]]:
     (1+xt)^(2g) / ((1-x)(1-x t^2)) for the symmetric products, from the
     recurrence its denominator gives:
     f_k = C(2g, k) t^k + (1+t^2) f_(k-1) - t^2 f_(k-2), and f_k = 0 for k < 0.
-    Nothing else is kept.  Each f_n is built once, as F_n = (1+t)^(2g) f_n /
-    (1 - t^2) on its numerator's 2n + 2g + 1 terms, and the recurrence reads
-    F_(n-1) and F_(n-2) back off the last three cached B lists B'_k, since
-    t^(2k) F_k = B'_k - B'_(k-1).  Call it with n rising, so that the entries
-    at n-1, n-2 and n-3 are already cached."""
-    if not n:  # F_0 = (1+t)^(2g) / (1 - t^2)
-        a = [comb(2 * g, e) for e in range(2 * g + 1)]
-        for r in (0, 1):
-            a[r::2] = accumulate(a[r::2])
-        return a, a[:]
-    width = 2 * n + 2 * g + 1  # F_n's numerator's length
-    a_below, b1 = _closed_lists(n - 1, g)
-    b2, b3 = (_closed_lists(k, g)[1] if k >= 0 else [] for k in (n - 2, n - 3))
-    w2 = _window(b2, 2 * n - 6, width + 4)
-    f1 = list(map(sub, _window(b1, 2 * n - 4, width + 2), w2[2:]))  # t^2 F_(n-1)
-    f2 = map(sub, w2, _window(b3, 2 * n - 6, width))  # t^2 F_(n-2)
-    f = list(map(add, f1[2:], map(sub, f1, f2)))
-    c = comb(2 * g, n)
-    if c:  # C(2g, n) t^n (1+t)^(2g) / (1 - t^2), t^n times C(2g, n) F_0
-        f[n:] = map(add, f[n:], map(c.__mul__, _window(_closed_lists(0, g)[0], 0, width - n)))
-    a = f + f[-2:] * n  # carried on to 4n + 2g + 1 terms by its last two entries
-    a[4:] = map(add, a[4:], a_below)
-    b = b1 + [0, *b1[-2:]][-2:] * 2  # the same, a zero before a lone entry
-    b[2 * n:] = map(add, b[2 * n:], f)
-    return a, b
+    Row k is built from F_k = (1+t)^(2g) f_k / (1 - t^2) on its numerator's 2k + 2g + 1 terms,
+    F_k = F_(k-1) + t^2 (F_(k-1) - F_(k-2)) + C(2g, k) t^k F_0; _closed_table(g) keeps the rows and
+    the last two F lists, and this grows them up to row n in one loop under the table's lock."""
+    rows, fs, lock = _closed_table(g)
+    with lock:
+        for k in range(len(rows), n + 1):
+            f2, f1 = fs
+            f = f1 + [0, *f1][-2:]  # F_(k-1) on F_k's 2k + 2g + 1 terms
+            f[2:] = map(add, f[2:], map(sub, f1, f2 + [0, *f2][-2:]))  # each carried on, a zero before a lone entry
+            c = comb(2 * g, k)
+            if c:  # row 0's A list is F_0
+                f[k:] = map(add, f[k:], map(c.__mul__, rows[0][0] + rows[0][0][-2:] * k))
+            a_below, b_below = rows[-1]
+            a = f + f[-2:] * k  # carried on to 4k + 2g + 1 terms
+            a[4:] = map(add, a[4:], a_below)
+            b = b_below + [0, *b_below][-2:] * 2
+            b[2 * k:] = map(add, b[2 * k:], f)
+            rows.append((a, b))
+            fs[:] = f1, f
+        return rows[n]
 
 
 def fm_poincare_closed(i: int, d: int, g: int) -> LaurentPoly:
@@ -241,7 +237,7 @@ def fm_poincare_closed(i: int, d: int, g: int) -> LaurentPoly:
     coefficient of Macdonald's series that coefficient is t^s A_n - B_n,
     s = 2d+2g+4i+2, for A_n = sum over m of t^(4m) f_(n-m) and
     B_n = sum over k of t^(2k) f_k (see _closed_lists).  With
-    (1+t)^(2g) A_n and (1+t)^(2g) B_n / (1 - t^2) cached by (n, g) as integer
+    (1+t)^(2g) A_n and (1+t)^(2g) B_n over 1 - t^2 kept per genus as integer
     lists, the chamber is one shifted subtraction, B's list carried on by its
     last two entries: this route shares no polynomial arithmetic with the
     recursive one.  A negative shift raises ConsistencyFailure and a nonzero
@@ -249,18 +245,11 @@ def fm_poincare_closed(i: int, d: int, g: int) -> LaurentPoly:
     """
     _require_genus(g)
     _chamber_index_range(i, d)
-    _fill_closed_lists(-d - i - 1, g)
     return _closed_chamber(i, d, g)
 
 
-def _fill_closed_lists(n: int, g: int) -> None:
-    """Cache _closed_lists(k, g) for k up to n, bottom-up, so no call recurses deeply."""
-    for k in range(n + 1):
-        _closed_lists(k, g)
-
-
 def _closed_chamber(i: int, d: int, g: int) -> LaurentPoly:
-    """fm_poincare_closed for a checked (i, d, g) whose lists _fill_closed_lists has cached."""
+    """fm_poincare_closed for a checked (i, d, g)."""
     n, shift = -d - i - 1, 2 * d + 2 * g + 4 * i + 2
     if shift < 0:  # a negative list index would wrap around silently
         raise ConsistencyFailure(f"negative shift t^{shift} in the closed route at (i={i}, d={d}, g={g})")
@@ -462,7 +451,6 @@ def build_betti_report(d: int, g: int, only_chamber: Optional[int] = None) -> Be
         lo = hi = only_chamber
     terminal = terminal_poincare(d, g)
     chain = _recursive_chain(min(lo, -d - 2) if d <= -3 else lo, d, g)  # the blow-up check reads -d-2
-    _fill_closed_lists(-d - lo - 1, g)  # the report's lowest chamber has the highest n
     chambers = tuple(_chamber_betti(i, chain[i], _closed_chamber(i, d, g)) for i in range(lo, hi + 1))
     via = agree = None
     if d % 2 != 0 and -d > 4 * g - 4:  # the report's own lowest chamber, if it holds it

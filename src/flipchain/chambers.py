@@ -40,11 +40,11 @@ def _shown(value) -> str:
             return f"<int of {value.bit_length()} bits>" if type(value) is int else f"<{type(value).__name__}>"
 
 
-def _as_text(value) -> str:
-    """str(value), or _shown's fixed text when int-to-str refuses it (an int, or a Fraction's
-    numerator or denominator, past its 4,300-digit limit)."""
+def _as_text(value, form=str) -> str:
+    """form(value), str or repr, or _shown's fixed text when int-to-str refuses it (an int, or a
+    Fraction's numerator or denominator, past its 4,300-digit limit)."""
     try:
-        return str(value)
+        return form(value)
     except ValueError:
         return _shown(value)
 
@@ -165,7 +165,7 @@ def _require_int(value, path: str) -> int:
     """value itself when its type is int (not a bool or a float);
     InvalidInput naming path otherwise."""
     if type(value) is not int:
-        raise InvalidInput(f"{path}: expected an integer, got {value!r}")
+        raise InvalidInput(f"{path}: expected an integer, got {_as_text(value, repr)}")
     return value
 
 
@@ -200,7 +200,7 @@ def _require_sigma(sigma):
     """sigma itself when it is a positive int (not a bool) or Fraction;
     InvalidInput naming sigma otherwise.  Nothing is converted."""
     if type(sigma) is not Fraction and type(sigma) is not int:
-        raise InvalidInput(f"sigma: expected an int or a Fraction, got {sigma!r}")
+        raise InvalidInput(f"sigma: expected an int or a Fraction, got {_as_text(sigma, repr)}")
     if sigma.numerator <= 0:  # the denominator of a Fraction is positive
         raise InvalidInput(f"sigma: must be positive, got {_as_text(sigma)}")
     return sigma

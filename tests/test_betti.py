@@ -8,6 +8,7 @@ import io
 import json
 import re
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from itertools import accumulate
 from math import comb
@@ -198,6 +199,31 @@ def test_closed_route_at_a_very_large_degree_needs_no_deep_recursion():
     assert p.coeff(0) == 1
 
 
+def test_the_closed_table_grows_to_a_large_n_without_deep_recursion():
+    a, b = _with_shallow_stack(betti._closed_lists, 1100, 2)
+    assert len(a) == len(b) == 4 * 1100 + 2 * 2 + 1
+
+
+def test_threads_growing_one_cold_table_get_the_rows_of_one_thread():
+    def rows(g):
+        return [betti._closed_lists(n, g) for n in range(120)]
+
+    for g in (2, 3):
+        betti._closed_table.cache_clear()
+        alone = rows(g)
+        betti._closed_table.cache_clear()
+        betti._closed_table(g)  # so that every thread grows this one table
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                grown = list(pool.map(rows, [g] * 4))
+        finally:
+            sys.setswitchinterval(interval)
+        assert grown == [alone] * 4 and rows(g) == alone, g
+    betti._closed_table.cache_clear()
+
+
 def test_recursive_route_at_a_large_degree_needs_no_deep_recursion():
     lo, _ = fm_index_range(-300)
     assert _with_shallow_stack(fm_poincare_recursive, lo, -300, 2) == fm_poincare_closed(lo, -300, 2)
@@ -205,7 +231,7 @@ def test_recursive_route_at_a_large_degree_needs_no_deep_recursion():
 
 def test_only_the_caches_keyed_by_genus_remain_and_stay_small():
     assert sorted(f.__name__ for f in _betti_caches()) == [
-        "_bundle_numerator", "_closed_lists", "_divided_shared_factor", "_fiber_identity_holds", "mcon_poincare",
+        "_bundle_numerator", "_closed_table", "_divided_shared_factor", "_fiber_identity_holds", "mcon_poincare",
         "u2d_poincare"]
     for cache in _betti_caches():
         cache.cache_clear()
@@ -478,7 +504,7 @@ def test_closed_route_raises_on_a_nonzero_remainder():
 
 _CHAMBER_ROUTE_FUNCTIONS = ("_subtract_flip", "_recursive_chain", "_fiber_factors", "flip_difference",
                             "fm_poincare_recursive", "fm_poincare_closed", "_closed_chamber", "_closed_lists",
-                            "_window", "_divided_shared_factor")
+                            "_closed_table", "_divided_shared_factor")
 
 # the lines of those functions that only raise, or only build a raise's message, by function and text
 _UNREACHED_BY_VALID_INPUT = {

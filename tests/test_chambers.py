@@ -14,7 +14,7 @@ from flipchain.chambers import (
     fm_index_range,
     moduli_dim,
 )
-from flipchain.stability import CurveContext
+from flipchain.stability import CurveContext, FramedType, require_suite_args
 
 
 def test_eta():
@@ -153,6 +153,29 @@ HUGE = 10 ** 5000  # past the 4,300-digit limit of int-to-str
 )
 def test_an_int_too_long_to_print_is_invalid_input_naming_its_field(call, message):
     # the text is the one _shown gives; a value that prints is printed as before
+    with pytest.raises(InvalidInput) as caught:
+        call()
+    assert str(caught.value) == message
+
+
+class _Ratio(Fraction):
+    """A Fraction that is not of type Fraction, which _require_sigma rejects."""
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: moduli_dim(Fraction(HUGE, 3), 2), "d: expected an integer, got <Fraction>"),
+        (lambda: CurveContext(2, Fraction(HUGE, 3)), "frame_degree: expected an integer, got <Fraction>"),
+        (lambda: FramedType(Fraction(HUGE, 3), -3, True), "type.rank: expected an integer, got <Fraction>"),
+        (lambda: betti.proj_space_poincare(Fraction(HUGE, 3)), "n: expected an integer, got <Fraction>"),
+        (lambda: betti.blowup_delta(Fraction(HUGE, 3), 2), "d: expected an integer, got <Fraction>"),
+        (lambda: require_suite_args(Fraction(HUGE, 3), 1), "seed: expected an integer, got <Fraction>"),
+        (lambda: chambers._require_sigma(_Ratio(HUGE, 3)), "sigma: expected an int or a Fraction, got <_Ratio>"),
+    ],
+)
+def test_a_value_too_long_to_repr_is_invalid_input_naming_its_field(call, message):
+    # repr when it works, so a value that prints is printed as before, and _shown's fixed text when not
     with pytest.raises(InvalidInput) as caught:
         call()
     assert str(caught.value) == message

@@ -124,7 +124,8 @@ def test_the_chamber_row_sees_a_helper_both_routes_reach_only_above_the_abel_jac
             if n >= 2 * g - 1:
                 betti.proj_space_poincare(n - g)
             return route(n, g)
-        doctored.cache_clear = route.cache_clear
+        if hasattr(route, "cache_clear"):  # _closed_lists keeps its rows in _closed_table
+            doctored.cache_clear = route.cache_clear
         return doctored
 
     for name in ("_divided_shared_factor", "_closed_lists"):
