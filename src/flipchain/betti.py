@@ -31,8 +31,8 @@ from threading import Lock
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .chambers import InvalidInput, _checked, fm_index_range, moduli_dim
-from .chambers import _as_text, _chamber_index_range, _json_text, _require_equal, _require_genus, _require_int
-from .exactpoly import ConsistencyFailure, LaurentPoly, NotDivisible, _div_one_minus_t_pow
+from .chambers import _chamber_index_range, _json_text, _require_equal, _require_genus, _require_int
+from .exactpoly import ConsistencyFailure, LaurentPoly, NotDivisible, _as_text, _div_one_minus_t_pow
 
 
 def _one_plus_t_pow(n: int) -> List[int]:

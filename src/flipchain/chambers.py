@@ -11,10 +11,11 @@ Pic^(i+1) x Sym^(-d-i-1) of the curve.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, List, NamedTuple, Optional, Tuple
 
-from .exactpoly import LaurentPoly
+from .exactpoly import LaurentPoly, _as_text, _shown
 
 
 class InvalidInput(ValueError):
@@ -25,28 +26,6 @@ class InvalidInput(ValueError):
 
 _REQUIRED = object()
 _KIND_NAMES = {int: "an integer", bool: "true or false", str: "a string", list: "a list", dict: "an object"}
-
-
-def _shown(value) -> str:
-    """At most 60 characters of value as JSON, or of its repr when JSON
-    cannot hold it (a Fraction from a Python caller, say), or a fixed text
-    when neither can (an int past the 4,300-digit limit of int-to-str)."""
-    try:
-        return json.dumps(value)[:60]
-    except (TypeError, ValueError):
-        try:
-            return repr(value)[:60]
-        except ValueError:
-            return f"<int of {value.bit_length()} bits>" if type(value) is int else f"<{type(value).__name__}>"
-
-
-def _as_text(value, form=str) -> str:
-    """form(value), str or repr, or _shown's fixed text when int-to-str refuses it (an int, or a
-    Fraction's numerator or denominator, past its 4,300-digit limit)."""
-    try:
-        return form(value)
-    except ValueError:
-        return _shown(value)
 
 
 def _checked(value, kind: type, path: str):
@@ -297,13 +276,10 @@ def chamber_of(sigma: Fraction, cd: ChamberData) -> ChamberLocation:
     """Locate a positive sigma; Empty when sigma exceeds -d."""
     if _require_sigma(sigma) > -cd.d:
         return ChamberLocation("empty")
-    for j, w in enumerate(cd.walls, start=1):
-        if sigma == w:
-            return ChamberLocation("wall", index=j, wall=w)
-    for ch in cd.chambers:
-        if ch.lower < sigma < ch.upper or (ch.closed_upper and sigma == ch.upper):
-            return ChamberLocation("chamber", index=ch.index)
-    raise AssertionError("unreachable: chambers cover (0, -d] minus walls")
+    k = bisect_left(cd.walls, sigma)  # the walls rise: k lie below sigma, so it is wall k + 1 or in chamber k
+    if k < len(cd.walls) and cd.walls[k] == sigma:
+        return ChamberLocation("wall", index=k + 1, wall=cd.walls[k])
+    return ChamberLocation("chamber", index=k)
 
 
 def flip_locus(i: int, d: int, g: int) -> FlipLocusData:

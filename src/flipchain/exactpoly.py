@@ -13,6 +13,7 @@ point.
 
 from __future__ import annotations
 
+import json
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import accumulate
@@ -30,6 +31,28 @@ class NotDivisible(ConsistencyFailure):
 
 
 TermsLike = Union[Mapping[int, int], Iterable[Tuple[int, int]]]
+
+
+def _shown(value) -> str:
+    """At most 60 characters of value as JSON, or of its repr when JSON
+    cannot hold it (a Fraction from a Python caller, say), or a fixed text
+    when neither can (an int past the 4,300-digit limit of int-to-str)."""
+    try:
+        return json.dumps(value)[:60]
+    except (TypeError, ValueError):
+        try:
+            return repr(value)[:60]
+        except ValueError:
+            return f"<int of {value.bit_length()} bits>" if type(value) is int else f"<{type(value).__name__}>"
+
+
+def _as_text(value, form=str) -> str:
+    """form(value), str or repr, or _shown's fixed text when int-to-str refuses it (an int, or a
+    Fraction's numerator or denominator, past its 4,300-digit limit)."""
+    try:
+        return form(value)
+    except ValueError:
+        return _shown(value)
 
 
 def _trimmed(valuation: int, coeffs: Sequence[int]) -> Tuple[int, Tuple[int, ...]]:
@@ -68,7 +91,8 @@ class LaurentPoly:
         acc: Dict[int, int] = {}
         for e, c in items:
             if type(e) is not int or type(c) is not int:
-                raise TypeError(f"exponents and coefficients must be integers, got {e!r}: {c!r}")
+                raise TypeError("exponents and coefficients must be integers, "
+                                f"got {_as_text(e, repr)}: {_as_text(c, repr)}")
             if c:
                 acc[e] = acc.get(e, 0) + c
         lo = min(acc, default=0)
@@ -99,7 +123,8 @@ class LaurentPoly:
     def monomial(cls, exponent: int, coeff: int = 1) -> "LaurentPoly":
         """coeff * t**exponent; exponent may be negative."""
         if type(exponent) is not int or type(coeff) is not int:
-            raise TypeError(f"exponents and coefficients must be integers, got {exponent!r}: {coeff!r}")
+            raise TypeError("exponents and coefficients must be integers, "
+                            f"got {_as_text(exponent, repr)}: {_as_text(coeff, repr)}")
         return cls._from_coeffs(exponent, [coeff])
 
     # -- inspection --------------------------------------------------------
@@ -150,7 +175,7 @@ class LaurentPoly:
             total = sum(self._coeffs)
             return Fraction(total) if self._val < 0 else total
         if type(x) is not int and not isinstance(x, Fraction):
-            raise TypeError(f"evaluation point must be an int or a Fraction, got {x!r}")
+            raise TypeError(f"evaluation point must be an int or a Fraction, got {_as_text(x, repr)}")
         total = 0
         for c in reversed(self._coeffs):
             total = total * x + c
@@ -223,7 +248,7 @@ class LaurentPoly:
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if type(n) is not int:
-            raise TypeError(f"exponent must be an int, got {n!r}")
+            raise TypeError(f"exponent must be an int, got {_as_text(n, repr)}")
         if n < 0:
             raise ValueError("negative powers are not defined; use lp_div_one_minus_t_pow")
         result = LaurentPoly.one()
@@ -268,7 +293,7 @@ def lp_div_one_minus_t_pow(num: LaurentPoly, k: int) -> LaurentPoly:
     """Exact quotient num / (1 - t^k) for an int k >= 1, the kernel of every
     divisor the Betti routes use, at num's valuation (see _div_one_minus_t_pow)."""
     if type(k) is not int or k < 1:
-        raise ValueError(f"k must be a positive int, got {k!r}")
+        raise ValueError(f"k must be a positive int, got {_as_text(k, repr)}")
     return LaurentPoly._from_coeffs(num._val, _div_one_minus_t_pow(num._val, num._coeffs, k))
 
 

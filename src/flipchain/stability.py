@@ -210,13 +210,6 @@ class FramedModel:
         return outer_id in self.ancestors[inner_id]
 
     @cached_property
-    def _charged(self) -> Tuple[Tuple[int, int], Tuple[Tuple[int, int], ...]]:
-        """_linear with every object charged sigma: the oriented inequality."""
-        n, t = self._rank_lcm, self.typ
-        subs_ab = tuple((s.degree * (n // s.rank), n // s.rank) for s in self.subs)
-        return (t.degree * (n // t.rank), n // t.rank), subs_ab
-
-    @cached_property
     def _oriented(self) -> Tuple[Tuple[bool, bool], Tuple[bool, bool]]:
         """(oriented semistable, oriented stable) for modules, then for pairs.
         They are taken at sigma_max, so each model computes them once."""
@@ -224,13 +217,13 @@ class FramedModel:
 
     @cached_property
     def _canonical(self) -> Optional[Tuple[Fraction, Union[SubobjectData, AmbiguousModel, None]]]:
-        """sigma_max and _destabilizer_or_ambiguity on its pass when sigma_max is
-        nonnegative, else None: the canonical half of constraint closure, which
-        _closed and the rank-2 equivalence precondition both read."""
+        """sigma_max and what _max_destabilizer finds on its pass when sigma_max
+        is nonnegative, else None: the canonical half of constraint closure,
+        which _closed and the rank-2 equivalence precondition both read."""
         s_star = sigma_max(self, use_phi=False)
         if s_star is None or s_star < 0:
             return None
-        return s_star, _destabilizer_or_ambiguity(self, *_slopes(self, s_star))
+        return s_star, _max_destabilizer(self, *_slopes(self, s_star))
 
 
 class HNFiltration(NamedTuple):
@@ -272,17 +265,16 @@ def _framed_slope_terms(rank: int, degree: int, fr: bool, sigma: Fraction,
     return degree, rank
 
 
-def _slopes(m: FramedModel, sigma: Fraction, charge_all: bool = False) -> Tuple[int, List[int]]:
+def _slopes(m: FramedModel, sigma: Fraction) -> Tuple[int, List[int]]:
     """The ambient framed slope and each subobject's (in m.subs order), times
     q*n for sigma = p/q in lowest terms and n the lcm of the model's ranks:
     integers in the same order as the slopes.
 
-    delta is 1 for framed objects under a nonzero ambient framing, or for
-    every object when charge_all is set (the oriented inequality).  Each
+    delta is 1 for framed objects under a nonzero ambient framing.  Each
     value is linear in sigma, from coefficients stored with the model.
     """
     p, q = sigma.numerator, sigma.denominator
-    (a, b), subs = m._charged if charge_all else m._linear
+    (a, b), subs = m._linear
     return a * q - b * p, [a * q - b * p for a, b in subs]
 
 
@@ -337,13 +329,17 @@ def _tie_break(m: FramedModel, cands: List[SubobjectData]) -> SubobjectData:
     raise AmbiguousModel(f"incomparable subobjects tie at maximal slope and rank: {ids}")
 
 
-def _max_destabilizer(m: FramedModel, amb: int, slopes: List[int]) -> Optional[SubobjectData]:
-    """max_destabilizer from one _slopes pass (amb, slopes).  Tie order:
-    slope, then rank, then containment; no positivity check."""
+def _max_destabilizer(m: FramedModel, amb: int, slopes: List[int]) -> Union[SubobjectData, AmbiguousModel, None]:
+    """max_destabilizer from one _slopes pass (amb, slopes), with an incomparable
+    tie's AmbiguousModel returned, not raised.  Tie order: slope, then rank,
+    then containment; no positivity check."""
     top = max(slopes, default=amb - 1)
     if top < amb:
         return None
-    return _tie_break(m, [s for s, sl in zip(m.subs, slopes) if sl == top])
+    try:
+        return _tie_break(m, [s for s, sl in zip(m.subs, slopes) if sl == top])
+    except AmbiguousModel as exc:
+        return exc
 
 
 def max_destabilizer(m: FramedModel, sigma: Fraction) -> Optional[SubobjectData]:
@@ -354,7 +350,10 @@ def max_destabilizer(m: FramedModel, sigma: Fraction) -> Optional[SubobjectData]
     it is the maximal destabilizing subobject of a strictly semistable
     model.  Ties between incomparable subobjects raise AmbiguousModel.
     """
-    return _max_destabilizer(m, *_slopes(m, _require_sigma(sigma)))
+    found = _max_destabilizer(m, *_slopes(m, _require_sigma(sigma)))
+    if isinstance(found, AmbiguousModel):
+        raise found
+    return found
 
 
 def hn_filtration(m: FramedModel, sigma: Fraction) -> HNFiltration:
@@ -486,8 +485,10 @@ def _oriented_verdicts(m: FramedModel, pair: bool) -> Tuple[bool, bool]:
         return True, True  # injective framing (no phi-invariant kernel subobject, for pairs)
     if not m.typ.delta_iso or s < 0:
         return False, False
-    # both sides of the oriented inequality subtract s/rank whatever the framing flags
-    verdicts = _verdicts(m, *_slopes(m, s, charge_all=True))
+    # every object is charged s/rank whatever its framing flag: (deg*q - p)(n/rank) for s = p/q, as _slopes scales
+    n, p, q = m._rank_lcm, s.numerator, s.denominator
+    verdicts = _verdicts(m, (m.typ.degree * q - p) * (n // m.typ.rank),
+                         [(t.degree * q - p) * (n // t.rank) for t in m.subs])
     ss, stable = verdicts[2:] if pair else verdicts[:2]
     return ss, s > 0 and (stable or m.split is not None and _oriented_split_holds(m, s))
 
@@ -537,13 +538,13 @@ def verify_rank2_equivalences(m: FramedModel, sigma: Fraction) -> EquivalenceRep
         raise InvalidInput(f"type.rank: equivalence verification is specific to rank 2, got {m.typ.rank}")
     sigma = _require_sigma(sigma)
     amb, slopes = _slopes(m, sigma)
-    return _equivalences(m, sigma, amb, slopes, _destabilizer_or_ambiguity(m, amb, slopes))
+    return _equivalences(m, sigma, amb, slopes, _max_destabilizer(m, amb, slopes))
 
 
 def _equivalences(m: FramedModel, sigma: Fraction, amb: int, slopes: List[int],
                   found: Union[SubobjectData, AmbiguousModel, None]) -> EquivalenceReport:
     """verify_rank2_equivalences from one _slopes pass (amb, slopes) at sigma
-    and found, _destabilizer_or_ambiguity's result on that pass."""
+    and found, _max_destabilizer's result on that pass."""
     for s in m.subs:  # a non-invariant kernel subobject, else the destabilizer, witnesses it
         if not s.fr and not s.phi_invariant:
             raise AxiomViolated(f"subobject {s.id!r} breaks constraint closure at sigma={sigma}")
@@ -635,7 +636,7 @@ def report_obj(m: FramedModel) -> dict:
             entry["hn"] = {"error": str(exc)}
         if m.typ.rank == 2:
             try:
-                rep = _equivalences(m, sigma, amb, slopes, _destabilizer_or_ambiguity(m, amb, slopes))
+                rep = _equivalences(m, sigma, amb, slopes, _max_destabilizer(m, amb, slopes))
                 entry["equivalences"] = {"ok": rep.ok, "mismatches": [list(pair) for pair in rep.mismatches]}
             except AxiomViolated as exc:
                 entry["equivalences"] = {"axiom_violated": str(exc)}
@@ -776,20 +777,12 @@ def close_constraints(m: FramedModel, sigmas: Iterable[Fraction]) -> FramedModel
     and every maximal destabilizer at the given parameters (plus the
     canonical parameter) as phi-invariant.  A model that already carries
     every such flag is returned as it is."""
-    return _closed(m, [_destabilizer_or_ambiguity(m, *_slopes(m, _require_sigma(s))) for s in sigmas])
-
-
-def _destabilizer_or_ambiguity(m: FramedModel, amb: int, slopes: List[int]) -> Union[SubobjectData, AmbiguousModel, None]:
-    """_max_destabilizer from one _slopes pass, or the AmbiguousModel it raised."""
-    try:
-        return _max_destabilizer(m, amb, slopes)
-    except AmbiguousModel as exc:
-        return exc
+    return _closed(m, [_max_destabilizer(m, *_slopes(m, _require_sigma(s))) for s in sigmas])
 
 
 def _closed(m: FramedModel, found: Iterable[Union[SubobjectData, AmbiguousModel, None]]) -> FramedModel:
-    """close_constraints given what _destabilizer_or_ambiguity found at each
-    of its parameters; the canonical parameter's search is m._canonical."""
+    """close_constraints given what _max_destabilizer found at each of its
+    parameters; the canonical parameter's search is m._canonical."""
     if m._canonical is not None:
         found = [*found, m._canonical[1]]
     need = {s.id for s in m.subs if not s.fr} | {md.id for md in found if isinstance(md, SubobjectData)}
@@ -865,7 +858,7 @@ def _suite_passes(m: FramedModel, sigmas: Sequence[Fraction]) -> Tuple[FramedMod
     only when it is m; one whose flags changed takes its own, so each model's
     checks read its own slopes even where a faulty _slopes reads the flags."""
     passes = [_slopes(m, sigma) for sigma in sigmas]
-    found = [_destabilizer_or_ambiguity(m, *p) for p in passes]
+    found = [_max_destabilizer(m, *p) for p in passes]
     closed = _closed(m, found)
     closed_passes = passes if closed is m else [_slopes(closed, sigma) for sigma in sigmas]
     return closed, list(zip(sigmas, passes, found, closed_passes))
@@ -919,7 +912,7 @@ def _suite_rank2(res: SuiteResult, m: FramedModel, sigmas: Sequence[Fraction], t
 
         try:  # a closed model that is m reuses m's search on this pass; a rebuilt one searches its own
             report = _equivalences(closed, sigma, *closed_pass,
-                                   found if closed is m else _destabilizer_or_ambiguity(closed, *closed_pass))
+                                   found if closed is m else _max_destabilizer(closed, *closed_pass))
         except AmbiguousModel:
             res.ambiguous_skips += 1
             continue
@@ -970,7 +963,7 @@ def run_stability_suite(seed: int, n_models: int = 10000) -> SuiteResult:
                 res.ambiguous_skips += 1
                 continue
             _suite_check(res, "chain graded slopes", _graded_slopes_decrease(hn, sigma), n, sigma)
-            if not _verdicts(m, amb, slopes)[0]:
+            if not _verdicts(m, amb, slopes)[0]:  # _filtration broke this pass's top tie, so md is no AmbiguousModel
                 md = _max_destabilizer(m, amb, slopes)
                 _suite_check(res, "chain first step", md is not None and hn.steps[0] == md.id, n, sigma)
         res.models += 1
@@ -1002,7 +995,7 @@ def run_stability_suite(seed: int, n_models: int = 10000) -> SuiteResult:
         FramedType(2, -5, True),
         (replace(inner, parents=frozenset()), outer),
     )
-    found = _destabilizer_or_ambiguity(loose, *_slopes(loose, Fraction(1)))
+    found = _max_destabilizer(loose, *_slopes(loose, Fraction(1)))
     _suite_check(res, "tie raises", isinstance(found, AmbiguousModel))
 
     return res

@@ -257,9 +257,10 @@ def test_flip_difference_is_the_product_of_the_bundle_and_shared_factors():
         assert flip_difference(j, d, g) == bundle * shared, (j, d, g)
 
 
-def test_the_divided_shared_factor_is_the_product_on_both_sides_of_the_abel_jacobi_bound():
+def test_the_divided_shared_factor_is_the_product_below_and_from_n_2g():
     # (1+t)^(2g) Sym^n by plain LaurentPoly products, divided by 1 - t^2 in a running sum per parity
-    # of the exponent; from n = 2g - 1 on the route takes the Abel-Jacobi form instead of the product
+    # of the exponent; the route's one formula has m = min(n, 2g), so from n = 2g on m stops growing
+    # and no binomial term past t^m is subtracted
     for cache in _betti_caches():
         cache.cache_clear()
     sides = set()
@@ -270,7 +271,7 @@ def test_the_divided_shared_factor_is_the_product_on_both_sides_of_the_abel_jaco
             for k in range(2, len(q)):
                 q[k] += q[k - 2]
             assert betti._divided_shared_factor(n, g) == q, (n, g)
-            sides.add(n >= 2 * g - 1)
+            sides.add(n >= 2 * g)
     assert sides == {False, True}
 
 

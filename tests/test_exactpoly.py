@@ -116,6 +116,28 @@ def test_not_divisible():
             lp_div_one_minus_t_pow(ONE, k)
 
 
+#: A Fraction whose numerator is past the 4,300-digit limit of int-to-str, so its repr raises.
+HUGE = Fraction(10**5000, 3)
+
+
+@pytest.mark.parametrize("call, kind, message", [
+    (lambda: LaurentPoly({HUGE: 1}), TypeError, "exponents and coefficients must be integers, got <Fraction>: 1"),
+    (lambda: LaurentPoly({0: HUGE}), TypeError, "exponents and coefficients must be integers, got 0: <Fraction>"),
+    (lambda: LaurentPoly.monomial(HUGE), TypeError, "exponents and coefficients must be integers, got <Fraction>: 1"),
+    (lambda: LaurentPoly.monomial(1) ** HUGE, TypeError, "exponent must be an int, got <Fraction>"),
+    (lambda: lp_div_one_minus_t_pow(LaurentPoly.monomial(1), HUGE), ValueError,
+     "k must be a positive int, got <Fraction>"),
+    (lambda: lp_div_one_minus_t_pow(LaurentPoly.monomial(1), -10**5000), ValueError,
+     "k must be a positive int, got <int of 16610 bits>"),
+    (lambda: ONE(type("Big", (int,), {})(10**5000)), TypeError,
+     "evaluation point must be an int or a Fraction, got <Big>"),
+], ids=["exponent", "coefficient", "monomial", "power", "divisor-fraction", "divisor-int", "evaluation-point"])
+def test_a_value_too_long_to_print_is_rejected_with_its_own_message(call, kind, message):
+    with pytest.raises(kind) as exc:
+        call()
+    assert type(exc.value) is kind and str(exc.value) == message
+
+
 def test_laurent_division_with_shifts():
     num = LaurentPoly.monomial(-3) * poly({0: 1, 4: -1})
     q = lp_div_one_minus_t_pow(num, 2)

@@ -210,6 +210,16 @@ def test_max_destabilizer_ambiguous():
         max_destabilizer(m, F(1))
 
 
+def test_the_one_pass_search_returns_the_tie_that_the_public_search_raises():
+    # the suite's "tie raises" model: two incomparable kernel lines of one slope and rank
+    loose = rank2(-5, [sub("inner", 1, -2, fr=False), sub("outer", 1, -2, fr=False)])
+    found = stability._max_destabilizer(loose, *stability._slopes(loose, F(1)))
+    assert isinstance(found, AmbiguousModel)
+    with pytest.raises(AmbiguousModel) as exc:
+        max_destabilizer(loose, F(1))
+    assert str(found) == str(exc.value) == "incomparable subobjects tie at maximal slope and rank: inner, outer"
+
+
 # -- Harder-Narasimhan filtration ------------------------------------------------
 
 
@@ -375,8 +385,8 @@ def test_equivalence_mismatch_names_a_non_invariant_witness(monkeypatch):
     m = rank2(-5, [sub("G", 1, 0, fr=True), sub("F", 1, -2, fr=True, phi=False), sub("K", 1, -3, fr=False)])
     real = stability._verdicts
 
-    def pair_verdicts_flipped(m, sigma, charge_all=False):
-        fm_ss, fm_stable, _, _ = real(m, sigma, charge_all)
+    def pair_verdicts_flipped(m, amb, slopes):
+        fm_ss, fm_stable, _, _ = real(m, amb, slopes)
         return fm_ss, fm_stable, not fm_ss, not fm_stable
 
     monkeypatch.setattr(stability, "_verdicts", pair_verdicts_flipped)
@@ -848,11 +858,8 @@ def rebuilt_closure(m, sigmas):
     s_star = sigma_max(m)
     need = {s.id for s in m.subs if not s.fr}
     for sigma in [*sigmas, *([s_star] if s_star is not None and s_star >= 0 else [])]:
-        try:
-            md = stability._max_destabilizer(m, *stability._slopes(m, sigma))
-        except AmbiguousModel:
-            continue
-        if md is not None:
+        md = stability._max_destabilizer(m, *stability._slopes(m, sigma))
+        if isinstance(md, SubobjectData):
             need.add(md.id)
     return replace(m, subs=tuple(replace(s, phi_invariant=True) if s.id in need else s for s in m.subs))
 
@@ -912,7 +919,7 @@ def test_one_pass_bodies_match_the_public_api(monkeypatch, seed):
             assert outcome(stability._filtration, m, amb, slopes) == outcome(hn_filtration, m, sigma)
             for model, (a, s) in ((m, (amb, slopes)), (closed, closed_pass)):
                 if model is not m:
-                    searched = stability._destabilizer_or_ambiguity(model, a, s)
+                    searched = stability._max_destabilizer(model, a, s)
                 got = outcome(stability._equivalences, model, sigma, a, s, searched)
                 assert got == outcome(verify_rank2_equivalences, model, sigma)
             # the closed model meets the precondition
@@ -928,12 +935,11 @@ def test_the_suite_takes_one_slope_pass_per_sigma(monkeypatch):
     for phi, rebuilt in ((True, False), (False, True)):
         m = rank2(-5, [sub("K", 1, -4, fr=False, phi=phi), sub("C", 1, 0, fr=True)], delta_iso=True)
         calls = []
-        monkeypatch.setattr(stability, "_slopes", lambda x, sigma, charge_all=False:
-                            calls.append((x is m, sigma, charge_all)) or real(x, sigma, charge_all))
+        monkeypatch.setattr(stability, "_slopes", lambda x, sigma: calls.append((x is m, sigma)) or real(x, sigma))
         res = stability.SuiteResult()
         stability._suite_rank2(res, m, sigmas, "t")
         assert res.ok and res.checks
-        per_sigma = [(own, sigma) for own, sigma, charged in calls if sigma in sigmas and not charged]
+        per_sigma = [(own, sigma) for own, sigma in calls if sigma in sigmas]
         assert sorted(per_sigma) == sorted([(True, s) for s in sigmas] + [(False, s) for s in sigmas if rebuilt])
 
 
@@ -967,8 +973,8 @@ def test_a_kept_model_searches_its_canonical_parameter_once(monkeypatch):
 
 
 def _low_invariant_slopes(real):
-    def doctored(m, sigma, charge_all=False):
-        amb, slopes = real(m, sigma, charge_all)
+    def doctored(m, sigma):
+        amb, slopes = real(m, sigma)
         return amb, [sl - 1 if s.phi_invariant else sl for s, sl in zip(m.subs, slopes)]
     return doctored
 
