@@ -274,18 +274,26 @@ def _bundle_numerator(g: int) -> List[int]:
     return out
 
 
+def _u2d_closed(g: int) -> LaurentPoly:
+    """(1+t)^(2g) ((1+t^3)^(2g) - t^(2g) (1+t)^(2g)) / ((1-t^2)(1-t^4)) for a checked g."""
+    return LaurentPoly._from_coeffs(0, _div_one_minus_t_pow(0, _div_one_minus_t_pow(0, _bundle_numerator(g), 2), 4))
+
+
 @lru_cache(maxsize=None)
 def u2d_poincare(g: int) -> LaurentPoly:
-    """Poincare polynomial of the rank-2 odd-degree bundle moduli space:
-    (1+t)^(2g) ((1+t^3)^(2g) - t^(2g) (1+t)^(2g)) / ((1-t^2)(1-t^4))."""
+    """Poincare polynomial of the rank-2 odd-degree bundle moduli space: _u2d_closed, checked once per g
+    against u2d_from_bundle at d = 3 - 4g, the smallest |d| it takes, raising ConsistencyFailure naming g."""
     _require_genus(g)
-    return LaurentPoly._from_coeffs(0, _div_one_minus_t_pow(0, _div_one_minus_t_pow(0, _bundle_numerator(g), 2), 4))
+    closed = _u2d_closed(g)
+    if u2d_from_bundle(g, 3 - 4 * g) != closed:
+        raise ConsistencyFailure(f"bundle moduli polynomial differs from the lowest chamber's quotient at g={g}")
+    return closed
 
 
 def u2d_from_bundle(g: int, d: int) -> LaurentPoly:
     """Second route to the bundle moduli space, for odd d with -d > 4g - 4:
     the lowest chamber fibers over it in projective spaces of dimension
-    -d - 2g + 1, so divide out that projective-space factor exactly."""
+    -d - 2g + 1 (Thaddeus, Invent. Math. 117, 1994), so divide out that factor exactly."""
     lo, _ = fm_index_range(d)
     _require_genus(g)
     if d % 2 == 0 or -d <= 4 * g - 4:

@@ -11,8 +11,6 @@ does; nothing is written to stderr then.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import re
@@ -149,11 +147,8 @@ def _parse_with_argparse(argv: List[str]) -> RunConfig:
 
 
 def _csv(header: Sequence[str], rows) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue().rstrip("\n")
+    """Comma-joined rows: no report field holds a comma, a quote or a line break."""
+    return "\n".join(",".join(map(str, row)) for row in (header, *rows))
 
 
 def _tabular(spec: str, header: Sequence[str], rows) -> str:
@@ -312,9 +307,12 @@ def run_verify_all(g_max: int, d_min: int, seed: int, n_models: int, out) -> int
     chambers.fm_index_range(d_min, "grid")
     stability.require_suite_args(seed, n_models)
     t0 = time.monotonic()
-    cells = [(g, d) for g in range(2, g_max + 1) for d in range(d_min, 0)]
-    failures = [f for g, d in cells for f in _verify_cell(g, d)]
-    print(f"grid: {len(cells)} cells checked, {len(failures)} failures", file=out)
+    failures = []
+    for g in range(2, g_max + 1):
+        failures += [f for d in range(d_min, 0) for f in _verify_cell(g, d)]
+        betti._closed_table.cache_clear()  # both hold lists of genus g alone, which no later cell reads
+        betti._divided_shared_factor.cache_clear()
+    print(f"grid: {(g_max - 1) * -d_min} cells checked, {len(failures)} failures", file=out)
 
     for d in range(-20, d_min):  # the grid checked g = 2 for d >= d_min
         failures.extend(chambers.structure_failures(d, 2))

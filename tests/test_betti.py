@@ -576,11 +576,13 @@ def test_a_report_takes_each_flip_difference_once(monkeypatch):
 @pytest.mark.parametrize("only_chamber, closed_calls", [(None, 5), (4, 1), (6, 2)])
 def test_a_report_takes_the_lowest_closed_chamber_once(monkeypatch, only_chamber, closed_calls):
     # d = -9 is odd with -d > 4g - 4, so the report divides its lowest chamber, 4, by the bundle's fiber;
-    # a report that does not hold chamber 4 computes it
+    # a report that does not hold chamber 4 computes it.  A cold u2d_poincare(2) also takes the lowest
+    # chamber at d = -5, which this does not count
     calls = []
 
     def counted(i, d, g, _closed=betti._closed_chamber):
-        calls.append(i)
+        if d == -9:
+            calls.append(i)
         return _closed(i, d, g)
 
     monkeypatch.setattr(betti, "_closed_chamber", counted)
@@ -687,6 +689,23 @@ def test_mcon_identity():
     for g in (2, 3, 4):
         assert mcon_poincare(g) == u2d_poincare(g) * one_plus_t2
         assert mcon_poincare(g).degree() == 2 * (4 * g - 3) + 2
+
+
+@pytest.mark.parametrize("d, g", [(-10, 3), (-4, 2), (-5, 3), (-9, 3)])
+def test_a_wrong_bundle_numerator_fails_betti_naming_the_genus(monkeypatch, capsys, d, g):
+    # u2d_poincare checks its closed form against the lowest chamber at d = 3 - 4g, so a doubled
+    # numerator fails a report at even d and at small |d| too, where the report has no bundle route
+    numerator = betti._bundle_numerator
+    monkeypatch.setattr(betti, "_bundle_numerator", lambda g: [2 * c for c in numerator(g)])
+    for cache in _betti_caches():
+        cache.cache_clear()
+    try:
+        assert cli.main(["betti", "--d", str(d), "--g", str(g)]) == 1
+    finally:
+        for cache in _betti_caches():
+            cache.cache_clear()
+    assert capsys.readouterr().out == (
+        f"error: consistency failure: bundle moduli polynomial differs from the lowest chamber's quotient at g={g}\n")
 
 
 # -- blow-up identity ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 """scripts/check_digests.py reports a pass that hangs or prints nothing as
-failed and exits 1, with the passes themselves replaced by stand-ins."""
+failed and exits 1, and shows how an output differs from its pin, with the
+passes themselves replaced by stand-ins."""
 
 import hashlib
 import importlib.util
@@ -22,6 +23,11 @@ def load_script():
     return module
 
 
+with open(os.path.join(os.path.dirname(SCRIPT), os.pardir, "perfbench", "reference.json"), encoding="utf-8") as fh:
+    #: The reference digest of every betti_sweep pass.
+    SWEEP_DIGEST = json.load(fh)["full"]["betti_sweep"]["*"]
+
+
 def timed_out(cmd, **kwargs):
     raise subprocess.TimeoutExpired(cmd, kwargs["timeout"])
 
@@ -33,7 +39,7 @@ def timed_out(cmd, **kwargs):
         (lambda cmd, **kwargs: subprocess.CompletedProcess(cmd, 0, stdout="", stderr=""), "PASS FAILED (no output)"),
         (lambda cmd, **kwargs: subprocess.CompletedProcess(cmd, 3, stdout="", stderr=""), "PASS FAILED (exit 3)"),
         (lambda cmd, **kwargs: subprocess.CompletedProcess(cmd, 0, stdout='{"digest": "0"}\n', stderr=""),
-         "DIGEST MISMATCH"),
+         f"DIGEST MISMATCH\npinned {SWEEP_DIGEST}\nstdout 0"),
     ],
 )
 def test_a_pass_that_does_not_yield_the_digest_fails_the_check(monkeypatch, capsys, run, status):
@@ -46,13 +52,11 @@ def test_a_pass_that_does_not_yield_the_digest_fails_the_check(monkeypatch, caps
 
 def test_each_pass_has_a_timeout(monkeypatch, capsys):
     script = load_script()
-    with open(os.path.join(script.ROOT, "perfbench", "reference.json"), encoding="utf-8") as fh:
-        digest = json.load(fh)["full"]["betti_sweep"]["*"]
     seen = []
 
     def run(cmd, **kwargs):
         seen.append(kwargs["timeout"])
-        return subprocess.CompletedProcess(cmd, 0, stdout=f'{{"digest": "{digest}"}}\n', stderr="")
+        return subprocess.CompletedProcess(cmd, 0, stdout=f'{{"digest": "{SWEEP_DIGEST}"}}\n', stderr="")
 
     monkeypatch.setattr(script, "PASSES", (("betti_sweep", [0]),))
     monkeypatch.setattr(script.subprocess, "run", run)
@@ -61,22 +65,35 @@ def test_each_pass_has_a_timeout(monkeypatch, capsys):
     assert seen == [script.TIMEOUT_S]
 
 
-#: The CLI command lines the script pins; each one's sha256 is written in the script alone.
-CLI_COMMANDS = [w for w, _ in load_script().PASSES[3:]]
+#: The CLI command lines the script pins, each with its stdout in the registry's script section alone.
+CLI_COMMANDS = list(load_script().PINNED["script"])
 
 
 def test_the_cli_passes_follow_the_benchmark_passes():
     script = load_script()
     assert [w for w, _ in script.PASSES[:3]] == ["betti_sweep", "verify_all", "cli_requests"]
-    assert len(set(CLI_COMMANDS)) == len(CLI_COMMANDS)
-    for command, digests in script.PASSES[3:]:
+    assert [w for w, _ in script.PASSES[3:]] == CLI_COMMANDS
+
+
+@pytest.mark.parametrize("section", ["tier1", "script"])
+def test_each_pin_is_its_stdout_lines_or_their_sha256(section):
+    for command, want in load_script().PINNED[section].items():
         assert _read_plain(command.split()) is not None, command  # no argparse: no help or error text
-        assert len(digests) == 1 and re.fullmatch(r"[0-9a-f]{64}", digests[0]), command
+        if isinstance(want, list):
+            assert want and all(type(line) is str and "\n" not in line for line in want), command
+        else:
+            assert re.fullmatch(r"sha256:[0-9a-f]{64}", want), command
+
+
+OUT_DIGEST, OTHER_DIGEST = ("sha256:" + hashlib.sha256(stdout).hexdigest() for stdout in (b"out\n", b"other\n"))
 
 
 @pytest.mark.parametrize("command", CLI_COMMANDS)
 @pytest.mark.parametrize(
-    "stdout, status", [(b"out\n", "ok"), (b"other\n", "DIGEST MISMATCH"), (b"", "PASS FAILED (no output)")]
+    "stdout, status",
+    [(b"out\n", "ok"),
+     (b"other\n", f"DIGEST MISMATCH\npinned {OUT_DIGEST}\nstdout {OTHER_DIGEST}"),
+     (b"", "PASS FAILED (no output)")],
 )
 def test_a_cli_pass_checks_the_sha256_of_its_whole_stdout(monkeypatch, capsys, command, stdout, status):
     script = load_script()
@@ -86,8 +103,26 @@ def test_a_cli_pass_checks_the_sha256_of_its_whole_stdout(monkeypatch, capsys, c
         seen.append((cmd[1:], kwargs["timeout"]))
         return subprocess.CompletedProcess(cmd, 0, stdout=stdout, stderr=b"")
 
-    monkeypatch.setattr(script, "PASSES", ((command, [hashlib.sha256(b"out\n").hexdigest()]),))
+    monkeypatch.setattr(script, "PASSES", ((command, [OUT_DIGEST]),))
     monkeypatch.setattr(script.subprocess, "run", run)
     assert script.main() == (status != "ok")
     assert capsys.readouterr().out == f"{command} {status}\n"
     assert seen == [(["-m", "flipchain.cli", *command.split()], script.TIMEOUT_S)]
+
+
+def test_a_text_pin_that_differs_by_one_line_prints_its_unified_diff(monkeypatch, capsys):
+    script = load_script()
+    pinned = script.PINNED["script"]["verify-all"]
+    k = next(k for k, line in enumerate(pinned) if " checks, " in line)  # the stability suite's line
+    changed = pinned[:k] + [pinned[k].replace(" checks, ", "1 checks, ")] + pinned[k + 1:]
+
+    def run(cmd, **kwargs):
+        return subprocess.CompletedProcess(cmd, 0, stdout="".join(line + "\n" for line in changed).encode(),
+                                           stderr=b"")
+
+    monkeypatch.setattr(script, "PASSES", (("verify-all", [pinned]),))
+    monkeypatch.setattr(script.subprocess, "run", run)
+    assert script.main() == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["verify-all DIGEST MISMATCH", "--- pinned", "+++ stdout"]
+    assert [line for line in lines[3:] if line[:1] in "-+"] == ["-" + pinned[k], "+" + changed[k]]

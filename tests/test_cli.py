@@ -1,7 +1,6 @@
 """CLI surface: formats, exit codes, JSON round trips and determinism."""
 
 import ast
-import hashlib
 import importlib
 import inspect
 import io
@@ -34,6 +33,7 @@ from flipchain.cli import (
 )
 from flipchain.stability import model_from_json_obj, model_to_json_obj, random_chain_model, random_rank2_model
 import random
+from test_check_digests import load_script
 
 
 def capture(argv):
@@ -210,97 +210,7 @@ def test_a_closed_stdout_exits_141_without_a_traceback(argv):
     assert (proc.returncode, proc.stderr) == (141, b"")
 
 
-# -- golden renderings ----------------------------------------------------------------
-
-#: Golden renderings of chambers --d D --g 2 by D: d = -5 has two walls, and
-#: d = -2 none, so its flip columns are blank and its flip table empty.
-CHAMBERS_GOLDEN = {
-    -5: {
-        "text": (
-            "d = -5, g = 2, moduli dimension = 7\n"
-            "walls: 1, 3\n"
-            "chamber 0 (i = 2): (0, 1)  representative 1/2\n"
-            "chamber 1 (i = 3): (1, 3)  representative 2\n"
-            "chamber 2 (i = 4): (3, 5]  representative 4\n"
-            "flip at i = 2: rank W- = 2, rank W+ = 2, dim PW- = 5, dim PW+ = 5, codim- = 2, codim+ = 2\n"
-            "flip at i = 3: rank W- = 4, rank W+ = 1, dim PW- = 6, dim PW+ = 3, codim- = 1, codim+ = 4\n"
-        ),
-        "csv": (
-            "index,fm_index,lower,upper,closed_upper,representative,"
-            "rank_minus,rank_plus,dim_p_minus,dim_p_plus,codim_minus,codim_plus\n"
-            "0,2,0,1,False,1/2,2,2,5,5,2,2\n"
-            "1,3,1,3,False,2,4,1,6,3,1,4\n"
-            "2,4,3,5,True,4,,,,,,\n"
-        ),
-        "latex": (
-            "\\begin{tabular}{rrllr}\n"
-            "$j$ & $i$ & interval & rep. \\\\ \\hline\n"
-            "0 & 2 & $(0, 1)$ & $1/2$ \\\\\n"
-            "1 & 3 & $(1, 3)$ & $2$ \\\\\n"
-            "2 & 4 & $(3, 5]$ & $4$ \\\\\n"
-            "\\end{tabular}\n"
-            "\\begin{tabular}{rrrrrrr}\n"
-            "$i$ & rk$W^-$ & rk$W^+$ & $\\dim\\mathbb{P}W^-$ & $\\dim\\mathbb{P}W^+$ & codim$^-$ & codim$^+$ \\\\ \\hline\n"
-            "2 & 2 & 2 & 5 & 5 & 2 & 2 \\\\\n"
-            "3 & 4 & 1 & 6 & 3 & 1 & 4 \\\\\n"
-            "\\end{tabular}\n"
-        ),
-    },
-    -2: {
-        "text": (
-            "d = -2, g = 2, moduli dimension = 4\n"
-            "walls: (none)\n"
-            "chamber 0 (i = 1): (0, 2]  representative 1\n"
-        ),
-        "csv": (
-            "index,fm_index,lower,upper,closed_upper,representative,"
-            "rank_minus,rank_plus,dim_p_minus,dim_p_plus,codim_minus,codim_plus\n"
-            "0,1,0,2,True,1,,,,,,\n"
-        ),
-        "latex": (
-            "\\begin{tabular}{rrllr}\n"
-            "$j$ & $i$ & interval & rep. \\\\ \\hline\n"
-            "0 & 1 & $(0, 2]$ & $1$ \\\\\n"
-            "\\end{tabular}\n"
-            "\\begin{tabular}{rrrrrrr}\n"
-            "$i$ & rk$W^-$ & rk$W^+$ & $\\dim\\mathbb{P}W^-$ & $\\dim\\mathbb{P}W^+$ & codim$^-$ & codim$^+$ \\\\ \\hline\n"
-            "\\end{tabular}\n"
-        ),
-    },
-}
-
-CHAMBERS_JSON_DIGEST = {
-    -5: "b5ee93fccd51937135a32bf77009bc01b189e752de0dd70178f25d44cf1ffe84",
-    -2: "c5e82165742ae68d1f68defa574e54e3457e8dc35a1f5b001e2619e56b4d38b3",
-}
-FORMAT_FLAGS = {"text": [], "csv": ["--csv"], "latex": ["--latex"], "json": ["--json"]}
-
-
-@pytest.mark.parametrize("d", sorted(CHAMBERS_GOLDEN))
-@pytest.mark.parametrize("fmt", sorted(FORMAT_FLAGS))
-def test_chambers_golden_rendering(fmt, d):
-    status, text = capture(["chambers", "--d", str(d), "--g", "2"] + FORMAT_FLAGS[fmt])
-    assert status == 0
-    assert _sha256(text) == CHAMBERS_JSON_DIGEST[d] if fmt == "json" else text == CHAMBERS_GOLDEN[d][fmt]
-
-
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-@pytest.mark.parametrize(
-    "fmt, digest",
-    [
-        ("text", "f214f6c749e7cdda2d1edd89f9b0b705a578b7e65fb7eec430e62379c56ba1b1"),
-        ("csv", "c81c12bf032c998d81ab8214bb93d6d6291135e4855d8819fb018f1881c51cec"),
-        ("latex", "6be241dd1ed30210d30cbc1b4b5304809c4d02b9ad99c30ab6f9ded6b21b1b13"),
-        ("json", "e03b7c3ef346445d29f79641a7865db2c79ae64a0b97cc9f0550d2dba57f0a80"),
-    ],
-)
-def test_betti_golden_rendering(fmt, digest):
-    status, text = capture(["betti", "--d", "-5", "--g", "2"] + FORMAT_FLAGS[fmt])
-    assert status == 0 and _sha256(text) == digest
-
+# -- pinned outputs -------------------------------------------------------------------
 
 def chain_model() -> dict:
     """A seeded rank-4 chain model with d = -6."""
@@ -332,36 +242,24 @@ def no_kernel_model() -> dict:
             "subs": [_sub("C", 1, -2, True), _sub("D", 1, -4, True, phi=False)]}
 
 
-@pytest.mark.parametrize(
-    "model, fmt, digest",
-    [
-        (readme_model, "text", "00abfa7253a1ed1052847051c9ca0cd2b956db43deedb0d4984c46165fba32e9"),
-        (readme_model, "csv", "e44efdf52a9298d8ca5ee6e42504f286ce8263e9404e27f84ebe455f554a1813"),
-        (readme_model, "latex", "58bbaa140fe8901f48280f9bdd0b04a3dda5d5f300002ac38a48827638a015e0"),
-        (readme_model, "json", "29ae24e0e82dda35b332f79e1feb05945b491ca501f6253465269258810d088d"),
-        (chain_model, "text", "8f2f27af9a5c886ad16e7517b6629edd321cb95febffe6b5b758eb00c409bcb3"),
-        (chain_model, "csv", "6a6fa0a4c523d0ee877eb7f9d383197c848fd2046e990e9698829b8407914f7c"),
-        (chain_model, "latex", "c105d683c2a0594ff8af12dd41ab9bb5d1c1085669604c3ea4f0754140b6aa57"),
-        (chain_model, "json", "23a81554ca312e097f5613a6fb79e3e239a03f9cc8b2592d8b04e2bd901ebbd0"),
-        (tie_model, "text", "944ef006c78a5f49e9d42c7c6f34717fa556794c1a0cdb6000f234625a955109"),
-        (tie_model, "csv", "397f83e901d88b99dbabf7786d8611c0d36ed95f8f75260000180bddb0d1f1c3"),
-        (tie_model, "latex", "08719964097fca5e1138111025734f2d163bc5e4ee4d75df506c30c7061e90c2"),
-        (tie_model, "json", "f902fe232c1b92e12a91e737ab3936f12b0366d87359c88d258f345aa129a512"),
-        (zero_framing_model, "text", "e770507931e06b8f514eb1fe7de33dd5cf4cf179ce5f536eebc06decdc426aa7"),
-        (zero_framing_model, "csv", "dc84415fd1506418519dfdb83383a073034bd445bf2293b772492ca54304ad95"),
-        (zero_framing_model, "latex", "f7b19a9bf24b0dbf5e84e1361936e28d1608a2cfc9fcf6fe38014d3850df0455"),
-        (zero_framing_model, "json", "5b406363545fb6a5d46ea3e52adbe9bf4b7106de0e875b3c849a433a46d0022a"),
-        (no_kernel_model, "text", "f928c6f59a206747e6b9a6163b19a655a1076ddaf56e0f68fe06363ed94f1b52"),
-        (no_kernel_model, "csv", "b13280ef38131f1abff0d9b694f2df2f8c6a68b98fa38b29116beacae55b6fd6"),
-        (no_kernel_model, "latex", "76e5a9870dbd6405f98da6bb9466b3a50da3d1700a3e5a6cb227ed04d8673c6c"),
-        (no_kernel_model, "json", "b51f00b5699a4dfcd254715386f0f11eebb6cd10b202adeb272898ac67eb2e60"),
-    ],
-)
-def test_stability_check_golden_rendering(tmp_path, model, fmt, digest):
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(model()))
-    status, text = capture(["stability-check", "--model", str(path)] + FORMAT_FLAGS[fmt])
-    assert status == 0 and _sha256(text) == digest
+#: The model builders a pinned stability-check command line names, as {chain_model}.
+PINNED_MODELS = (readme_model, chain_model, tie_model, zero_framing_model, no_kernel_model)
+#: Command lines and their pinned stdout, read with check_digests.py's comparison: renderings of chambers
+#: at d = -5 (two walls) and d = -2 (none, so blank flip columns and an empty flip table) and of betti at
+#: (-5, 2), of stability-check on each builder's model, and a small verify-all.
+CHECK_DIGESTS = load_script()
+PINNED_TIER1 = CHECK_DIGESTS.PINNED["tier1"]
+
+
+@pytest.mark.parametrize("command", PINNED_TIER1)
+def test_a_pinned_command_prints_its_pinned_stdout(tmp_path, command):
+    paths = {}
+    for model in PINNED_MODELS:
+        paths[model.__name__] = tmp_path / f"{model.__name__}.json"
+        paths[model.__name__].write_text(json.dumps(model()))
+    status, text = capture([token.format(**paths) for token in command.split()])
+    diff = CHECK_DIGESTS.mismatch(PINNED_TIER1[command], text)
+    assert status == 0 and diff is None, diff
 
 
 # -- the JSON writer ---------------------------------------------------------------
@@ -449,7 +347,7 @@ def test_the_json_writer_writes_a_fraction_in_a_list_as_json_dumps_does():
 
 def _report_values():
     """Values of every report kind: chambers at d -1..-60, betti whole and
-    per chamber at d -1..-20, each at g 2..5; the golden stability-check
+    per chamber at d -1..-20, each at g 2..5; the pinned stability-check
     models' reports and model objects with the dataclasses they are written
     from; zero, negative and wider-than-64-bit Laurent polynomials."""
     for g in range(2, 6):
@@ -460,7 +358,7 @@ def _report_values():
             lo, hi = chambers.fm_index_range(d)
             for i in {lo, (lo + hi) // 2, hi}:
                 yield betti.build_betti_report(d, g, only_chamber=i)
-    for model in (readme_model, chain_model, tie_model, zero_framing_model, no_kernel_model):
+    for model in PINNED_MODELS:
         m = model_from_json_obj(model())
         yield from (stability.report_obj(m), model_to_json_obj(m), m.ctx, m.typ, m.subs, m.split)
     polys = (LaurentPoly(), LaurentPoly({-3: -5, 0: 1, 7: -(2**64)}), LaurentPoly({2: 3**90, 40: -(10**30)}))
@@ -522,7 +420,7 @@ def test_report_rows_are_named_tuples_and_checked_records_dataclasses():
 
 def _json_reports():
     """(argv, report value) for chambers, betti (whole and per chamber) and
-    the golden stability models."""
+    the pinned stability models."""
     for g in range(2, 5):
         for d in range(-1, -31, -1):
             yield ["chambers", "--d", str(d), "--g", str(g)], chambers.build_chambers(d, g)
@@ -540,7 +438,7 @@ def test_every_json_report_is_what_json_dumps_writes(tmp_path):
     for argv, value in _json_reports():
         assert capture(argv + ["--json"]) == (0, _oracle_text(value) + "\n"), argv
         n += 1
-    for model in (readme_model, chain_model, tie_model, zero_framing_model, no_kernel_model):
+    for model in PINNED_MODELS:
         path = tmp_path / "model.json"
         path.write_text(json.dumps(model()))
         obj = stability.report_obj(model_from_json_obj(model()))
@@ -967,22 +865,17 @@ def test_report_reader_accepts_null_where_the_writer_emits_it():
 # -- verify-all ---------------------------------------------------------------------
 
 
-def test_verify_all_golden_output():
-    status, text = capture(["verify-all", "--grid", "3", "-6", "--seed", "7", "--models", "200"])
-    assert status == 0
-    assert text == (
-        "grid: 12 cells checked, 0 failures\n"
-        "wall endpoints: d in [-20, -1] checked\n"
-        "stability suite: 600 models, 12092 checks, 135 ambiguous ties skipped, 0 failures\n"
-        "verify-all: OK\n"
-    )
-
-
 def _raising(exc):
     def build_betti_report(d, g, only_chamber=None):
         raise exc
 
     return build_betti_report
+
+
+def test_verify_all_drops_each_genus_lists_when_the_grid_moves_on():
+    assert capture(["verify-all", "--grid", "4", "-12", "--models", "0"])[0] == 0
+    assert betti._closed_table.cache_info().currsize <= 1
+    assert betti._divided_shared_factor.cache_info().currsize <= 1
 
 
 def test_verify_all_lets_internal_errors_propagate(monkeypatch):

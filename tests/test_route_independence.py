@@ -74,9 +74,10 @@ ROUTES = [
      lambda: betti.terminal_poincare(D, G), lambda: betti._recursive_chain(CHAMBERS[1], D, G),
      {"chambers._require_genus", "chambers._require_int", "chambers.fm_index_range",
       "betti._one_plus_t_pow"} | LIST_TO_POLY),
-    # the exact division's list core, which test_laurent_oracle checks against a dict-based oracle
+    # the exact division's list core, which test_laurent_oracle checks against a dict-based oracle; the
+    # closed form alone, as u2d_poincare checks it against the other route
     ("bundle moduli and the lowest chamber's fibration quotient",
-     lambda: betti.u2d_poincare(G), lambda: betti.u2d_from_bundle(G, -4 * G - 1),
+     lambda: betti._u2d_closed(G), lambda: betti.u2d_from_bundle(G, -4 * G - 1),
      {"chambers._require_genus", "chambers._require_int", "exactpoly._div_one_minus_t_pow"} | LIST_TO_POLY),
     ("suite oracle and suite engine", suite_oracle, suite_engine, set()),
 ]
