@@ -22,7 +22,6 @@ only for a value a report keeps or prints, or for an error message.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import comb
@@ -30,7 +29,7 @@ from operator import add, sub
 from threading import Lock
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .chambers import InvalidInput, _checked, fm_index_range, moduli_dim
+from .chambers import InvalidInput, _checked, _Record, fm_index_range, moduli_dim
 from .chambers import _chamber_index_range, _json_text, _require_equal, _require_genus, _require_int
 from .exactpoly import ConsistencyFailure, LaurentPoly, NotDivisible, _as_text, _div_one_minus_t_pow
 
@@ -377,16 +376,11 @@ class U2dReport(NamedTuple):
     agree: Optional[bool]
 
 
-@dataclass(frozen=True)
-class BettiReport:
-    d: int
-    g: int
-    moduli_dim: int
-    chambers: Tuple[ChamberBetti, ...]
-    u2d: U2dReport
-    mcon: LaurentPoly
-    terminal: LaurentPoly
-    blowup_check: Optional[bool]
+class BettiReport(_Record):
+    def __init__(self, d: int, g: int, moduli_dim: int, chambers: Tuple[ChamberBetti, ...], u2d: U2dReport,
+                 mcon: LaurentPoly, terminal: LaurentPoly, blowup_check: Optional[bool]):
+        vars(self).update(d=d, g=g, moduli_dim=moduli_dim, chambers=chambers, u2d=u2d, mcon=mcon, terminal=terminal,
+                          blowup_check=blowup_check)
 
     @cached_property
     def telescoped_at_one(self) -> Dict[int, int]:

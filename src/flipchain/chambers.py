@@ -58,15 +58,51 @@ def _fields(obj, path: str, spec: dict, retired: Iterable[str] = ()) -> dict:
     return fields
 
 
+class _Record:
+    """A frozen record whose fields are its __init__'s parameters, in order.
+    A subclass's __init__ checks its arguments and stores them, and any
+    derived state, with one vars(self).update(...).  Equality and hash read
+    the tuple of fields, repr writes Kind(field=value, ...), and _replace
+    builds a copy through __init__, so the copy is checked again."""
+
+    _fields: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
+
+    def _replace(self, **changes):
+        return type(self)(**dict(zip(self._fields, self._values())) | changes)
+
+
 _json_str = json.encoder.encode_basestring_ascii  # the C escaper json.dumps itself uses
 
 
 def _json_text(value, indent: str = "\n") -> str:
     """The JSON text of a report or model value, indented by 2 as json.dumps
     indents, and the one JSON writer: every object form is json.loads of this
-    text.  A record is an object of its fields in declaration order: a named
-    tuple (a report row, which neither checks its inputs nor holds derived
-    state) or a dataclass (a record that does either, or is mutated).  Any
+    text.  A record is an object of its _fields in order: a named tuple (a
+    report row, which neither checks its inputs nor holds derived state) or
+    a _Record (a record that does either, its fields its __init__'s).  Any
     other tuple is an array, a frozenset a sorted array, a Fraction its quoted
     string and a LaurentPoly its json_text; dicts, lists, str, int, bool and
     None are written as json.dumps writes them, in one walk of value with no
@@ -91,14 +127,11 @@ def _json_text(value, indent: str = "\n") -> str:
     if kind is LaurentPoly:
         return value.json_text(indent)
     inner = indent + "  "
-    if isinstance(value, tuple):  # a named tuple is an object, any other tuple an array
-        names = getattr(kind, "_fields", None)
-        pairs = None if names is None else zip(names, value)
-    elif isinstance(value, dict):
-        pairs = value.items()
+    names = getattr(kind, "_fields", None)  # a named tuple or a _Record is an object, any other tuple an array
+    if names is not None:
+        pairs = zip(names, value if isinstance(value, tuple) else value._values())
     else:
-        names = getattr(kind, "__dataclass_fields__", None)
-        pairs = None if names is None else ((name, getattr(value, name)) for name in names)
+        pairs = value.items() if isinstance(value, dict) else None
     if pairs is not None:
         items, last, text = [], object(), ""
         for k, v in pairs:

@@ -10,7 +10,6 @@ does; nothing is written to stderr then.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
@@ -124,7 +123,9 @@ def _read_plain(argv: List[str]) -> Optional[RunConfig]:
 
 
 def _parse_with_argparse(argv: List[str]) -> RunConfig:
-    """Parse with argparse, built from _SUBCOMMANDS."""
+    """Parse with argparse, built from _SUBCOMMANDS; only this path imports it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="flipchain",
         description="Exact wall-and-chamber structure, stability verdicts and "

@@ -20,13 +20,12 @@ import json
 import math
 import random
 from collections.abc import Collection
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .chambers import (_REQUIRED, InvalidInput, _checked, _fields, _require_genus, _require_int, _require_sigma,
-                       _json_text, _midpoints, chamber_bounds)
+from .chambers import (_REQUIRED, InvalidInput, _checked, _fields, _Record, _require_genus, _require_int,
+                       _require_sigma, _json_text, _midpoints, chamber_bounds)
 from .exactpoly import ConsistencyFailure
 
 
@@ -42,37 +41,28 @@ class AxiomViolated(ConsistencyFailure):
     """The constraint-closure precondition fails on this model."""
 
 
-@dataclass(frozen=True)
-class CurveContext:
+class CurveContext(_Record):
     """Genus of the base curve and degree of the framing target bundle."""
 
-    genus: int
-    frame_degree: int = 0
-
-    def __post_init__(self):
-        _require_genus(self.genus, "genus")
-        _require_int(self.frame_degree, "frame_degree")
+    def __init__(self, genus: int, frame_degree: int = 0):
+        _require_genus(genus, "genus")
+        _require_int(frame_degree, "frame_degree")
+        vars(self).update(genus=genus, frame_degree=frame_degree)
 
 
-@dataclass(frozen=True)
-class FramedType:
+class FramedType(_Record):
     """Global numerical type of the framed object."""
 
-    rank: int
-    degree: int
-    framing_nonzero: bool
-    delta_iso: bool = False
-
-    def __post_init__(self):
-        if _require_int(self.rank, "type.rank") < 1:
-            raise InvalidInput(f"type.rank: rank must be positive, got {self.rank}")
-        _require_int(self.degree, "type.degree")
-        _checked(self.framing_nonzero, bool, "type.framing_nonzero")
-        _checked(self.delta_iso, bool, "type.delta_iso")
+    def __init__(self, rank: int, degree: int, framing_nonzero: bool, delta_iso: bool = False):
+        if _require_int(rank, "type.rank") < 1:
+            raise InvalidInput(f"type.rank: rank must be positive, got {rank}")
+        _require_int(degree, "type.degree")
+        _checked(framing_nonzero, bool, "type.framing_nonzero")
+        _checked(delta_iso, bool, "type.delta_iso")
+        vars(self).update(rank=rank, degree=degree, framing_nonzero=framing_nonzero, delta_iso=delta_iso)
 
 
-@dataclass(frozen=True)
-class SubobjectData:
+class SubobjectData(_Record):
     """Numerical data of one proper nonzero subobject.
 
     fr is True when the restricted framing is nonzero; phi_invariant marks
@@ -82,73 +72,60 @@ class SubobjectData:
     subs[*].<field>: a subobject does not know its index.
     """
 
-    id: str
-    rank: int
-    degree: int
-    fr: bool
-    phi_invariant: bool = True
-    parents: FrozenSet[str] = frozenset()
-
-    def __post_init__(self):
-        _checked(self.id, str, "subs[*].id")
-        _checked(self.fr, bool, "subs[*].fr")
-        _checked(self.phi_invariant, bool, "subs[*].phi_invariant")
-        parents = self.parents  # a frozenset, as every generator passes, skips the ABC test
+    def __init__(self, id: str, rank: int, degree: int, fr: bool, phi_invariant: bool = True,
+                 parents: FrozenSet[str] = frozenset()):
+        _checked(id, str, "subs[*].id")
+        _checked(fr, bool, "subs[*].fr")
+        _checked(phi_invariant, bool, "subs[*].phi_invariant")
+        # a frozenset, as every generator passes, skips the ABC test
         if type(parents) is not frozenset and (isinstance(parents, str) or not isinstance(parents, Collection)):
             _checked(parents, list, "subs[*].parents")  # raises: a string is one id, not a collection of ids
         for p in parents:
             _checked(p, str, "subs[*].parents")
         if type(parents) is not frozenset:
-            object.__setattr__(self, "parents", frozenset(parents))
-            if len(self.parents) < len(parents):  # a parent listed twice
-                dup = next(p for p in parents if list(parents).count(p) > 1)
+            given, parents = parents, frozenset(parents)
+            if len(parents) < len(given):  # a parent listed twice
+                dup = next(p for p in given if list(given).count(p) > 1)
                 raise InvalidInput(f"subs[*].parents: duplicate parent {dup!r}")
+        vars(self).update(id=id, rank=rank, degree=degree, fr=fr, phi_invariant=phi_invariant, parents=parents)
 
 
-@dataclass(frozen=True)
-class SplitDescriptor:
+class SplitDescriptor(_Record):
     """Direct-sum decomposition E = K + E' used by the oriented split case.
 
     kmax_id names the kernel-side summand (fr = False), other_id the
     complementary summand carrying the full framing.
     """
 
-    kmax_id: str
-    other_id: str
-
-    def __post_init__(self):
-        _checked(self.kmax_id, str, "split.kmax_id")
-        _checked(self.other_id, str, "split.other_id")
+    def __init__(self, kmax_id: str, other_id: str):
+        _checked(kmax_id, str, "split.kmax_id")
+        _checked(other_id, str, "split.other_id")
+        vars(self).update(kmax_id=kmax_id, other_id=other_id)
 
 
-@dataclass(frozen=True)
-class FramedModel:
+class FramedModel(_Record):
     """A framed object and the finite lattice of its proper nonzero subobjects.
     ancestors holds each subobject's strict containers, so memory is quadratic
     in chain length: a 2,000-link rank-1 chain takes up to 1 s and 83 MB of peak
     RSS to build (CPython 3.11.7)."""
 
-    ctx: CurveContext
-    typ: FramedType
-    subs: Tuple[SubobjectData, ...]
-    split: Optional[SplitDescriptor] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "subs", tuple(self.subs))
+    def __init__(self, ctx: CurveContext, typ: FramedType, subs: Tuple[SubobjectData, ...],
+                 split: Optional[SplitDescriptor] = None):
+        subs = tuple(subs)
         by_id: Dict[str, SubobjectData] = {}
-        for k, s in enumerate(self.subs):
+        for k, s in enumerate(subs):
             if s.id in by_id:
                 raise InvalidInput(f"subs[{k}].id: duplicate subobject id {s.id!r}")
             # the paths are formatted only for a value that fails
-            if type(s.rank) is not int or not 0 < s.rank < self.typ.rank:
+            if type(s.rank) is not int or not 0 < s.rank < typ.rank:
                 _require_int(s.rank, f"subs[{k}].rank")
-                raise InvalidInput(f"subs[{k}].rank: rank {s.rank} not strictly between 0 and {self.typ.rank}")
+                raise InvalidInput(f"subs[{k}].rank: rank {s.rank} not strictly between 0 and {typ.rank}")
             if type(s.degree) is not int:
                 _require_int(s.degree, f"subs[{k}].degree")
-            if s.fr and not self.typ.framing_nonzero:
+            if s.fr and not typ.framing_nonzero:
                 raise InvalidInput(f"subs[{k}].fr: fr=True but the ambient framing is zero")
             by_id[s.id] = s
-        for k, s in enumerate(self.subs):
+        for k, s in enumerate(subs):
             for p in s.parents:
                 if p not in by_id:
                     raise InvalidInput(f"subs[{k}].parents: unknown parent {p!r}")
@@ -161,28 +138,26 @@ class FramedModel:
                                        "kernel membership is monotone under containment")
         # ancestors: the transitive closure of the containment order (strict containers)
         anc = self._ancestor_map(by_id)
-        for k, s in enumerate(self.subs):
+        for k, s in enumerate(subs):
             if s.id in anc[s.id]:
                 raise InvalidInput(f"subs[{k}].parents: containment cycle through {s.id!r}")
-        object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "ancestors", anc)
-        n = math.lcm(self.typ.rank, *(s.rank for s in self.subs))
-        object.__setattr__(self, "_rank_lcm", n)
+        n = math.lcm(typ.rank, *(s.rank for s in subs))
         # _slopes reads each slope times q*n at sigma = p/q as a*q - b*p from
         # these (a, b): the ambient's, then each subobject's in subs order
-        t, w = self.typ, n // self.typ.rank
-        subs_ab = tuple((s.degree * (n // s.rank), n // s.rank if s.fr else 0) for s in self.subs)
-        object.__setattr__(self, "_linear", ((t.degree * w, w if t.framing_nonzero else 0), subs_ab))
-        if self.split is not None:
-            if self.split.kmax_id == self.split.other_id:
-                raise InvalidInput(f"split: kmax_id and other_id both name {self.split.kmax_id!r}; the summands must differ")
-            k, o = by_id.get(self.split.kmax_id), by_id.get(self.split.other_id)
+        w = n // typ.rank
+        subs_ab = tuple((s.degree * (n // s.rank), n // s.rank if s.fr else 0) for s in subs)
+        if split is not None:
+            if split.kmax_id == split.other_id:
+                raise InvalidInput(f"split: kmax_id and other_id both name {split.kmax_id!r}; the summands must differ")
+            k, o = by_id.get(split.kmax_id), by_id.get(split.other_id)
             if k is None or k.fr:
-                raise InvalidInput(f"split.kmax_id: {self.split.kmax_id!r} is not a subobject with fr=False")
-            if o is None or o.fr != self.typ.framing_nonzero:
-                raise InvalidInput(f"split.other_id: {self.split.other_id!r} is not a subobject carrying the framing")
-            if k.rank + o.rank != self.typ.rank or k.degree + o.degree != self.typ.degree:
+                raise InvalidInput(f"split.kmax_id: {split.kmax_id!r} is not a subobject with fr=False")
+            if o is None or o.fr != typ.framing_nonzero:
+                raise InvalidInput(f"split.other_id: {split.other_id!r} is not a subobject carrying the framing")
+            if k.rank + o.rank != typ.rank or k.degree + o.degree != typ.degree:
                 raise InvalidInput("split: summands must add up to the ambient type")
+        vars(self).update(ctx=ctx, typ=typ, subs=subs, split=split, _by_id=by_id, ancestors=anc, _rank_lcm=n,
+                          _linear=((typ.degree * w, w if typ.framing_nonzero else 0), subs_ab))
 
     @staticmethod
     def _ancestor_map(by_id: Dict[str, SubobjectData]) -> Dict[str, FrozenSet[str]]:
@@ -733,7 +708,7 @@ def random_rank2_model(rng: random.Random) -> FramedModel:
             child, parent = parent, child
         if not (child.fr and not parent.fr):
             idx = next(i for i, s in enumerate(subs) if s.id == child.id)
-            subs[idx] = replace(child, parents=child.parents | {parent.id})
+            subs[idx] = child._replace(parents=child.parents | {parent.id})
 
     rng.random()  # the draw of a retired flag, kept so seeded streams stay the same
     typ = FramedType(rank=2, degree=d, framing_nonzero=True, delta_iso=rng.random() < 0.7)
@@ -761,7 +736,7 @@ def random_chain_model(rng: random.Random) -> FramedModel:
         sub = SubobjectData(f"C{idx}", rk, deg, fr=fr, phi_invariant=rng.random() < 0.5)
         if subs:
             # the chain is increasing, so the previous member gains a parent
-            subs[-1] = replace(subs[-1], parents=subs[-1].parents | {sub.id})
+            subs[-1] = subs[-1]._replace(parents=subs[-1].parents | {sub.id})
         subs.append(sub)
         prev_deg = deg
     if rng.random() < 0.4:
@@ -788,7 +763,7 @@ def _closed(m: FramedModel, found: Iterable[Union[SubobjectData, AmbiguousModel,
     need = {s.id for s in m.subs if not s.fr} | {md.id for md in found if isinstance(md, SubobjectData)}
     if all(m.sub(sid).phi_invariant for sid in need):
         return m
-    return replace(m, subs=tuple(replace(s, phi_invariant=True) if s.id in need else s for s in m.subs))
+    return m._replace(subs=tuple(s._replace(phi_invariant=True) if s.id in need else s for s in m.subs))
 
 
 #: Named checks of the stability suite, each with its failure template, whose
@@ -816,16 +791,16 @@ SUITE_INVARIANTS = (
 _SUITE_TEMPLATES = dict(SUITE_INVARIANTS)
 
 
-@dataclass
 class SuiteResult:
     """Models run, ties skipped and failure texts, with the checks made and
-    failed per name of SUITE_INVARIANTS."""
+    failed per name of SUITE_INVARIANTS.  It is filled in place."""
 
-    models: int = 0
-    ambiguous_skips: int = 0
-    failures: List[str] = field(default_factory=list)
-    check_counts: Dict[str, int] = field(default_factory=lambda: dict.fromkeys(_SUITE_TEMPLATES, 0))
-    failure_counts: Dict[str, int] = field(default_factory=lambda: dict.fromkeys(_SUITE_TEMPLATES, 0))
+    def __init__(self):
+        self.models = 0
+        self.ambiguous_skips = 0
+        self.failures: List[str] = []
+        self.check_counts: Dict[str, int] = dict.fromkeys(_SUITE_TEMPLATES, 0)
+        self.failure_counts: Dict[str, int] = dict.fromkeys(_SUITE_TEMPLATES, 0)
 
     @property
     def checks(self) -> int:
@@ -993,7 +968,7 @@ def run_stability_suite(seed: int, n_models: int = 10000) -> SuiteResult:
     loose = FramedModel(
         CurveContext(2),
         FramedType(2, -5, True),
-        (replace(inner, parents=frozenset()), outer),
+        (inner._replace(parents=frozenset()), outer),
     )
     found = _max_destabilizer(loose, *_slopes(loose, Fraction(1)))
     _suite_check(res, "tie raises", isinstance(found, AmbiguousModel))

@@ -9,7 +9,6 @@ import json
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from itertools import accumulate
 from math import comb
 
@@ -746,7 +745,7 @@ def test_report_reader_reads_polynomial_terms():
 def test_single_chamber_reports_match_the_full_report(d, g):
     full = build_betti_report(d, g)
     for ch in full.chambers:
-        assert build_betti_report(d, g, only_chamber=ch.i) == replace(full, chambers=(ch,))
+        assert build_betti_report(d, g, only_chamber=ch.i) == full._replace(chambers=(ch,))
 
 
 def test_report_single_chamber_and_no_blowup():
@@ -764,7 +763,7 @@ def _doctor_chamber(changes):
 
     def doctor(report):
         chs = tuple(ch._replace(**changes(ch)) if ch.i == 3 else ch for ch in report.chambers)
-        return replace(report, chambers=chs)
+        return report._replace(chambers=chs)
 
     return doctor
 
@@ -778,9 +777,9 @@ REPORT_DOCTORS = {
     "nonnegative": (_doctor_chamber(lambda ch: {"nonneg": False}), "i=3, d=-5, g=2"),
     "constant term 1": (_doctor_chamber(lambda ch: {"constant_term": 2}), "i=3, d=-5, g=2"),
     "t=1 telescoping": (_doctor_chamber(lambda ch: {"p_recursive": ch.p_recursive + 1}), "i=3, d=-5, g=2"),
-    "bundle route": (lambda r: replace(r, u2d=r.u2d._replace(agree=False)), "d=-5, g=2"),
-    "terminal blow-up identity": (lambda r: replace(r, blowup_check=False), "d=-5, g=2"),
-    "terminal chamber": (lambda r: replace(r, terminal=r.terminal + 1), "d=-5, g=2"),
+    "bundle route": (lambda r: r._replace(u2d=r.u2d._replace(agree=False)), "d=-5, g=2"),
+    "terminal blow-up identity": (lambda r: r._replace(blowup_check=False), "d=-5, g=2"),
+    "terminal chamber": (lambda r: r._replace(terminal=r.terminal + 1), "d=-5, g=2"),
 }
 
 

@@ -10,7 +10,6 @@ import pkgutil
 import re
 import subprocess
 import sys
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 import pytest
@@ -210,6 +209,15 @@ def test_a_closed_stdout_exits_141_without_a_traceback(argv):
     assert (proc.returncode, proc.stderr) == (141, b"")
 
 
+def test_importing_the_cli_imports_neither_dataclasses_inspect_nor_argparse():
+    """-S keeps the host's site-packages .pth files out of the count."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(flipchain.__file__)))
+    code = "import sys, flipchain.cli; print(sorted({'dataclasses', 'inspect', 'argparse'} & sys.modules.keys()))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.stdout == "[]\n", proc.stderr
+
+
 # -- pinned outputs -------------------------------------------------------------------
 
 def chain_model() -> dict:
@@ -321,12 +329,12 @@ def _named_as_objects(value):
 
 def _object_form(value):
     """The default hook of json.dumps for report values, the JSON writer's
-    reference, written apart from it: a dataclass is its fields in declaration
-    order (a named tuple among them walked by _named_as_objects), a
+    reference, written apart from it: a checked record is its fields in
+    __init__ order (a named tuple among them walked by _named_as_objects), a
     LaurentPoly its terms, a frozenset a sorted list and a Fraction its
     string."""
-    if is_dataclass(value):
-        return {f.name: _named_as_objects(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, chambers._Record):
+        return {name: _named_as_objects(getattr(value, name)) for name in type(value)._fields}
     if type(value) is LaurentPoly:
         return {"terms": [[e, str(c)] for e, c in value.items()]}
     if type(value) is frozenset:
@@ -348,7 +356,7 @@ def test_the_json_writer_writes_a_fraction_in_a_list_as_json_dumps_does():
 def _report_values():
     """Values of every report kind: chambers at d -1..-60, betti whole and
     per chamber at d -1..-20, each at g 2..5; the pinned stability-check
-    models' reports and model objects with the dataclasses they are written
+    models' reports and model objects with the checked records they are written
     from; zero, negative and wider-than-64-bit Laurent polynomials."""
     for g in range(2, 6):
         for d in range(-1, -61, -1):
@@ -390,19 +398,25 @@ NAMED_TUPLE_RECORDS = {
     cli.RunConfig: ("command", "d", "g", "format", "chamber", "model_path", "seed", "grid", "models"),
     cli._Flag: ("flag", "dest", "nargs", "metavar", "help", "required", "type"),
 }
-#: The records that check their inputs, store derived state, hold a
-#: cached_property or are mutated, which a named tuple's _make and _replace
-#: would get round: they stay dataclasses.
-DATACLASS_RECORDS = {stability.CurveContext, stability.FramedType, stability.SubobjectData,
-                     stability.SplitDescriptor, stability.FramedModel, betti.BettiReport, stability.SuiteResult}
+#: The records that check their inputs, store derived state or hold a
+#: cached_property, which a named tuple's _make and _replace would get round:
+#: each is a chambers._Record, with its fields, its JSON keys, in order.
+CHECKED_RECORDS = {
+    stability.CurveContext: ("genus", "frame_degree"),
+    stability.FramedType: ("rank", "degree", "framing_nonzero", "delta_iso"),
+    stability.SubobjectData: ("id", "rank", "degree", "fr", "phi_invariant", "parents"),
+    stability.SplitDescriptor: ("kmax_id", "other_id"),
+    stability.FramedModel: ("ctx", "typ", "subs", "split"),
+    betti.BettiReport: ("d", "g", "moduli_dim", "chambers", "u2d", "mcon", "terminal", "blowup_check"),
+}
 
 
-def test_report_rows_are_named_tuples_and_checked_records_dataclasses():
+def test_report_rows_are_named_tuples_and_checked_records_are_records():
     classes = {value for name in ("betti", "chambers", "cli", "exactpoly", "stability")
                for value in vars(getattr(flipchain, name)).values()
                if inspect.isclass(value) and value.__module__ == f"flipchain.{name}"}
     assert {cls for cls in classes if issubclass(cls, tuple)} == set(NAMED_TUPLE_RECORDS)
-    assert {cls for cls in classes if is_dataclass(cls)} == DATACLASS_RECORDS
+    assert {cls for cls in classes if issubclass(cls, chambers._Record)} == {chambers._Record, *CHECKED_RECORDS}
     cd, report = chambers.build_chambers(-5, 2), betti.build_betti_report(-5, 2)
     m, sigma = model_from_json_obj(no_kernel_model()), Fraction(1, 2)
     written = [cd, cd.chambers[0], cd.flip_loci[0], chambers.chamber_of(Fraction(1), cd), report.chambers[0],
@@ -413,6 +427,8 @@ def test_report_rows_are_named_tuples_and_checked_records_dataclasses():
         assert cls._fields == keys
     for value in written:
         assert tuple(json.loads(_json_text(value))) == NAMED_TUPLE_RECORDS[type(value)]
+    for value in (report, m, m.ctx, m.typ, m.subs[0], stability.SplitDescriptor("K", "C")):
+        assert tuple(json.loads(_json_text(value))) == CHECKED_RECORDS[type(value)]
     fl = cd.flip_loci[0]  # an object as a named tuple, an array as a plain tuple of the same values
     assert _json_text(fl) == json.dumps(dict(zip(fl._fields, fl)), indent=2)
     assert _json_text(tuple(fl)) == json.dumps(list(fl), indent=2)
@@ -852,7 +868,7 @@ def test_betti_reader_names_a_path_inside_the_leaf_that_differs(argv, data):
     ],
 )
 def test_reader_tables_name_the_written_fields_in_order(table, cls):
-    assert list(table) == [f.name for f in fields(cls)]
+    assert tuple(table) == cls._fields
 
 
 def test_report_reader_accepts_null_where_the_writer_emits_it():
@@ -1167,7 +1183,7 @@ def _readme_code_names():
 
 def test_the_readme_names_only_code_that_exists():
     names = set(_readme_code_names())
-    assert len(names) == 17
+    assert len(names) == 18
     assert sorted(f"{owner.__name__}.{name}" for owner, name in names if not hasattr(owner, name)) == []
 
 

@@ -1,13 +1,14 @@
 """Framed slope checks, filtrations, bounds, oriented verdicts and the
 pair/module equivalences, on hand-built and randomized lattice models."""
 
+import copy
 import inspect
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -836,6 +837,56 @@ def test_model_json_round_trip():
     assert model_from_json_obj(model_to_json_obj(m)) == m
 
 
+# -- the checked records ----------------------------------------------------------------
+
+
+def split_model():
+    return rank2(-5, [sub("K", 1, -3, fr=False, parents={"C"}), sub("C", 1, -2, fr=True)], delta_iso=True,
+                 split=SplitDescriptor("K", "C"))
+
+
+def test_a_replaced_record_is_checked_again():
+    """_replace builds its copy through __init__, so the copy meets every check."""
+    with pytest.raises(InvalidInput) as exc:
+        SubobjectData("K", 1, -3, False)._replace(fr=1)
+    assert str(exc.value) == "subs[*].fr: expected true or false, got 1"
+    with pytest.raises(InvalidInput) as exc:
+        split_model()._replace(split=SplitDescriptor("S", "S"))
+    assert str(exc.value) == "split: kmax_id and other_id both name 'S'; the summands must differ"
+    assert split_model()._replace(split=None).split is None
+
+
+@pytest.mark.parametrize("change", [lambda r: setattr(r, "subs", ()), lambda r: delattr(r, "subs"),
+                                    lambda r: delattr(r, "ancestors"), lambda r: setattr(r, "extra", 1),
+                                    lambda r: setattr(r.typ, "rank", 3), lambda r: delattr(r.subs[0], "parents")])
+def test_a_record_refuses_to_assign_or_delete_an_attribute(change):
+    m = split_model()
+    with pytest.raises(AttributeError):
+        change(m)
+    assert m == split_model() and m.typ.rank == 2 and m.ancestors == {"K": {"C"}, "C": frozenset()}
+
+
+@pytest.mark.parametrize("copied", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy])
+def test_a_model_and_a_betti_report_copy_to_equal_values_with_equal_hashes(copied):
+    m, report = split_model(), betti.build_betti_report(-5, 2)
+    is_oriented_stable(m), report.ok  # fill their cached properties, which travel with them
+    for value in (m, report):
+        twin = copied(value)
+        assert twin is not value and twin == value and hash(twin) == hash(value)
+        assert vars(twin).keys() == vars(value).keys()
+    assert copied(m).ancestors == m.ancestors
+
+
+def test_a_model_repr_names_every_field():
+    assert repr(split_model()) == (
+        "FramedModel(ctx=CurveContext(genus=2, frame_degree=0), "
+        "typ=FramedType(rank=2, degree=-5, framing_nonzero=True, delta_iso=True), "
+        "subs=(SubobjectData(id='K', rank=1, degree=-3, fr=False, phi_invariant=True, parents=frozenset({'C'})), "
+        "SubobjectData(id='C', rank=1, degree=-2, fr=True, phi_invariant=True, parents=frozenset())), "
+        "split=SplitDescriptor(kmax_id='K', other_id='C'))"
+    )
+
+
 # -- the seeded property suite ----------------------------------------------------------
 
 
@@ -861,7 +912,7 @@ def rebuilt_closure(m, sigmas):
         md = stability._max_destabilizer(m, *stability._slopes(m, sigma))
         if isinstance(md, SubobjectData):
             need.add(md.id)
-    return replace(m, subs=tuple(replace(s, phi_invariant=True) if s.id in need else s for s in m.subs))
+    return m._replace(subs=tuple(s._replace(phi_invariant=True) if s.id in need else s for s in m.subs))
 
 
 def test_close_constraints_returns_a_closed_model_itself():
